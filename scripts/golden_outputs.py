@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Digest the observable outputs of opmaj, to show a refactor changes none.
+
+Prints three sha256 digests:
+
+* ``cli``: (argv, exit code, stdout) of the command line over a fixed grid:
+  six families x n in {1, 2, 7, 30} x theorems A, B and C at
+  k in {1, ceil(n/2), n} x both routes x json/csv, plus ``zeros``,
+  ``weights``, ``quad``, ``verify --n-max 12``, a fixed list of usage
+  errors and failing checks, and each command's ``--help``;
+* ``verify``: (case, metric, limit, passed) of ``verify_scheme`` at
+  n_max = 30 for legendre, laguerre and hermite;
+* ``stderr``: the stderr of every invocation above, kept apart because
+  error wordings may change on purpose.  Python warnings are recorded
+  rather than printed, so their source line numbers never enter a digest.
+
+Run from the root of a checkout, once per commit, and compare:
+    PYTHONPATH=src python scripts/golden_outputs.py
+    PYTHONPATH=src python scripts/golden_outputs.py --records out.jsonl
+``--records`` also writes one JSON line per invocation, for diffing.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import warnings
+
+from opmaj import classical_scheme, verify_scheme
+from opmaj.cli import main as cli_main
+
+FAMILIES = [
+    ["--family", "chebyshev-u"],
+    ["--family", "chebyshev-t"],
+    ["--family", "legendre"],
+    ["--family", "jacobi", "--alpha", "2", "--beta", "0.5"],
+    ["--family", "laguerre"],
+    ["--family", "hermite"],
+]
+ORDERS = (1, 2, 7, 30)
+VERIFY_FAMILIES = ("legendre", "laguerre", "hermite")
+
+ERROR_CASES = [
+    ["matrix", "--family", "jacobi", "--n", "3", "--theorem", "A"],
+    ["zeros", "--family", "jacobi", "--alpha", "1", "--n", "3"],
+    ["zeros", "--family", "jacobi", "--alpha", "-1", "--beta", "0", "--n", "3"],
+    ["zeros", "--family", "hermite", "--alpha", "1", "--n", "3"],
+    ["zeros", "--family", "laguerre", "--beta", "1", "--n", "3"],
+    ["zeros", "--family", "laguerre", "--alpha", "-2", "--n", "3"],
+    ["zeros", "--family", "laguerre", "--alpha", "0.5", "--n", "3"],
+    ["matrix", "--family", "legendre", "--n", "5", "--theorem", "C"],
+    ["matrix", "--family", "legendre", "--n", "5", "--theorem", "A", "--k", "2"],
+    ["matrix", "--family", "legendre", "--n", "5", "--theorem", "C", "--k", "9"],
+    ["matrix", "--family", "legendre", "--n", "3"],
+    ["zeros", "--n", "3"],
+    ["zeros", "--family", "legendre", "--n", "0"],
+    ["verify", "--family", "legendre", "--n-max", "1"],
+    ["verify", "--family", "legendre", "--n-max", "5", "--tol", "-1"],
+    ["verify", "--family", "legendre", "--n-max", "5", "--tol-relation", "0"],
+    ["verify", "--family", "legendre", "--n-max", "6", "--tol", "1e-30"],
+    ["verify", "--family", "legendre", "--n-max", "6", "--seed", "7"],
+    ["quad", "--family", "legendre", "--n", "2"],
+    ["quad", "--family", "legendre", "--n", "2", "--degree", "1", "--coeffs", "1"],
+    ["quad", "--family", "legendre", "--n", "2", "--coeffs", "1,x"],
+    ["quad", "--family", "legendre", "--n", "2", "--degree", "-1"],
+    ["matrix", "--family", "legendre", "--n", "7", "--theorem", "C", "--k", "3",
+     "--tol", "1e-30"],
+    ["matrix", "--family", "legendre", "--n", "7", "--theorem", "B",
+     "--tol-stochastic", "1e-30", "--tol-relation", "1e-30"],
+]
+
+
+def cli_grid():
+    """Every argv of the fixed CLI grid, in a fixed order."""
+    for family in FAMILIES:
+        for n in ORDERS:
+            size = ["--n", str(n)]
+            ks = sorted({1, math.ceil(n / 2), n})
+            theorems = [["A"], ["B"]] + [["C", "--k", str(k)] for k in ks]
+            for thm in theorems:
+                for route in ("eigvec", "literal"):
+                    for fmt in ("json", "csv"):
+                        yield ["matrix", *family, *size, "--theorem", thm[0], *thm[1:],
+                               "--route", route, "--format", fmt]
+            for cmd in ("zeros", "weights"):
+                for fmt in ("json", "csv"):
+                    yield [cmd, *family, *size, "--format", fmt]
+            yield ["quad", *family, *size, "--degree", str(2 * n - 1)]
+            yield ["quad", *family, *size, "--coeffs", "1,0.5,-2"]
+        yield ["verify", *family, "--n-max", "12"]
+    yield from ERROR_CASES
+    for command in ("zeros", "weights", "matrix", "quad", "verify"):
+        yield [command, "--help"]  # the flag set and its help text
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an uncaught error exits 1 with a traceback
+            code = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
+    return code, out.getvalue(), err.getvalue()
+
+
+def verify_records():
+    rows = []
+    for family in VERIFY_FAMILIES:
+        scheme = classical_scheme(family, 32)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            results = verify_scheme(scheme, 30)
+        rows.append([family, [[r.case, r.metric, r.limit, r.passed] for r in results]])
+    return rows
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--records", metavar="PATH",
+                        help="also write one JSON line per CLI invocation")
+    args = parser.parse_args()
+    os.environ["COLUMNS"] = "100"  # argparse wraps help text to this width
+    cli_rows, err_rows = [], []
+    for argv in cli_grid():
+        code, out, err = run_cli(argv)
+        cli_rows.append([argv, code, out])
+        err_rows.append([argv, err])
+    if args.records:
+        with open(args.records, "w", encoding="utf-8") as fh:
+            for (argv, code, out), (_, err) in zip(cli_rows, err_rows):
+                fh.write(json.dumps({"argv": argv, "code": code, "stdout": out,
+                                     "stderr": err}) + "\n")
+    print(f"cli     {digest(cli_rows)}  ({len(cli_rows)} invocations)")
+    print(f"verify  {digest(verify_records())}")
+    print(f"stderr  {digest(err_rows)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,52 +8,35 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
-from .majorization import check_majorization, convex_report, matrix_A, matrix_B, matrix_C
+from .majorization import (
+    CONVEX_FUNCTIONS,
+    check_doubly_stochastic,
+    check_majorization,
+    convex_report,
+    matrix_A,
+    matrix_B,
+    matrix_C,
+)
 from .orthopoly import DEFAULT_SEED, gauss_quadrature, gauss_rule
 from .recurrence import Family, RecurrenceScheme, classical_scheme, from_sequences
 from .spectra import scheme_spectral
 from .verification import Tolerances, verify_scheme
 
-__all__ = ["RunConfig", "UsageError", "run", "load_custom_scheme", "main"]
+__all__ = ["UsageError", "load_custom_scheme", "main"]
 
 FAMILY_CHOICES = [f.value for f in Family if f is not Family.CUSTOM]
-CONVEX_TAGS = ("square", "abs", "exp")
 
 
 class UsageError(ValueError):
     """Invalid flag combination or malformed input file (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: one command plus its source scheme and knobs."""
-
-    command: str
-    family: str | None = None
-    custom_path: str | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    n: int | None = None
-    n_max: int | None = None
-    theorem: str | None = None
-    k: int | None = None
-    route: str = "eigvec"
-    degree: int | None = None
-    coeffs: tuple[float, ...] | None = None
-    fmt: str = "json"
-    out: str | None = None
-    tol: float = 1e-10
-    tol_stochastic: float | None = None
-    tol_relation: float | None = None
-    seed: int | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def load_custom_scheme(path: str) -> RecurrenceScheme:
@@ -78,34 +61,25 @@ def load_custom_scheme(path: str) -> RecurrenceScheme:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _build_scheme(config: RunConfig, depth: int) -> tuple[RecurrenceScheme, str, dict]:
+def _build_scheme(args: argparse.Namespace, depth: int) -> tuple[RecurrenceScheme, str, dict]:
     """Resolve the scheme plus (family tag, params metadata) for outputs."""
-    if config.custom_path is not None:
-        scheme = load_custom_scheme(config.custom_path)
+    if args.custom is not None:
+        scheme = load_custom_scheme(args.custom)
         if depth > scheme.max_index + 1:
             raise UsageError(
                 f"custom scheme depth {scheme.max_index} supports orders up to "
                 f"{scheme.max_index + 1}; requested {depth}"
             )
-        return scheme, "custom", {"source_file": config.custom_path}
-    family = Family(config.family)
-    params: dict = {}
-    if family is Family.JACOBI:
-        if config.alpha is None or config.beta is None:
-            raise UsageError("jacobi requires --alpha and --beta")
-        params = {"alpha": config.alpha, "beta": config.beta}
-    elif family is Family.LAGUERRE:
-        alpha = 0.0 if config.alpha is None else config.alpha
-        params = {"alpha": alpha}
-    elif config.alpha is not None or config.beta is not None:
-        raise UsageError(f"{family.value} takes no shape parameters")
-    try:
-        scheme = classical_scheme(
-            family, max(depth, 1), alpha=config.alpha, beta=config.beta
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return scheme, family.value, params
+        return scheme, "custom", {"source_file": args.custom}
+    scheme = classical_scheme(args.family, max(depth, 1), alpha=args.alpha, beta=args.beta)
+    return scheme, args.family, dict(zip(("alpha", "beta"), scheme.params))
+
+
+def _tolerances(args: argparse.Namespace) -> Tolerances:
+    """``--tol`` for every check it covers, then the per-check overrides."""
+    tol = Tolerances(stochastic=args.tol, majorization=args.tol, trace=args.tol)
+    overrides = {"stochastic": args.tol_stochastic, "relation": args.tol_relation}
+    return replace(tol, **{name: v for name, v in overrides.items() if v is not None})
 
 
 def _emit(text: str, out: str | None):
@@ -118,194 +92,143 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _matrix_csv(entries: np.ndarray) -> str:
-    import io
-
+def _csv(rows: np.ndarray) -> str:
+    """Rows of floats under a ``j=1..n`` header, shortest round-trip form."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([f"j={j}" for j in range(1, entries.shape[1] + 1)])
-    for row in entries:
-        writer.writerow([repr(float(v)) for v in row])
+    writer.writerow([f"j={j}" for j in range(1, rows.shape[1] + 1)])
+    writer.writerows(rows.tolist())
     return buf.getvalue()
 
 
-def _row_csv(header: list[str], rows: list[list[float]]) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
-
-
-def _cmd_matrix(config: RunConfig) -> int:
-    if config.theorem == "C":
-        if config.k is None:
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    if args.theorem == "C":
+        if args.k is None:
             raise UsageError("--k is required for theorem C")
-        if not 1 <= config.k <= config.n:
-            raise UsageError(f"--k must satisfy 1 <= k <= n = {config.n}")
-    elif config.k is not None:
+        if not 1 <= args.k <= args.n:
+            raise UsageError(f"--k must satisfy 1 <= k <= n = {args.n}")
+    elif args.k is not None:
         raise UsageError("--k is only valid with --theorem C")
-    depth = config.n + 1 if config.route == "literal" else config.n
-    scheme, family, params = _build_scheme(config, depth)
-    if config.theorem == "A":
-        result = matrix_A(scheme, config.n, route=config.route)
-    elif config.theorem == "B":
-        result = matrix_B(scheme, config.n, route=config.route)
+    depth = args.n + 1 if args.route == "literal" else args.n
+    scheme, family, params = _build_scheme(args, depth)
+    if args.theorem == "A":
+        result = matrix_A(scheme, args.n, route=args.route)
+    elif args.theorem == "B":
+        result = matrix_B(scheme, args.n, route=args.route)
     else:
-        result = matrix_C(scheme, config.n, config.k, route=config.route)
-    tol_stoch = config.tol_stochastic if config.tol_stochastic is not None else config.tol
-    tol_rel = config.tol_relation if config.tol_relation is not None else 1e-9
+        result = matrix_C(scheme, args.n, args.k, route=args.route)
+    tol = _tolerances(args)
     diameter = max(float(result.source[-1] - result.source[0]), 1.0)
-    cert = check_majorization(result.target, result.source, config.tol)
+    cert = check_majorization(result.target, result.source, tol.majorization)
     payload = {
         "theorem": result.theorem,
         "family": family,
         "params": params,
         "n": result.n,
         "k": result.k,
-        "source_zeros": [float(v) for v in result.source],
-        "target": [float(v) for v in result.target],
-        "matrix": [[float(v) for v in row] for row in result.entries],
+        "source_zeros": result.source.tolist(),
+        "target": result.target.tolist(),
+        "matrix": result.entries.tolist(),
         "row_sum_max_err": result.row_sum_err,
         "col_sum_max_err": result.col_sum_err,
         "relation_max_err": result.relation_err,
         "majorization": {"holds": cert.holds, "min_margin": cert.min_margin},
         "convex": [
-            {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_TAGS
+            {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_FUNCTIONS
         ],
     }
-    if config.fmt == "csv":
-        _emit(_matrix_csv(result.entries), config.out)
+    if args.format == "csv":
+        _emit(_csv(result.entries), args.out)
     else:
-        _emit(json.dumps(payload, indent=2), config.out)
+        _emit(json.dumps(payload, indent=2), args.out)
+    stoch = check_doubly_stochastic(result, tol.stochastic)
     failures = []
-    if result.row_sum_err > tol_stoch or result.col_sum_err > tol_stoch:
-        failures.append({"case": "stochasticity", "metric": max(result.row_sum_err, result.col_sum_err), "limit": tol_stoch})
-    if float(result.entries.min()) < -tol_stoch:
-        failures.append({"case": "nonnegativity", "metric": float(result.entries.min()), "limit": -tol_stoch})
-    if result.relation_err > tol_rel * diameter:
-        failures.append({"case": "relation", "metric": result.relation_err, "limit": tol_rel * diameter})
+    if stoch.max_row_err > tol.stochastic or stoch.max_col_err > tol.stochastic:
+        failures.append({"case": "stochasticity", "metric": max(stoch.max_row_err, stoch.max_col_err), "limit": tol.stochastic})
+    if stoch.min_entry < -tol.stochastic:
+        failures.append({"case": "nonnegativity", "metric": stoch.min_entry, "limit": -tol.stochastic})
+    if result.relation_err > tol.relation * diameter:
+        failures.append({"case": "relation", "metric": result.relation_err, "limit": tol.relation * diameter})
     if not cert.holds:
-        failures.append({"case": "majorization", "metric": cert.min_margin, "limit": -config.tol})
+        failures.append({"case": "majorization", "metric": cert.min_margin, "limit": -tol.majorization})
     if failures:
         sys.stderr.write(json.dumps({"failures": failures}, indent=2) + "\n")
         return 1
     return 0
 
 
-def _cmd_zeros(config: RunConfig) -> int:
-    scheme, family, params = _build_scheme(config, config.n)
-    zeros = scheme_spectral(scheme, config.n).eigenvalues
-    if config.fmt == "csv":
-        header = [f"j={j}" for j in range(1, config.n + 1)]
-        _emit(_row_csv(header, [list(zeros)]), config.out)
+def _cmd_zeros(args: argparse.Namespace) -> int:
+    scheme, family, params = _build_scheme(args, args.n)
+    zeros = scheme_spectral(scheme, args.n).eigenvalues
+    if args.format == "csv":
+        _emit(_csv(zeros[None, :]), args.out)
+    else:
+        payload = {"family": family, "params": params, "n": args.n, "zeros": zeros.tolist()}
+        _emit(json.dumps(payload, indent=2), args.out)
+    return 0
+
+
+def _cmd_weights(args: argparse.Namespace) -> int:
+    scheme, family, params = _build_scheme(args, args.n)
+    rule = gauss_rule(scheme, args.n)
+    if args.format == "csv":
+        _emit(_csv(np.vstack([rule.nodes, rule.weights])), args.out)
     else:
         payload = {
             "family": family,
             "params": params,
-            "n": config.n,
-            "zeros": [float(v) for v in zeros],
+            "n": args.n,
+            "nodes": rule.nodes.tolist(),
+            "weights": rule.weights.tolist(),
         }
-        _emit(json.dumps(payload, indent=2), config.out)
+        _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
-def _cmd_weights(config: RunConfig) -> int:
-    scheme, family, params = _build_scheme(config, config.n)
-    rule = gauss_rule(scheme, config.n)
-    if config.fmt == "csv":
-        header = [f"j={j}" for j in range(1, config.n + 1)]
-        _emit(_row_csv(header, [list(rule.nodes), list(rule.weights)]), config.out)
-    else:
-        payload = {
-            "family": family,
-            "params": params,
-            "n": config.n,
-            "nodes": [float(v) for v in rule.nodes],
-            "weights": [float(v) for v in rule.weights],
-        }
-        _emit(json.dumps(payload, indent=2), config.out)
-    return 0
-
-
-def _cmd_quad(config: RunConfig) -> int:
-    if (config.degree is None) == (config.coeffs is None):
+def _cmd_quad(args: argparse.Namespace) -> int:
+    if (args.degree is None) == (args.coeffs is None):
         raise UsageError("quad needs exactly one of --degree or --coeffs")
-    scheme, family, params = _build_scheme(config, config.n)
-    rule = gauss_rule(scheme, config.n)
-    if config.degree is not None:
-        if config.degree < 0:
+    scheme, family, params = _build_scheme(args, args.n)
+    rule = gauss_rule(scheme, args.n)
+    if args.degree is not None:
+        if args.degree < 0:
             raise UsageError("--degree must be nonnegative")
-        value = gauss_quadrature(rule, lambda x: x**config.degree)
-        integrand = {"degree": config.degree}
+        value = gauss_quadrature(rule, lambda x: x**args.degree)
+        integrand = {"degree": args.degree}
     else:
-        coeffs = np.asarray(config.coeffs, dtype=float)
+        coeffs = np.asarray(args.coeffs, dtype=float)
         value = gauss_quadrature(
             rule, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs))
         )
-        integrand = {"coeffs": list(map(float, coeffs))}
+        integrand = {"coeffs": coeffs.tolist()}
     payload = {
         "family": family,
         "params": params,
-        "n": config.n,
+        "n": args.n,
         **integrand,
         "value": value,
     }
-    _emit(json.dumps(payload, indent=2), config.out)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    depth = config.n_max + 2
-    if config.custom_path is not None:
-        scheme, family, params = _build_scheme(config, config.n_max)
-    else:
-        scheme, family, params = _build_scheme(config, depth)
-    tol = Tolerances(
-        stochastic=config.tol_stochastic if config.tol_stochastic is not None else config.tol,
-        relation=config.tol_relation if config.tol_relation is not None else 1e-9,
-        majorization=config.tol,
-        trace=config.tol,
-    )
-    seed = config.seed if config.seed is not None else DEFAULT_SEED
-    results = verify_scheme(scheme, config.n_max, tol=tol, seed=seed)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    depth = args.n_max if args.custom is not None else args.n_max + 2
+    scheme, family, params = _build_scheme(args, depth)
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    results = verify_scheme(scheme, args.n_max, tol=_tolerances(args), seed=seed)
     failures = [r for r in results if not r.passed]
     payload = {
         "family": family,
         "params": params,
-        "n_max": config.n_max,
+        "n_max": args.n_max,
         "cases": len(results),
         "failures": [
             {"case": r.case, "metric": r.metric, "limit": r.limit} for r in failures
         ],
     }
-    _emit(json.dumps(payload, indent=2), config.out)
+    _emit(json.dumps(payload, indent=2), args.out)
     return 1 if failures else 0
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated configuration; returns the process exit code."""
-    for name in ("tol", "tol_stochastic", "tol_relation"):
-        value = getattr(config, name)
-        if value is not None and not value > 0.0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive")
-    if (config.family is None) == (config.custom_path is None):
-        raise UsageError("exactly one of --family or --custom is required")
-    handlers = {
-        "matrix": _cmd_matrix,
-        "zeros": _cmd_zeros,
-        "weights": _cmd_weights,
-        "quad": _cmd_quad,
-        "verify": _cmd_verify,
-    }
-    try:
-        handler = handlers[config.command]
-    except KeyError:
-        raise UsageError(f"unknown command {config.command!r}") from None
-    return handler(config)
 
 
 def _add_scheme_args(parser: argparse.ArgumentParser):
@@ -335,16 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zeros", help="zeros of p_n (Jacobi matrix eigenvalues)")
+    p.set_defaults(handler=_cmd_zeros)
     _add_scheme_args(p)
     p.add_argument("--n", type=int, required=True)
     _add_output_args(p)
 
     p = sub.add_parser("weights", help="Gaussian nodes and Christoffel numbers")
+    p.set_defaults(handler=_cmd_weights)
     _add_scheme_args(p)
     p.add_argument("--n", type=int, required=True)
     _add_output_args(p)
 
     p = sub.add_parser("matrix", help="stochastic matrix certificate for A, B or C")
+    p.set_defaults(handler=_cmd_matrix)
     _add_scheme_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theorem", choices=["A", "B", "C"], required=True)
@@ -361,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("quad", help="Gaussian quadrature of a polynomial")
+    p.set_defaults(handler=_cmd_quad)
     _add_scheme_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int, help="integrate the monomial x^degree")
@@ -371,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("verify", help="run the certificate sweep; exit 1 on failure")
+    p.set_defaults(handler=_cmd_verify)
     _add_scheme_args(p)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -382,56 +310,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    coeffs = None
-    if getattr(args, "coeffs", None):
+def _check_args(args: argparse.Namespace) -> None:
+    """Input checks argparse does not make; parses --coeffs and OPMAJ_SEED."""
+    if getattr(args, "coeffs", None) is not None:
         try:
-            coeffs = tuple(float(v) for v in args.coeffs.split(","))
+            args.coeffs = tuple(map(float, args.coeffs.split(","))) if args.coeffs else None
         except ValueError as exc:
             raise UsageError(f"--coeffs must be comma-separated numbers: {exc}") from exc
-    seed = getattr(args, "seed", None)
-    if seed is None and os.environ.get("OPMAJ_SEED"):
+    if getattr(args, "seed", None) is None and os.environ.get("OPMAJ_SEED"):
         try:
-            seed = int(os.environ["OPMAJ_SEED"])
+            args.seed = int(os.environ["OPMAJ_SEED"])
         except ValueError as exc:
             raise UsageError(f"OPMAJ_SEED must be an integer: {exc}") from exc
-    n = getattr(args, "n", None)
-    if n is not None and n < 1:
+    if getattr(args, "n", None) is not None and args.n < 1:
         raise UsageError("--n must be >= 1")
-    n_max = getattr(args, "n_max", None)
-    if n_max is not None and n_max < 2:
+    if getattr(args, "n_max", None) is not None and args.n_max < 2:
         raise UsageError("--n-max must be >= 2")
-    return RunConfig(
-        command=args.command,
-        family=args.family,
-        custom_path=args.custom,
-        alpha=args.alpha,
-        beta=args.beta,
-        n=n,
-        n_max=n_max,
-        theorem=getattr(args, "theorem", None),
-        k=getattr(args, "k", None),
-        route=getattr(args, "route", "eigvec"),
-        degree=getattr(args, "degree", None),
-        coeffs=coeffs,
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        tol=getattr(args, "tol", 1e-10),
-        tol_stochastic=getattr(args, "tol_stochastic", None),
-        tol_relation=getattr(args, "tol_relation", None),
-        seed=seed,
-    )
+    for name in ("tol", "tol_stochastic", "tol_relation"):
+        value = getattr(args, name, None)
+        if value is not None and not value > 0.0:
+            raise UsageError(f"--{name.replace('_', '-')} must be positive")
+    if (args.family is None) == (args.custom is None):
+        raise UsageError("exactly one of --family or --custom is required")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return run(_config_from_args(args))
-    except UsageError as exc:
-        sys.stderr.write(f"opmaj: error: {exc}\n")
-        return 2
-    except ValueError as exc:
+        _check_args(args)
+        return args.handler(args)
+    except ValueError as exc:  # UsageError and library input errors alike
         sys.stderr.write(f"opmaj: error: {exc}\n")
         return 2
 

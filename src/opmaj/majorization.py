@@ -1,15 +1,13 @@
 """Doubly stochastic matrices linking zeros of orthogonal polynomials.
 
-Three constructions are provided, tagged by which row/column of the order-n
-Jacobi matrix is deleted to produce the target spectrum:
+One construction, ``matrix_C``, deletes row/column k (1 <= k <= n) of the
+order-n Jacobi matrix.  Its target is the zeros of p_{k-1}, then the zeros
+of the order-k associated polynomial of degree n-k, then b_{k-1}.  The
+other two theorems are its end cases, relabelled:
 
-* theorem "A": delete the last row/column.  Target = zeros of p_{n-1}
-  followed by the diagonal coefficient b_{n-1}.
-* theorem "B": delete the first row/column.  Target = zeros of the first
-  associated polynomial of degree n-1 followed by b_0.
-* theorem "C": delete row/column k (1 <= k <= n).  Target = zeros of
-  p_{k-1}, then zeros of the order-k associated polynomial of degree n-k,
-  then b_{k-1}.  k = n reduces to "A" and k = 1 to "B".
+* theorem "A" is C(k=n): zeros of p_{n-1} followed by b_{n-1}.
+* theorem "B" is C(k=1): zeros of the first associated polynomial of
+  degree n-1 followed by b_0.
 
 In every case target = entries @ source with source the ascending zeros of
 p_n and entries doubly stochastic, so the target is majorized by the source
@@ -24,7 +22,7 @@ orthonormality of the computed eigenbases (~n * eps), with no error
 amplification from clustered zeros.  This is the same matrix as the closed
 formula
 
-    a_k^2 lambda_{j,n} lambda_i p_{k-1}^2(x_{j,n}) [p-factor] / (z_i - x_{j,n})^2
+    a_k^2 u_i W_j / (z_i - x_{j,n})^2        (u_i, W_j as in ``matrix_C``)
 
 wherever that formula is defined: multiplying the full-matrix eigenvector
 equation by a block eigenvector turns the inner product into exactly that
@@ -34,14 +32,14 @@ polynomial of a symmetric measure) the quotient degenerates to 0/0, while
 the inner product stays well defined and keeps the matrix doubly
 stochastic; entries may then be exactly zero rather than strictly positive.
 
-The literal quotient formulas, with Christoffel numbers by reciprocal sums
-and polynomial values by forward recurrence, are retained behind
+The literal quotient formula, with Christoffel numbers by reciprocal sums
+and polynomial values by forward recurrence, is retained behind
 ``route="literal"`` for cross-validation at small order on configurations
 with well-separated zeros.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,72 +161,19 @@ def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
 def matrix_A(scheme: RecurrenceScheme, n: int, route: str = "eigvec") -> StochasticMatrixResult:
     """Stochastic matrix mapping the zeros of p_n onto (zeros of p_{n-1}, b_{n-1}).
 
-    Default route: rows 1..n-1 are squared overlaps between the eigenvectors
-    of J_{n-1} and the leading n-1 components of those of J_n; row n is the
-    squared last component row of J_n, i.e. lambda_{j,n} p_{n-1}^2(x_{j,n}).
-    The literal route evaluates the closed formula
-    a_n^2 lambda_{j,n} p_{n-1}^2(x_{j,n}) lambda_{i,n-1} p_n^2(x_{i,n-1})
-    / (x_{j,n} - x_{i,n-1})^2 from reciprocal-sum Christoffel numbers and
-    forward-recurrence polynomial values.
+    Deleting the last row/column is theorem C at k = n: this is
+    ``matrix_C(scheme, n, n, route)`` relabelled ``theorem="A"``.
     """
-    _check_route(route)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    sd_n = scheme_spectral(scheme, n)
-    x = sd_n.eigenvalues
-    if n == 1:
-        return _result("A", 1, 1, np.ones((1, 1)), x, [scheme.b(0)])
-    sd_m = scheme_spectral(scheme, n - 1)
-    t = sd_m.eigenvalues
-    target = np.append(t, scheme.b(n - 1))
-    entries = np.empty((n, n))
-    if route == "eigvec":
-        entries[: n - 1] = (sd_m.components.T @ sd_n.components[: n - 1]) ** 2
-        entries[n - 1] = sd_n.comp_sq[n - 1]
-    else:
-        lam_n = christoffel_numbers_formula(scheme, n)
-        lam_m = christoffel_numbers_formula(scheme, n - 1)
-        p_nm1 = np.array([eval_all(scheme, n - 1, xj).values[n - 1] for xj in x])
-        p_n = np.array([eval_all(scheme, n, ti).values[n] for ti in t])
-        v = lam_n * p_nm1**2
-        u = lam_m * p_n**2
-        gaps = x[None, :] - t[:, None]
-        entries[: n - 1] = scheme.a(n) ** 2 * u[:, None] * v[None, :] / gaps**2
-        entries[n - 1] = v
-    return _result("A", n, n, entries, x, target)
+    return replace(matrix_C(scheme, n, n, route), theorem="A")
 
 
 def matrix_B(scheme: RecurrenceScheme, n: int, route: str = "eigvec") -> StochasticMatrixResult:
     """Stochastic matrix mapping the zeros of p_n onto (associated zeros, b_0).
 
-    Default route: rows 1..n-1 are squared overlaps between the eigenvectors
-    of the once-shifted Jacobi matrix of order n-1 and the trailing n-1
-    components of those of J_n; row n holds the Christoffel numbers
-    lambda_{j,n}.  The literal route evaluates
-    a_1^2 lambda_{j,n} lambda^(1)_{i,n-1} / (y_{i,n-1} - x_{j,n})^2 with
-    both Christoffel vectors from the reciprocal-sum formula.
+    Deleting the first row/column is theorem C at k = 1: this is
+    ``matrix_C(scheme, n, 1, route)`` relabelled ``theorem="B"``.
     """
-    _check_route(route)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    sd_n = scheme_spectral(scheme, n)
-    x = sd_n.eigenvalues
-    if n == 1:
-        return _result("B", 1, 1, np.ones((1, 1)), x, [scheme.b(0)])
-    asd = associated_spectral(scheme, 1, n - 1)
-    y = asd.eigenvalues
-    target = np.append(y, scheme.b(0))
-    entries = np.empty((n, n))
-    if route == "eigvec":
-        entries[: n - 1] = (asd.components.T @ sd_n.components[1:]) ** 2
-        entries[n - 1] = sd_n.christoffel
-    else:
-        lam = christoffel_numbers_formula(scheme, n)
-        lam1 = christoffel_numbers_formula(shifted(scheme, 1), n - 1)
-        gaps = y[:, None] - x[None, :]
-        entries[: n - 1] = scheme.a(1) ** 2 * lam1[:, None] * lam[None, :] / gaps**2
-        entries[n - 1] = lam
-    return _result("B", n, 1, entries, x, target)
+    return replace(matrix_C(scheme, n, 1, route), theorem="B")
 
 
 def matrix_C(
@@ -236,17 +181,21 @@ def matrix_C(
 ) -> StochasticMatrixResult:
     """Stochastic matrix for deleting row/column k of the order-n Jacobi matrix.
 
-    The target stacks the zeros of p_{k-1}, the zeros of the order-k
-    associated polynomial of degree n-k, and b_{k-1}.  Default route: the
-    deleted matrix splits into two decoupled blocks, and rows 1..n-1 are
-    squared overlaps between each block's eigenvectors and the matching
-    component slice of the J_n eigenvectors; row n is comp_sq row k of J_n,
-    i.e. W_j = lambda_{j,n} p_{k-1}^2(x_{j,n}).  The literal route uses the
-    closed quotients
+    The deleted matrix splits into at most two decoupled blocks: J_{k-1}
+    (rows 1..k-1 of J_n) and the order-k associated block (rows k+1..n).
+    The target stacks their zeros z, i.e. the zeros of p_{k-1} and of the
+    order-k associated polynomial of degree n-k, then b_{k-1}.  Row n is
+    comp_sq row k of J_n, W_j = lambda_{j,n} p_{k-1}^2(x_{j,n}).
 
-    * rows i < k:   a_k^2 lambda_{i,k-1} p_k^2(x_{i,k-1}) W_j
-      / (x_{i,k-1} - x_{j,n})^2,
-    * rows k..n-1:  a_k^2 lambda^(k)_{i,n-k} W_j / (y_{i,n-k} - x_{j,n})^2.
+    Default route: rows 1..n-1 are squared overlaps between each block's
+    eigenvectors and the matching component slice of the J_n eigenvectors.
+    The literal route evaluates the one closed quotient
+
+        a_k^2 u_i W_j / (z_i - x_{j,n})^2
+
+    with u_i = lambda_{i,k-1} p_k^2(z_i) on the leading block and the
+    associated Christoffel numbers lambda^(k)_{i,n-k} on the trailing one,
+    all from reciprocal sums and forward-recurrence polynomial values.
     """
     _check_route(route)
     if n < 1:
@@ -257,41 +206,36 @@ def matrix_C(
     x = sd_n.eigenvalues
     if n == 1:
         return _result("C", 1, 1, np.ones((1, 1)), x, [scheme.b(0)])
-    entries = np.empty((n, n))
-    target = np.empty(n)
-    if route == "eigvec":
-        w = sd_n.comp_sq[k - 1]
-    else:
-        lam_n = christoffel_numbers_formula(scheme, n)
+    literal = route == "literal"
+    if literal:
         p_km1 = np.array([eval_all(scheme, k - 1, xj).values[k - 1] for xj in x])
-        w = lam_n * p_km1**2
+        w = christoffel_numbers_formula(scheme, n) * p_km1**2
+    else:
+        w = sd_n.comp_sq[k - 1]
+    # (block spectral data, the rows of J_n it spans, literal numerators u)
+    blocks = []
     if k >= 2:
-        sd_top = scheme_spectral(scheme, k - 1)
-        t = sd_top.eigenvalues
-        target[: k - 1] = t
-        if route == "eigvec":
-            entries[: k - 1] = (sd_top.components.T @ sd_n.components[: k - 1]) ** 2
-        else:
-            lam_top = christoffel_numbers_formula(scheme, k - 1)
-            p_k = np.array([eval_all(scheme, k, ti).values[k] for ti in t])
-            u = lam_top * p_k**2
-            gaps = t[:, None] - x[None, :]
-            entries[: k - 1] = scheme.a(k) ** 2 * u[:, None] * w[None, :] / gaps**2
+        top = scheme_spectral(scheme, k - 1)
+        u = None
+        if literal:
+            p_k = np.array([eval_all(scheme, k, t).values[k] for t in top.eigenvalues])
+            u = christoffel_numbers_formula(scheme, k - 1) * p_k**2
+        blocks.append((top, slice(0, k - 1), u))
     if k <= n - 1:
-        asd = associated_spectral(scheme, k, n - k)
-        y = asd.eigenvalues
-        target[k - 1 : n - 1] = y
-        if route == "eigvec":
-            entries[k - 1 : n - 1] = (asd.components.T @ sd_n.components[k:]) ** 2
-        else:
-            lam_k = christoffel_numbers_formula(shifted(scheme, k), n - k)
-            gaps = y[:, None] - x[None, :]
-            entries[k - 1 : n - 1] = (
-                scheme.a(k) ** 2 * lam_k[:, None] * w[None, :] / gaps**2
-            )
+        u = christoffel_numbers_formula(shifted(scheme, k), n - k) if literal else None
+        blocks.append((associated_spectral(scheme, k, n - k), slice(k, n), u))
+    z = np.concatenate([sd.eigenvalues for sd, _, _ in blocks])
+    entries = np.empty((n, n))
+    if literal:
+        u = np.concatenate([u_block for _, _, u_block in blocks])
+        gaps = z[:, None] - x[None, :]
+        entries[: n - 1] = scheme.a(k) ** 2 * u[:, None] * w[None, :] / gaps**2
+    else:
+        entries[: n - 1] = np.concatenate(
+            [(sd.components.T @ sd_n.components[rows]) ** 2 for sd, rows, _ in blocks]
+        )
     entries[n - 1] = w
-    target[n - 1] = scheme.b(k - 1)
-    return _result("C", n, k, entries, x, target)
+    return _result("C", n, k, entries, x, np.append(z, scheme.b(k - 1)))
 
 
 def check_doubly_stochastic(matrix, tol: float) -> StochasticCheck:
@@ -355,24 +299,19 @@ def trace_identities(scheme: RecurrenceScheme, n: int, k: int) -> dict[str, floa
     """Absolute residuals |sum(target) - sum(source zeros)| for A, B and C(k).
 
     All three vanish exactly: each target completes a partial trace of J_n
-    with the complementary recurrence coefficient.
+    with the complementary recurrence coefficient.  A and B are the
+    residuals of C at k = n and k = 1.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     x_sum = float(scheme_spectral(scheme, n).eigenvalues.sum())
-    a_sum = scheme.b(n - 1) + (
-        float(scheme_spectral(scheme, n - 1).eigenvalues.sum()) if n > 1 else 0.0
-    )
-    b_sum = scheme.b(0) + (
-        float(associated_spectral(scheme, 1, n - 1).eigenvalues.sum()) if n > 1 else 0.0
-    )
-    c_sum = scheme.b(k - 1)
-    if k >= 2:
-        c_sum += float(scheme_spectral(scheme, k - 1).eigenvalues.sum())
-    if k <= n - 1:
-        c_sum += float(associated_spectral(scheme, k, n - k).eigenvalues.sum())
-    return {
-        "A": abs(a_sum - x_sum),
-        "B": abs(b_sum - x_sum),
-        "C": abs(c_sum - x_sum),
-    }
+
+    def residual(j: int) -> float:
+        total = scheme.b(j - 1)
+        if j >= 2:
+            total += float(scheme_spectral(scheme, j - 1).eigenvalues.sum())
+        if j <= n - 1:
+            total += float(associated_spectral(scheme, j, n - j).eigenvalues.sum())
+        return abs(total - x_sum)
+
+    return {"A": residual(n), "B": residual(1), "C": residual(k)}

@@ -132,7 +132,8 @@ def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
 
     lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2.  Agrees with the squared
     first eigenvector components of J_n; an overflow of the recurrence
-    raises PolynomialOverflowError, in which case the spectral route
+    raises PolynomialOverflowError, as does an overflow of the sum of squares
+    of finite values, in which case the spectral route
     (``scheme_spectral(scheme, n).christoffel``) is the supported path.
     """
     if n < 1:
@@ -141,7 +142,10 @@ def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     out = np.empty(n)
     for k, x in enumerate(nodes):
         vals = eval_all(scheme, n - 1, x).values
-        out[k] = 1.0 / float(np.dot(vals, vals))
+        norm_sq = float(np.dot(vals, vals))
+        if not np.isfinite(norm_sq):
+            raise PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
+        out[k] = 1.0 / norm_sq
     return out
 
 

@@ -130,7 +130,7 @@ def classical_scheme(
     """Closed-form scheme for one of the classical families.
 
     ``alpha`` is the Jacobi or Laguerre exponent (Laguerre defaults to 0),
-    ``beta`` the second Jacobi exponent; both must exceed -1.
+    ``beta`` the second Jacobi exponent; both must be finite and exceed -1.
     """
     family = Family(family)
     if family is Family.CUSTOM:
@@ -141,17 +141,20 @@ def classical_scheme(
     if family is Family.JACOBI:
         if alpha is None or beta is None:
             raise ValueError("jacobi requires both alpha and beta")
-        if alpha <= -1.0 or beta <= -1.0:
+        if not all(math.isfinite(v) and v > -1.0 for v in (alpha, beta)):
             raise ValueError(
-                f"jacobi parameters must exceed -1, got alpha={alpha}, beta={beta}"
+                "jacobi parameters must be finite and exceed -1, "
+                f"got alpha={alpha}, beta={beta}"
             )
         params = (float(alpha), float(beta))
     elif family is Family.LAGUERRE:
         if beta is not None:
             raise ValueError("laguerre takes a single parameter alpha")
         alpha = 0.0 if alpha is None else float(alpha)
-        if alpha <= -1.0:
-            raise ValueError(f"laguerre parameter must exceed -1, got alpha={alpha}")
+        if not (math.isfinite(alpha) and alpha > -1.0):
+            raise ValueError(
+                f"laguerre parameter must be finite and exceed -1, got alpha={alpha}"
+            )
         params = (alpha,)
     elif alpha is not None or beta is not None:
         raise ValueError(f"{family.value} takes no shape parameters")

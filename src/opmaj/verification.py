@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .majorization import (
+    CONVEX_FUNCTIONS,
     check_doubly_stochastic,
     check_majorization,
     convex_report,
@@ -32,8 +33,6 @@ from .recurrence import RecurrenceScheme, shifted
 from .spectra import scheme_spectral
 
 __all__ = ["Tolerances", "CheckResult", "verify_scheme"]
-
-CONVEX_TAGS = ("square", "abs", "exp")
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def _certificate_checks(out: _Collector, result, diameter: float, tol: Tolerance
     cert = check_majorization(result.target, result.source, tol.majorization)
     out.add(f"{tag} majorization-margin", -cert.min_margin, tol.majorization)
     out.add(f"{tag} majorization-total", cert.total_residual, tol.majorization)
-    for f in CONVEX_TAGS:
+    for f in CONVEX_FUNCTIONS:
         out.add(f"{tag} convex-{f}", -convex_report(result, f).margin, tol.majorization)
 
 

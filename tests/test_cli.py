@@ -1,10 +1,11 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from opmaj import classical_scheme
+from opmaj import classical_scheme, gauss_rule, matrix_A, matrix_B, matrix_C
 from opmaj.cli import main
 
 
@@ -33,22 +34,46 @@ def test_matrix_json_chebyshev_anchor(capsys):
 
 
 def test_matrix_json_round_trip_bit_exact(capsys):
-    code, out, _ = run_cli(
-        capsys, "matrix", "--family", "jacobi", "--alpha", "2", "--beta", "0.5",
-        "--n", "6", "--theorem", "C", "--k", "3",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    res = matrix_C_reference()
-    assert np.array_equal(np.array(doc["matrix"]), res.entries)
-    assert np.array_equal(np.array(doc["source_zeros"]), res.source)
-    assert np.array_equal(np.array(doc["target"]), res.target)
+    # every printed number parses back to the library value bit for bit,
+    # in JSON and in CSV, for each theorem and route and for zeros/weights
+    n = 6
+    scheme = classical_scheme("jacobi", n + 1, alpha=2.0, beta=0.5)
+    base = ["--family", "jacobi", "--alpha", "2", "--beta", "0.5", "--n", str(n)]
+    cases = [
+        ("A", [], matrix_A(scheme, n, "eigvec"), matrix_A(scheme, n, "literal")),
+        ("B", [], matrix_B(scheme, n, "eigvec"), matrix_B(scheme, n, "literal")),
+        ("C", ["--k", "3"], matrix_C(scheme, n, 3, "eigvec"), matrix_C(scheme, n, 3, "literal")),
+    ]
+    for theorem, k_flag, *refs in cases:
+        for route, ref in zip(("eigvec", "literal"), refs):
+            argv = ["matrix", *base, "--theorem", theorem, *k_flag, "--route", route]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            doc = json.loads(out)
+            assert (doc["theorem"], doc["k"]) == (theorem, ref.k)
+            assert np.array_equal(np.array(doc["matrix"]), ref.entries), argv
+            assert np.array_equal(np.array(doc["source_zeros"]), ref.source), argv
+            assert np.array_equal(np.array(doc["target"]), ref.target), argv
+            code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+            assert code == 0, argv
+            assert np.array_equal(parse_csv(out), ref.entries), argv
+    rule = gauss_rule(scheme, n)
+    for command, keys, rows in (
+        ("zeros", ["zeros"], [rule.nodes]),
+        ("weights", ["nodes", "weights"], [rule.nodes, rule.weights]),
+    ):
+        code, out, _ = run_cli(capsys, command, *base)
+        assert code == 0
+        doc = json.loads(out)
+        for key, row in zip(keys, rows):
+            assert np.array_equal(np.array(doc[key]), row), (command, key)
+        code, out, _ = run_cli(capsys, command, *base, "--format", "csv")
+        assert code == 0
+        assert np.array_equal(parse_csv(out), np.array(rows)), command
 
 
-def matrix_C_reference():
-    from opmaj import matrix_C
-
-    return matrix_C(classical_scheme("jacobi", 7, alpha=2.0, beta=0.5), 6, 3)
+def parse_csv(text):
+    return np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
 
 
 def test_matrix_csv_shape(capsys):
@@ -214,6 +239,16 @@ def test_out_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert len(doc["zeros"]) == 3
+
+
+def test_shape_parameter_validation(capsys):
+    for argv in (
+        ["--family", "laguerre", "--alpha", "nan"],
+        ["--family", "jacobi", "--alpha", "0", "--beta", "inf"],
+    ):
+        code, _, err = run_cli(capsys, "zeros", *argv, "--n", "3")
+        assert code == 2
+        assert "must be finite" in err
 
 
 def test_tolerance_validation(capsys):

@@ -101,12 +101,19 @@ def test_matrix_route_validation(chebyshev):
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_reduction_identities(family, params):
+    # A and B are C(n) and C(1) relabelled: bit for bit on both routes
     s = classical_scheme(family, 27, **params)
-    for n in range(2, 26):
-        a = matrix_A(s, n)
-        b = matrix_B(s, n)
-        assert np.max(np.abs(matrix_C(s, n, n).entries - a.entries)) <= 1e-10
-        assert np.max(np.abs(matrix_C(s, n, 1).entries - b.entries)) <= 1e-10
+    for route in ("eigvec", "literal"):
+        for n in range(1, 26):
+            for res, ref, thm in (
+                (matrix_A(s, n, route), matrix_C(s, n, n, route), "A"),
+                (matrix_B(s, n, route), matrix_C(s, n, 1, route), "B"),
+            ):
+                assert (res.theorem, res.n, res.k) == (thm, n, ref.k)
+                for name in ("entries", "source", "target"):
+                    assert np.array_equal(
+                        getattr(res, name), getattr(ref, name), equal_nan=True
+                    ), (route, n, thm, name)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)

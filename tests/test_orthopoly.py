@@ -77,6 +77,14 @@ def test_christoffel_formula_overflow_reported():
         christoffel_numbers_formula(s, 400)
 
 
+def test_christoffel_formula_sum_overflow_reported():
+    # every value p_j(x) is finite at this order, but the sum of their
+    # squares at the largest node is not: no zero weight may come back
+    s = classical_scheme("laguerre", 190, alpha=0.0)
+    with pytest.raises(PolynomialOverflowError):
+        christoffel_numbers_formula(s, 190)
+
+
 def test_christoffel_formula_examples():
     s = classical_scheme("chebyshev-u", 5)
     assert christoffel_numbers_formula(s, 3) == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)

@@ -69,6 +69,11 @@ def test_parameter_validation():
         classical_scheme("legendre", 0)
     with pytest.raises(ValueError):
         classical_scheme("hermite", 5, alpha=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            classical_scheme("laguerre", 5, alpha=bad)
+        with pytest.raises(ValueError, match="finite"):
+            classical_scheme("jacobi", 5, alpha=0.0, beta=bad)
 
 
 def test_depth_errors():
