@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the observable outputs of opmaj, to show a refactor changes none.
 
-Prints three sha256 digests:
+Prints four sha256 digests:
 
 * ``cli``: (argv, exit code, stdout) of the command line over a fixed grid:
   six families x n in {1, 2, 7, 30} x theorems A, B and C at
@@ -12,7 +12,13 @@ Prints three sha256 digests:
   n_max = 30 for legendre, laguerre and hermite;
 * ``stderr``: the stderr of every invocation above, kept apart because
   error wordings may change on purpose.  Python warnings are recorded
-  rather than printed, so their source line numbers never enter a digest.
+  rather than printed, so their source line numbers never enter a digest;
+* ``coeffs``: what the recurrence coefficients build, over the six families
+  plus jacobi (0.5, -0.5) and (-0.5, -0.5) x shift k in {0, 1, 5} x order
+  n in {1, 2, 7, 30, 300}: the bytes of ``jacobi_matrix(shifted(s, k), n)``,
+  of ``eval_all(..., n, x, derivatives=True)`` at three interior points,
+  and of ``leading_coefficient``, with an exception recorded by type and
+  message.
 
 Run from the root of a checkout, once per commit, and compare:
     PYTHONPATH=src python scripts/golden_outputs.py
@@ -28,7 +34,16 @@ import math
 import os
 import warnings
 
-from opmaj import classical_scheme, verify_scheme
+import numpy as np
+
+from opmaj import (
+    classical_scheme,
+    eval_all,
+    jacobi_matrix,
+    leading_coefficient,
+    shifted,
+    verify_scheme,
+)
 from opmaj.cli import main as cli_main
 
 FAMILIES = [
@@ -41,6 +56,19 @@ FAMILIES = [
 ]
 ORDERS = (1, 2, 7, 30)
 VERIFY_FAMILIES = ("legendre", "laguerre", "hermite")
+COEFF_SCHEMES = [
+    ("chebyshev-u", {}),
+    ("chebyshev-t", {}),
+    ("legendre", {}),
+    ("jacobi", {"alpha": 2.0, "beta": 0.5}),
+    ("jacobi", {"alpha": 0.5, "beta": -0.5}),  # b_0 is 0/0 in the general form
+    ("jacobi", {"alpha": -0.5, "beta": -0.5}),  # a_1 is 0/0 in the general form
+    ("laguerre", {}),
+    ("hermite", {}),
+]
+COEFF_SHIFTS = (0, 1, 5)
+COEFF_ORDERS = (1, 2, 7, 30, 300)
+COEFF_POINTS = (0.1, 0.5, 0.9)  # inside the support of every family above
 
 ERROR_CASES = [
     ["matrix", "--family", "jacobi", "--n", "3", "--theorem", "A"],
@@ -122,6 +150,40 @@ def verify_records():
     return rows
 
 
+def _outcome(fn):
+    """Hex bytes of the arrays or floats ``fn`` returns, or what it raises."""
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        try:
+            return [v.tobytes().hex() if isinstance(v, np.ndarray) else v.hex() for v in fn()]
+        except Exception as exc:
+            return [type(exc).__name__, str(exc)]
+
+
+def coeff_records():
+    rows = []
+    for family, params in COEFF_SCHEMES:
+        for k in COEFF_SHIFTS:
+            for n in COEFF_ORDERS:
+                s = shifted(classical_scheme(family, k + n, **params), k)
+
+                def matrix():
+                    J = jacobi_matrix(s, n)
+                    return J.diag, J.offdiag
+
+                def values(x):
+                    v = eval_all(s, n, x, derivatives=True)
+                    return v.values, v.derivative_values
+
+                rows.append([
+                    family, params, k, n,
+                    _outcome(matrix),
+                    [_outcome(lambda x=x: values(x)) for x in COEFF_POINTS],
+                    _outcome(lambda: [leading_coefficient(s, n)]),
+                ])
+    return rows
+
+
 def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()
 
@@ -145,6 +207,7 @@ def main():
     print(f"cli     {digest(cli_rows)}  ({len(cli_rows)} invocations)")
     print(f"verify  {digest(verify_records())}")
     print(f"stderr  {digest(err_rows)}")
+    print(f"coeffs  {digest(coeff_records())}")
 
 
 if __name__ == "__main__":

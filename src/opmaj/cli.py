@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success with all checks passing, 1 when a requested check
 fails (a JSON report of the failing margins is emitted), 2 on usage or
-input errors.
+input errors, including a polynomial recurrence that overflows on the
+literal route.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .majorization import (
     matrix_B,
     matrix_C,
 )
-from .orthopoly import DEFAULT_SEED, gauss_quadrature, gauss_rule
+from .orthopoly import DEFAULT_SEED, PolynomialOverflowError, gauss_quadrature, gauss_rule
 from .recurrence import Family, RecurrenceScheme, classical_scheme, from_sequences
 from .spectra import scheme_spectral
 from .verification import Tolerances, verify_scheme
@@ -311,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Input checks argparse does not make; parses --coeffs and OPMAJ_SEED."""
+    """Input checks argparse does not make; parses --coeffs and, for verify, OPMAJ_SEED."""
     if getattr(args, "coeffs", None) is not None:
         try:
             args.coeffs = tuple(map(float, args.coeffs.split(","))) if args.coeffs else None
         except ValueError as exc:
             raise UsageError(f"--coeffs must be comma-separated numbers: {exc}") from exc
-    if getattr(args, "seed", None) is None and os.environ.get("OPMAJ_SEED"):
+    if args.command == "verify" and args.seed is None and os.environ.get("OPMAJ_SEED"):
         try:
             args.seed = int(os.environ["OPMAJ_SEED"])
         except ValueError as exc:
@@ -339,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_args(args)
         return args.handler(args)
-    except ValueError as exc:  # UsageError and library input errors alike
+    except (ValueError, PolynomialOverflowError) as exc:  # inputs that cannot be served
         sys.stderr.write(f"opmaj: error: {exc}\n")
         return 2
 

@@ -305,9 +305,10 @@ def trace_identities(scheme: RecurrenceScheme, n: int, k: int) -> dict[str, floa
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     x_sum = float(scheme_spectral(scheme, n).eigenvalues.sum())
+    diag = scheme.coefficients(n - 1)[1].tolist()
 
     def residual(j: int) -> float:
-        total = scheme.b(j - 1)
+        total = diag[j - 1]
         if j >= 2:
             total += float(scheme_spectral(scheme, j - 1).eigenvalues.sum())
         if j <= n - 1:

@@ -9,19 +9,12 @@ which encodes the same products lambda * p^2 without evaluating polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .recurrence import DepthError, RecurrenceScheme, shifted
-from .spectra import (
-    SpectralData,
-    eigen_decompose,
-    jacobi_matrix,
-    readonly,
-    scheme_spectral,
-)
+from .recurrence import RecurrenceScheme, shifted
+from .spectra import SpectralData, jacobi_matrix, readonly, scheme_spectral
 
 __all__ = [
     "PolynomialValueSet",
@@ -77,10 +70,9 @@ def eval_all(
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    if n > scheme.max_index:
-        raise DepthError(
-            f"evaluating p_{n} needs depth {n}; scheme depth is {scheme.max_index}"
-        )
+    offdiag, diag = scheme.coefficients(n)
+    a = [0.0, *offdiag.tolist()]  # a[m] = a_m, with a_0 = 0
+    b = diag.tolist()
     x = float(x)
     vals = np.empty(n + 1)
     vals[0] = 1.0
@@ -90,9 +82,7 @@ def eval_all(
     p_prev, p = 0.0, 1.0
     d_prev, d = 0.0, 0.0
     for m in range(n):
-        a_next = scheme.a(m + 1)
-        b_m = scheme.b(m)
-        a_m = scheme.a(m) if m >= 1 else 0.0
+        a_next, b_m, a_m = a[m + 1], b[m], a[m]
         p_next = ((x - b_m) * p - a_m * p_prev) / a_next
         vals[m + 1] = p_next
         if ders is not None:
@@ -117,13 +107,9 @@ def leading_coefficient(scheme: RecurrenceScheme, n: int) -> float:
     """Leading coefficient gamma_n = 1 / (a_1 a_2 ... a_n); gamma_0 = 1."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    if n > scheme.max_index:
-        raise DepthError(
-            f"gamma_{n} needs depth {n}; scheme depth is {scheme.max_index}"
-        )
     gamma = 1.0
-    for i in range(1, n + 1):
-        gamma /= scheme.a(i)
+    for a_i in scheme.coefficients(n)[0].tolist():
+        gamma /= a_i
     return gamma
 
 
@@ -142,7 +128,8 @@ def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     out = np.empty(n)
     for k, x in enumerate(nodes):
         vals = eval_all(scheme, n - 1, x).values
-        norm_sq = float(np.dot(vals, vals))
+        with np.errstate(over="ignore"):  # reported below, not warned
+            norm_sq = float(np.dot(vals, vals))
         if not np.isfinite(norm_sq):
             raise PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
         out[k] = 1.0 / norm_sq
@@ -161,26 +148,17 @@ def gauss_quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float
     return float(np.dot(rule.weights, fx))
 
 
-@lru_cache(maxsize=None)
 def associated_spectral(scheme: RecurrenceScheme, k: int, m: int) -> SpectralData:
     """Spectral data of the k-shifted scheme's order-m Jacobi matrix.
 
     Eigenvalues are the zeros of the degree-m associated polynomial of
     order k; the first comp_sq row holds the Christoffel numbers of the
-    shifted (associated) measure.  k = 0 is the plain decomposition.
+    shifted (associated) measure.  This is ``scheme_spectral(shifted(scheme,
+    k), m)``, cached there; k = 0 is the plain decomposition.
     """
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    if k < 0:
-        raise ValueError(f"shift must be nonnegative, got {k}")
-    if k + m > scheme.max_index + 1:
-        raise DepthError(
-            f"associated order {m} at shift {k} needs depth {k + m - 1}; "
-            f"scheme depth is {scheme.max_index}"
-        )
-    if k == 0:
-        return scheme_spectral(scheme, m)
-    return eigen_decompose(jacobi_matrix(shifted(scheme, k), m))
+    return scheme_spectral(shifted(scheme, k), m)
 
 
 def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:

@@ -10,14 +10,18 @@ with a_n > 0 for n >= 1 and b_n real.  Rescaling a measure leaves (a_n, b_n)
 unchanged, so the classical coefficient tables apply verbatim; the
 normalization only fixes p_0 and the total quadrature mass.
 
-Coefficients of the classical families are evaluated lazily from closed
-forms, so a scheme is a cheap immutable value object even for large depths.
+``scheme.coefficients(m)`` returns the table (a_1..a_m, b_0..b_m), evaluated
+on demand from one vectorized closed form per family, so a scheme is a cheap
+immutable value object even for large depths.  Jacobi matrices, polynomial
+recurrences and the shifted (associated) schemes all read that one table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "Family",
@@ -43,32 +47,15 @@ class DepthError(ValueError):
     """A coefficient index beyond the scheme's available depth was requested."""
 
 
-def _jacobi_a(n: int, alpha: float, beta: float) -> float:
-    if n == 1:
-        s = alpha + beta + 2.0
-        return math.sqrt(4.0 * (alpha + 1.0) * (beta + 1.0) / (s * s * (s + 1.0)))
-    s = 2.0 * n + alpha + beta
-    return math.sqrt(
-        4.0 * n * (n + alpha) * (n + beta) * (n + alpha + beta)
-        / (s * s * (s + 1.0) * (s - 1.0))
-    )
-
-
-def _jacobi_b(n: int, alpha: float, beta: float) -> float:
-    if n == 0:
-        return (beta - alpha) / (alpha + beta + 2.0)
-    s = 2.0 * n + alpha + beta
-    return (beta * beta - alpha * alpha) / (s * (s + 2.0))
-
-
 @dataclass(frozen=True)
 class RecurrenceScheme:
     """Supplier of recurrence coefficients (a_n, b_n) up to ``max_index``.
 
-    ``a(n)`` is defined for 1 <= n <= max_index, ``b(n)`` for
-    0 <= n <= max_index.  A nonzero ``shift`` indexes into the tail of the
-    base coefficient sequences; such schemes generate the associated
-    polynomials of the base measure.
+    ``coefficients(m)`` is the table up to index m; ``a(n)`` for
+    1 <= n <= max_index and ``b(n)`` for 0 <= n <= max_index are entries of
+    it.  A nonzero ``shift`` indexes into the tail of the base coefficient
+    sequences; such schemes generate the associated polynomials of the base
+    measure.
 
     Instances are immutable and hashable, safe to share across threads and
     to use as cache keys.
@@ -81,43 +68,55 @@ class RecurrenceScheme:
     a_seq: tuple[float, ...] = ()
     b_seq: tuple[float, ...] = ()
 
+    def coefficients(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index."""
+        if not 0 <= m <= self.max_index:
+            raise DepthError(
+                f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
+            )
+        kind, lo = self.kind, self.shift
+        if kind is Family.CUSTOM:
+            return np.array(self.a_seq[lo : lo + m]), np.array(self.b_seq[lo : lo + m + 1])
+        i = np.arange(lo, lo + m + 1, dtype=float)  # base indices of b; i[1:] for a
+        j, b = i[1:], np.zeros(m + 1)
+        if kind is Family.JACOBI:
+            al, be = self.params
+            # unshifted, a_1 and b_0 take their own limits: the general forms
+            # are 0/0 there when al + be is -1 (a_1) or 0 (b_0)
+            lead = int(lo == 0)
+            n = j[lead:]
+            s = 2.0 * n + al + be
+            a = np.sqrt(
+                4.0 * n * (n + al) * (n + be) * (n + al + be) / (s * s * (s + 1.0) * (s - 1.0))
+            )
+            s = 2.0 * i[lead:] + al + be
+            b[lead:] = (be * be - al * al) / (s * (s + 2.0))
+            if lead:
+                s = al + be + 2.0
+                b[0] = (be - al) / s
+                a = np.r_[math.sqrt(4.0 * (al + 1.0) * (be + 1.0) / (s * s * (s + 1.0))), a][:m]
+        elif kind is Family.LEGENDRE:
+            a = j / np.sqrt(4.0 * j * j - 1.0)
+        elif kind is Family.LAGUERRE:
+            a = np.sqrt(j * (j + self.params[0]))
+            b = 2.0 * i + self.params[0] + 1.0
+        elif kind is Family.HERMITE:
+            a = np.sqrt(0.5 * j)
+        else:
+            a = np.full(m, 0.5)
+            if kind is Family.CHEBYSHEV_T and lo == 0 and m:
+                a[0] = math.sqrt(0.5)
+        return a, b
+
     def a(self, n: int) -> float:
         """Off-diagonal coefficient a_n (strictly positive)."""
-        if not 1 <= n <= self.max_index:
+        if n < 1:
             raise DepthError(f"a_{n} unavailable: scheme depth is {self.max_index}")
-        return self._a(n + self.shift)
+        return float(self.coefficients(n)[0][n - 1])
 
     def b(self, n: int) -> float:
         """Diagonal coefficient b_n."""
-        if not 0 <= n <= self.max_index:
-            raise DepthError(f"b_{n} unavailable: scheme depth is {self.max_index}")
-        return self._b(n + self.shift)
-
-    def _a(self, n: int) -> float:
-        kind = self.kind
-        if kind is Family.CHEBYSHEV_U:
-            return 0.5
-        if kind is Family.CHEBYSHEV_T:
-            return math.sqrt(0.5) if n == 1 else 0.5
-        if kind is Family.LEGENDRE:
-            return n / math.sqrt(4.0 * n * n - 1.0)
-        if kind is Family.JACOBI:
-            return _jacobi_a(n, self.params[0], self.params[1])
-        if kind is Family.LAGUERRE:
-            return math.sqrt(n * (n + self.params[0]))
-        if kind is Family.HERMITE:
-            return math.sqrt(0.5 * n)
-        return self.a_seq[n - 1]
-
-    def _b(self, n: int) -> float:
-        kind = self.kind
-        if kind is Family.JACOBI:
-            return _jacobi_b(n, self.params[0], self.params[1])
-        if kind is Family.LAGUERRE:
-            return 2.0 * n + self.params[0] + 1.0
-        if kind is Family.CUSTOM:
-            return self.b_seq[n]
-        return 0.0
+        return float(self.coefficients(n)[1][n])
 
 
 def classical_scheme(

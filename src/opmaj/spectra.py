@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from .recurrence import DepthError, RecurrenceScheme
+from .recurrence import RecurrenceScheme
 
 __all__ = [
     "JacobiMatrix",
@@ -114,13 +114,7 @@ def jacobi_matrix(scheme: RecurrenceScheme, n: int) -> JacobiMatrix:
     """Truncated Jacobi matrix J_n of the scheme (needs depth >= n - 1)."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n > scheme.max_index + 1:
-        raise DepthError(
-            f"J_{n} needs coefficients up to index {n - 1}; "
-            f"scheme depth is {scheme.max_index}"
-        )
-    diag = np.array([scheme.b(i) for i in range(n)])
-    offdiag = np.array([scheme.a(i) for i in range(1, n)])
+    offdiag, diag = scheme.coefficients(n - 1)
     return JacobiMatrix(diag, offdiag)
 
 
@@ -176,7 +170,8 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
 def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     """Cached spectral data of ``jacobi_matrix(scheme, n)``.
 
-    Safe to share: schemes are immutable and the returned arrays are
-    read-only.
+    The one decomposition cache: associated spectra are cached here too,
+    under their shifted scheme.  Safe to share: schemes are immutable and
+    the returned arrays are read-only.
     """
     return eigen_decompose(jacobi_matrix(scheme, n))

@@ -109,26 +109,27 @@ def _identity_checks(out: _Collector, scheme, n: int, points, tol: Tolerances):
     result is not resolvable in doubles while a formula error would still
     surface at full term scale."""
     shift1 = shifted(scheme, 1)
+    a = [0.0, *scheme.coefficients(n + 1)[0].tolist()]  # a[i] = a_i
+    a1 = a[1]
     for x in points:
         base = eval_all(scheme, n + 1, x, derivatives=True)
         assoc = eval_all(shift1, n, x)
         p, dp, q = base.values, base.derivative_values, assoc.values
         # a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1
-        a1 = scheme.a(1)
-        t1 = scheme.a(n + 1) * p[n] * q[n]
-        t2 = scheme.a(n + 1) * p[n + 1] * q[n - 1]
+        t1 = a[n + 1] * p[n] * q[n]
+        t2 = a[n + 1] * p[n + 1] * q[n - 1]
         metric = abs(t1 - t2 - a1) / (abs(t1) + abs(t2) + a1)
         out.add(f"n={n} wronskian x={x:.6g}", metric, tol.identity)
         # sum_{j<=n} p_j^2 = a_{n+1} (p_{n+1}' p_n - p_{n+1} p_n')
         lhs = float(np.dot(p[: n + 1], p[: n + 1]))
-        rhs = scheme.a(n + 1) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
+        rhs = a[n + 1] * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
         out.add(f"n={n} christoffel-darboux x={x:.6g}", _rel_err(lhs, rhs), tol.identity)
         # a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}), 2 <= k <= n-1
         for k in range(2, n):
             r = eval_all(shifted(scheme, k), n - k, x).values
             lhs = a1 * r[n - k]
-            u1 = scheme.a(k) * p[k - 1] * q[n - 1]
-            u2 = scheme.a(k) * p[n] * q[k - 2]
+            u1 = a[k] * p[k - 1] * q[n - 1]
+            u2 = a[k] * p[n] * q[k - 2]
             metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
             out.add(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, tol.identity)
     # column sums of the deleted-row bands against literal right sides
@@ -179,7 +180,7 @@ def verify_scheme(
             f"{scheme.max_index + 1}"
         )
     out = _Collector()
-    b_scale = 1.0 + sum(abs(scheme.b(i)) for i in range(min(n_max, scheme.max_index + 1)))
+    b_scale = 1.0 + sum(map(abs, scheme.coefficients(n_max - 1)[1].tolist()))
     moment_cap = min(quadrature_n_cap, n_max)
     moments = [jacobi_power_moment(scheme, m) for m in range(2 * moment_cap)]
     for n in range(2, n_max + 1):

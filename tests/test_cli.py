@@ -228,6 +228,11 @@ def test_verify_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("OPMAJ_SEED", "not-a-number")
     code, _, err = run_cli(capsys, "verify", "--family", "chebyshev-u", "--n-max", "5")
     assert code == 2
+    # only verify takes a seed: other commands ignore the variable
+    code, out, _ = run_cli(capsys, "zeros", "--family", "legendre", "--n", "2")
+    assert code == 0
+    monkeypatch.delenv("OPMAJ_SEED")
+    assert run_cli(capsys, "zeros", "--family", "legendre", "--n", "2") == (0, out, "")
 
 
 def test_out_file(capsys, tmp_path):
@@ -256,6 +261,16 @@ def test_tolerance_validation(capsys):
         capsys, "verify", "--family", "legendre", "--n-max", "5", "--tol", "-1"
     )
     assert code == 2
+
+
+def test_literal_route_overflow_exit_code(capsys):
+    # the literal route cannot serve this order: an input error, not a traceback
+    code, out, err = run_cli(
+        capsys, "matrix", "--family", "laguerre", "--n", "190", "--theorem", "A",
+        "--route", "literal",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("opmaj: error: sum of squared values overflowed")
 
 
 def test_usage_error_exit_code():

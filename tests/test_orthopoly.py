@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,8 +81,10 @@ def test_christoffel_formula_overflow_reported():
 def test_christoffel_formula_sum_overflow_reported():
     # every value p_j(x) is finite at this order, but the sum of their
     # squares at the largest node is not: no zero weight may come back
+    # and no RuntimeWarning may precede the error
     s = classical_scheme("laguerre", 190, alpha=0.0)
-    with pytest.raises(PolynomialOverflowError):
+    with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError):
+        warnings.simplefilter("error")
         christoffel_numbers_formula(s, 190)
 
 
@@ -233,6 +236,7 @@ def test_associated_spectral_examples():
 def test_associated_spectral_zero_shift_identity():
     s = classical_scheme("legendre", 8)
     assert associated_spectral(s, 0, 5) is scheme_spectral(s, 5)
+    assert associated_spectral(s, 3, 4) is scheme_spectral(shifted(s, 3), 4)
 
 
 def test_associated_spectral_depth():

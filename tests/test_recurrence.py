@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +158,29 @@ def test_shifted_composes(a, j, k):
         assert lhs.a(n) == rhs.a(n)
     for n in range(lhs.max_index + 1):
         assert lhs.b(n) == rhs.b(n)
+    table_a, table_b = lhs.coefficients(lhs.max_index)
+    assert table_a.tolist() == a[j + k :]
+    assert table_b.tolist() == b[j + k :]
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    FAMILIES + [("jacobi", {"alpha": 0.5, "beta": -0.5}), ("jacobi", {"alpha": -0.5, "beta": -0.5})],
+)
+def test_coefficients_table_shifts_and_depth(family, params):
+    # alpha + beta = 0 or -1 makes the general Jacobi form 0/0 at b_0 or a_1
+    s = classical_scheme(family, 40, **params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 1, 5):
+            t = shifted(s, k)
+            for m in (0, 1, 7, t.max_index):
+                a, b = t.coefficients(m)
+                full_a, full_b = s.coefficients(k + m)
+                assert np.array_equal(a, full_a[k:]) and np.array_equal(b, full_b[k:])
+                assert a.shape == (m,) and b.shape == (m + 1,)
+            with pytest.raises(DepthError):
+                t.coefficients(t.max_index + 1)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
