@@ -23,7 +23,11 @@ Prints four sha256 digests:
 Run from the root of a checkout, once per commit, and compare:
     PYTHONPATH=src python scripts/golden_outputs.py
     PYTHONPATH=src python scripts/golden_outputs.py --records out.jsonl
-``--records`` also writes one JSON line per invocation, for diffing.
+    PYTHONPATH=src python scripts/golden_outputs.py --diff old.jsonl new.jsonl
+``--records`` also writes one JSON line per CLI invocation (keyed by its
+argv) and per ``verify_scheme`` case (keyed by [family, case]).  ``--diff``
+prints the key and the changed fields of every record that differs between
+two such files, or that only one of them holds, and exits 1 if any does.
 """
 import argparse
 import contextlib
@@ -32,6 +36,7 @@ import io
 import json
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -188,27 +193,60 @@ def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()
 
 
+def diff_records(old_path, new_path) -> int:
+    """Print the key and changed fields of each differing record; 1 if any differ."""
+    def load(path):
+        with open(path, encoding="utf-8") as fh:
+            records = [(line, json.loads(line)) for line in fh.read().splitlines()]
+        return {json.dumps(r.get("argv", r.get("case"))): (line, r) for line, r in records}
+
+    old, new = load(old_path), load(new_path)
+    differing = 0
+    for key in [*old, *(key for key in new if key not in old)]:
+        if key not in old or key not in new:
+            print(f"{key}  only in {old_path if key in old else new_path}")
+        elif old[key][0] != new[key][0]:
+            a, b = old[key][1], new[key][1]
+            fields = [f for f in a if json.dumps(a[f]) != json.dumps(b.get(f))]
+            print(f"{key}  {' '.join(fields)}")
+        else:
+            continue
+        differing += 1
+    print(f"{differing} of {len(old.keys() | new.keys())} records differ", file=sys.stderr)
+    return 1 if differing else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", metavar="PATH",
-                        help="also write one JSON line per CLI invocation")
+                        help="also write one JSON line per CLI invocation and verify case")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="list the records that differ between two --records files")
     args = parser.parse_args()
+    if args.diff:
+        return diff_records(*args.diff)
     os.environ["COLUMNS"] = "100"  # argparse wraps help text to this width
     cli_rows, err_rows = [], []
     for argv in cli_grid():
         code, out, err = run_cli(argv)
         cli_rows.append([argv, code, out])
         err_rows.append([argv, err])
+    verify_rows = verify_records()
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
             for (argv, code, out), (_, err) in zip(cli_rows, err_rows):
                 fh.write(json.dumps({"argv": argv, "code": code, "stdout": out,
                                      "stderr": err}) + "\n")
+            for family, results in verify_rows:
+                for case, metric, limit, passed in results:
+                    fh.write(json.dumps({"case": [family, case], "metric": metric,
+                                         "limit": limit, "passed": passed}) + "\n")
     print(f"cli     {digest(cli_rows)}  ({len(cli_rows)} invocations)")
-    print(f"verify  {digest(verify_records())}")
+    print(f"verify  {digest(verify_rows)}")
     print(f"stderr  {digest(err_rows)}")
     print(f"coeffs  {digest(coeff_records())}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

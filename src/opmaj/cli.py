@@ -3,7 +3,8 @@
 Exit codes: 0 on success with all checks passing, 1 when a requested check
 fails (a JSON report of the failing margins is emitted), 2 on usage or
 input errors, including a polynomial recurrence that overflows on the
-literal route.
+literal route and a result that holds a non-finite number: every JSON
+emission is standard JSON, and nothing is written for such a result.
 """
 from __future__ import annotations
 
@@ -93,6 +94,16 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
+def _json(payload) -> str:
+    """Standard JSON: a non-finite number is refused, never written as ``NaN``."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError(
+            "the result holds a non-finite number, which JSON cannot carry"
+        ) from None
+
+
 def _csv(rows: np.ndarray) -> str:
     """Rows of floats under a ``j=1..n`` header, shortest round-trip form."""
     buf = io.StringIO()
@@ -118,6 +129,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         result = matrix_B(scheme, args.n, route=args.route)
     else:
         result = matrix_C(scheme, args.n, args.k, route=args.route)
+    errors = [result.row_sum_err, result.col_sum_err, result.relation_err]
+    if not all(np.isfinite(v).all() for v in (result.entries, result.target, errors)):
+        raise ValueError(
+            f"the theorem {result.theorem} certificate on the {args.route} route "
+            "has non-finite entries or residuals; nothing was written"
+        )
     tol = _tolerances(args)
     diameter = max(float(result.source[-1] - result.source[0]), 1.0)
     cert = check_majorization(result.target, result.source, tol.majorization)
@@ -141,7 +158,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(_csv(result.entries), args.out)
     else:
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_json(payload), args.out)
     stoch = check_doubly_stochastic(result, tol.stochastic)
     failures = []
     if stoch.max_row_err > tol.stochastic or stoch.max_col_err > tol.stochastic:
@@ -153,7 +170,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if not cert.holds:
         failures.append({"case": "majorization", "metric": cert.min_margin, "limit": -tol.majorization})
     if failures:
-        sys.stderr.write(json.dumps({"failures": failures}, indent=2) + "\n")
+        sys.stderr.write(_json({"failures": failures}) + "\n")
         return 1
     return 0
 
@@ -165,7 +182,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
         _emit(_csv(zeros[None, :]), args.out)
     else:
         payload = {"family": family, "params": params, "n": args.n, "zeros": zeros.tolist()}
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_json(payload), args.out)
     return 0
 
 
@@ -182,7 +199,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
             "nodes": rule.nodes.tolist(),
             "weights": rule.weights.tolist(),
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_json(payload), args.out)
     return 0
 
 
@@ -209,7 +226,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         **integrand,
         "value": value,
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_json(payload), args.out)
     return 0
 
 
@@ -228,7 +245,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {"case": r.case, "metric": r.metric, "limit": r.limit} for r in failures
         ],
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(_json(payload), args.out)
     return 1 if failures else 0
 
 

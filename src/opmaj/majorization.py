@@ -184,8 +184,8 @@ def matrix_C(
     The deleted matrix splits into at most two decoupled blocks: J_{k-1}
     (rows 1..k-1 of J_n) and the order-k associated block (rows k+1..n).
     The target stacks their zeros z, i.e. the zeros of p_{k-1} and of the
-    order-k associated polynomial of degree n-k, then b_{k-1}.  Row n is
-    comp_sq row k of J_n, W_j = lambda_{j,n} p_{k-1}^2(x_{j,n}).
+    order-k associated polynomial of degree n-k, then b_{k-1}.  Row n is the
+    squared row k of the J_n eigenvectors, W_j = lambda_{j,n} p_{k-1}^2(x_{j,n}).
 
     Default route: rows 1..n-1 are squared overlaps between each block's
     eigenvectors and the matching component slice of the J_n eigenvectors.
@@ -211,7 +211,7 @@ def matrix_C(
         p_km1 = np.array([eval_all(scheme, k - 1, xj).values[k - 1] for xj in x])
         w = christoffel_numbers_formula(scheme, n) * p_km1**2
     else:
-        w = sd_n.comp_sq[k - 1]
+        w = sd_n.components[k - 1] ** 2
     # (block spectral data, the rows of J_n it spans, literal numerators u)
     blocks = []
     if k >= 2:

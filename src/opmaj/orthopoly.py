@@ -152,8 +152,9 @@ def associated_spectral(scheme: RecurrenceScheme, k: int, m: int) -> SpectralDat
     """Spectral data of the k-shifted scheme's order-m Jacobi matrix.
 
     Eigenvalues are the zeros of the degree-m associated polynomial of
-    order k; the first comp_sq row holds the Christoffel numbers of the
-    shifted (associated) measure.  This is ``scheme_spectral(shifted(scheme,
+    order k; the squared first eigenvector row (``christoffel``, derived on
+    access, not stored) holds the Christoffel numbers of the shifted
+    (associated) measure.  This is ``scheme_spectral(shifted(scheme,
     k), m)``, cached there; k = 0 is the plain decomposition.
     """
     if m < 1:

@@ -3,11 +3,14 @@
 The spectral data of J_n carries the Golub-Welsch payload: its eigenvalues
 are the zeros of p_n, and the squared components of the unit eigenvectors
 encode the Christoffel numbers (row 0) and, more generally, the products
-lambda_{j,n} * p_i(x_{j,n})^2 (row i).  Storing squares removes any
-eigenvector sign convention; no downstream formula needs the signs.
+lambda_{j,n} * p_i(x_{j,n})^2 (row i).  Only the signed eigenvectors are
+stored, one m x m array per decomposition; the squares are derived from
+them on access, and single-matrix formulas use only the squares, so no
+eigenvector sign convention leaks into them.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +36,11 @@ class ConvergenceError(RuntimeError):
 
 def readonly(values) -> np.ndarray:
     """Copy into a float array with the write flag cleared."""
-    out = np.array(values, dtype=float)
+    return _frozen(np.array(values, dtype=float))
+
+
+def _frozen(out: np.ndarray) -> np.ndarray:
+    """Clear the write flag of an array this module just made, without a copy."""
     out.setflags(write=False)
     return out
 
@@ -83,16 +90,16 @@ class SpectralData:
     """Strictly ascending eigenvalues plus unit-eigenvector components.
 
     ``components[:, j]`` is the unit eigenvector for ``eigenvalues[j]`` (its
-    overall sign carries no meaning) and ``comp_sq`` holds its squares.  For
-    the Jacobi matrix of a probability-measure scheme, comp_sq row 0 holds
-    the Christoffel numbers and row i holds lambda_{j,n} * p_i(x_{j,n})^2.
-    The signed components exist so that inner products between eigenbases of
+    overall sign carries no meaning).  Its squares are derived, not stored:
+    ``comp_sq`` and ``christoffel`` compute them on access.  For the Jacobi
+    matrix of a probability-measure scheme, comp_sq row 0 holds the
+    Christoffel numbers and row i holds lambda_{j,n} * p_i(x_{j,n})^2.  The
+    signed components exist so that inner products between eigenbases of
     related matrices can be formed; every single-matrix formula uses only
     the squares.
     """
 
     eigenvalues: np.ndarray
-    comp_sq: np.ndarray
     components: np.ndarray
 
     @property
@@ -100,9 +107,14 @@ class SpectralData:
         return self.eigenvalues.size
 
     @property
+    def comp_sq(self) -> np.ndarray:
+        """Read-only squares of ``components``, computed anew on each access: O(m^2)."""
+        return _frozen(self.components**2)
+
+    @property
     def christoffel(self) -> np.ndarray:
         """Gaussian quadrature weights at the zeros (first-component squares)."""
-        return self.comp_sq[0]
+        return _frozen(self.components[0] ** 2)
 
     @property
     def diameter(self) -> float:
@@ -147,9 +159,18 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     lockstep.  Positive off-diagonals guarantee simple eigenvalues, so a
     nonincreasing pair in the computed spectrum is reported as a
     ConvergenceError rather than silently accepted, as is a solver failure.
+    An order whose 8 m^2 bytes of eigenvectors exceed physical memory is
+    refused with ValueError before the solver allocates anything.
     """
     if J.order < 1:
         raise ValueError("cannot decompose an empty Jacobi matrix")
+    needed = 8 * J.order**2
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(
+            f"order {J.order} needs {needed / 1e9:.1f} GB for its eigenvectors, "
+            f"more than the {physical / 1e9:.1f} GB of physical memory"
+        )
     try:
         eigvals, vecs = eigh_tridiagonal(J.diag, J.offdiag, lapack_driver="stev")
     except LinAlgError as exc:
@@ -163,7 +184,9 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
         raise ConvergenceError(
             f"eigenvalues {j + 1} and {j + 2} are not strictly increasing"
         )
-    return SpectralData(readonly(eigvals), readonly(vecs**2), readonly(vecs))
+    # vecs is a fresh permuted array in LAPACK's Fortran layout; it is kept
+    # as is, since the bits of the overlap products depend on that layout.
+    return SpectralData(readonly(eigvals), _frozen(vecs))
 
 
 @lru_cache(maxsize=None)

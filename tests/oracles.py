@@ -8,6 +8,7 @@ high-precision quadrature of the classical weight functions.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -132,16 +133,30 @@ def mp_weight(family: str, params):
     raise ValueError(family)
 
 
-def mp_poly_values(scheme, n, x):
-    """p_0(x)..p_n(x) in mpmath arithmetic from the scheme's coefficients."""
-    vals = [mp.mpf(1)]
-    p_prev, p = mp.mpf(0), mp.mpf(1)
-    for m in range(n):
-        a_m = mp.mpf(scheme.a(m)) if m >= 1 else mp.mpf(0)
-        p_next = ((x - mp.mpf(scheme.b(m))) * p - a_m * p_prev) / mp.mpf(scheme.a(m + 1))
-        vals.append(p_next)
-        p_prev, p = p, p_next
-    return vals
+@functools.lru_cache(maxsize=None)
+def _mp_node_values(scheme, family: str, params):
+    """(at, domain): ``at(x)`` is (p_0(x)..p_D(x), w(x)) with D the scheme's
+    depth, evaluated once per quadrature node in mpmath arithmetic from one
+    ``coefficients`` table and then shared by every integral and degree."""
+    w, dom = mp_weight(family, params)
+    offdiag, diag = scheme.coefficients(scheme.max_index)
+    a = [mp.mpf(0)] + [mp.mpf(v) for v in offdiag.tolist()]  # a[m] = a_m, a_0 = 0
+    b = [mp.mpf(v) for v in diag.tolist()]
+    memo: dict = {}
+
+    def at(x):
+        got = memo.get(x)
+        if got is None:
+            vals = [mp.mpf(1)]
+            p_prev, p = mp.mpf(0), mp.mpf(1)
+            for m in range(len(offdiag)):
+                p_next = ((x - b[m]) * p - a[m] * p_prev) / a[m + 1]
+                vals.append(p_next)
+                p_prev, p = p, p_next
+            got = memo[x] = (vals, w(x))
+        return got
+
+    return at, dom
 
 
 def mp_coefficient_integrals(scheme, family: str, params, n: int):
@@ -149,20 +164,12 @@ def mp_coefficient_integrals(scheme, family: str, params, n: int):
 
     Returns (int x p_n p_{n-1} w dx, int x p_n^2 w dx, int p_n^2 w dx),
     which an exactly orthonormal scheme reproduces as (a_n, b_n, 1).
-    Polynomial values are memoized per node since the three integrals share
-    one quadrature rule.
+    Polynomial and weight values are memoized per node, since the three
+    integrals, and the calls for every n, share one quadrature rule.
     """
-    w, dom = mp_weight(family, params)
-    cache: dict = {}
-
-    def vals_at(x):
-        v = cache.get(x)
-        if v is None:
-            v = cache[x] = mp_poly_values(scheme, n, x)
-        return v
-
+    at, dom = _mp_node_values(scheme, family, tuple(params))
     with mp.workdps(25):
-        a_int = mp.quad(lambda x: x * vals_at(x)[n] * vals_at(x)[n - 1] * w(x), dom)
-        b_int = mp.quad(lambda x: x * vals_at(x)[n] ** 2 * w(x), dom)
-        norm = mp.quad(lambda x: vals_at(x)[n] ** 2 * w(x), dom)
+        a_int = mp.quad(lambda x: x * at(x)[0][n] * at(x)[0][n - 1] * at(x)[1], dom)
+        b_int = mp.quad(lambda x: x * at(x)[0][n] ** 2 * at(x)[1], dom)
+        norm = mp.quad(lambda x: at(x)[0][n] ** 2 * at(x)[1], dom)
     return float(a_int), float(b_int), float(norm)

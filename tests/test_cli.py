@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from opmaj import classical_scheme, gauss_rule, matrix_A, matrix_B, matrix_C
+from opmaj import classical_scheme, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
 from opmaj.cli import main
 
 
@@ -271,6 +271,41 @@ def test_literal_route_overflow_exit_code(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("opmaj: error: sum of squared values overflowed")
+
+
+def test_non_finite_certificate_exit_code(capsys):
+    # a block zero and a zero of p_16 round to the same double: the literal
+    # quotient divides by zero, and nothing non-standard reaches either stream
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(
+            capsys, "matrix", "--family", "laguerre", "--n", "16", "--theorem", "B",
+            "--route", "literal", "--format", fmt,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("opmaj: error: the theorem B certificate")
+        for stream in (out, err):
+            assert "Infinity" not in stream and "inf" not in stream
+
+
+def test_non_finite_json_payload_refused(capsys):
+    # exp overflows over the zeros of laguerre p_200, so the exp margin is NaN:
+    # JSON cannot carry it, while the CSV matrix is finite and is served
+    argv = ("matrix", "--family", "laguerre", "--n", "200", "--theorem", "A")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "NaN" not in err
+    assert err.startswith("opmaj: error: the result holds a non-finite number")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and "nan" not in out and "inf" not in out
+
+
+def test_oversized_order_refused_before_allocating(capsys, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    code, out, err = run_cli(capsys, "zeros", "--family", "legendre", "--n", "1000000")
+    assert code == 2 and out == ""
+    assert err.startswith("opmaj: error: order 1000000 needs 8000.0 GB")
 
 
 def test_usage_error_exit_code():

@@ -14,6 +14,7 @@ from opmaj import (
     from_sequences,
     jacobi_matrix,
     scheme_spectral,
+    spectra,
 )
 
 from oracles import chebyshev_u_weights, chebyshev_u_zeros
@@ -195,6 +196,39 @@ def test_spectral_data_is_immutable():
     for arr in (sd.eigenvalues, sd.comp_sq, sd.components):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_spectral_data_holds_one_eigenvector_array():
+    # the squares are derived on access, so a decomposition holds 8m^2 + 8m bytes
+    for m in (1, 2, 7, 40):
+        sd = eigen_decompose(jacobi_matrix(classical_scheme("laguerre", m), m))
+        assert sum(v.nbytes for v in vars(sd).values()) == 8 * m * m + 8 * m
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_derived_squares_are_read_only_and_exact(family, params):
+    sd = scheme_spectral(classical_scheme(family, 12, **params), 12)
+    assert np.array_equal(sd.comp_sq, sd.components**2)
+    assert np.array_equal(sd.christoffel, sd.components[0] ** 2)
+    for arr in (sd.comp_sq, sd.christoffel):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def _no_eigensolve(*args, **kwargs):
+    pytest.fail("the eigensolver was called")
+
+
+def test_oversized_order_refused_before_solving(monkeypatch):
+    # 8 m^2 bytes of eigenvectors against a pretend physical memory of 32 bytes
+    memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}
+    monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
+    s = classical_scheme("legendre", 3)
+    assert eigen_decompose(jacobi_matrix(s, 2)).order == 2
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", _no_eigensolve)
+    with pytest.raises(ValueError, match="order 3 needs"):
+        eigen_decompose(jacobi_matrix(s, 3))
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
