@@ -12,9 +12,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -94,14 +96,61 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
+def _write(value, level: int, parts: list[str]) -> None:
+    """Append the indent-2 JSON text of ``value`` at nesting ``level`` to ``parts``."""
+    if isinstance(value, np.ndarray):
+        value = list(value) if value.ndim > 1 else value.tolist()
+    if not isinstance(value, (dict, list, tuple)):
+        parts.append(_encode_scalar(value))
+        return
+    is_dict = isinstance(value, dict)
+    opener, closer = "{}" if is_dict else "[]"
+    if not value:
+        parts.append(opener + closer)
+        return
+    inner = "\n" + "  " * (level + 1)
+    separator = "," + inner
+    parts.append(opener + inner)
+    if is_dict:
+        for i, (key, item) in enumerate(value.items()):
+            parts.append((separator if i else "") + encode_basestring_ascii(key) + ": ")
+            _write(item, level + 1, parts)
+    elif {float}.issuperset(map(type, value)):
+        # a run of plain floats, the bulk of every payload: checked and
+        # formatted by C loops, with float.__repr__ as the stdlib uses it
+        if not all(map(math.isfinite, value)):
+            raise ValueError("non-finite float")
+        parts.append(separator.join(map(float.__repr__, value)))
+    else:
+        for i, item in enumerate(value):
+            if i:
+                parts.append(separator)
+            _write(item, level + 1, parts)
+    parts.append("\n" + "  " * level + closer)
+
+
 def _json(payload) -> str:
-    """Standard JSON: a non-finite number is refused, never written as ``NaN``."""
+    """Standard JSON, byte for byte what the stdlib encoder writes for the payload.
+
+    The layout is the stdlib's two-space indented one (its ``indent=2``
+    with ``allow_nan=False``), floats in their shortest round-trip
+    ``repr``; 1-D and 2-D float arrays are written as their ``tolist()``.
+    Keys must be strings; keys and every scalar other than a float in a
+    run are encoded by the stdlib itself.  A non-finite number is refused,
+    never written as ``NaN``, and the whole text is built before anything
+    is emitted.  Tests hold the writer to the stdlib on random payloads.
+    """
+    parts: list[str] = []
     try:
-        return json.dumps(payload, indent=2, allow_nan=False)
+        _write(payload, 0, parts)
     except ValueError:
         raise ValueError(
             "the result holds a non-finite number, which JSON cannot carry"
         ) from None
+    return "".join(parts)
 
 
 def _csv(rows: np.ndarray) -> str:
@@ -138,26 +187,26 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     diameter = max(float(result.source[-1] - result.source[0]), 1.0)
     cert = check_majorization(result.target, result.source, tol.majorization)
-    payload = {
-        "theorem": result.theorem,
-        "family": family,
-        "params": params,
-        "n": result.n,
-        "k": result.k,
-        "source_zeros": result.source.tolist(),
-        "target": result.target.tolist(),
-        "matrix": result.entries.tolist(),
-        "row_sum_max_err": result.row_sum_err,
-        "col_sum_max_err": result.col_sum_err,
-        "relation_max_err": result.relation_err,
-        "majorization": {"holds": cert.holds, "min_margin": cert.min_margin},
-        "convex": [
-            {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_FUNCTIONS
-        ],
-    }
     if args.format == "csv":
         _emit(_csv(result.entries), args.out)
     else:
+        payload = {
+            "theorem": result.theorem,
+            "family": family,
+            "params": params,
+            "n": result.n,
+            "k": result.k,
+            "source_zeros": result.source,
+            "target": result.target,
+            "matrix": result.entries,
+            "row_sum_max_err": result.row_sum_err,
+            "col_sum_max_err": result.col_sum_err,
+            "relation_max_err": result.relation_err,
+            "majorization": {"holds": cert.holds, "min_margin": cert.min_margin},
+            "convex": [
+                {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_FUNCTIONS
+            ],
+        }
         _emit(_json(payload), args.out)
     stoch = check_doubly_stochastic(result, tol.stochastic)
     failures = []
@@ -181,7 +230,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(_csv(zeros[None, :]), args.out)
     else:
-        payload = {"family": family, "params": params, "n": args.n, "zeros": zeros.tolist()}
+        payload = {"family": family, "params": params, "n": args.n, "zeros": zeros}
         _emit(_json(payload), args.out)
     return 0
 
@@ -196,8 +245,8 @@ def _cmd_weights(args: argparse.Namespace) -> int:
             "family": family,
             "params": params,
             "n": args.n,
-            "nodes": rule.nodes.tolist(),
-            "weights": rule.weights.tolist(),
+            "nodes": rule.nodes,
+            "weights": rule.weights,
         }
         _emit(_json(payload), args.out)
     return 0

@@ -49,7 +49,7 @@ from .orthopoly import (
     eval_all,
 )
 from .recurrence import RecurrenceScheme, shifted
-from .spectra import readonly, scheme_spectral
+from .spectra import readonly, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
     "StochasticMatrixResult",
@@ -196,12 +196,18 @@ def matrix_C(
     with u_i = lambda_{i,k-1} p_k^2(z_i) on the leading block and the
     associated Christoffel numbers lambda^(k)_{i,n-k} on the trailing one,
     all from reciprocal sums and forward-recurrence polynomial values.
+
+    An order whose 32 n^2 bytes of working arrays exceed physical memory is
+    refused with ValueError before any eigensolve.
     """
     _check_route(route)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    # four n x n arrays live at once: the J_n eigenvectors, the block
+    # eigenvectors, their overlap product and the entries
+    refuse_beyond_memory(32 * n**2, f"the order {n} certificate", "its four n x n arrays")
     sd_n = scheme_spectral(scheme, n)
     x = sd_n.eigenvalues
     if n == 1:

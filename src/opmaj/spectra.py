@@ -147,6 +147,16 @@ def delete_row_col(J: JacobiMatrix, k: int) -> tuple[JacobiMatrix, JacobiMatrix]
     return top, bottom
 
 
+def refuse_beyond_memory(needed: int, subject: str, purpose: str) -> None:
+    """Raise ValueError when ``needed`` bytes exceed the host's physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(
+            f"{subject} needs {needed / 1e9:.1f} GB for {purpose}, "
+            f"more than the {physical / 1e9:.1f} GB of physical memory"
+        )
+
+
 def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     """Full spectral decomposition of a Jacobi matrix.
 
@@ -164,13 +174,7 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     """
     if J.order < 1:
         raise ValueError("cannot decompose an empty Jacobi matrix")
-    needed = 8 * J.order**2
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > physical:
-        raise ValueError(
-            f"order {J.order} needs {needed / 1e9:.1f} GB for its eigenvectors, "
-            f"more than the {physical / 1e9:.1f} GB of physical memory"
-        )
+    refuse_beyond_memory(8 * J.order**2, f"order {J.order}", "its eigenvectors")
     try:
         eigvals, vecs = eigh_tridiagonal(J.diag, J.offdiag, lapack_driver="stev")
     except LinAlgError as exc:

@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opmaj import classical_scheme, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
-from opmaj.cli import main
+from opmaj.cli import _json, main
 
 
 def run_cli(capsys, *argv):
@@ -312,3 +316,96 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "--family", "legendre", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_oversized_certificate_refused_before_allocating(capsys, monkeypatch):
+    # a pretend 1.07 GB host: the order-10000 eigenvectors (0.8 GB) would
+    # fit, the certificate's four n x n arrays (3.2 GB) do not
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 262144}
+    monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
+
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    code, out, err = run_cli(
+        capsys, "matrix", "--family", "legendre", "--n", "10000", "--theorem", "A"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("opmaj: error: the order 10000 certificate needs 3.2 GB")
+
+
+# -- the JSON writer against its reference, json.dumps(indent=2) -------------
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, -1e16, 9999999999999998.0, 1e15, 1e17, 1e-4, 9.999999999999999e-05,
+    0.00010000000000000002, 1e-5, 9.999999999999999e-06, 1.0000000000000001e-05,
+]
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
+)
+KEYS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '"quoted"', "\u00e9t\u00e9", "\u2028", "\x00", "\U0001f600"]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, KEYS)
+ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+    elements=FLOATS,
+)
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, ARRAYS, st.lists(FLOATS, max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.dictionaries(KEYS, children, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+def as_lists(payload):
+    """The payload with every ndarray replaced by its ``tolist()``."""
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    if isinstance(payload, dict):
+        return {key: as_lists(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [as_lists(value) for value in payload]
+    return payload
+
+
+@given(PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_stdlib_indent_2(payload):
+    assert _json(payload) == json.dumps(as_lists(payload), indent=2, allow_nan=False)
+
+
+def test_matrix_json_layout_is_stdlib_indent_2(capsys):
+    # the largest payload a user asks for: every character of the layout is
+    # the stdlib's, and every number is the library's bit for bit, underflowed
+    # exact zeros included
+    argv = ["matrix", "--family", "hermite", "--n", "400", "--theorem", "C", "--k", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    expected = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    if out != expected:  # no assert: pytest's diff of two 3.5 MB strings takes minutes
+        at = len(os.path.commonprefix([out, expected]))
+        pytest.fail(f"layout differs at character {at}: {out[max(at - 30, 0):at + 30]!r}")
+    ref = matrix_C(classical_scheme("hermite", 400), 400, 1)
+    assert np.array_equal(np.array(doc["matrix"]), ref.entries)
+    assert np.count_nonzero(ref.entries == 0.0) > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite(bad):
+    payloads = [
+        {"scalar": bad},
+        {"scalar": np.float64(bad)},
+        {"runs": [[0.25, 0.5], [1.0, bad]]},
+        {"mixed": [1, "x", bad]},
+        {"array": np.array([[0.5, 0.5], [bad, 1.0]])},
+    ]
+    for payload in payloads:
+        with pytest.raises(ValueError, match="^the result holds a non-finite number, "
+                           "which JSON cannot carry$"):
+            _json(payload)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opmaj import (
+    ConvergenceError,
     check_doubly_stochastic,
     check_majorization,
     christoffel_numbers_formula,
@@ -17,6 +18,7 @@ from opmaj import (
     matrix_B,
     matrix_C,
     scheme_spectral,
+    spectra,
     trace_identities,
 )
 
@@ -321,6 +323,56 @@ def test_random_scheme_certificates(a, b, k_pick):
         assert check_doubly_stochastic(res, 1e-10).ok
         assert res.relation_err <= 1e-9 * diam
         assert check_majorization(res.target, res.source, tol=1e-9).holds
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="the range holds schemes whose zeros float64 cannot separate: for the "
+    "explicit example two zeros of p_10 near 9.9 are 1.6e-15 apart and two near "
+    "10.1 are 1.5e-15 apart (mpmath), each under one ulp (1.8e-15), so "
+    "eigen_decompose refuses J_10 with ConvergenceError",
+)
+@given(
+    st.integers(min_value=1, max_value=25).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=n - 1, max_size=n - 1),
+            st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=n, max_size=n),
+        )
+    )
+)
+@example(([0.1] * 9, [10.0, 10.0, -10.0, -10.0, -10.0, -10.0, -10.0, -10.0, 10.0, 10.0]))
+@settings(max_examples=60, deadline=None)
+def test_wide_random_scheme_certificates_every_k(coefficients):
+    # a_i in [0.1, 10], b_i in [-10, 10], n <= 25, every deletion index, at
+    # the library's default limits
+    a, b = coefficients
+    s = from_sequences(a, b)
+    n = len(b)
+    diam = max(scheme_spectral(s, n).diameter, 1.0)
+    for k in range(1, n + 1):
+        res = matrix_C(s, n, k)
+        assert check_doubly_stochastic(res, 1e-10).ok, k
+        assert res.relation_err <= 1e-9 * diam, k
+        assert check_majorization(res.target, res.source, tol=1e-10).holds, k
+
+
+def test_oversized_certificate_refused_before_solving(monkeypatch):
+    # 32 n^2 bytes of working arrays against a pretend physical memory of 512
+    # bytes: order 4 is served; order 5 is refused although each of its
+    # eigensolves (8 * 25 bytes) would fit
+    memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 64}
+    monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
+    s = classical_scheme("legendre", 5)
+    assert matrix_C(s, 4, 2).n == 4
+
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    for build in (lambda: matrix_A(s, 5), lambda: matrix_B(s, 5), lambda: matrix_C(s, 5, 3)):
+        with pytest.raises(ValueError, match="the order 5 certificate needs"):
+            build()
 
 
 @given(
