@@ -3,8 +3,8 @@
 
 Prints, per order n, the worst row-sum, column-sum, and relation residuals
 over theorem A, theorem B, and all deletion indices k, plus the smallest
-interlacing margins.  Useful for judging tolerance headroom: the default
-entry route keeps sums exact to a few ulps regardless of how tightly the
+interlacing margins.  Useful for judging tolerance headroom: the overlap
+entries keep sums exact to a few ulps regardless of how tightly the
 deleted-matrix zeros cluster against the source zeros.
 
 Example:

@@ -3,9 +3,9 @@
 
 Prints four sha256 digests:
 
-* ``cli``: (argv, exit code, stdout) of the command line over a fixed grid:
-  six families x n in {1, 2, 7, 30} x theorems A, B and C at
-  k in {1, ceil(n/2), n} x both routes x json/csv, plus ``zeros``,
+* ``cli``: (argv, exit code, stdout) of 383 invocations of the command
+  line over a fixed grid: six families x n in {1, 2, 7, 30} x theorems A,
+  B and C at k in {1, ceil(n/2), n} x json/csv, plus ``zeros``,
   ``weights``, ``quad``, ``verify --n-max 12``, a fixed list of usage
   errors and failing checks, and each command's ``--help``;
 * ``verify``: (case, metric, limit, passed) of ``verify_scheme`` at
@@ -113,10 +113,9 @@ def cli_grid():
             ks = sorted({1, math.ceil(n / 2), n})
             theorems = [["A"], ["B"]] + [["C", "--k", str(k)] for k in ks]
             for thm in theorems:
-                for route in ("eigvec", "literal"):
-                    for fmt in ("json", "csv"):
-                        yield ["matrix", *family, *size, "--theorem", thm[0], *thm[1:],
-                               "--route", route, "--format", fmt]
+                for fmt in ("json", "csv"):
+                    yield ["matrix", *family, *size, "--theorem", thm[0], *thm[1:],
+                           "--format", fmt]
             for cmd in ("zeros", "weights"):
                 for fmt in ("json", "csv"):
                     yield [cmd, *family, *size, "--format", fmt]

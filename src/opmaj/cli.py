@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success with all checks passing, 1 when a requested check
 fails (a JSON report of the failing margins is emitted), 2 on usage or
-input errors, including a polynomial recurrence that overflows on the
-literal route and a result that holds a non-finite number: every JSON
-emission is standard JSON, and nothing is written for such a result.
+input errors, including a polynomial recurrence that overflows, a Jacobi
+matrix whose zeros float64 cannot separate, and a result that holds a
+non-finite number: every JSON emission is standard JSON, and nothing is
+written for such a result.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .majorization import (
 )
 from .orthopoly import DEFAULT_SEED, PolynomialOverflowError, gauss_quadrature, gauss_rule
 from .recurrence import Family, RecurrenceScheme, classical_scheme, from_sequences
-from .spectra import scheme_spectral
+from .spectra import ConvergenceError, scheme_spectral
 from .verification import Tolerances, verify_scheme
 
 __all__ = ["UsageError", "load_custom_scheme", "main"]
@@ -170,19 +171,18 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             raise UsageError(f"--k must satisfy 1 <= k <= n = {args.n}")
     elif args.k is not None:
         raise UsageError("--k is only valid with --theorem C")
-    depth = args.n + 1 if args.route == "literal" else args.n
-    scheme, family, params = _build_scheme(args, depth)
+    scheme, family, params = _build_scheme(args, args.n)
     if args.theorem == "A":
-        result = matrix_A(scheme, args.n, route=args.route)
+        result = matrix_A(scheme, args.n)
     elif args.theorem == "B":
-        result = matrix_B(scheme, args.n, route=args.route)
+        result = matrix_B(scheme, args.n)
     else:
-        result = matrix_C(scheme, args.n, args.k, route=args.route)
+        result = matrix_C(scheme, args.n, args.k)
     errors = [result.row_sum_err, result.col_sum_err, result.relation_err]
     if not all(np.isfinite(v).all() for v in (result.entries, result.target, errors)):
         raise ValueError(
-            f"the theorem {result.theorem} certificate on the {args.route} route "
-            "has non-finite entries or residuals; nothing was written"
+            f"the theorem {result.theorem} certificate has non-finite entries "
+            "or residuals; nothing was written"
         )
     tol = _tolerances(args)
     diameter = max(float(result.source[-1] - result.source[0]), 1.0)
@@ -342,12 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theorem", choices=["A", "B", "C"], required=True)
     p.add_argument("--k", type=int, help="deleted row/column (theorem C only)")
-    p.add_argument(
-        "--route",
-        choices=["eigvec", "literal"],
-        default="eigvec",
-        help="entry computation route (literal = polynomial evaluation)",
-    )
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--tol-stochastic", type=float, dest="tol_stochastic")
     p.add_argument("--tol-relation", type=float, dest="tol_relation")
@@ -406,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_args(args)
         return args.handler(args)
-    except (ValueError, PolynomialOverflowError) as exc:  # inputs that cannot be served
+    except (ValueError, PolynomialOverflowError, ConvergenceError) as exc:  # unservable input
         sys.stderr.write(f"opmaj: error: {exc}\n")
         return 2
 

@@ -13,14 +13,13 @@ In every case target = entries @ source with source the ascending zeros of
 p_n and entries doubly stochastic, so the target is majorized by the source
 and sums of convex functions can only decrease from source to target.
 
-The default route (``route="eigvec"``) computes each of the first n-1 rows
-as squared inner products between an eigenvector of a deleted-matrix block
-and an eigenvector of the full Jacobi matrix restricted to the surviving
-coordinates; the last row is the squared k-th eigenvector component row.
-Row sums, column sums, and the linear relation are then exact up to the
-orthonormality of the computed eigenbases (~n * eps), with no error
-amplification from clustered zeros.  This is the same matrix as the closed
-formula
+Each of the first n-1 rows is computed as squared inner products between
+an eigenvector of a deleted-matrix block and an eigenvector of the full
+Jacobi matrix restricted to the surviving coordinates; the last row is the
+squared k-th eigenvector component row.  Row sums, column sums, and the
+linear relation are then exact up to the orthonormality of the computed
+eigenbases (~n * eps), with no error amplification from clustered zeros.
+This is the same matrix as the paper's closed formula
 
     a_k^2 u_i W_j / (z_i - x_{j,n})^2        (u_i, W_j as in ``matrix_C``)
 
@@ -31,11 +30,6 @@ p_n (possible for 2 <= k <= n-1, e.g. 0 is a zero of every odd-degree
 polynomial of a symmetric measure) the quotient degenerates to 0/0, while
 the inner product stays well defined and keeps the matrix doubly
 stochastic; entries may then be exactly zero rather than strictly positive.
-
-The literal quotient formula, with Christoffel numbers by reciprocal sums
-and polynomial values by forward recurrence, is retained behind
-``route="literal"`` for cross-validation at small order on configurations
-with well-separated zeros.
 """
 from __future__ import annotations
 
@@ -43,12 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .orthopoly import (
-    associated_spectral,
-    christoffel_numbers_formula,
-    eval_all,
-)
-from .recurrence import RecurrenceScheme, shifted
+from .orthopoly import associated_spectral
+from .recurrence import RecurrenceScheme
 from .spectra import readonly, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
@@ -57,7 +47,6 @@ __all__ = [
     "MajorizationCertificate",
     "ConvexReport",
     "CONVEX_FUNCTIONS",
-    "ROUTES",
     "matrix_A",
     "matrix_B",
     "matrix_C",
@@ -66,8 +55,6 @@ __all__ = [
     "convex_report",
     "trace_identities",
 ]
-
-ROUTES = ("eigvec", "literal")
 
 CONVEX_FUNCTIONS = {
     "square": np.square,
@@ -133,11 +120,6 @@ class ConvexReport:
         return self.rhs - self.lhs
 
 
-def _check_route(route: str) -> None:
-    if route not in ROUTES:
-        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-
-
 def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
     entries = np.asarray(entries, dtype=float)
     source = np.asarray(source, dtype=float)
@@ -158,27 +140,25 @@ def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
     )
 
 
-def matrix_A(scheme: RecurrenceScheme, n: int, route: str = "eigvec") -> StochasticMatrixResult:
+def matrix_A(scheme: RecurrenceScheme, n: int) -> StochasticMatrixResult:
     """Stochastic matrix mapping the zeros of p_n onto (zeros of p_{n-1}, b_{n-1}).
 
     Deleting the last row/column is theorem C at k = n: this is
-    ``matrix_C(scheme, n, n, route)`` relabelled ``theorem="A"``.
+    ``matrix_C(scheme, n, n)`` relabelled ``theorem="A"``.
     """
-    return replace(matrix_C(scheme, n, n, route), theorem="A")
+    return replace(matrix_C(scheme, n, n), theorem="A")
 
 
-def matrix_B(scheme: RecurrenceScheme, n: int, route: str = "eigvec") -> StochasticMatrixResult:
+def matrix_B(scheme: RecurrenceScheme, n: int) -> StochasticMatrixResult:
     """Stochastic matrix mapping the zeros of p_n onto (associated zeros, b_0).
 
     Deleting the first row/column is theorem C at k = 1: this is
-    ``matrix_C(scheme, n, 1, route)`` relabelled ``theorem="B"``.
+    ``matrix_C(scheme, n, 1)`` relabelled ``theorem="B"``.
     """
-    return replace(matrix_C(scheme, n, 1, route), theorem="B")
+    return replace(matrix_C(scheme, n, 1), theorem="B")
 
 
-def matrix_C(
-    scheme: RecurrenceScheme, n: int, k: int, route: str = "eigvec"
-) -> StochasticMatrixResult:
+def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult:
     """Stochastic matrix for deleting row/column k of the order-n Jacobi matrix.
 
     The deleted matrix splits into at most two decoupled blocks: J_{k-1}
@@ -187,20 +167,15 @@ def matrix_C(
     order-k associated polynomial of degree n-k, then b_{k-1}.  Row n is the
     squared row k of the J_n eigenvectors, W_j = lambda_{j,n} p_{k-1}^2(x_{j,n}).
 
-    Default route: rows 1..n-1 are squared overlaps between each block's
-    eigenvectors and the matching component slice of the J_n eigenvectors.
-    The literal route evaluates the one closed quotient
-
-        a_k^2 u_i W_j / (z_i - x_{j,n})^2
-
-    with u_i = lambda_{i,k-1} p_k^2(z_i) on the leading block and the
-    associated Christoffel numbers lambda^(k)_{i,n-k} on the trailing one,
-    all from reciprocal sums and forward-recurrence polynomial values.
+    Rows 1..n-1 are squared overlaps between each block's eigenvectors and
+    the matching component slice of the J_n eigenvectors: entry (i, j) is
+    the quotient a_k^2 u_i W_j / (z_i - x_{j,n})^2, where u_i is
+    lambda_{i,k-1} p_k^2(z_i) on the leading block and the associated
+    Christoffel number lambda^(k)_{i,n-k} on the trailing one.
 
     An order whose 32 n^2 bytes of working arrays exceed physical memory is
     refused with ValueError before any eigensolve.
     """
-    _check_route(route)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
@@ -212,35 +187,15 @@ def matrix_C(
     x = sd_n.eigenvalues
     if n == 1:
         return _result("C", 1, 1, np.ones((1, 1)), x, [scheme.b(0)])
-    literal = route == "literal"
-    if literal:
-        p_km1 = np.array([eval_all(scheme, k - 1, xj).values[k - 1] for xj in x])
-        w = christoffel_numbers_formula(scheme, n) * p_km1**2
-    else:
-        w = sd_n.components[k - 1] ** 2
-    # (block spectral data, the rows of J_n it spans, literal numerators u)
+    # (block spectral data, the rows of J_n it spans)
     blocks = []
     if k >= 2:
-        top = scheme_spectral(scheme, k - 1)
-        u = None
-        if literal:
-            p_k = np.array([eval_all(scheme, k, t).values[k] for t in top.eigenvalues])
-            u = christoffel_numbers_formula(scheme, k - 1) * p_k**2
-        blocks.append((top, slice(0, k - 1), u))
+        blocks.append((scheme_spectral(scheme, k - 1), slice(0, k - 1)))
     if k <= n - 1:
-        u = christoffel_numbers_formula(shifted(scheme, k), n - k) if literal else None
-        blocks.append((associated_spectral(scheme, k, n - k), slice(k, n), u))
-    z = np.concatenate([sd.eigenvalues for sd, _, _ in blocks])
-    entries = np.empty((n, n))
-    if literal:
-        u = np.concatenate([u_block for _, _, u_block in blocks])
-        gaps = z[:, None] - x[None, :]
-        entries[: n - 1] = scheme.a(k) ** 2 * u[:, None] * w[None, :] / gaps**2
-    else:
-        entries[: n - 1] = np.concatenate(
-            [(sd.components.T @ sd_n.components[rows]) ** 2 for sd, rows, _ in blocks]
-        )
-    entries[n - 1] = w
+        blocks.append((associated_spectral(scheme, k, n - k), slice(k, n)))
+    z = np.concatenate([sd.eigenvalues for sd, _ in blocks])
+    overlaps = [(sd.components.T @ sd_n.components[rows]) ** 2 for sd, rows in blocks]
+    entries = np.concatenate([*overlaps, sd_n.components[k - 1 : k] ** 2])
     return _result("C", n, k, entries, x, np.append(z, scheme.b(k - 1)))
 
 

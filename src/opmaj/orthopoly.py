@@ -3,8 +3,8 @@
 Polynomial values use the plain forward recurrence with no rescaling.
 Inside the spectral interval the values needed here (at or near zeros) stay
 bounded, but far outside it or at large degree the recurrence can overflow;
-that is detected and reported so callers switch to the eigenvector route,
-which encodes the same products lambda * p^2 without evaluating polynomials.
+that is detected and reported so callers switch to the eigenvectors,
+which encode the same products lambda * p^2 without evaluating polynomials.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ DEFAULT_SEED = 12345
 
 
 class PolynomialOverflowError(ArithmeticError):
-    """Forward recurrence left the representable range; use the spectral route."""
+    """Forward recurrence left the representable range; use the spectral data."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +119,7 @@ def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2.  Agrees with the squared
     first eigenvector components of J_n; an overflow of the recurrence
     raises PolynomialOverflowError, as does an overflow of the sum of squares
-    of finite values, in which case the spectral route
+    of finite values, in which case the spectral data
     (``scheme_spectral(scheme, n).christoffel``) is the supported path.
     """
     if n < 1:
@@ -166,7 +166,7 @@ def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:
     """m-th moment of the measure from the truncated-operator identity.
 
     m_k equals the top-left entry of J_K^k whenever K > k/2 (a length-k walk
-    from the corner cannot feel the truncation).  This route never touches
+    from the corner cannot feel the truncation).  This path never touches
     an eigen-decomposition, so it is independent of the quadrature path.
     """
     if m < 0:

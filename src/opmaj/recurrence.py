@@ -160,16 +160,25 @@ def classical_scheme(
     return RecurrenceScheme(kind=family, max_index=int(max_index), params=params)
 
 
+def _float(v) -> float:
+    """float(v), with an integer beyond the float range read as an infinity."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def from_sequences(a, b) -> RecurrenceScheme:
     """Scheme wrapping explicit sequences (a_1, a_2, ...) and (b_0, b_1, ...).
 
     Accepts len(a) == len(b) or len(b) == len(a) + 1; the usable depth is
     len(b) - 1 either way.  Off-diagonal entries must be strictly positive
-    (positive a_n make the Jacobi matrix eigenvalues simple); the offending
-    1-based index is reported otherwise.
+    (positive a_n make the Jacobi matrix eigenvalues simple) and every entry
+    finite, an integer too large for a float included; the offending index
+    is reported otherwise.
     """
-    a = tuple(float(v) for v in a)
-    b = tuple(float(v) for v in b)
+    a = tuple(map(_float, a))
+    b = tuple(map(_float, b))
     if len(b) not in (len(a), len(a) + 1):
         raise ValueError(
             f"length mismatch: got {len(a)} off-diagonal and {len(b)} diagonal "

@@ -34,6 +34,10 @@ from .spectra import scheme_spectral
 
 __all__ = ["Tolerances", "CheckResult", "verify_scheme"]
 
+# highest orders that get the polynomial-identity and quadrature checks
+IDENTITY_N_CAP = 15
+QUADRATURE_N_CAP = 30
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -132,7 +136,7 @@ def _identity_checks(out: _Collector, scheme, n: int, points, tol: Tolerances):
             u2 = a[k] * p[n] * q[k - 2]
             metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
             out.add(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, tol.identity)
-    # column sums of the deleted-row bands against literal right sides
+    # column sums of the deleted-row bands against independently evaluated right sides
     lam = christoffel_numbers_formula(scheme, n)
     x_nodes = scheme_spectral(scheme, n).eigenvalues
     p_nm1_sq = np.array(
@@ -161,16 +165,15 @@ def verify_scheme(
     n_max: int,
     tol: Tolerances = Tolerances(),
     seed: int = DEFAULT_SEED,
-    identity_n_cap: int = 15,
-    quadrature_n_cap: int = 30,
 ) -> list[CheckResult]:
     """Run the full certificate battery for 2 <= n <= n_max.
 
     Per order: strict interlacing, trace identities, stochasticity/relation/
     majorization/convex checks for A, B and every C(k), the k = 1 and k = n
-    reduction identities, and (depth permitting) polynomial-identity spot
-    checks at deterministic random points and quadrature exactness against
-    the operator-power moment oracle.  Results are sorted by case key.
+    reduction identities, polynomial-identity spot checks at deterministic
+    random points for n <= IDENTITY_N_CAP (depth permitting), and quadrature
+    exactness against the operator-power moment oracle for n <=
+    QUADRATURE_N_CAP.  Results are sorted by case key.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -181,7 +184,7 @@ def verify_scheme(
         )
     out = _Collector()
     b_scale = 1.0 + sum(map(abs, scheme.coefficients(n_max - 1)[1].tolist()))
-    moment_cap = min(quadrature_n_cap, n_max)
+    moment_cap = min(QUADRATURE_N_CAP, n_max)
     moments = [jacobi_power_moment(scheme, m) for m in range(2 * moment_cap)]
     for n in range(2, n_max + 1):
         sd = scheme_spectral(scheme, n)
@@ -217,7 +220,7 @@ def verify_scheme(
             if k == n:
                 diff = float(np.max(np.abs(res_c.entries - res_a.entries)))
                 out.add(f"n={n} reduction-Cn-vs-A", diff, tol.reduction)
-        if n <= identity_n_cap and n + 1 <= scheme.max_index:
+        if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
             points = spectral_spot_points(scheme, n, count=20, seed=seed)
             _identity_checks(out, scheme, n, points, tol)
         if n <= moment_cap:

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from opmaj import classical_scheme, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
+from opmaj import classical_scheme, cli, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
 from opmaj.cli import _json, main
 
 
@@ -39,28 +40,27 @@ def test_matrix_json_chebyshev_anchor(capsys):
 
 def test_matrix_json_round_trip_bit_exact(capsys):
     # every printed number parses back to the library value bit for bit,
-    # in JSON and in CSV, for each theorem and route and for zeros/weights
+    # in JSON and in CSV, for each theorem and for zeros/weights
     n = 6
-    scheme = classical_scheme("jacobi", n + 1, alpha=2.0, beta=0.5)
+    scheme = classical_scheme("jacobi", n, alpha=2.0, beta=0.5)
     base = ["--family", "jacobi", "--alpha", "2", "--beta", "0.5", "--n", str(n)]
     cases = [
-        ("A", [], matrix_A(scheme, n, "eigvec"), matrix_A(scheme, n, "literal")),
-        ("B", [], matrix_B(scheme, n, "eigvec"), matrix_B(scheme, n, "literal")),
-        ("C", ["--k", "3"], matrix_C(scheme, n, 3, "eigvec"), matrix_C(scheme, n, 3, "literal")),
+        ("A", [], matrix_A(scheme, n)),
+        ("B", [], matrix_B(scheme, n)),
+        ("C", ["--k", "3"], matrix_C(scheme, n, 3)),
     ]
-    for theorem, k_flag, *refs in cases:
-        for route, ref in zip(("eigvec", "literal"), refs):
-            argv = ["matrix", *base, "--theorem", theorem, *k_flag, "--route", route]
-            code, out, _ = run_cli(capsys, *argv)
-            assert code == 0, argv
-            doc = json.loads(out)
-            assert (doc["theorem"], doc["k"]) == (theorem, ref.k)
-            assert np.array_equal(np.array(doc["matrix"]), ref.entries), argv
-            assert np.array_equal(np.array(doc["source_zeros"]), ref.source), argv
-            assert np.array_equal(np.array(doc["target"]), ref.target), argv
-            code, out, _ = run_cli(capsys, *argv, "--format", "csv")
-            assert code == 0, argv
-            assert np.array_equal(parse_csv(out), ref.entries), argv
+    for theorem, k_flag, ref in cases:
+        argv = ["matrix", *base, "--theorem", theorem, *k_flag]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        doc = json.loads(out)
+        assert (doc["theorem"], doc["k"]) == (theorem, ref.k)
+        assert np.array_equal(np.array(doc["matrix"]), ref.entries), argv
+        assert np.array_equal(np.array(doc["source_zeros"]), ref.source), argv
+        assert np.array_equal(np.array(doc["target"]), ref.target), argv
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, argv
+        assert np.array_equal(parse_csv(out), ref.entries), argv
     rule = gauss_rule(scheme, n)
     for command, keys, rows in (
         ("zeros", ["zeros"], [rule.nodes]),
@@ -151,6 +151,12 @@ def test_custom_scheme_error_reporting(capsys, tmp_path):
     wrong.write_text('{"a": [1.0], "b": "nope"}')
     code, _, err = run_cli(capsys, "zeros", "--custom", str(wrong), "--n", "2")
     assert code == 2
+
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"a": [1, %s], "b": [0, 0, 0]}' % ("9" * 401))
+    code, out, err = run_cli(capsys, "zeros", "--custom", str(huge), "--n", "2")
+    assert code == 2 and out == ""
+    assert "a[2] must be finite" in err
 
 
 def test_weights_output(capsys):
@@ -267,28 +273,44 @@ def test_tolerance_validation(capsys):
     assert code == 2
 
 
-def test_literal_route_overflow_exit_code(capsys):
-    # the literal route cannot serve this order: an input error, not a traceback
-    code, out, err = run_cli(
-        capsys, "matrix", "--family", "laguerre", "--n", "190", "--theorem", "A",
-        "--route", "literal",
-    )
+def test_literal_route_overflow_exit_code(capsys, tmp_path):
+    # verify's identity checks evaluate the polynomials by forward recurrence,
+    # which overflows for a_i = 1e-200: an input error, not a traceback
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"a": [1e-200] * 5, "b": [0, 0.5, 1, 1.5, 2, 2.5]}))
+    code, out, err = run_cli(capsys, "verify", "--custom", str(path), "--n-max", "4")
     assert code == 2 and out == ""
-    assert err.startswith("opmaj: error: sum of squared values overflowed")
+    assert err.startswith("opmaj: error: recurrence overflowed")
 
 
-def test_non_finite_certificate_exit_code(capsys):
-    # a block zero and a zero of p_16 round to the same double: the literal
-    # quotient divides by zero, and nothing non-standard reaches either stream
+def test_non_finite_certificate_exit_code(capsys, monkeypatch):
+    # a certificate with an infinite entry reaches neither stream, in either format
+    def infinite_b(scheme, n):
+        result = matrix_B(scheme, n)
+        entries = result.entries.copy()
+        entries[0, 0] = math.inf
+        return replace(result, entries=entries)
+
+    monkeypatch.setattr(cli, "matrix_B", infinite_b)
     for fmt in ("json", "csv"):
         code, out, err = run_cli(
-            capsys, "matrix", "--family", "laguerre", "--n", "16", "--theorem", "B",
-            "--route", "literal", "--format", fmt,
+            capsys, "matrix", "--family", "legendre", "--n", "4", "--theorem", "B",
+            "--format", fmt,
         )
         assert code == 2 and out == ""
         assert err.startswith("opmaj: error: the theorem B certificate")
         for stream in (out, err):
             assert "Infinity" not in stream and "inf" not in stream
+
+
+def test_unseparable_zeros_exit_code(capsys, tmp_path):
+    # two zeros of this p_10 lie under one ulp apart, so the eigensolver's
+    # result is refused: an input error, not a traceback
+    path = tmp_path / "clustered.json"
+    path.write_text(json.dumps({"a": [0.1] * 9, "b": [10, 10, *[-10] * 6, 10, 10]}))
+    code, out, err = run_cli(capsys, "zeros", "--custom", str(path), "--n", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("opmaj: error: eigenvalues 7 and 8 are not strictly increasing")
 
 
 def test_non_finite_json_payload_refused(capsys):

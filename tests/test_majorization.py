@@ -96,26 +96,18 @@ def test_matrix_C_validates_k():
         matrix_C(s, 4, 5)
 
 
-def test_matrix_route_validation(chebyshev):
-    with pytest.raises(ValueError):
-        matrix_A(chebyshev, 3, route="fast")
-
-
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_reduction_identities(family, params):
-    # A and B are C(n) and C(1) relabelled: bit for bit on both routes
+    # A and B are C(n) and C(1) relabelled, bit for bit
     s = classical_scheme(family, 27, **params)
-    for route in ("eigvec", "literal"):
-        for n in range(1, 26):
-            for res, ref, thm in (
-                (matrix_A(s, n, route), matrix_C(s, n, n, route), "A"),
-                (matrix_B(s, n, route), matrix_C(s, n, 1, route), "B"),
-            ):
-                assert (res.theorem, res.n, res.k) == (thm, n, ref.k)
-                for name in ("entries", "source", "target"):
-                    assert np.array_equal(
-                        getattr(res, name), getattr(ref, name), equal_nan=True
-                    ), (route, n, thm, name)
+    for n in range(1, 26):
+        for res, ref, thm in (
+            (matrix_A(s, n), matrix_C(s, n, n), "A"),
+            (matrix_B(s, n), matrix_C(s, n, 1), "B"),
+        ):
+            assert (res.theorem, res.n, res.k) == (thm, n, ref.k)
+            for name in ("entries", "source", "target"):
+                assert np.array_equal(getattr(res, name), getattr(ref, name)), (n, thm, name)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -126,26 +118,6 @@ def test_stochasticity_and_relation(family, params):
         for res in (matrix_A(s, n), matrix_B(s, n), matrix_C(s, n, (n + 1) // 2)):
             assert check_doubly_stochastic(res, 1e-10).ok
             assert res.relation_err <= 1e-9 * diam
-
-
-@pytest.mark.parametrize("family,params", FAMILIES)
-def test_routes_agree_on_well_separated_configurations(family, params):
-    s = classical_scheme(family, 10, **params)
-    for n in range(1, 9):
-        assert np.max(
-            np.abs(matrix_A(s, n).entries - matrix_A(s, n, route="literal").entries)
-        ) <= 1e-8
-        if min_target_gap(s, n, 1) > 1e-6 or n == 1:
-            assert np.max(
-                np.abs(matrix_B(s, n).entries - matrix_B(s, n, route="literal").entries)
-            ) <= 1e-8
-        for k in range(1, n + 1):
-            if n > 1 and min_target_gap(s, n, k) < 1e-6:
-                continue
-            diff = np.abs(
-                matrix_C(s, n, k).entries - matrix_C(s, n, k, route="literal").entries
-            )
-            assert diff.max() <= 1e-8
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)

@@ -104,6 +104,16 @@ def test_from_sequences_rejects_nonpositive():
         from_sequences((1.0, -1.0), (0.0, 0.0, 0.0))
 
 
+def test_from_sequences_rejects_integers_beyond_float_range():
+    huge = 10**400  # as json.load reads a 401-digit integer
+    with pytest.raises(ValueError, match=r"a\[2\] must be finite"):
+        from_sequences((1, huge), (0, 0, 0))
+    with pytest.raises(ValueError, match=r"a\[1\] must be positive"):
+        from_sequences((-huge,), (0, 0))
+    with pytest.raises(ValueError, match=r"b\[0\] must be finite"):
+        from_sequences((1,), (-huge, 0))
+
+
 def test_from_sequences_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         from_sequences((1.0,), (0.0, 0.0, 0.0))
