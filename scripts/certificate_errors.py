@@ -2,24 +2,17 @@
 """Track the numerical quality of the certificates as the order grows.
 
 Prints, per order n, the worst row-sum, column-sum, and relation residuals
-over theorem A, theorem B, and all deletion indices k, plus the smallest
-interlacing margins.  Useful for judging tolerance headroom: the overlap
-entries keep sums exact to a few ulps regardless of how tightly the
-deleted-matrix zeros cluster against the source zeros.
+over all deletion indices k (theorems B and A are k = 1 and k = n), plus
+the smallest interlacing margins.  Useful for judging tolerance headroom:
+the overlap entries keep sums exact to a few ulps regardless of how tightly
+the deleted-matrix zeros cluster against the source zeros.
 
 Example:
     python scripts/certificate_errors.py --family laguerre --alpha 0 --n-max 40
 """
 import argparse
 
-from opmaj import (
-    associated_spectral,
-    classical_scheme,
-    matrix_A,
-    matrix_B,
-    matrix_C,
-    scheme_spectral,
-)
+from opmaj import associated_spectral, classical_scheme, matrix_C, scheme_spectral
 
 
 def main():
@@ -37,9 +30,8 @@ def main():
     for n in range(2, args.n_max + 1):
         x = scheme_spectral(scheme, n).eigenvalues
         row = col = rel = 0.0
-        for res in [matrix_A(scheme, n), matrix_B(scheme, n)] + [
-            matrix_C(scheme, n, k) for k in range(1, n + 1)
-        ]:
+        for k in range(1, n + 1):
+            res = matrix_C(scheme, n, k)
             row = max(row, res.row_sum_err)
             col = max(col, res.col_sum_err)
             rel = max(rel, res.relation_err)

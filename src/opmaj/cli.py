@@ -1,7 +1,7 @@
 """Command-line front end: spectral data and certificates as JSON/CSV.
 
 Exit codes: 0 on success with all checks passing, 1 when a requested check
-fails (a JSON report of the failing margins is emitted), 2 on usage or
+fails (a JSON report of the failing checks is emitted), 2 on usage or
 input errors, including a polynomial recurrence that overflows, a Jacobi
 matrix whose zeros float64 cannot separate, and a result that holds a
 non-finite number: every JSON emission is standard JSON, and nothing is
@@ -23,7 +23,6 @@ import numpy as np
 
 from .majorization import (
     CONVEX_FUNCTIONS,
-    check_doubly_stochastic,
     check_majorization,
     convex_report,
     matrix_A,
@@ -33,7 +32,7 @@ from .majorization import (
 from .orthopoly import DEFAULT_SEED, PolynomialOverflowError, gauss_quadrature, gauss_rule
 from .recurrence import Family, RecurrenceScheme, classical_scheme, from_sequences
 from .spectra import ConvergenceError, scheme_spectral
-from .verification import Tolerances, verify_scheme
+from .verification import CheckResult, Tolerances, certificate_checks, verify_scheme
 
 __all__ = ["UsageError", "load_custom_scheme", "main"]
 
@@ -67,21 +66,22 @@ def load_custom_scheme(path: str) -> RecurrenceScheme:
 
 
 def _build_scheme(args: argparse.Namespace, depth: int) -> tuple[RecurrenceScheme, str, dict]:
-    """Resolve the scheme plus (family tag, params metadata) for outputs."""
+    """Resolve the scheme plus (family tag, params metadata) for outputs.
+
+    ``depth`` is the depth a classical scheme is built to; a custom scheme
+    has the depth of its file, and the library refuses orders beyond it.
+    """
     if args.custom is not None:
-        scheme = load_custom_scheme(args.custom)
-        if depth > scheme.max_index + 1:
-            raise UsageError(
-                f"custom scheme depth {scheme.max_index} supports orders up to "
-                f"{scheme.max_index + 1}; requested {depth}"
-            )
-        return scheme, "custom", {"source_file": args.custom}
+        return load_custom_scheme(args.custom), "custom", {"source_file": args.custom}
     scheme = classical_scheme(args.family, max(depth, 1), alpha=args.alpha, beta=args.beta)
     return scheme, args.family, dict(zip(("alpha", "beta"), scheme.params))
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    """``--tol`` for every check it covers, then the per-check overrides."""
+    """``--tol`` for every check it covers, then the per-check overrides.
+
+    ``Tolerances`` refuses a limit that is not positive with ValueError.
+    """
     tol = Tolerances(stochastic=args.tol, majorization=args.tol, trace=args.tol)
     overrides = {"stochastic": args.tol_stochastic, "relation": args.tol_relation}
     return replace(tol, **{name: v for name, v in overrides.items() if v is not None})
@@ -163,14 +163,17 @@ def _csv(rows: np.ndarray) -> str:
     return buf.getvalue()
 
 
+def _failures(results: list[CheckResult]) -> list[dict]:
+    """The failing checks, in the report schema of ``matrix`` and ``verify``."""
+    return [{"case": r.case, "metric": r.metric, "limit": r.limit} for r in results if not r.passed]
+
+
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    if args.theorem == "C":
-        if args.k is None:
-            raise UsageError("--k is required for theorem C")
-        if not 1 <= args.k <= args.n:
-            raise UsageError(f"--k must satisfy 1 <= k <= n = {args.n}")
-    elif args.k is not None:
+    if args.theorem == "C" and args.k is None:
+        raise UsageError("--k is required for theorem C")
+    if args.theorem != "C" and args.k is not None:
         raise UsageError("--k is only valid with --theorem C")
+    tol = _tolerances(args)  # before anything is solved
     scheme, family, params = _build_scheme(args, args.n)
     if args.theorem == "A":
         result = matrix_A(scheme, args.n)
@@ -184,8 +187,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             f"the theorem {result.theorem} certificate has non-finite entries "
             "or residuals; nothing was written"
         )
-    tol = _tolerances(args)
-    diameter = max(float(result.source[-1] - result.source[0]), 1.0)
     cert = check_majorization(result.target, result.source, tol.majorization)
     if args.format == "csv":
         _emit(_csv(result.entries), args.out)
@@ -208,16 +209,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             ],
         }
         _emit(_json(payload), args.out)
-    stoch = check_doubly_stochastic(result, tol.stochastic)
-    failures = []
-    if stoch.max_row_err > tol.stochastic or stoch.max_col_err > tol.stochastic:
-        failures.append({"case": "stochasticity", "metric": max(stoch.max_row_err, stoch.max_col_err), "limit": tol.stochastic})
-    if stoch.min_entry < -tol.stochastic:
-        failures.append({"case": "nonnegativity", "metric": stoch.min_entry, "limit": -tol.stochastic})
-    if result.relation_err > tol.relation * diameter:
-        failures.append({"case": "relation", "metric": result.relation_err, "limit": tol.relation * diameter})
-    if not cert.holds:
-        failures.append({"case": "majorization", "metric": cert.min_margin, "limit": -tol.majorization})
+    failures = _failures(certificate_checks(result, tol))
     if failures:
         sys.stderr.write(_json({"failures": failures}) + "\n")
         return 1
@@ -280,19 +272,16 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    depth = args.n_max if args.custom is not None else args.n_max + 2
-    scheme, family, params = _build_scheme(args, depth)
+    scheme, family, params = _build_scheme(args, args.n_max + 2)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     results = verify_scheme(scheme, args.n_max, tol=_tolerances(args), seed=seed)
-    failures = [r for r in results if not r.passed]
+    failures = _failures(results)
     payload = {
         "family": family,
         "params": params,
         "n_max": args.n_max,
         "cases": len(results),
-        "failures": [
-            {"case": r.case, "metric": r.metric, "limit": r.limit} for r in failures
-        ],
+        "failures": failures,
     }
     _emit(_json(payload), args.out)
     return 1 if failures else 0
@@ -383,14 +372,6 @@ def _check_args(args: argparse.Namespace) -> None:
             args.seed = int(os.environ["OPMAJ_SEED"])
         except ValueError as exc:
             raise UsageError(f"OPMAJ_SEED must be an integer: {exc}") from exc
-    if getattr(args, "n", None) is not None and args.n < 1:
-        raise UsageError("--n must be >= 1")
-    if getattr(args, "n_max", None) is not None and args.n_max < 2:
-        raise UsageError("--n-max must be >= 2")
-    for name in ("tol", "tol_stochastic", "tol_relation"):
-        value = getattr(args, name, None)
-        if value is not None and not value > 0.0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive")
     if (args.family is None) == (args.custom is None):
         raise UsageError("exactly one of --family or --custom is required")
 

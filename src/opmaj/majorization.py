@@ -256,15 +256,13 @@ def convex_report(result: StochasticMatrixResult, f: str = "square") -> ConvexRe
     return ConvexReport(f, lhs, rhs)
 
 
-def trace_identities(scheme: RecurrenceScheme, n: int, k: int) -> dict[str, float]:
-    """Absolute residuals |sum(target) - sum(source zeros)| for A, B and C(k).
+def trace_identities(scheme: RecurrenceScheme, n: int) -> list[float]:
+    """Absolute residuals |sum(target) - sum(source zeros)| of C(1), ..., C(n).
 
-    All three vanish exactly: each target completes a partial trace of J_n
-    with the complementary recurrence coefficient.  A and B are the
-    residuals of C at k = n and k = 1.
+    Entry k-1 belongs to C(k), so B is the first and A the last.  Every one
+    vanishes exactly: each target completes a partial trace of J_n with the
+    complementary recurrence coefficient.  An order n < 1 raises ValueError.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     x_sum = float(scheme_spectral(scheme, n).eigenvalues.sum())
     diag = scheme.coefficients(n - 1)[1].tolist()
 
@@ -276,4 +274,4 @@ def trace_identities(scheme: RecurrenceScheme, n: int, k: int) -> dict[str, floa
             total += float(associated_spectral(scheme, j, n - j).eigenvalues.sum())
         return abs(total - x_sum)
 
-    return {"A": residual(n), "B": residual(1), "C": residual(k)}
+    return [residual(j) for j in range(1, n + 1)]

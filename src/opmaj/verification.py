@@ -1,8 +1,9 @@
 """Certificate sweeps over (n, k) grids with machine-checkable results.
 
 Each check yields a CheckResult with a sortable case key, the measured
-metric, and the limit it was held to.  ``verify_scheme`` runs the whole
-battery for one scheme; the CLI turns the outcome into exit codes.
+metric, and the limit it was held to.  ``certificate_checks`` holds one
+certificate to its limits, ``verify_scheme`` runs the whole battery for one
+scheme, and the CLI turns either outcome into exit codes.
 """
 from __future__ import annotations
 
@@ -32,24 +33,25 @@ from .orthopoly import (
 from .recurrence import RecurrenceScheme, shifted
 from .spectra import scheme_spectral
 
-__all__ = ["Tolerances", "CheckResult", "verify_scheme"]
+__all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
 
 # highest orders that get the polynomial-identity and quadrature checks
 IDENTITY_N_CAP = 15
 QUADRATURE_N_CAP = 30
+# limits of the checks that take no tolerance from the caller
+REDUCTION_TOL = 1e-10
+IDENTITY_TOL = 1e-8  # relative, polynomial-identity spot checks
+QUADRATURE_TOL = 1e-8  # relative to the absolute-moment scale
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Limits for the verification sweep; mirror the library defaults."""
+    """Caller-set limits of ``certificate_checks`` and ``verify_scheme``."""
 
     stochastic: float = 1e-10
     relation: float = 1e-9  # relative to the spectral diameter
     majorization: float = 1e-10
     trace: float = 1e-10  # scaled by 1 + sum |b_i|
-    reduction: float = 1e-10
-    identity: float = 1e-8  # relative, polynomial-identity spot checks
-    quadrature: float = 1e-8  # relative to the absolute-moment scale
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
@@ -85,26 +87,42 @@ def _min_interlace_margin(inner: np.ndarray, outer: np.ndarray) -> float:
     return float(min((inner - outer[:-1]).min(), (outer[1:] - inner).min()))
 
 
-def _certificate_checks(out: _Collector, result, diameter: float, tol: Tolerances):
-    tag = f"n={result.n} {result.theorem}"
-    if result.theorem == "C":
-        tag += f" k={result.k}"
+def _tag(result) -> str:
+    return f"n={result.n} {result.theorem}" + (f" k={result.k}" if result.theorem == "C" else "")
+
+
+def certificate_checks(result, tol: Tolerances = Tolerances()) -> list[CheckResult]:
+    """The checks a certificate of theorem A, B or C(k) must pass, keyed by its tag.
+
+    Row sums, column sums and entry signs within ``tol.stochastic``; the
+    relation within ``tol.relation`` times max(source spread, 1); the
+    majorization partial-sum margin and total residual within ``tol.majorization``.
+    """
+    out = _Collector()
+    tag = _tag(result)
     stoch = check_doubly_stochastic(result, tol.stochastic)
     out.add(f"{tag} row-sums", stoch.max_row_err, tol.stochastic)
     out.add(f"{tag} col-sums", stoch.max_col_err, tol.stochastic)
     out.add(f"{tag} nonnegative", -stoch.min_entry, tol.stochastic)
+    diameter = float(result.source[-1] - result.source[0])
     out.add(f"{tag} relation", result.relation_err, tol.relation * max(diameter, 1.0))
     cert = check_majorization(result.target, result.source, tol.majorization)
     out.add(f"{tag} majorization-margin", -cert.min_margin, tol.majorization)
     out.add(f"{tag} majorization-total", cert.total_residual, tol.majorization)
+    return out.results
+
+
+def _all_checks(out: _Collector, result, tol: Tolerances):
+    """``certificate_checks`` plus one convex-function margin row per f."""
+    out.results += certificate_checks(result, tol)
     for f in CONVEX_FUNCTIONS:
-        out.add(f"{tag} convex-{f}", -convex_report(result, f).margin, tol.majorization)
+        out.add(f"{_tag(result)} convex-{f}", -convex_report(result, f).margin, tol.majorization)
 
 
-def _identity_checks(out: _Collector, scheme, n: int, points, tol: Tolerances):
+def _identity_checks(out: _Collector, scheme, n: int, points, res_a, res_b):
     """Polynomial-identity spot checks: Wronskian, Christoffel-Darboux,
     the associated-polynomial factorization, and the column-sum identities
-    of the stochastic matrices against independently evaluated right sides.
+    of the certificates res_a, res_b against independently evaluated sides.
 
     The first two difference identities are checked relative to the size of
     their terms (backward error): inside the spectral interval of measures
@@ -123,11 +141,11 @@ def _identity_checks(out: _Collector, scheme, n: int, points, tol: Tolerances):
         t1 = a[n + 1] * p[n] * q[n]
         t2 = a[n + 1] * p[n + 1] * q[n - 1]
         metric = abs(t1 - t2 - a1) / (abs(t1) + abs(t2) + a1)
-        out.add(f"n={n} wronskian x={x:.6g}", metric, tol.identity)
+        out.add(f"n={n} wronskian x={x:.6g}", metric, IDENTITY_TOL)
         # sum_{j<=n} p_j^2 = a_{n+1} (p_{n+1}' p_n - p_{n+1} p_n')
         lhs = float(np.dot(p[: n + 1], p[: n + 1]))
         rhs = a[n + 1] * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
-        out.add(f"n={n} christoffel-darboux x={x:.6g}", _rel_err(lhs, rhs), tol.identity)
+        out.add(f"n={n} christoffel-darboux x={x:.6g}", _rel_err(lhs, rhs), IDENTITY_TOL)
         # a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}), 2 <= k <= n-1
         for k in range(2, n):
             r = eval_all(shifted(scheme, k), n - k, x).values
@@ -135,29 +153,29 @@ def _identity_checks(out: _Collector, scheme, n: int, points, tol: Tolerances):
             u1 = a[k] * p[k - 1] * q[n - 1]
             u2 = a[k] * p[n] * q[k - 2]
             metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
-            out.add(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, tol.identity)
+            out.add(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, IDENTITY_TOL)
     # column sums of the deleted-row bands against independently evaluated right sides
     lam = christoffel_numbers_formula(scheme, n)
     x_nodes = scheme_spectral(scheme, n).eigenvalues
     p_nm1_sq = np.array(
         [eval_all(scheme, n - 1, xj).values[n - 1] ** 2 for xj in x_nodes]
     )
-    partial_a = matrix_A(scheme, n).entries[: n - 1].sum(axis=0)
-    partial_b = matrix_B(scheme, n).entries[: n - 1].sum(axis=0)
+    partial_a = res_a.entries[: n - 1].sum(axis=0)
+    partial_b = res_b.entries[: n - 1].sum(axis=0)
     err_a = max(_rel_err(sa, 1.0 - lj * pj) for sa, lj, pj in zip(partial_a, lam, p_nm1_sq))
     err_b = max(_rel_err(sb, 1.0 - lj) for sb, lj in zip(partial_b, lam))
-    out.add(f"n={n} column-sum-identity A", err_a, tol.identity)
-    out.add(f"n={n} column-sum-identity B", err_b, tol.identity)
+    out.add(f"n={n} column-sum-identity A", err_a, IDENTITY_TOL)
+    out.add(f"n={n} column-sum-identity B", err_b, IDENTITY_TOL)
 
 
-def _quadrature_checks(out: _Collector, scheme, n: int, moments, tol: Tolerances):
+def _quadrature_checks(out: _Collector, scheme, n: int, moments):
     rule = gauss_rule(scheme, n)
     worst = 0.0
     for m in range(1, 2 * n):
         quad = float(np.dot(rule.weights, rule.nodes**m))
         scale = float(np.dot(rule.weights, np.abs(rule.nodes) ** m))
         worst = max(worst, abs(quad - moments[m]) / max(scale, np.finfo(float).tiny))
-    out.add(f"n={n} quadrature-exactness", worst, tol.quadrature)
+    out.add(f"n={n} quadrature-exactness", worst, QUADRATURE_TOL)
 
 
 def verify_scheme(
@@ -187,9 +205,7 @@ def verify_scheme(
     moment_cap = min(QUADRATURE_N_CAP, n_max)
     moments = [jacobi_power_moment(scheme, m) for m in range(2 * moment_cap)]
     for n in range(2, n_max + 1):
-        sd = scheme_spectral(scheme, n)
-        x = sd.eigenvalues
-        diameter = sd.diameter
+        x = scheme_spectral(scheme, n).eigenvalues
         prev = scheme_spectral(scheme, n - 1).eigenvalues
         out.add(
             f"n={n} interlacing-consecutive",
@@ -206,24 +222,24 @@ def verify_scheme(
         )
         res_a = matrix_A(scheme, n)
         res_b = matrix_B(scheme, n)
-        _certificate_checks(out, res_a, diameter, tol)
-        _certificate_checks(out, res_b, diameter, tol)
+        _all_checks(out, res_a, tol)
+        _all_checks(out, res_b, tol)
+        traces = trace_identities(scheme, n)
         for k in range(1, n + 1):
             res_c = matrix_C(scheme, n, k)
-            _certificate_checks(out, res_c, diameter, tol)
-            traces = trace_identities(scheme, n, k)
-            for name, residual in traces.items():
+            _all_checks(out, res_c, tol)
+            for name, residual in (("A", traces[-1]), ("B", traces[0]), ("C", traces[k - 1])):
                 out.add(f"n={n} k={k} trace-{name}", residual, tol.trace * b_scale)
             if k == 1:
                 diff = float(np.max(np.abs(res_c.entries - res_b.entries)))
-                out.add(f"n={n} reduction-C1-vs-B", diff, tol.reduction)
+                out.add(f"n={n} reduction-C1-vs-B", diff, REDUCTION_TOL)
             if k == n:
                 diff = float(np.max(np.abs(res_c.entries - res_a.entries)))
-                out.add(f"n={n} reduction-Cn-vs-A", diff, tol.reduction)
+                out.add(f"n={n} reduction-Cn-vs-A", diff, REDUCTION_TOL)
         if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
             points = spectral_spot_points(scheme, n, count=20, seed=seed)
-            _identity_checks(out, scheme, n, points, tol)
+            _identity_checks(out, scheme, n, points, res_a, res_b)
         if n <= moment_cap:
-            _quadrature_checks(out, scheme, n, moments, tol)
+            _quadrature_checks(out, scheme, n, moments)
     out.results.sort(key=lambda r: r.case)
     return out.results

@@ -118,11 +118,9 @@ def test_criterion_4_trace_identities(schemes):
     for tag, s in schemes.items():
         for n in range(2, N_MAX + 1):
             scale = 1.0 + sum(abs(s.b(i)) for i in range(n))
-            for k in range(1, n + 1):
-                residuals = trace_identities(s, n, k)
-                for name, value in residuals.items():
-                    if value > 1e-10 * scale:
-                        failures.append((tag, n, k, name, value))
+            for k, value in enumerate(trace_identities(s, n), start=1):
+                if value > 1e-10 * scale:
+                    failures.append((tag, n, k, value))
     _assert_clean(4, "trace identities", failures)
 
 

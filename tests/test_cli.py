@@ -273,6 +273,44 @@ def test_tolerance_validation(capsys):
     assert code == 2
 
 
+def test_matrix_failure_report_names_the_failing_checks(capsys):
+    # at --tol 1e-30 every partial-sum margin of this certificate passes and
+    # the total residual (2.2e-16) fails: the report names that row, in
+    # verify's schema, and each row it lists fails its own limit
+    argv = ("matrix", "--family", "legendre", "--n", "7", "--theorem", "C", "--k", "3")
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-30")
+    assert code == 1 and json.loads(out)["k"] == 3
+    failures = json.loads(err)["failures"]
+    assert "n=7 C k=3 majorization-total" in [f["case"] for f in failures]
+    for f in failures:
+        assert set(f) == {"case", "metric", "limit"}
+        assert not f["metric"] <= f["limit"]
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_path):
+    # the library makes these checks; the CLI reports them with exit 2
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    spectra.scheme_spectral.cache_clear()  # a cached decomposition would hide a solve
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(json.dumps({"a": [0.5] * 4, "b": [0.0] * 5}))
+    for argv in (
+        ["matrix", "--family", "legendre", "--n", "5", "--theorem", "A", "--tol", "-1"],
+        ["matrix", "--family", "legendre", "--n", "5", "--theorem", "C", "--k", "9"],
+        ["zeros", "--family", "legendre", "--n", "0"],
+        ["verify", "--family", "legendre", "--n-max", "1"],
+        ["verify", "--family", "legendre", "--n-max", "5", "--tol-relation", "0"],
+        ["matrix", "--custom", str(shallow), "--n", "9", "--theorem", "A"],
+        ["verify", "--custom", str(shallow), "--n-max", "9"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("opmaj: error: "), argv
+
+
 def test_literal_route_overflow_exit_code(capsys, tmp_path):
     # verify's identity checks evaluate the polynomials by forward recurrence,
     # which overflows for a_i = 1e-200: an input error, not a traceback

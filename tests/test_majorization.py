@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from opmaj import (
     ConvergenceError,
+    Tolerances,
+    certificate_checks,
     check_doubly_stochastic,
     check_majorization,
     christoffel_numbers_formula,
@@ -20,6 +22,7 @@ from opmaj import (
     scheme_spectral,
     spectra,
     trace_identities,
+    verify_scheme,
 )
 
 from oracles import min_target_gap, quotient_form_C
@@ -262,20 +265,49 @@ def test_majorization_and_convexity_sweep(family, params):
 
 
 def test_trace_identities_examples():
+    # one residual per deletion index: C(1) = B first, C(n) = A last
     cheb = classical_scheme("chebyshev-u", 6)
-    res = trace_identities(cheb, 5, 3)
-    assert all(v <= 1e-14 for v in res.values())
+    res = trace_identities(cheb, 5)
+    assert len(res) == 5
+    assert all(v <= 1e-14 for v in res)
 
     lag = classical_scheme("laguerre", 4, alpha=0.0)
     assert scheme_spectral(lag, 3).eigenvalues.sum() == pytest.approx(9.0, rel=1e-14)
-    res = trace_identities(lag, 3, 3)
-    assert all(v <= 1e-10 * (1 + 9.0) for v in res.values())
+    res = trace_identities(lag, 3)
+    assert len(res) == 3
+    assert all(v <= 1e-10 * (1 + 9.0) for v in res)
 
-    one = trace_identities(classical_scheme("hermite", 2), 1, 1)
-    assert all(v <= 1e-15 for v in one.values())
+    one = trace_identities(classical_scheme("hermite", 2), 1)
+    assert len(one) == 1
+    assert all(v <= 1e-15 for v in one)
 
     with pytest.raises(ValueError):
-        trace_identities(cheb, 3, 4)
+        trace_identities(cheb, 0)
+
+
+def test_certificate_checks_rows():
+    s = classical_scheme("legendre", 8)
+    res = matrix_C(s, 7, 3)
+    rows = certificate_checks(res)
+    checks = ("row-sums", "col-sums", "nonnegative", "relation",
+              "majorization-margin", "majorization-total")
+    assert [r.case for r in rows] == [f"n=7 C k=3 {c}" for c in checks]
+    assert all(r.passed for r in rows)
+    diameter = float(res.source[-1] - res.source[0])
+    assert rows[3].limit == Tolerances().relation * max(diameter, 1.0)
+    assert certificate_checks(matrix_A(s, 7))[0].case == "n=7 A row-sums"
+    assert certificate_checks(matrix_B(s, 7))[0].case == "n=7 B row-sums"
+
+    # every partial-sum margin passes at 1e-30; the total residual does not
+    tight = {r.case.split()[-1]: r for r in certificate_checks(res, Tolerances(majorization=1e-30))}
+    assert tight["majorization-margin"].passed
+    assert not tight["majorization-total"].passed
+
+    # verify holds each certificate it builds to exactly these rows
+    cases = {r.case: r for r in verify_scheme(s, 7)}
+    for result in (res, matrix_A(s, 7), matrix_B(s, 7)):
+        for row in certificate_checks(result):
+            assert cases[row.case] == row
 
 
 @given(
