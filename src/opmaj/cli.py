@@ -240,6 +240,9 @@ def _cmd_weights(args: argparse.Namespace) -> int:
             "nodes": rule.nodes,
             "weights": rule.weights,
         }
+        underflowed = rule.underflowed
+        if underflowed.size:
+            payload["underflowed"] = underflowed
         _emit(_json(payload), args.out)
     return 0
 

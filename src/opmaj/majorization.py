@@ -39,7 +39,7 @@ import numpy as np
 
 from .orthopoly import associated_spectral
 from .recurrence import RecurrenceScheme
-from .spectra import readonly, refuse_beyond_memory, scheme_spectral
+from .spectra import frozen, readonly, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
     "StochasticMatrixResult",
@@ -121,8 +121,11 @@ class ConvexReport:
 
 
 def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
-    entries = np.asarray(entries, dtype=float)
-    source = np.asarray(source, dtype=float)
+    """Residuals of a certificate ``matrix_C`` just built, its arrays frozen in place.
+
+    ``entries`` and ``target`` are fresh arrays and ``source`` is the cached
+    read-only zeros of p_n, so nothing is copied.
+    """
     target = np.asarray(target, dtype=float)
     row_err = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
     col_err = float(np.max(np.abs(entries.sum(axis=0) - 1.0)))
@@ -131,9 +134,9 @@ def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
         theorem=theorem,
         n=n,
         k=k,
-        entries=readonly(entries),
-        source=readonly(source),
-        target=readonly(target),
+        entries=frozen(entries),
+        source=source,
+        target=frozen(target),
         row_sum_err=row_err,
         col_sum_err=col_err,
         relation_err=rel_err,

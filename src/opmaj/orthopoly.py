@@ -58,6 +58,11 @@ class QuadratureRule:
     def order(self) -> int:
         return self.nodes.size
 
+    @property
+    def underflowed(self) -> np.ndarray:
+        """Indices of the weights that underflowed to 0.0 or to a subnormal."""
+        return np.flatnonzero(self.weights < np.finfo(float).tiny)
+
 
 def eval_all(
     scheme: RecurrenceScheme, n: int, x: float, derivatives: bool = False

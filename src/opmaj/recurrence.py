@@ -18,7 +18,7 @@ recurrences and the shifted (associated) schemes all read that one table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -211,4 +211,12 @@ def shifted(scheme: RecurrenceScheme, k: int) -> RecurrenceScheme:
         return scheme
     if k > scheme.max_index:
         raise DepthError(f"shift {k} exceeds scheme depth {scheme.max_index}")
-    return replace(scheme, shift=scheme.shift + k, max_index=scheme.max_index - k)
+    # built directly: dataclasses.replace costs several times more per call
+    return RecurrenceScheme(
+        kind=scheme.kind,
+        max_index=scheme.max_index - k,
+        params=scheme.params,
+        shift=scheme.shift + k,
+        a_seq=scheme.a_seq,
+        b_seq=scheme.b_seq,
+    )

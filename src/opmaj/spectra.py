@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dstev
 
 from .recurrence import RecurrenceScheme
 
@@ -36,11 +36,11 @@ class ConvergenceError(RuntimeError):
 
 def readonly(values) -> np.ndarray:
     """Copy into a float array with the write flag cleared."""
-    return _frozen(np.array(values, dtype=float))
+    return frozen(np.array(values, dtype=float))
 
 
-def _frozen(out: np.ndarray) -> np.ndarray:
-    """Clear the write flag of an array this module just made, without a copy."""
+def frozen(out: np.ndarray) -> np.ndarray:
+    """Clear the write flag of an array the caller just made, without a copy."""
     out.setflags(write=False)
     return out
 
@@ -50,7 +50,7 @@ class JacobiMatrix:
     """Symmetric tridiagonal matrix: diagonal b_0..b_{n-1}, off-diagonal a_1..a_{n-1}.
 
     Order 0 (empty) is allowed so that row/column deletion can return empty
-    blocks; decomposition requires order >= 1.
+    blocks; decomposition requires order >= 1.  Every entry must be finite.
     """
 
     diag: np.ndarray
@@ -65,6 +65,9 @@ class JacobiMatrix:
                 f"offdiag must have length {expected} for order {diag.size}, "
                 f"got {offdiag.size}"
             )
+        for name, values in (("diag", diag), ("offdiag", offdiag)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} entries must be finite")
         if offdiag.size and not np.all(offdiag > 0.0):
             raise ValueError("off-diagonal entries must be strictly positive")
         object.__setattr__(self, "diag", diag)
@@ -109,12 +112,12 @@ class SpectralData:
     @property
     def comp_sq(self) -> np.ndarray:
         """Read-only squares of ``components``, computed anew on each access: O(m^2)."""
-        return _frozen(self.components**2)
+        return frozen(self.components**2)
 
     @property
     def christoffel(self) -> np.ndarray:
         """Gaussian quadrature weights at the zeros (first-component squares)."""
-        return _frozen(self.components[0] ** 2)
+        return frozen(self.components[0] ** 2)
 
     @property
     def diameter(self) -> float:
@@ -160,10 +163,11 @@ def refuse_beyond_memory(needed: int, subject: str, purpose: str) -> None:
 def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     """Full spectral decomposition of a Jacobi matrix.
 
-    Uses the implicit-shift QL/QR driver with full eigenvector accumulation:
-    unlike the faster MRRR driver it preserves the relative accuracy of
-    exponentially small eigenvector components, on which the Christoffel
-    numbers at extreme nodes of unbounded-support measures depend.
+    Calls LAPACK's implicit-shift QL/QR routine ``dstev`` with full
+    eigenvector accumulation: unlike the faster MRRR routine it preserves
+    the relative accuracy of exponentially small eigenvector components, on
+    which the Christoffel numbers at extreme nodes of unbounded-support
+    measures depend.  Order 1 needs no solve.
 
     Eigenvalues are sorted ascending with eigenvector columns permuted in
     lockstep.  Positive off-diagonals guarantee simple eigenvalues, so a
@@ -175,10 +179,12 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     if J.order < 1:
         raise ValueError("cannot decompose an empty Jacobi matrix")
     refuse_beyond_memory(8 * J.order**2, f"order {J.order}", "its eigenvectors")
-    try:
-        eigvals, vecs = eigh_tridiagonal(J.diag, J.offdiag, lapack_driver="stev")
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    if J.order == 1:  # the f2py wrapper refuses an empty off-diagonal
+        eigvals, vecs, info = J.diag, np.ones((1, 1)), 0
+    else:
+        eigvals, vecs, info = dstev(J.diag, J.offdiag)
+    if info:
+        raise ConvergenceError(f"tridiagonal eigensolver failed: dstev info = {info}")
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     vecs = vecs[:, order]
@@ -190,7 +196,7 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
         )
     # vecs is a fresh permuted array in LAPACK's Fortran layout; it is kept
     # as is, since the bits of the overlap products depend on that layout.
-    return SpectralData(readonly(eigvals), _frozen(vecs))
+    return SpectralData(readonly(eigvals), frozen(vecs))
 
 
 @lru_cache(maxsize=None)

@@ -169,6 +169,21 @@ def test_weights_output(capsys):
     )
 
 
+def test_weights_flag_underflowed_christoffel_numbers(capsys):
+    # laguerre n=200: one weight is exactly 0.0 and two are subnormal; the
+    # payload lists their indices, and a clean order carries no such key
+    tiny = np.finfo(float).tiny
+    code, out, _ = run_cli(capsys, "weights", "--family", "laguerre", "--n", "200")
+    assert code == 0
+    doc = json.loads(out)
+    weights = np.array(doc["weights"])
+    assert doc["underflowed"] == np.flatnonzero(weights < tiny).tolist()
+    under = weights[doc["underflowed"]]
+    assert (under == 0.0).sum() == 1 and ((under > 0.0) & (under < tiny)).sum() == 2
+    code, out, _ = run_cli(capsys, "weights", "--family", "laguerre", "--n", "30")
+    assert code == 0 and "underflowed" not in json.loads(out)
+
+
 def test_zeros_csv(capsys):
     code, out, _ = run_cli(
         capsys, "zeros", "--family", "chebyshev-u", "--n", "2", "--format", "csv"
@@ -294,7 +309,7 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
         pytest.fail("the eigensolver was called")
 
     spectra.scheme_spectral.cache_clear()  # a cached decomposition would hide a solve
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
     shallow = tmp_path / "shallow.json"
     shallow.write_text(json.dumps({"a": [0.5] * 4, "b": [0.0] * 5}))
     for argv in (
@@ -366,7 +381,7 @@ def test_oversized_order_refused_before_allocating(capsys, monkeypatch):
     def no_eigensolve(*args, **kwargs):
         pytest.fail("the eigensolver was called")
 
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
     code, out, err = run_cli(capsys, "zeros", "--family", "legendre", "--n", "1000000")
     assert code == 2 and out == ""
     assert err.startswith("opmaj: error: order 1000000 needs 8000.0 GB")
@@ -387,7 +402,7 @@ def test_oversized_certificate_refused_before_allocating(capsys, monkeypatch):
     def no_eigensolve(*args, **kwargs):
         pytest.fail("the eigensolver was called")
 
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
     code, out, err = run_cli(
         capsys, "matrix", "--family", "legendre", "--n", "10000", "--theorem", "A"
     )

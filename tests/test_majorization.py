@@ -16,12 +16,14 @@ from opmaj import (
     convex_report,
     eval_all,
     from_sequences,
+    majorization,
     matrix_A,
     matrix_B,
     matrix_C,
     scheme_spectral,
     spectra,
     trace_identities,
+    verification,
     verify_scheme,
 )
 
@@ -295,6 +297,10 @@ def test_certificate_checks_rows():
     assert all(r.passed for r in rows)
     diameter = float(res.source[-1] - res.source[0])
     assert rows[3].limit == Tolerances().relation * max(diameter, 1.0)
+    # the stochastic rows read the residuals the result carries, bit-equal to
+    # what check_doubly_stochastic recomputes
+    stoch = check_doubly_stochastic(res, 1e-10)
+    assert [r.metric for r in rows[:3]] == [stoch.max_row_err, stoch.max_col_err, -stoch.min_entry]
     assert certificate_checks(matrix_A(s, 7))[0].case == "n=7 A row-sums"
     assert certificate_checks(matrix_B(s, 7))[0].case == "n=7 B row-sums"
 
@@ -308,6 +314,27 @@ def test_certificate_checks_rows():
     for result in (res, matrix_A(s, 7), matrix_B(s, 7)):
         for row in certificate_checks(result):
             assert cases[row.case] == row
+
+
+def test_verify_builds_each_certificate_once(monkeypatch):
+    # A and B are C(n) and C(1) relabelled: each order builds C(1..n) and nothing more
+    built = []
+
+    def counting_matrix_C(scheme, n, k):
+        built.append((n, k))
+        return matrix_C(scheme, n, k)
+
+    for module in (majorization, verification):
+        monkeypatch.setattr(module, "matrix_C", counting_matrix_C)
+    verify_scheme(classical_scheme("legendre", 8), 7)
+    assert sorted(built) == [(n, k) for n in range(2, 8) for k in range(1, n + 1)]
+
+
+def test_certificate_arrays_are_read_only():
+    res = matrix_C(classical_scheme("laguerre", 6), 6, 3)
+    for arr in (res.entries, res.source, res.target):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 @given(
@@ -373,7 +400,7 @@ def test_oversized_certificate_refused_before_solving(monkeypatch):
     def no_eigensolve(*args, **kwargs):
         pytest.fail("the eigensolver was called")
 
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
     for build in (lambda: matrix_A(s, 5), lambda: matrix_B(s, 5), lambda: matrix_C(s, 5, 3)):
         with pytest.raises(ValueError, match="the order 5 certificate needs"):
             build()

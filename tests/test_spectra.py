@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from opmaj import (
+    ConvergenceError,
     DepthError,
+    JacobiMatrix,
     classical_scheme,
     delete_row_col,
     eigen_decompose,
@@ -142,8 +145,6 @@ def test_eigen_chebyshev_3x3_closed_form():
 
 
 def test_empty_matrix_rejected():
-    from opmaj import JacobiMatrix
-
     with pytest.raises(ValueError):
         eigen_decompose(JacobiMatrix(np.empty(0), np.empty(0)))
 
@@ -226,9 +227,60 @@ def test_oversized_order_refused_before_solving(monkeypatch):
     monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
     s = classical_scheme("legendre", 3)
     assert eigen_decompose(jacobi_matrix(s, 2)).order == 2
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", _no_eigensolve)
+    monkeypatch.setattr(spectra, "dstev", _no_eigensolve)
     with pytest.raises(ValueError, match="order 3 needs"):
         eigen_decompose(jacobi_matrix(s, 3))
+
+
+def test_patched_lapack_entry_point_intercepts_every_solve(monkeypatch):
+    # the refusal tests patch spectra.dstev: that patch must stop an ordinary solve
+    monkeypatch.setattr(spectra, "dstev", _no_eigensolve)
+    with pytest.raises(pytest.fail.Exception, match="the eigensolver was called"):
+        eigen_decompose(jacobi_matrix(classical_scheme("legendre", 3), 2))
+
+
+def test_nonzero_lapack_info_raises_convergence_error(monkeypatch):
+    def unconverged(d, e):
+        return np.array(d), np.eye(d.size), 1
+
+    monkeypatch.setattr(spectra, "dstev", unconverged)
+    with pytest.raises(ConvergenceError, match="dstev info = 1"):
+        eigen_decompose(jacobi_matrix(classical_scheme("legendre", 3), 3))
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        classical_scheme("legendre", 60),
+        classical_scheme("laguerre", 60),
+        classical_scheme("hermite", 60),
+        from_sequences(
+            [0.3 + 0.05 * i for i in range(59)], [(-1.0) ** i * 0.7 for i in range(60)]
+        ),
+    ],
+    ids=["legendre", "laguerre", "hermite", "custom"],
+)
+def test_eigen_decompose_bit_equal_to_scipy_stev(scheme):
+    # the direct LAPACK call returns exactly what scipy's stev wrapper returns
+    for n in (1, 2, 7, 60):
+        J = jacobi_matrix(scheme, n)
+        eigvals, vecs = eigh_tridiagonal(J.diag, J.offdiag, lapack_driver="stev")
+        sd = eigen_decompose(J)
+        assert np.array_equal(sd.eigenvalues, eigvals), n
+        assert np.array_equal(sd.components, vecs), n
+
+
+@pytest.mark.parametrize(
+    "diag,offdiag",
+    [
+        ([0.0, math.nan, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0, 2.0], [0.5, math.inf]),
+        ([-math.inf, 1.0], [0.5]),
+    ],
+)
+def test_jacobi_matrix_refuses_non_finite_entries(diag, offdiag):
+    with pytest.raises(ValueError, match="must be finite"):
+        JacobiMatrix(np.array(diag), np.array(offdiag))
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
