@@ -19,6 +19,10 @@ Jacobi matrix restricted to the surviving coordinates; the last row is the
 squared k-th eigenvector component row.  Row sums, column sums, and the
 linear relation are then exact up to the orthonormality of the computed
 eigenbases (~n * eps), with no error amplification from clustered zeros.
+Since an inner product of whole eigenvectors carries only normwise error,
+the blocks come from the divide-and-conquer cache ``block_spectral``; the
+last row reads single components of the J_n eigenvectors, which therefore
+come from the componentwise-accurate ``scheme_spectral``.
 This is the same matrix as the paper's closed formula
 
     a_k^2 u_i W_j / (z_i - x_{j,n})^2        (u_i, W_j as in ``matrix_C``)
@@ -37,9 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .orthopoly import associated_spectral
-from .recurrence import RecurrenceScheme
-from .spectra import frozen, readonly, refuse_beyond_memory, scheme_spectral
+from .recurrence import RecurrenceScheme, shifted
+from .spectra import block_spectral, frozen, readonly, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
     "StochasticMatrixResult",
@@ -176,6 +179,13 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     lambda_{i,k-1} p_k^2(z_i) on the leading block and the associated
     Christoffel number lambda^(k)_{i,n-k} on the trailing one.
 
+    Both blocks, J_{k-1} and the order n-k block of ``shifted(scheme, k)``,
+    are read from ``block_spectral`` (divide and conquer): their eigenvectors
+    enter only through inner products, so an entry's absolute error stays of
+    order n eps, while the relative error of exponentially small entries is
+    not resolved.  J_n comes from ``scheme_spectral`` (QR): its row k is the
+    last row, which keeps the relative accuracy of tiny Christoffel numbers.
+
     An order whose 32 n^2 bytes of working arrays exceed physical memory is
     refused with ValueError before any eigensolve.
     """
@@ -190,12 +200,12 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     x = sd_n.eigenvalues
     if n == 1:
         return _result("C", 1, 1, np.ones((1, 1)), x, [scheme.b(0)])
-    # (block spectral data, the rows of J_n it spans)
+    # (block eigenbasis, the rows of J_n it spans)
     blocks = []
     if k >= 2:
-        blocks.append((scheme_spectral(scheme, k - 1), slice(0, k - 1)))
+        blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1)))
     if k <= n - 1:
-        blocks.append((associated_spectral(scheme, k, n - k), slice(k, n)))
+        blocks.append((block_spectral(shifted(scheme, k), n - k), slice(k, n)))
     z = np.concatenate([sd.eigenvalues for sd, _ in blocks])
     overlaps = [(sd.components.T @ sd_n.components[rows]) ** 2 for sd, rows in blocks]
     entries = np.concatenate([*overlaps, sd_n.components[k - 1 : k] ** 2])
@@ -264,7 +274,10 @@ def trace_identities(scheme: RecurrenceScheme, n: int) -> list[float]:
 
     Entry k-1 belongs to C(k), so B is the first and A the last.  Every one
     vanishes exactly: each target completes a partial trace of J_n with the
-    complementary recurrence coefficient.  An order n < 1 raises ValueError.
+    complementary recurrence coefficient.  The block zeros are read from
+    ``block_spectral``, the cache ``matrix_C`` builds its targets from, and
+    the zeros of p_n from ``scheme_spectral``.  An order n < 1 raises
+    ValueError.
     """
     x_sum = float(scheme_spectral(scheme, n).eigenvalues.sum())
     diag = scheme.coefficients(n - 1)[1].tolist()
@@ -272,9 +285,9 @@ def trace_identities(scheme: RecurrenceScheme, n: int) -> list[float]:
     def residual(j: int) -> float:
         total = diag[j - 1]
         if j >= 2:
-            total += float(scheme_spectral(scheme, j - 1).eigenvalues.sum())
+            total += float(block_spectral(scheme, j - 1).eigenvalues.sum())
         if j <= n - 1:
-            total += float(associated_spectral(scheme, j, n - j).eigenvalues.sum())
+            total += float(block_spectral(shifted(scheme, j), n - j).eigenvalues.sum())
         return abs(total - x_sum)
 
     return [residual(j) for j in range(1, n + 1)]

@@ -13,7 +13,9 @@ normalization only fixes p_0 and the total quadrature mass.
 ``scheme.coefficients(m)`` returns the table (a_1..a_m, b_0..b_m), evaluated
 on demand from one vectorized closed form per family, so a scheme is a cheap
 immutable value object even for large depths.  Jacobi matrices, polynomial
-recurrences and the shifted (associated) schemes all read that one table.
+recurrences and the shifted (associated) schemes all read that one table;
+``scheme.a(n)`` and ``scheme.b(n)`` evaluate the same closed form at their
+one index.
 """
 from __future__ import annotations
 
@@ -52,10 +54,10 @@ class RecurrenceScheme:
     """Supplier of recurrence coefficients (a_n, b_n) up to ``max_index``.
 
     ``coefficients(m)`` is the table up to index m; ``a(n)`` for
-    1 <= n <= max_index and ``b(n)`` for 0 <= n <= max_index are entries of
-    it.  A nonzero ``shift`` indexes into the tail of the base coefficient
-    sequences; such schemes generate the associated polynomials of the base
-    measure.
+    1 <= n <= max_index and ``b(n)`` for 0 <= n <= max_index are its
+    entries, bit for bit, each evaluated alone.  A nonzero ``shift`` indexes
+    into the tail of the base coefficient sequences; such schemes generate
+    the associated polynomials of the base measure.
 
     Instances are immutable and hashable, safe to share across threads and
     to use as cache keys.
@@ -70,53 +72,95 @@ class RecurrenceScheme:
 
     def coefficients(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index."""
+        self._check_depth(m)
+        lo = self.shift
+        if self.kind is Family.CUSTOM:
+            return np.array(self.a_seq[lo : lo + m]), np.array(self.b_seq[lo : lo + m + 1])
+        i = np.arange(lo, lo + m + 1, dtype=float)  # base indices of b; i[1:] for a
+        a1, b0 = self._lead() if lo == 0 else (None, None)
+        a = self._a_form(i[1:] if a1 is None else i[2:])
+        b = self._b_form(i if b0 is None else i[1:])
+        if a1 is not None:
+            a = np.concatenate(([a1], a))[:m]
+        if b0 is not None:
+            b = np.concatenate(([b0], b))
+        return a, b
+
+    def a(self, n: int) -> float:
+        """Off-diagonal coefficient a_n (strictly positive), evaluated alone.
+
+        Bit-equal to entry n - 1 of ``coefficients(m)[0]`` for every m >= n.
+        """
+        if n < 1:
+            raise DepthError(f"a_{n} unavailable: scheme depth is {self.max_index}")
+        self._check_depth(n)
+        j = self.shift + n
+        if self.kind is Family.CUSTOM:
+            return self.a_seq[j - 1]
+        a1 = self._lead()[0] if j == 1 else None
+        return float(self._a_form(float(j))) if a1 is None else a1
+
+    def b(self, n: int) -> float:
+        """Diagonal coefficient b_n, evaluated alone.
+
+        Bit-equal to entry n of ``coefficients(m)[1]`` for every m >= n.
+        """
+        self._check_depth(n)
+        i = self.shift + n
+        if self.kind is Family.CUSTOM:
+            return self.b_seq[i]
+        b0 = self._lead()[1] if i == 0 else None
+        return float(self._b_form(float(i))) if b0 is None else b0
+
+    def _check_depth(self, m: int) -> None:
         if not 0 <= m <= self.max_index:
             raise DepthError(
                 f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
             )
-        kind, lo = self.kind, self.shift
-        if kind is Family.CUSTOM:
-            return np.array(self.a_seq[lo : lo + m]), np.array(self.b_seq[lo : lo + m + 1])
-        i = np.arange(lo, lo + m + 1, dtype=float)  # base indices of b; i[1:] for a
-        j, b = i[1:], np.zeros(m + 1)
+
+    # The closed forms below take base (unshifted) indices, as a float or a
+    # float array, and apply elementwise: a single index and a whole table
+    # go through the same correctly rounded operations, so they agree bit
+    # for bit.
+
+    def _lead(self) -> tuple[float | None, float | None]:
+        """(a_1, b_0) of the base sequence where the general form does not give them."""
+        if self.kind is Family.JACOBI:
+            # the general forms are 0/0 there when al + be is -1 (a_1) or 0 (b_0)
+            al, be = self.params
+            s = al + be + 2.0
+            return math.sqrt(4.0 * (al + 1.0) * (be + 1.0) / (s * s * (s + 1.0))), (be - al) / s
+        if self.kind is Family.CHEBYSHEV_T:
+            return math.sqrt(0.5), None
+        return None, None
+
+    def _a_form(self, j):
+        """General closed form of a_j, for base indices j >= 1 (>= 2 where ``_lead`` gives a_1)."""
+        kind = self.kind
         if kind is Family.JACOBI:
             al, be = self.params
-            # unshifted, a_1 and b_0 take their own limits: the general forms
-            # are 0/0 there when al + be is -1 (a_1) or 0 (b_0)
-            lead = int(lo == 0)
-            n = j[lead:]
-            s = 2.0 * n + al + be
-            a = np.sqrt(
-                4.0 * n * (n + al) * (n + be) * (n + al + be) / (s * s * (s + 1.0) * (s - 1.0))
+            s = 2.0 * j + al + be
+            return np.sqrt(
+                4.0 * j * (j + al) * (j + be) * (j + al + be) / (s * s * (s + 1.0) * (s - 1.0))
             )
-            s = 2.0 * i[lead:] + al + be
-            b[lead:] = (be * be - al * al) / (s * (s + 2.0))
-            if lead:
-                s = al + be + 2.0
-                b[0] = (be - al) / s
-                a = np.r_[math.sqrt(4.0 * (al + 1.0) * (be + 1.0) / (s * s * (s + 1.0))), a][:m]
-        elif kind is Family.LEGENDRE:
-            a = j / np.sqrt(4.0 * j * j - 1.0)
-        elif kind is Family.LAGUERRE:
-            a = np.sqrt(j * (j + self.params[0]))
-            b = 2.0 * i + self.params[0] + 1.0
-        elif kind is Family.HERMITE:
-            a = np.sqrt(0.5 * j)
-        else:
-            a = np.full(m, 0.5)
-            if kind is Family.CHEBYSHEV_T and lo == 0 and m:
-                a[0] = math.sqrt(0.5)
-        return a, b
+        if kind is Family.LEGENDRE:
+            return j / np.sqrt(4.0 * j * j - 1.0)
+        if kind is Family.LAGUERRE:
+            return np.sqrt(j * (j + self.params[0]))
+        if kind is Family.HERMITE:
+            return np.sqrt(0.5 * j)
+        return np.full_like(j, 0.5)
 
-    def a(self, n: int) -> float:
-        """Off-diagonal coefficient a_n (strictly positive)."""
-        if n < 1:
-            raise DepthError(f"a_{n} unavailable: scheme depth is {self.max_index}")
-        return float(self.coefficients(n)[0][n - 1])
-
-    def b(self, n: int) -> float:
-        """Diagonal coefficient b_n."""
-        return float(self.coefficients(n)[1][n])
+    def _b_form(self, i):
+        """General closed form of b_i, for base indices i >= 0 (>= 1 where ``_lead`` gives b_0)."""
+        kind = self.kind
+        if kind is Family.JACOBI:
+            al, be = self.params
+            s = 2.0 * i + al + be
+            return (be * be - al * al) / (s * (s + 2.0))
+        if kind is Family.LAGUERRE:
+            return 2.0 * i + self.params[0] + 1.0
+        return np.zeros_like(i)
 
 
 def classical_scheme(

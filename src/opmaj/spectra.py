@@ -7,6 +7,14 @@ lambda_{j,n} * p_i(x_{j,n})^2 (row i).  Only the signed eigenvectors are
 stored, one m x m array per decomposition; the squares are derived from
 them on access, and single-matrix formulas use only the squares, so no
 eigenvector sign convention leaks into them.
+
+Two caches hold decompositions, and the role of the data decides which one
+serves it; no option selects a solver.  ``scheme_spectral`` (LAPACK
+``dstev``, implicit QR) serves everything whose single eigenvector
+components are read: J_n of a certificate, associated spectra, Gauss rules
+and the interlacing checks.  ``block_spectral`` (LAPACK ``dstevd``, divide
+and conquer) serves the deletion blocks of the certificates, whose
+eigenvectors enter only through inner products with normwise error.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dstev
+from scipy.linalg.lapack import dstev, dstevd
 
 from .recurrence import RecurrenceScheme
 
@@ -27,6 +35,7 @@ __all__ = [
     "delete_row_col",
     "eigen_decompose",
     "scheme_spectral",
+    "block_spectral",
 ]
 
 
@@ -161,7 +170,7 @@ def refuse_beyond_memory(needed: int, subject: str, purpose: str) -> None:
 
 
 def eigen_decompose(J: JacobiMatrix) -> SpectralData:
-    """Full spectral decomposition of a Jacobi matrix.
+    """Full spectral decomposition of a Jacobi matrix, accurate componentwise.
 
     Calls LAPACK's implicit-shift QL/QR routine ``dstev`` with full
     eigenvector accumulation: unlike the faster MRRR routine it preserves
@@ -176,15 +185,26 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     An order whose 8 m^2 bytes of eigenvectors exceed physical memory is
     refused with ValueError before the solver allocates anything.
     """
+    return _decompose(J, dstev, "dstev", 8, "its eigenvectors")
+
+
+def _decompose(J: JacobiMatrix, solver, name: str, bytes_per_sq: int, purpose: str):
+    """Spectral data of J from one LAPACK tridiagonal routine ``solver``.
+
+    The part both routines share: refusal of an order whose ``bytes_per_sq``
+    m^2 bytes exceed physical memory, the order-1 answer, ``info`` as
+    ConvergenceError, the ascending sort and its strict-increase check, and
+    read-only arrays.
+    """
     if J.order < 1:
         raise ValueError("cannot decompose an empty Jacobi matrix")
-    refuse_beyond_memory(8 * J.order**2, f"order {J.order}", "its eigenvectors")
-    if J.order == 1:  # the f2py wrapper refuses an empty off-diagonal
+    refuse_beyond_memory(bytes_per_sq * J.order**2, f"order {J.order}", purpose)
+    if J.order == 1:  # the f2py wrappers refuse an empty off-diagonal
         eigvals, vecs, info = J.diag, np.ones((1, 1)), 0
     else:
-        eigvals, vecs, info = dstev(J.diag, J.offdiag)
+        eigvals, vecs, info = solver(J.diag, J.offdiag)
     if info:
-        raise ConvergenceError(f"tridiagonal eigensolver failed: dstev info = {info}")
+        raise ConvergenceError(f"tridiagonal eigensolver failed: {name} info = {info}")
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     vecs = vecs[:, order]
@@ -201,10 +221,33 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
 
 @lru_cache(maxsize=None)
 def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
-    """Cached spectral data of ``jacobi_matrix(scheme, n)``.
+    """Cached ``eigen_decompose(jacobi_matrix(scheme, n))``: data read by component.
 
-    The one decomposition cache: associated spectra are cached here too,
-    under their shifted scheme.  Safe to share: schemes are immutable and
-    the returned arrays are read-only.
+    The cache of every decomposition whose single eigenvector components
+    are read (Christoffel numbers, the last row of a certificate):
+    associated spectra are cached here too, under their shifted scheme.
+    Safe to share: schemes are immutable and the returned arrays are
+    read-only.
     """
     return eigen_decompose(jacobi_matrix(scheme, n))
+
+
+@lru_cache(maxsize=None)
+def block_spectral(scheme: RecurrenceScheme, m: int) -> SpectralData:
+    """Cached eigenbasis of ``jacobi_matrix(scheme, m)`` as a deletion block.
+
+    Calls LAPACK's divide-and-conquer routine ``dstevd`` (Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 16, 1995), several times faster than
+    ``dstev`` with vectors at large orders.  Its eigenvectors are accurate
+    in norm, not componentwise: exponentially small components lose their
+    relative accuracy, so this cache serves only data whose error is
+    normwise, the eigenvalues and the inner products of whole eigenvectors
+    that make up the certificate entries.  Below order 26 ``dstevd``
+    hands the problem to the same QR code as ``dstev``, with the same bits.
+    An order whose 16 m^2 bytes of eigenvectors and workspace exceed
+    physical memory is refused with ValueError before the solver runs;
+    failures raise ConvergenceError as in ``eigen_decompose``.
+    """
+    return _decompose(
+        jacobi_matrix(scheme, m), dstevd, "dstevd", 16, "its eigenvectors and workspace"
+    )

@@ -309,7 +309,9 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
         pytest.fail("the eigensolver was called")
 
     spectra.scheme_spectral.cache_clear()  # a cached decomposition would hide a solve
+    spectra.block_spectral.cache_clear()
     monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     shallow = tmp_path / "shallow.json"
     shallow.write_text(json.dumps({"a": [0.5] * 4, "b": [0.0] * 5}))
     for argv in (
@@ -382,6 +384,7 @@ def test_oversized_order_refused_before_allocating(capsys, monkeypatch):
         pytest.fail("the eigensolver was called")
 
     monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     code, out, err = run_cli(capsys, "zeros", "--family", "legendre", "--n", "1000000")
     assert code == 2 and out == ""
     assert err.startswith("opmaj: error: order 1000000 needs 8000.0 GB")
@@ -403,6 +406,7 @@ def test_oversized_certificate_refused_before_allocating(capsys, monkeypatch):
         pytest.fail("the eigensolver was called")
 
     monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     code, out, err = run_cli(
         capsys, "matrix", "--family", "legendre", "--n", "10000", "--theorem", "A"
     )

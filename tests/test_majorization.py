@@ -27,7 +27,7 @@ from opmaj import (
     verify_scheme,
 )
 
-from oracles import min_target_gap, quotient_form_C
+from oracles import christoffel_by_sum, min_target_gap, quotient_form_C
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -127,14 +127,28 @@ def test_stochasticity_and_relation(family, params):
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_quotient_oracle_matches_eigvec_route(family, params):
-    s = classical_scheme(family, 10, **params)
-    for n in range(2, 9):
-        for k in range(1, n + 1):
-            if min_target_gap(s, n, k) < 1e-6:
-                continue
-            oracle = quotient_form_C(s, n, k)
-            ours = matrix_C(s, n, k).entries
-            assert np.max(np.abs(ours - oracle) / np.maximum(oracle, 1e-300)) <= 1e-8
+    # every k at small orders; at orders 30 and 40, where the deletion blocks
+    # come from divide and conquer, the end and middle deletions
+    s = classical_scheme(family, 41, **params)
+    cases = [(n, k) for n in range(2, 9) for k in range(1, n + 1)]
+    cases += [(n, k) for n in (30, 40) for k in sorted({1, 2, n // 2, n - 1, n})]
+    for n, k in cases:
+        if min_target_gap(s, n, k) < 1e-6:
+            continue
+        oracle = quotient_form_C(s, n, k)
+        ours = matrix_C(s, n, k).entries
+        assert np.max(np.abs(ours - oracle) / np.maximum(oracle, 1e-300)) <= 1e-8, (n, k)
+
+
+@pytest.mark.parametrize("family", ["laguerre", "hermite"])
+def test_last_row_holds_relative_accurate_christoffel_numbers(family):
+    # B's last row is the squared first row of the J_n eigenvectors: the
+    # Christoffel numbers, down to the exponentially small ones at the extreme
+    # zeros, which only a componentwise-accurate solve of J_n keeps
+    s = classical_scheme(family, 61)
+    res = matrix_B(s, 60)
+    lam = christoffel_by_sum(s, 60, res.source)
+    assert np.max(np.abs(res.entries[-1] - lam) / lam) <= 1e-10
 
 
 def test_entries_strictly_positive_for_end_deletions():
@@ -401,6 +415,7 @@ def test_oversized_certificate_refused_before_solving(monkeypatch):
         pytest.fail("the eigensolver was called")
 
     monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     for build in (lambda: matrix_A(s, 5), lambda: matrix_B(s, 5), lambda: matrix_C(s, 5, 3)):
         with pytest.raises(ValueError, match="the order 5 certificate needs"):
             build()

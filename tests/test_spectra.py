@@ -10,6 +10,7 @@ from opmaj import (
     ConvergenceError,
     DepthError,
     JacobiMatrix,
+    block_spectral,
     classical_scheme,
     delete_row_col,
     eigen_decompose,
@@ -222,30 +223,61 @@ def _no_eigensolve(*args, **kwargs):
 
 
 def test_oversized_order_refused_before_solving(monkeypatch):
-    # 8 m^2 bytes of eigenvectors against a pretend physical memory of 32 bytes
+    # against a pretend physical memory of 32 bytes: 8 m^2 bytes of
+    # eigenvectors for dstev, 16 m^2 bytes of eigenvectors and workspace for
+    # the dstevd blocks, so order 2 is served as J_n and refused as a block
     memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}
     monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
     s = classical_scheme("legendre", 3)
+    block_spectral.cache_clear()  # a cached decomposition would hide a solve
     assert eigen_decompose(jacobi_matrix(s, 2)).order == 2
+    assert block_spectral(s, 1).order == 1
     monkeypatch.setattr(spectra, "dstev", _no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", _no_eigensolve)
     with pytest.raises(ValueError, match="order 3 needs"):
         eigen_decompose(jacobi_matrix(s, 3))
+    with pytest.raises(ValueError, match="order 2 needs .* eigenvectors and workspace"):
+        block_spectral(s, 2)
+
+
+def _solvers(s):
+    """Each LAPACK entry point with a fresh solve that goes through it."""
+    block_spectral.cache_clear()  # a cached decomposition would hide a solve
+    return {
+        "dstev": lambda m: eigen_decompose(jacobi_matrix(s, m)),
+        "dstevd": lambda m: block_spectral(s, m),
+    }
 
 
 def test_patched_lapack_entry_point_intercepts_every_solve(monkeypatch):
-    # the refusal tests patch spectra.dstev: that patch must stop an ordinary solve
-    monkeypatch.setattr(spectra, "dstev", _no_eigensolve)
-    with pytest.raises(pytest.fail.Exception, match="the eigensolver was called"):
-        eigen_decompose(jacobi_matrix(classical_scheme("legendre", 3), 2))
+    # the refusal tests patch spectra.dstev and spectra.dstevd: each patch
+    # must stop an ordinary solve of its solver
+    for entry_point, solve in _solvers(classical_scheme("legendre", 3)).items():
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, entry_point, _no_eigensolve)
+            with pytest.raises(pytest.fail.Exception, match="the eigensolver was called"):
+                solve(2)
 
 
 def test_nonzero_lapack_info_raises_convergence_error(monkeypatch):
     def unconverged(d, e):
         return np.array(d), np.eye(d.size), 1
 
-    monkeypatch.setattr(spectra, "dstev", unconverged)
-    with pytest.raises(ConvergenceError, match="dstev info = 1"):
-        eigen_decompose(jacobi_matrix(classical_scheme("legendre", 3), 3))
+    for entry_point, solve in _solvers(classical_scheme("legendre", 3)).items():
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, entry_point, unconverged)
+            with pytest.raises(ConvergenceError, match=f"{entry_point} info = 1"):
+                solve(3)
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_blocks_below_order_26_bit_equal_to_dstev(family, params):
+    # dstevd hands orders up to 25 to the QR code of dstev: same bits there
+    s = classical_scheme(family, 25, **params)
+    for m in (1, 2, 7, 25):
+        sd, block = scheme_spectral(s, m), block_spectral(s, m)
+        assert np.array_equal(block.eigenvalues, sd.eigenvalues), m
+        assert np.array_equal(block.components, sd.components), m
 
 
 @pytest.mark.parametrize(
