@@ -17,7 +17,8 @@ Prints four sha256 digests:
   plus jacobi (0.5, -0.5) and (-0.5, -0.5) x shift k in {0, 1, 5} x order
   n in {1, 2, 7, 30, 300}: the bytes of ``jacobi_matrix(shifted(s, k), n)``,
   of ``eval_all(..., n, x, derivatives=True)`` at three interior points,
-  and of ``leading_coefficient``, with an exception recorded by type and
+  and of the leading coefficient gamma_n = 1 / (a_1 ... a_n), divided out
+  in order from ``coefficients(n)``, with an exception recorded by type and
   message.
 
 Run from the root of a checkout, once per commit, and compare:
@@ -41,14 +42,7 @@ import warnings
 
 import numpy as np
 
-from opmaj import (
-    classical_scheme,
-    eval_all,
-    jacobi_matrix,
-    leading_coefficient,
-    shifted,
-    verify_scheme,
-)
+from opmaj import classical_scheme, eval_all, jacobi_matrix, shifted, verify_scheme
 from opmaj.cli import main as cli_main
 
 FAMILIES = [
@@ -179,11 +173,17 @@ def coeff_records():
                     v = eval_all(s, n, x, derivatives=True)
                     return v.values, v.derivative_values
 
+                def leading_coefficient():
+                    gamma = 1.0
+                    for a_i in s.coefficients(n)[0].tolist():
+                        gamma /= a_i
+                    return [gamma]
+
                 rows.append([
                     family, params, k, n,
                     _outcome(matrix),
                     [_outcome(lambda x=x: values(x)) for x in COEFF_POINTS],
-                    _outcome(lambda: [leading_coefficient(s, n)]),
+                    _outcome(leading_coefficient),
                 ])
     return rows
 

@@ -14,7 +14,6 @@ from .spectra import (
     JacobiMatrix,
     SpectralData,
     block_spectral,
-    delete_row_col,
     eigen_decompose,
     jacobi_matrix,
     scheme_spectral,
@@ -30,16 +29,13 @@ from .orthopoly import (
     gauss_quadrature,
     gauss_rule,
     jacobi_power_moment,
-    leading_coefficient,
     spectral_spot_points,
 )
 from .majorization import (
     CONVEX_FUNCTIONS,
     ConvexReport,
     MajorizationCertificate,
-    StochasticCheck,
     StochasticMatrixResult,
-    check_doubly_stochastic,
     check_majorization,
     convex_report,
     matrix_A,
@@ -62,7 +58,6 @@ __all__ = [
     "JacobiMatrix",
     "SpectralData",
     "block_spectral",
-    "delete_row_col",
     "eigen_decompose",
     "jacobi_matrix",
     "scheme_spectral",
@@ -76,14 +71,11 @@ __all__ = [
     "gauss_quadrature",
     "gauss_rule",
     "jacobi_power_moment",
-    "leading_coefficient",
     "spectral_spot_points",
     "CONVEX_FUNCTIONS",
     "ConvexReport",
     "MajorizationCertificate",
-    "StochasticCheck",
     "StochasticMatrixResult",
-    "check_doubly_stochastic",
     "check_majorization",
     "convex_report",
     "matrix_A",

@@ -82,7 +82,7 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
     ``Tolerances`` refuses a limit that is not positive with ValueError.
     """
-    tol = Tolerances(stochastic=args.tol, majorization=args.tol, trace=args.tol)
+    tol = Tolerances(stochastic=args.tol, majorization=args.tol)
     overrides = {"stochastic": args.tol_stochastic, "relation": args.tol_relation}
     return replace(tol, **{name: v for name, v in overrides.items() if v is not None})
 

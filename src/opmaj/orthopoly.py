@@ -21,7 +21,6 @@ __all__ = [
     "QuadratureRule",
     "PolynomialOverflowError",
     "eval_all",
-    "leading_coefficient",
     "christoffel_numbers_formula",
     "gauss_rule",
     "gauss_quadrature",
@@ -42,7 +41,6 @@ class PolynomialOverflowError(ArithmeticError):
 class PolynomialValueSet:
     """Values p_0(x)..p_n(x), optionally with derivatives p_0'(x)..p_n'(x)."""
 
-    point: float
     values: np.ndarray
     derivative_values: np.ndarray | None = None
 
@@ -53,10 +51,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
 
     @property
     def underflowed(self) -> np.ndarray:
@@ -103,19 +97,7 @@ def eval_all(
         raise PolynomialOverflowError(
             f"recurrence overflowed at degree {degree} (x = {x})"
         )
-    return PolynomialValueSet(
-        x, readonly(vals), readonly(ders) if ders is not None else None
-    )
-
-
-def leading_coefficient(scheme: RecurrenceScheme, n: int) -> float:
-    """Leading coefficient gamma_n = 1 / (a_1 a_2 ... a_n); gamma_0 = 1."""
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    gamma = 1.0
-    for a_i in scheme.coefficients(n)[0].tolist():
-        gamma /= a_i
-    return gamma
+    return PolynomialValueSet(readonly(vals), readonly(ders) if ders is not None else None)
 
 
 def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
@@ -148,7 +130,7 @@ def gauss_rule(scheme: RecurrenceScheme, n: int) -> QuadratureRule:
 
 
 def gauss_quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:
-    """Quadrature sum of f; exact for polynomials of degree <= 2*order - 1."""
+    """Quadrature sum of f; exact for polynomials of degree <= 2n - 1 at n nodes."""
     fx = np.array([f(float(x)) for x in rule.nodes], dtype=float)
     return float(np.dot(rule.weights, fx))
 

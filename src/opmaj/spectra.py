@@ -1,4 +1,4 @@
-"""Jacobi matrices, row/column deletion, and tridiagonal spectral data.
+"""Jacobi matrices and tridiagonal spectral data.
 
 The spectral data of J_n carries the Golub-Welsch payload: its eigenvalues
 are the zeros of p_n, and the squared components of the unit eigenvectors
@@ -32,7 +32,6 @@ __all__ = [
     "SpectralData",
     "ConvergenceError",
     "jacobi_matrix",
-    "delete_row_col",
     "eigen_decompose",
     "scheme_spectral",
     "block_spectral",
@@ -58,8 +57,8 @@ def frozen(out: np.ndarray) -> np.ndarray:
 class JacobiMatrix:
     """Symmetric tridiagonal matrix: diagonal b_0..b_{n-1}, off-diagonal a_1..a_{n-1}.
 
-    Order 0 (empty) is allowed so that row/column deletion can return empty
-    blocks; decomposition requires order >= 1.  Every entry must be finite.
+    Order 0 (empty) is allowed; decomposition requires order >= 1.  Every
+    entry must be finite.
     """
 
     diag: np.ndarray
@@ -102,13 +101,12 @@ class SpectralData:
     """Strictly ascending eigenvalues plus unit-eigenvector components.
 
     ``components[:, j]`` is the unit eigenvector for ``eigenvalues[j]`` (its
-    overall sign carries no meaning).  Its squares are derived, not stored:
-    ``comp_sq`` and ``christoffel`` compute them on access.  For the Jacobi
-    matrix of a probability-measure scheme, comp_sq row 0 holds the
-    Christoffel numbers and row i holds lambda_{j,n} * p_i(x_{j,n})^2.  The
-    signed components exist so that inner products between eigenbases of
-    related matrices can be formed; every single-matrix formula uses only
-    the squares.
+    overall sign carries no meaning).  For the Jacobi matrix of a
+    probability-measure scheme, the squares of row 0 are the Christoffel
+    numbers (``christoffel``, derived on access, not stored) and those of
+    row i are lambda_{j,n} * p_i(x_{j,n})^2.  The signed components exist so
+    that inner products between eigenbases of related matrices can be
+    formed; every single-matrix formula uses only the squares.
     """
 
     eigenvalues: np.ndarray
@@ -117,11 +115,6 @@ class SpectralData:
     @property
     def order(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def comp_sq(self) -> np.ndarray:
-        """Read-only squares of ``components``, computed anew on each access: O(m^2)."""
-        return frozen(self.components**2)
 
     @property
     def christoffel(self) -> np.ndarray:
@@ -140,23 +133,6 @@ def jacobi_matrix(scheme: RecurrenceScheme, n: int) -> JacobiMatrix:
         raise ValueError(f"order must be >= 1, got {n}")
     offdiag, diag = scheme.coefficients(n - 1)
     return JacobiMatrix(diag, offdiag)
-
-
-def delete_row_col(J: JacobiMatrix, k: int) -> tuple[JacobiMatrix, JacobiMatrix]:
-    """Split J after deleting its k-th row and column (1-based).
-
-    Deletion decouples the matrix into two diagonal blocks: the leading
-    (k-1) x (k-1) Jacobi matrix and the trailing (n-k) x (n-k) block whose
-    coefficients are the original ones shifted past index k.  Either block
-    may be empty (k = 1 or k = n).  The union of the block spectra is the
-    spectrum of the deleted matrix, n - 1 points in total.
-    """
-    n = J.order
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    top = JacobiMatrix(J.diag[: k - 1], J.offdiag[: max(k - 2, 0)])
-    bottom = JacobiMatrix(J.diag[k:], J.offdiag[k:])
-    return top, bottom
 
 
 def refuse_beyond_memory(needed: int, subject: str, purpose: str) -> None:
@@ -178,10 +154,10 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     which the Christoffel numbers at extreme nodes of unbounded-support
     measures depend.  Order 1 needs no solve.
 
-    Eigenvalues are sorted ascending with eigenvector columns permuted in
-    lockstep.  Positive off-diagonals guarantee simple eigenvalues, so a
-    nonincreasing pair in the computed spectrum is reported as a
-    ConvergenceError rather than silently accepted, as is a solver failure.
+    LAPACK returns the eigenvalues in ascending order.  Positive
+    off-diagonals guarantee simple eigenvalues, so a nonincreasing pair in
+    the computed spectrum is reported as a ConvergenceError rather than
+    silently accepted, as is a solver failure.
     An order whose 8 m^2 bytes of eigenvectors exceed physical memory is
     refused with ValueError before the solver allocates anything.
     """
@@ -193,8 +169,8 @@ def _decompose(J: JacobiMatrix, solver, name: str, bytes_per_sq: int, purpose: s
 
     The part both routines share: refusal of an order whose ``bytes_per_sq``
     m^2 bytes exceed physical memory, the order-1 answer, ``info`` as
-    ConvergenceError, the ascending sort and its strict-increase check, and
-    read-only arrays.
+    ConvergenceError, the strict-increase check of the ascending spectrum
+    both routines return, and read-only arrays.
     """
     if J.order < 1:
         raise ValueError("cannot decompose an empty Jacobi matrix")
@@ -205,17 +181,14 @@ def _decompose(J: JacobiMatrix, solver, name: str, bytes_per_sq: int, purpose: s
         eigvals, vecs, info = solver(J.diag, J.offdiag)
     if info:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {name} info = {info}")
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = vecs[:, order]
     gaps = np.diff(eigvals)
     if gaps.size and not np.all(gaps > 0.0):
         j = int(np.argmin(gaps))
         raise ConvergenceError(
             f"eigenvalues {j + 1} and {j + 2} are not strictly increasing"
         )
-    # vecs is a fresh permuted array in LAPACK's Fortran layout; it is kept
-    # as is, since the bits of the overlap products depend on that layout.
+    # vecs is LAPACK's fresh array in Fortran layout; it is kept as is,
+    # since the bits of the overlap products depend on that layout.
     return SpectralData(readonly(eigvals), frozen(vecs))
 
 

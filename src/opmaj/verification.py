@@ -47,8 +47,7 @@ class Tolerances:
 
     stochastic: float = 1e-10
     relation: float = 1e-9  # relative to the spectral diameter
-    majorization: float = 1e-10
-    trace: float = 1e-10  # scaled by 1 + sum |b_i|
+    majorization: float = 1e-10  # also convex rows; trace rows times 1 + sum |b_i|
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
@@ -196,6 +195,8 @@ def verify_scheme(
     repeat the C(n) and C(1) metrics under their own keys, and the
     ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows read 0.0 by
     construction; they are kept so that the record set keeps its keys.
+    A convex margin that float64 cannot hold raises ValueError, as
+    ``convex_report`` does.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -229,7 +230,7 @@ def verify_scheme(
             res_c = matrix_C(scheme, n, k)
             _all_checks(out, res_c, tol)
             for name, residual in (("A", traces[-1]), ("B", traces[0]), ("C", traces[k - 1])):
-                out.add(f"n={n} k={k} trace-{name}", residual, tol.trace * b_scale)
+                out.add(f"n={n} k={k} trace-{name}", residual, tol.majorization * b_scale)
             # only the two end certificates are held past their k
             if k == 1:
                 res_b = replace(res_c, theorem="B")

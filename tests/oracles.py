@@ -4,17 +4,21 @@ Everything here deliberately avoids the package's evaluation and matrix
 construction code paths: polynomial values come from a local recurrence
 loop, Christoffel numbers from local reciprocal sums, stochastic-matrix
 entries from row-normalized quotients, measure moments from closed forms or
-high-precision quadrature of the classical weight functions.
+high-precision quadrature of the classical weight functions.  The
+reference helpers at the end (row/column deletion of a Jacobi matrix, the
+squared eigenvector components, a recomputing doubly-stochastic check) are
+plain restatements of definitions that only the tests read.
 """
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from opmaj import associated_spectral, scheme_spectral
+from opmaj import JacobiMatrix, StochasticMatrixResult, associated_spectral, scheme_spectral
 
 
 def poly_values(scheme, n, x):
@@ -173,3 +177,53 @@ def mp_coefficient_integrals(scheme, family: str, params, n: int):
         b_int = mp.quad(lambda x: x * at(x)[0][n] ** 2 * at(x)[1], dom)
         norm = mp.quad(lambda x: at(x)[0][n] ** 2 * at(x)[1], dom)
     return float(a_int), float(b_int), float(norm)
+
+
+def delete_row_col(J: JacobiMatrix, k: int) -> tuple[JacobiMatrix, JacobiMatrix]:
+    """Split J after deleting its k-th row and column (1-based).
+
+    Deletion decouples the matrix into two diagonal blocks: the leading
+    (k-1) x (k-1) Jacobi matrix and the trailing (n-k) x (n-k) block whose
+    coefficients are the original ones shifted past index k.  Either block
+    may be empty (k = 1 or k = n).
+    """
+    n = J.order
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    top = JacobiMatrix(J.diag[: k - 1], J.offdiag[: max(k - 2, 0)])
+    bottom = JacobiMatrix(J.diag[k:], J.offdiag[k:])
+    return top, bottom
+
+
+def comp_sq(sd) -> np.ndarray:
+    """Squared eigenvector components: row i, column j is lambda_j p_i(x_j)^2."""
+    return sd.components**2
+
+
+@dataclass(frozen=True)
+class StochasticCheck:
+    ok: bool
+    max_row_err: float
+    max_col_err: float
+    min_entry: float
+
+
+def check_doubly_stochastic(matrix, tol: float) -> StochasticCheck:
+    """True iff all entries >= -tol and every row/column sum is within tol of 1.
+
+    Accepts a StochasticMatrixResult or any square array-like; sums are
+    recomputed here rather than trusted from the result.
+    """
+    if tol < 0.0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    if isinstance(matrix, StochasticMatrixResult):
+        m = matrix.entries
+    else:
+        m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    row_err = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
+    col_err = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+    min_entry = float(m.min())
+    ok = min_entry >= -tol and row_err <= tol and col_err <= tol
+    return StochasticCheck(ok, row_err, col_err, min_entry)

@@ -8,7 +8,6 @@ import pytest
 
 from opmaj import (
     associated_spectral,
-    check_doubly_stochastic,
     check_majorization,
     christoffel_numbers_formula,
     classical_scheme,
@@ -25,7 +24,7 @@ from opmaj import (
     trace_identities,
 )
 
-from oracles import min_target_gap, quotient_form_C
+from oracles import check_doubly_stochastic, min_target_gap, quotient_form_C
 
 FAMILY_GRID = [
     ("chebyshev-u", {}),

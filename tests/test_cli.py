@@ -369,12 +369,13 @@ def test_unseparable_zeros_exit_code(capsys, tmp_path):
 
 
 def test_non_finite_json_payload_refused(capsys):
-    # exp overflows over the zeros of laguerre p_200, so the exp margin is NaN:
-    # JSON cannot carry it, while the CSV matrix is finite and is served
+    # exp overflows over the zeros of laguerre p_200, so the exp margin has no
+    # float64 value: JSON refuses it by name, while the CSV matrix is finite
+    # and is served
     argv = ("matrix", "--family", "laguerre", "--n", "200", "--theorem", "A")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "NaN" not in err
-    assert err.startswith("opmaj: error: the result holds a non-finite number")
+    assert err.startswith("opmaj: error: the convex-exp margin is not finite in float64")
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0 and "nan" not in out and "inf" not in out
 

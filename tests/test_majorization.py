@@ -9,7 +9,6 @@ from opmaj import (
     ConvergenceError,
     Tolerances,
     certificate_checks,
-    check_doubly_stochastic,
     check_majorization,
     christoffel_numbers_formula,
     classical_scheme,
@@ -27,7 +26,7 @@ from opmaj import (
     verify_scheme,
 )
 
-from oracles import christoffel_by_sum, min_target_gap, quotient_form_C
+from oracles import check_doubly_stochastic, christoffel_by_sum, min_target_gap, quotient_form_C
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -259,6 +258,16 @@ def test_convex_report_examples(chebyshev):
     assert exp_rep.margin >= 0.0
     with pytest.raises(ValueError):
         convex_report(matrix_A(chebyshev, 3), "cube")
+
+
+@pytest.mark.filterwarnings("error")
+def test_convex_exp_overflow_refused_without_warning():
+    # the largest zero of laguerre p_200 is 767.8, past exp's float64 range:
+    # the margin is refused by name instead of coming out NaN with a warning
+    res = matrix_A(classical_scheme("laguerre", 200), 200)
+    with pytest.raises(ValueError, match=r"convex-exp margin .* \|x\| = 767\.81469"):
+        convex_report(res, "exp")
+    assert np.isfinite(convex_report(res, "square").margin)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)

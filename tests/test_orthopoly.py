@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -15,7 +14,6 @@ from opmaj import (
     gauss_quadrature,
     gauss_rule,
     jacobi_power_moment,
-    leading_coefficient,
     scheme_spectral,
     shifted,
     spectral_spot_points,
@@ -61,13 +59,6 @@ def test_eval_overflow_reported():
     s = from_sequences((1e-4,) * 100, (0.0,) * 101)
     with pytest.raises(PolynomialOverflowError):
         eval_all(s, 100, 1.0)
-
-
-def test_leading_coefficients():
-    s = classical_scheme("chebyshev-u", 5)
-    assert leading_coefficient(s, 3) == pytest.approx(8.0)
-    assert leading_coefficient(s, 0) == 1.0
-    assert leading_coefficient(classical_scheme("legendre", 2), 1) == pytest.approx(math.sqrt(3.0))
 
 
 def test_christoffel_formula_overflow_reported():

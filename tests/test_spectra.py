@@ -12,7 +12,6 @@ from opmaj import (
     JacobiMatrix,
     block_spectral,
     classical_scheme,
-    delete_row_col,
     eigen_decompose,
     eval_all,
     from_sequences,
@@ -21,7 +20,7 @@ from opmaj import (
     spectra,
 )
 
-from oracles import chebyshev_u_weights, chebyshev_u_zeros
+from oracles import chebyshev_u_weights, chebyshev_u_zeros, comp_sq, delete_row_col
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -128,21 +127,21 @@ def test_delete_row_col_blocks_match_scheme_views():
 def test_eigen_chebyshev_2x2():
     sd = eigen_decompose(jacobi_matrix(classical_scheme("chebyshev-u", 3), 2))
     assert sd.eigenvalues == pytest.approx([-0.5, 0.5], abs=1e-15)
-    assert sd.comp_sq[0] == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert comp_sq(sd)[0] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_eigen_trivial_1x1():
     sd = eigen_decompose(jacobi_matrix(from_sequences((), (7.0,)), 1))
     assert sd.eigenvalues == pytest.approx([7.0])
-    assert sd.comp_sq == pytest.approx(np.array([[1.0]]))
+    assert comp_sq(sd) == pytest.approx(np.array([[1.0]]))
 
 
 def test_eigen_chebyshev_3x3_closed_form():
     sd = eigen_decompose(jacobi_matrix(classical_scheme("chebyshev-u", 3), 3))
     assert sd.eigenvalues == pytest.approx([-math.sqrt(0.5), 0.0, math.sqrt(0.5)], abs=1e-15)
-    assert sd.comp_sq[0] == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+    assert comp_sq(sd)[0] == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
     assert sd.eigenvalues == pytest.approx(chebyshev_u_zeros(3), abs=1e-15)
-    assert sd.comp_sq[0] == pytest.approx(chebyshev_u_weights(3), abs=1e-15)
+    assert comp_sq(sd)[0] == pytest.approx(chebyshev_u_weights(3), abs=1e-15)
 
 
 def test_empty_matrix_rejected():
@@ -174,7 +173,7 @@ def test_eigenvector_columns_unit_and_weights_positive(family, params):
     s = classical_scheme(family, 40, **params)
     for n in (1, 5, 20, 40):
         sd = scheme_spectral(s, n)
-        assert sd.comp_sq.sum(axis=0) == pytest.approx(np.ones(n), abs=1e-13)
+        assert comp_sq(sd).sum(axis=0) == pytest.approx(np.ones(n), abs=1e-13)
         assert np.all(sd.christoffel > 0.0)
         assert sd.christoffel.sum() == pytest.approx(1.0, abs=1e-13)
 
@@ -189,13 +188,13 @@ def test_comp_sq_equals_weight_times_squared_polynomials(family, params):
         for j, x in enumerate(sd.eigenvalues):
             vals = eval_all(s, n - 1, x).values
             lam = 1.0 / float(np.dot(vals, vals))
-            assert sd.comp_sq[:, j] == pytest.approx(lam * vals**2, rel=1e-8, abs=1e-13)
+            assert comp_sq(sd)[:, j] == pytest.approx(lam * vals**2, rel=1e-8, abs=1e-13)
             assert sd.christoffel[j] == pytest.approx(lam, rel=1e-8)
 
 
 def test_spectral_data_is_immutable():
     sd = scheme_spectral(classical_scheme("legendre", 6), 5)
-    for arr in (sd.eigenvalues, sd.comp_sq, sd.components):
+    for arr in (sd.eigenvalues, sd.christoffel, sd.components):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -210,12 +209,10 @@ def test_spectral_data_holds_one_eigenvector_array():
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_derived_squares_are_read_only_and_exact(family, params):
     sd = scheme_spectral(classical_scheme(family, 12, **params), 12)
-    assert np.array_equal(sd.comp_sq, sd.components**2)
     assert np.array_equal(sd.christoffel, sd.components[0] ** 2)
-    for arr in (sd.comp_sq, sd.christoffel):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    assert not sd.christoffel.flags.writeable
+    with pytest.raises(ValueError):
+        sd.christoffel[0] = 0.0
 
 
 def _no_eigensolve(*args, **kwargs):
@@ -267,6 +264,19 @@ def test_nonzero_lapack_info_raises_convergence_error(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(spectra, entry_point, unconverged)
             with pytest.raises(ConvergenceError, match=f"{entry_point} info = 1"):
+                solve(3)
+
+
+def test_descending_lapack_spectrum_raises_convergence_error(monkeypatch):
+    # both routines return ascending eigenvalues by contract; a spectrum that
+    # breaks it is refused, not re-sorted
+    def descending(d, e):
+        return np.array([3.0, 2.0, 1.0]), np.eye(3), 0
+
+    for entry_point, solve in _solvers(classical_scheme("legendre", 3)).items():
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, entry_point, descending)
+            with pytest.raises(ConvergenceError, match="eigenvalues 1 and 2 are not strictly"):
                 solve(3)
 
 
@@ -327,7 +337,7 @@ def test_eigenpair_residual_via_polynomial_vector(family, params):
         dense = J.dense()
         for j, x in enumerate(sd.eigenvalues):
             signs = np.sign(eval_all(s, n - 1, x).values)
-            v = np.sqrt(sd.comp_sq[:, j]) * signs
+            v = np.sqrt(comp_sq(sd)[:, j]) * signs
             res = np.max(np.abs(dense @ v - x * v))
             assert res <= 1e-12 * diameter
 
@@ -344,6 +354,6 @@ def test_eigen_invariants_random_schemes(a, b):
     J = jacobi_matrix(s, s.max_index + 1)
     sd = eigen_decompose(J)
     assert np.all(np.diff(sd.eigenvalues) > 0.0)
-    assert sd.comp_sq.sum(axis=0) == pytest.approx(np.ones(J.order), abs=1e-12)
+    assert comp_sq(sd).sum(axis=0) == pytest.approx(np.ones(J.order), abs=1e-12)
     assert abs(sd.eigenvalues.sum() - J.diag.sum()) <= 1e-10 * (1.0 + np.abs(J.diag).sum())
     assert np.all(sd.christoffel > 0.0)
