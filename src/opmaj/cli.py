@@ -230,8 +230,11 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 def _cmd_weights(args: argparse.Namespace) -> int:
     scheme, family, params = _build_scheme(args, args.n)
     rule = gauss_rule(scheme, args.n)
+    underflowed = rule.underflowed.tolist()
     if args.format == "csv":
         _emit(_csv(np.vstack([rule.nodes, rule.weights])), args.out)
+        if underflowed:  # flagged on stderr: stdout stays a table of floats
+            sys.stderr.write(json.dumps({"underflowed": underflowed}) + "\n")
     else:
         payload = {
             "family": family,
@@ -240,8 +243,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
             "nodes": rule.nodes,
             "weights": rule.weights,
         }
-        underflowed = rule.underflowed
-        if underflowed.size:
+        if underflowed:
             payload["underflowed"] = underflowed
         _emit(_json(payload), args.out)
     return 0

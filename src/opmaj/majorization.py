@@ -20,7 +20,7 @@ squared k-th eigenvector component row.  Row sums, column sums, and the
 linear relation are then exact up to the orthonormality of the computed
 eigenbases (~n * eps), with no error amplification from clustered zeros.
 Since an inner product of whole eigenvectors carries only normwise error,
-the blocks come from the divide-and-conquer cache ``block_spectral``; the
+the blocks are divide-and-conquer decompositions (``block_decompose``); the
 last row reads single components of the J_n eigenvectors, which therefore
 come from the componentwise-accurate ``scheme_spectral``.
 This is the same matrix as the paper's closed formula
@@ -42,7 +42,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .recurrence import RecurrenceScheme, shifted
-from .spectra import block_spectral, frozen, refuse_beyond_memory, scheme_spectral
+from .spectra import (
+    block_decompose, block_spectral, frozen, jacobi_matrix, refuse_beyond_memory, scheme_spectral
+)
 
 __all__ = [
     "StochasticMatrixResult",
@@ -70,7 +72,7 @@ class StochasticMatrixResult:
 
     ``target`` is assembled in ascending-zero block order with the
     recurrence coefficient term last; ``relation_err`` is the max absolute
-    residual of target - entries @ source.
+    residual of target - entries @ source, ``trace_err`` |sum(target) - sum(source)|.
     """
 
     theorem: str
@@ -82,6 +84,7 @@ class StochasticMatrixResult:
     row_sum_err: float
     col_sum_err: float
     relation_err: float
+    trace_err: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +122,8 @@ def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
     row_err = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
     col_err = float(np.max(np.abs(entries.sum(axis=0) - 1.0)))
     rel_err = float(np.max(np.abs(target - entries @ source)))
+    # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
+    trace = target[-1] + target[: k - 1].sum() + target[k - 1 : n - 1].sum()
     return StochasticMatrixResult(
         theorem=theorem,
         n=n,
@@ -129,6 +134,7 @@ def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
         row_sum_err=row_err,
         col_sum_err=col_err,
         relation_err=rel_err,
+        trace_err=float(abs(trace - source.sum())),
     )
 
 
@@ -165,12 +171,14 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     lambda_{i,k-1} p_k^2(z_i) on the leading block and the associated
     Christoffel number lambda^(k)_{i,n-k} on the trailing one.
 
-    Both blocks, J_{k-1} and the order n-k block of ``shifted(scheme, k)``,
-    are read from ``block_spectral`` (divide and conquer): their eigenvectors
+    Both blocks are divide-and-conquer decompositions: their eigenvectors
     enter only through inner products, so an entry's absolute error stays of
     order n eps, while the relative error of exponentially small entries is
-    not resolved.  J_n comes from ``scheme_spectral`` (QR): its row k is the
-    last row, which keeps the relative accuracy of tiny Christoffel numbers.
+    not resolved.  J_{k-1}, shared by every order above k - 1, is read from
+    the cache ``block_spectral``; the order n-k block of ``shifted(scheme, k)``
+    belongs to this (n, k) alone and comes uncached from ``block_decompose``.
+    J_n comes from ``scheme_spectral`` (QR): its row k is the last row, which
+    keeps the relative accuracy of tiny Christoffel numbers.
 
     An order whose 32 n^2 bytes of working arrays exceed physical memory is
     refused with ValueError before any eigensolve.
@@ -179,22 +187,26 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    # four n x n arrays live at once: the J_n eigenvectors, the block
-    # eigenvectors, their overlap product and the entries
+    # three n x n arrays live at once: the J_n eigenvectors, the block
+    # eigenvectors and the entries, made once the block solve's workspace is freed
     refuse_beyond_memory(32 * n**2, f"the order {n} certificate", "its four n x n arrays")
     sd_n = scheme_spectral(scheme, n)
     x = sd_n.eigenvalues
     if n == 1:
         return _result("C", 1, 1, np.ones((1, 1)), x, [scheme.b(0)])
-    # (block eigenbasis, the rows of J_n it spans)
+    # (block eigenbasis, the rows of J_n it spans, its rows of the entries)
     blocks = []
     if k >= 2:
-        blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1)))
+        blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1), slice(0, k - 1)))
     if k <= n - 1:
-        blocks.append((block_spectral(shifted(scheme, k), n - k), slice(k, n)))
-    z = np.concatenate([sd.eigenvalues for sd, _ in blocks])
-    overlaps = [(sd.components.T @ sd_n.components[rows]) ** 2 for sd, rows in blocks]
-    entries = np.concatenate([*overlaps, sd_n.components[k - 1 : k] ** 2])
+        assoc = block_decompose(jacobi_matrix(shifted(scheme, k), n - k))
+        blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))
+    z = np.concatenate([sd.eigenvalues for sd, _, _ in blocks])
+    entries = np.empty((n, n))
+    for sd, rows, out in blocks:
+        np.matmul(sd.components.T, sd_n.components[rows], out=entries[out])
+    entries[n - 1] = sd_n.components[k - 1]
+    np.square(entries, out=entries)
     return _result("C", n, k, entries, x, np.append(z, scheme.b(k - 1)))
 
 
@@ -245,20 +257,11 @@ def trace_identities(scheme: RecurrenceScheme, n: int) -> list[float]:
 
     Entry k-1 belongs to C(k), so B is the first and A the last.  Every one
     vanishes exactly: each target completes a partial trace of J_n with the
-    complementary recurrence coefficient.  The block zeros are read from
-    ``block_spectral``, the cache ``matrix_C`` builds its targets from, and
-    the zeros of p_n from ``scheme_spectral``.  An order n < 1 raises
-    ValueError.
+    complementary recurrence coefficient.  Each is the ``trace_err`` of the
+    certificate ``matrix_C`` builds, so the associated blocks, which no
+    cache holds, are decomposed once per certificate.  An order n < 1
+    raises ValueError.
     """
-    x_sum = float(scheme_spectral(scheme, n).eigenvalues.sum())
-    diag = scheme.coefficients(n - 1)[1].tolist()
-
-    def residual(j: int) -> float:
-        total = diag[j - 1]
-        if j >= 2:
-            total += float(block_spectral(scheme, j - 1).eigenvalues.sum())
-        if j <= n - 1:
-            total += float(block_spectral(shifted(scheme, j), n - j).eigenvalues.sum())
-        return abs(total - x_sum)
-
-    return [residual(j) for j in range(1, n + 1)]
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return [matrix_C(scheme, n, k).trace_err for k in range(1, n + 1)]

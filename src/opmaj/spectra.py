@@ -8,13 +8,14 @@ stored, one m x m array per decomposition; the squares are derived from
 them on access, and single-matrix formulas use only the squares, so no
 eigenvector sign convention leaks into them.
 
-Two caches hold decompositions, and the role of the data decides which one
-serves it; no option selects a solver.  ``scheme_spectral`` (LAPACK
-``dstev``, implicit QR) serves everything whose single eigenvector
-components are read: J_n of a certificate, associated spectra, Gauss rules
-and the interlacing checks.  ``block_spectral`` (LAPACK ``dstevd``, divide
-and conquer) serves the deletion blocks of the certificates, whose
-eigenvectors enter only through inner products with normwise error.
+The role of the data decides the solver; no option selects one.
+``eigen_decompose`` (LAPACK ``dstev``, implicit QR) serves every single
+eigenvector component that is read: J_n of a certificate, associated
+spectra, Gauss rules, interlacing.  ``block_decompose`` (LAPACK ``dstevd``,
+divide and conquer) serves the deletion blocks, whose eigenvectors enter
+only through inner products with normwise error.  ``scheme_spectral`` caches
+every ``dstev`` decomposition, ``block_spectral`` the leading blocks J_m,
+which every higher order reuses; an associated block is never cached.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "jacobi_matrix",
     "eigen_decompose",
     "scheme_spectral",
+    "block_decompose",
     "block_spectral",
 ]
 
@@ -205,22 +207,29 @@ def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     return eigen_decompose(jacobi_matrix(scheme, n))
 
 
-@lru_cache(maxsize=None)
-def block_spectral(scheme: RecurrenceScheme, m: int) -> SpectralData:
-    """Cached eigenbasis of ``jacobi_matrix(scheme, m)`` as a deletion block.
+def block_decompose(J: JacobiMatrix) -> SpectralData:
+    """Eigenbasis of a Jacobi matrix as a deletion block, accurate in norm.
 
     Calls LAPACK's divide-and-conquer routine ``dstevd`` (Gu & Eisenstat,
     SIAM J. Matrix Anal. Appl. 16, 1995), several times faster than
     ``dstev`` with vectors at large orders.  Its eigenvectors are accurate
     in norm, not componentwise: exponentially small components lose their
-    relative accuracy, so this cache serves only data whose error is
-    normwise, the eigenvalues and the inner products of whole eigenvectors
-    that make up the certificate entries.  Below order 26 ``dstevd``
-    hands the problem to the same QR code as ``dstev``, with the same bits.
-    An order whose 16 m^2 bytes of eigenvectors and workspace exceed
-    physical memory is refused with ValueError before the solver runs;
-    failures raise ConvergenceError as in ``eigen_decompose``.
+    relative accuracy, so it serves only data whose error is normwise, the
+    eigenvalues and the inner products of whole eigenvectors that make up
+    the certificate entries.  Below order 26 ``dstevd`` hands the problem
+    to the same QR code as ``dstev``, with the same bits.  Uncached, as is
+    ``eigen_decompose``.  An order whose 16 m^2 bytes of eigenvectors and
+    workspace exceed physical memory is refused with ValueError before the
+    solver runs; failures raise ConvergenceError as in ``eigen_decompose``.
     """
-    return _decompose(
-        jacobi_matrix(scheme, m), dstevd, "dstevd", 16, "its eigenvectors and workspace"
-    )
+    return _decompose(J, dstevd, "dstevd", 16, "its eigenvectors and workspace")
+
+
+@lru_cache(maxsize=None)
+def block_spectral(scheme: RecurrenceScheme, m: int) -> SpectralData:
+    """Cached ``block_decompose(jacobi_matrix(scheme, m))``: a leading block J_m.
+
+    Every certificate of order above m reuses J_m, as ``verify_scheme`` does
+    at each order; an associated block is read once and not cached here.
+    """
+    return block_decompose(jacobi_matrix(scheme, m))

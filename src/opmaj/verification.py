@@ -16,7 +16,6 @@ from .majorization import (
     check_majorization,
     convex_report,
     matrix_C,
-    trace_identities,
 )
 from .orthopoly import (
     DEFAULT_SEED,
@@ -190,10 +189,12 @@ def verify_scheme(
     exactness against the operator-power moment oracle for n <=
     QUADRATURE_N_CAP.  Results are sorted by case key.
 
-    Each order builds C(1), ..., C(n) once.  A and B are C(n) and C(1)
-    relabelled, as ``matrix_A``/``matrix_B`` define them, so their rows
-    repeat the C(n) and C(1) metrics under their own keys, and the
-    ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows read 0.0 by
+    Each order builds C(1), ..., C(n) once, and its trace rows read their
+    ``trace_err``: each associated block is decomposed once, uncached, and
+    each leading block is read from the ``block_spectral`` cache.  A and B
+    are C(n) and C(1) relabelled, as ``matrix_A``/``matrix_B`` define them,
+    so their rows repeat the C(n) and C(1) metrics under their own keys, and
+    the ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows read 0.0 by
     construction; they are kept so that the record set keeps its keys.
     A convex margin that float64 cannot hold raises ValueError, as
     ``convex_report`` does.
@@ -225,12 +226,11 @@ def verify_scheme(
             0.0,
             strict=True,
         )
-        traces = trace_identities(scheme, n)
+        traces = []
         for k in range(1, n + 1):
             res_c = matrix_C(scheme, n, k)
             _all_checks(out, res_c, tol)
-            for name, residual in (("A", traces[-1]), ("B", traces[0]), ("C", traces[k - 1])):
-                out.add(f"n={n} k={k} trace-{name}", residual, tol.majorization * b_scale)
+            traces.append(res_c.trace_err)
             # only the two end certificates are held past their k
             if k == 1:
                 res_b = replace(res_c, theorem="B")
@@ -242,6 +242,9 @@ def verify_scheme(
                 _all_checks(out, res_a, tol)
                 diff = float(np.max(np.abs(res_c.entries - res_a.entries)))
                 out.add(f"n={n} reduction-Cn-vs-A", diff, REDUCTION_TOL)
+        for k in range(1, n + 1):
+            for name, residual in (("A", traces[-1]), ("B", traces[0]), ("C", traces[k - 1])):
+                out.add(f"n={n} k={k} trace-{name}", residual, tol.majorization * b_scale)
         if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
             points = spectral_spot_points(scheme, n, count=20, seed=seed)
             _identity_checks(out, scheme, n, points, res_a, res_b)

@@ -6,8 +6,10 @@ loop, Christoffel numbers from local reciprocal sums, stochastic-matrix
 entries from row-normalized quotients, measure moments from closed forms or
 high-precision quadrature of the classical weight functions.  The
 reference helpers at the end (row/column deletion of a Jacobi matrix, the
-squared eigenvector components, a recomputing doubly-stochastic check) are
-plain restatements of definitions that only the tests read.
+squared eigenvector components, a recomputing doubly-stochastic check, and
+the certificate entries and trace residuals restated from the block
+decompositions) are plain restatements of definitions that only the tests
+read.
 """
 from __future__ import annotations
 
@@ -18,7 +20,16 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from opmaj import JacobiMatrix, StochasticMatrixResult, associated_spectral, scheme_spectral
+from opmaj import (
+    JacobiMatrix,
+    StochasticMatrixResult,
+    associated_spectral,
+    block_decompose,
+    block_spectral,
+    jacobi_matrix,
+    scheme_spectral,
+    shifted,
+)
 
 
 def poly_values(scheme, n, x):
@@ -227,3 +238,33 @@ def check_doubly_stochastic(matrix, tol: float) -> StochasticCheck:
     min_entry = float(m.min())
     ok = min_entry >= -tol and row_err <= tol and col_err <= tol
     return StochasticCheck(ok, row_err, col_err, min_entry)
+
+
+def _deletion_blocks(scheme, n, k):
+    """(block eigenbasis, the rows of J_n it spans) of C(k), leading block first."""
+    blocks = []
+    if k >= 2:
+        blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1)))
+    if k <= n - 1:
+        assoc = block_decompose(jacobi_matrix(shifted(scheme, k), n - k))
+        blocks.append((assoc, slice(k, n)))
+    return blocks
+
+
+def overlap_entries(scheme, n, k) -> np.ndarray:
+    """Entries of C(k): each block's squared overlaps with the matching rows
+    of the J_n eigenvectors, stacked, then the squared row k of those."""
+    sd_n = scheme_spectral(scheme, n)
+    if n == 1:
+        return np.ones((1, 1))
+    blocks = _deletion_blocks(scheme, n, k)
+    overlaps = [(sd.components.T @ sd_n.components[rows]) ** 2 for sd, rows in blocks]
+    return np.concatenate([*overlaps, sd_n.components[k - 1 : k] ** 2])
+
+
+def trace_residual(scheme, n, k) -> float:
+    """|b_{k-1} + (block eigenvalue sums) - sum of the zeros of p_n| for C(k)."""
+    total = float(scheme.coefficients(n - 1)[1][k - 1])
+    for sd, _ in _deletion_blocks(scheme, n, k):
+        total += float(sd.eigenvalues.sum())
+    return abs(total - float(scheme_spectral(scheme, n).eigenvalues.sum()))

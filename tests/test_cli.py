@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -182,6 +183,24 @@ def test_weights_flag_underflowed_christoffel_numbers(capsys):
     assert (under == 0.0).sum() == 1 and ((under > 0.0) & (under < tiny)).sum() == 2
     code, out, _ = run_cli(capsys, "weights", "--family", "laguerre", "--n", "30")
     assert code == 0 and "underflowed" not in json.loads(out)
+
+
+def test_weights_csv_flags_underflowed_christoffel_numbers_on_stderr(capsys):
+    # stdout stays the plain table of nodes and weights; the indices go to
+    # stderr as one JSON line, and a clean order writes nothing there
+    code, out, err = run_cli(
+        capsys, "weights", "--family", "laguerre", "--n", "200", "--format", "csv"
+    )
+    assert code == 0 and err == '{"underflowed": [197, 198, 199]}\n'
+    header, nodes, weights = csv.reader(io.StringIO(out))
+    rule = gauss_rule(classical_scheme("laguerre", 200), 200)
+    assert header == [f"j={j}" for j in range(1, 201)]
+    assert list(map(float, nodes)) == rule.nodes.tolist()
+    assert list(map(float, weights)) == rule.weights.tolist()
+    code, _, err = run_cli(
+        capsys, "weights", "--family", "laguerre", "--n", "30", "--format", "csv"
+    )
+    assert code == 0 and err == ""
 
 
 def test_zeros_csv(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opmaj import (
     ConvergenceError,
     Tolerances,
+    block_spectral,
     certificate_checks,
     check_majorization,
     christoffel_numbers_formula,
@@ -26,7 +27,14 @@ from opmaj import (
     verify_scheme,
 )
 
-from oracles import check_doubly_stochastic, christoffel_by_sum, min_target_gap, quotient_form_C
+from oracles import (
+    check_doubly_stochastic,
+    christoffel_by_sum,
+    min_target_gap,
+    overlap_entries,
+    quotient_form_C,
+    trace_residual,
+)
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -308,6 +316,43 @@ def test_trace_identities_examples():
 
     with pytest.raises(ValueError):
         trace_identities(cheb, 0)
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_certificate_bits_equal_the_block_formulas(family, params):
+    # entries built in one n x n array and trace residuals summed from the
+    # target match, bit for bit, the stacked squared overlaps and the sums
+    # of the block eigenvalues
+    s = classical_scheme(family, 60, **params)
+    for n in (1, 2, 7, 30, 60):
+        for k in range(1, n + 1):
+            assert np.array_equal(matrix_C(s, n, k).entries, overlap_entries(s, n, k)), (n, k)
+        assert trace_identities(s, n) == [trace_residual(s, n, k) for k in range(1, n + 1)], n
+
+
+def test_large_certificate_bits_equal_the_block_formulas():
+    s = classical_scheme("hermite", 400)
+    for k in (1, 2, 200, 399, 400):
+        res = matrix_C(s, 400, k)
+        assert np.array_equal(res.entries, overlap_entries(s, 400, k)), k
+        assert res.trace_err == trace_residual(s, 400, k), k
+
+
+def test_only_the_leading_blocks_are_cached():
+    # J_{k-1} recurs at every higher order; the associated block of C(k)
+    # belongs to one (n, k) and is not kept
+    n = 40
+    s = classical_scheme("jacobi", n, alpha=0.37, beta=1.91)  # built by no other test
+    before = block_spectral.cache_info().currsize
+    for k in range(1, n + 1):
+        matrix_C(s, n, k)
+    assert block_spectral.cache_info().currsize == before + n - 1
+    # J_1..J_{n-1} all hit, so they are the n - 1 new keys: none is shifted
+    hits = block_spectral.cache_info().hits
+    for m in range(1, n):
+        block_spectral(s, m)
+    info = block_spectral.cache_info()
+    assert (info.hits, info.currsize) == (hits + n - 1, before + n - 1)
 
 
 def test_certificate_checks_rows():
