@@ -42,7 +42,6 @@ from .majorization import (
     matrix_A,
     matrix_B,
     matrix_C,
-    trace_identities,
 )
 from .verification import CheckResult, Tolerances, certificate_checks, verify_scheme
 
@@ -83,7 +82,6 @@ __all__ = [
     "matrix_A",
     "matrix_B",
     "matrix_C",
-    "trace_identities",
     "CheckResult",
     "Tolerances",
     "certificate_checks",

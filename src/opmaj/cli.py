@@ -302,8 +302,7 @@ def _add_scheme_args(parser: argparse.ArgumentParser):
     src.add_argument("--beta", type=float, help="second jacobi exponent")
 
 
-def _add_output_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+def _add_out_arg(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="PATH", help="write to file instead of stdout")
 
 
@@ -322,13 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_zeros)
     _add_scheme_args(p)
     p.add_argument("--n", type=int, required=True)
-    _add_output_args(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_out_arg(p)
 
     p = sub.add_parser("weights", help="Gaussian nodes and Christoffel numbers")
     p.set_defaults(handler=_cmd_weights)
     _add_scheme_args(p)
     p.add_argument("--n", type=int, required=True)
-    _add_output_args(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_out_arg(p)
 
     p = sub.add_parser("matrix", help="stochastic matrix certificate for A, B or C")
     p.set_defaults(handler=_cmd_matrix)
@@ -339,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--tol-stochastic", type=float, dest="tol_stochastic")
     p.add_argument("--tol-relation", type=float, dest="tol_relation")
-    _add_output_args(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_out_arg(p)
 
     p = sub.add_parser("quad", help="Gaussian quadrature of a polynomial")
     p.set_defaults(handler=_cmd_quad)
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--coeffs",
         help="comma-separated polynomial coefficients, ascending degree",
     )
-    _add_output_args(p)
+    _add_out_arg(p)
 
     p = sub.add_parser("verify", help="run the certificate sweep; exit 1 on failure")
     p.set_defaults(handler=_cmd_verify)
@@ -360,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-stochastic", type=float, dest="tol_stochastic")
     p.add_argument("--tol-relation", type=float, dest="tol_relation")
     p.add_argument("--seed", type=int, help="spot-check RNG seed (or OPMAJ_SEED)")
-    _add_output_args(p)
+    _add_out_arg(p)
 
     return parser
 

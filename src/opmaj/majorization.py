@@ -56,7 +56,6 @@ __all__ = [
     "matrix_C",
     "check_majorization",
     "convex_report",
-    "trace_identities",
 ]
 
 CONVEX_FUNCTIONS = {
@@ -112,20 +111,19 @@ class ConvexReport:
         return self.rhs - self.lhs
 
 
-def _result(theorem, n, k, entries, source, target) -> StochasticMatrixResult:
+def _result(n, k, entries, source, target) -> StochasticMatrixResult:
     """Residuals of a certificate ``matrix_C`` just built, its arrays frozen in place.
 
     ``entries`` and ``target`` are fresh arrays and ``source`` is the cached
     read-only zeros of p_n, so nothing is copied.
     """
-    target = np.asarray(target, dtype=float)
     row_err = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
     col_err = float(np.max(np.abs(entries.sum(axis=0) - 1.0)))
     rel_err = float(np.max(np.abs(target - entries @ source)))
     # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
     trace = target[-1] + target[: k - 1].sum() + target[k - 1 : n - 1].sum()
     return StochasticMatrixResult(
-        theorem=theorem,
+        theorem="C",
         n=n,
         k=k,
         entries=frozen(entries),
@@ -187,27 +185,24 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    # three n x n arrays live at once: the J_n eigenvectors, the block
-    # eigenvectors and the entries, made once the block solve's workspace is freed
-    refuse_beyond_memory(32 * n**2, f"the order {n} certificate", "its four n x n arrays")
+    # the J_n eigenvectors, the block eigenvectors and the entries live at once;
+    # the block solve's workspace is freed before the entries are made
+    refuse_beyond_memory(32 * n**2, f"the order {n} certificate", "its n x n working arrays")
     sd_n = scheme_spectral(scheme, n)
-    x = sd_n.eigenvalues
-    if n == 1:
-        return _result("C", 1, 1, np.ones((1, 1)), x, [scheme.b(0)])
-    # (block eigenbasis, the rows of J_n it spans, its rows of the entries)
+    # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
     blocks = []
     if k >= 2:
         blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1), slice(0, k - 1)))
     if k <= n - 1:
         assoc = block_decompose(jacobi_matrix(shifted(scheme, k), n - k))
         blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))
-    z = np.concatenate([sd.eigenvalues for sd, _, _ in blocks])
+    target = np.concatenate([*(sd.eigenvalues for sd, _, _ in blocks), [scheme.b(k - 1)]])
     entries = np.empty((n, n))
     for sd, rows, out in blocks:
         np.matmul(sd.components.T, sd_n.components[rows], out=entries[out])
     entries[n - 1] = sd_n.components[k - 1]
     np.square(entries, out=entries)
-    return _result("C", n, k, entries, x, np.append(z, scheme.b(k - 1)))
+    return _result(n, k, entries, sd_n.eigenvalues, target)
 
 
 def check_majorization(x, y, tol: float = 1e-10) -> MajorizationCertificate:
@@ -251,17 +246,3 @@ def convex_report(result: StochasticMatrixResult, f: str = "square") -> ConvexRe
         )
     return ConvexReport(lhs, rhs)
 
-
-def trace_identities(scheme: RecurrenceScheme, n: int) -> list[float]:
-    """Absolute residuals |sum(target) - sum(source zeros)| of C(1), ..., C(n).
-
-    Entry k-1 belongs to C(k), so B is the first and A the last.  Every one
-    vanishes exactly: each target completes a partial trace of J_n with the
-    complementary recurrence coefficient.  Each is the ``trace_err`` of the
-    certificate ``matrix_C`` builds, so the associated blocks, which no
-    cache holds, are decomposed once per certificate.  An order n < 1
-    raises ValueError.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return [matrix_C(scheme, n, k).trace_err for k in range(1, n + 1)]

@@ -196,8 +196,8 @@ def verify_scheme(
     so their rows repeat the C(n) and C(1) metrics under their own keys, and
     the ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows read 0.0 by
     construction; they are kept so that the record set keeps its keys.
-    A convex margin that float64 cannot hold raises ValueError, as
-    ``convex_report`` does.
+    An unservable n_max or a negative seed raises ValueError before any eigensolve,
+    and a convex margin that float64 cannot hold raises it as ``convex_report`` does.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -206,6 +206,8 @@ def verify_scheme(
             f"n_max {n_max} exceeds the scheme's usable order "
             f"{scheme.max_index + 1}"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     out = _Collector()
     b_scale = 1.0 + sum(map(abs, scheme.coefficients(n_max - 1)[1].tolist()))
     moment_cap = min(QUADRATURE_N_CAP, n_max)

@@ -21,7 +21,6 @@ from opmaj import (
     scheme_spectral,
     shifted,
     spectral_spot_points,
-    trace_identities,
 )
 
 from oracles import check_doubly_stochastic, min_target_gap, quotient_form_C
@@ -117,7 +116,8 @@ def test_criterion_4_trace_identities(schemes):
     for tag, s in schemes.items():
         for n in range(2, N_MAX + 1):
             scale = 1.0 + sum(abs(s.b(i)) for i in range(n))
-            for k, value in enumerate(trace_identities(s, n), start=1):
+            for k in range(1, n + 1):
+                value = matrix_C(s, n, k).trace_err
                 if value > 1e-10 * scale:
                     failures.append((tag, n, k, value))
     _assert_clean(4, "trace identities", failures)

@@ -272,6 +272,9 @@ def test_verify_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("OPMAJ_SEED", "not-a-number")
     code, _, err = run_cli(capsys, "verify", "--family", "chebyshev-u", "--n-max", "5")
     assert code == 2
+    monkeypatch.setenv("OPMAJ_SEED", "-5")
+    code, out, err = run_cli(capsys, "verify", "--family", "chebyshev-u", "--n-max", "5")
+    assert (code, out, err) == (2, "", "opmaj: error: seed must be nonnegative, got -5\n")
     # only verify takes a seed: other commands ignore the variable
     code, out, _ = run_cli(capsys, "zeros", "--family", "legendre", "--n", "2")
     assert code == 0
@@ -339,12 +342,43 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
         ["zeros", "--family", "legendre", "--n", "0"],
         ["verify", "--family", "legendre", "--n-max", "1"],
         ["verify", "--family", "legendre", "--n-max", "5", "--tol-relation", "0"],
+        ["verify", "--family", "legendre", "--n-max", "5", "--seed", "-5"],
         ["matrix", "--custom", str(shallow), "--n", "9", "--theorem", "A"],
         ["verify", "--custom", str(shallow), "--n-max", "9"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("opmaj: error: "), argv
+
+
+def test_format_only_where_csv_can_be_written(capsys, tmp_path):
+    # quad and verify write JSON only: argparse refuses --format, --out stays
+    for argv in (
+        ["quad", "--family", "legendre", "--n", "2", "--degree", "1"],
+        ["verify", "--family", "legendre", "--n-max", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert "unrecognized arguments: --format csv" in err, argv
+        target = tmp_path / f"{argv[0]}.json"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", ""), argv
+        assert json.loads(target.read_text())["family"] == "legendre", argv
+
+
+def test_matrix_order_one(capsys):
+    # n = 1 has no deletion block: every theorem gives entries [[1.0]] and target [b_0]
+    b0 = classical_scheme("laguerre", 1, alpha=2.0).b(0)
+    for thm in (["A"], ["B"], ["C", "--k", "1"]):
+        code, out, _ = run_cli(
+            capsys, "matrix", "--family", "laguerre", "--alpha", "2", "--n", "1",
+            "--theorem", *thm,
+        )
+        assert code == 0, thm
+        doc = json.loads(out)
+        assert doc["matrix"] == [[1.0]] and doc["target"] == [b0], thm
+        assert (doc["theorem"], doc["n"], doc["k"]) == (thm[0], 1, 1)
 
 
 def test_literal_route_overflow_exit_code(capsys, tmp_path):
@@ -418,7 +452,8 @@ def test_usage_error_exit_code():
 
 def test_oversized_certificate_refused_before_allocating(capsys, monkeypatch):
     # a pretend 1.07 GB host: the order-10000 eigenvectors (0.8 GB) would
-    # fit, the certificate's four n x n arrays (3.2 GB) do not
+    # fit, the certificate's 32 n^2 bytes (3.2 GB: three n x n arrays and
+    # the block solve's workspace) do not
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 262144}
     monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
 

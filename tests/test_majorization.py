@@ -22,7 +22,6 @@ from opmaj import (
     matrix_C,
     scheme_spectral,
     spectra,
-    trace_identities,
     verification,
     verify_scheme,
 )
@@ -297,25 +296,30 @@ def test_majorization_and_convexity_sweep(family, params):
                 assert convex_report(res, "exp").margin >= -1e-10
 
 
+def trace_errs(s, n):
+    """The trace residuals of C(1), ..., C(n): B first, A last."""
+    return [matrix_C(s, n, k).trace_err for k in range(1, n + 1)]
+
+
 def test_trace_identities_examples():
     # one residual per deletion index: C(1) = B first, C(n) = A last
     cheb = classical_scheme("chebyshev-u", 6)
-    res = trace_identities(cheb, 5)
+    res = trace_errs(cheb, 5)
     assert len(res) == 5
     assert all(v <= 1e-14 for v in res)
 
     lag = classical_scheme("laguerre", 4, alpha=0.0)
     assert scheme_spectral(lag, 3).eigenvalues.sum() == pytest.approx(9.0, rel=1e-14)
-    res = trace_identities(lag, 3)
+    res = trace_errs(lag, 3)
     assert len(res) == 3
     assert all(v <= 1e-10 * (1 + 9.0) for v in res)
 
-    one = trace_identities(classical_scheme("hermite", 2), 1)
+    one = trace_errs(classical_scheme("hermite", 2), 1)
     assert len(one) == 1
     assert all(v <= 1e-15 for v in one)
 
     with pytest.raises(ValueError):
-        trace_identities(cheb, 0)
+        matrix_C(cheb, 0, 1)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -327,7 +331,7 @@ def test_certificate_bits_equal_the_block_formulas(family, params):
     for n in (1, 2, 7, 30, 60):
         for k in range(1, n + 1):
             assert np.array_equal(matrix_C(s, n, k).entries, overlap_entries(s, n, k)), (n, k)
-        assert trace_identities(s, n) == [trace_residual(s, n, k) for k in range(1, n + 1)], n
+        assert trace_errs(s, n) == [trace_residual(s, n, k) for k in range(1, n + 1)], n
 
 
 def test_large_certificate_bits_equal_the_block_formulas():
@@ -396,6 +400,18 @@ def test_verify_builds_each_certificate_once(monkeypatch):
         monkeypatch.setattr(module, "matrix_C", counting_matrix_C)
     verify_scheme(classical_scheme("legendre", 8), 7)
     assert sorted(built) == [(n, k) for n in range(2, 8) for k in range(1, n + 1)]
+
+
+def test_verify_refuses_a_negative_seed_before_any_eigensolve(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    spectra.scheme_spectral.cache_clear()
+    spectra.block_spectral.cache_clear()
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
+        verify_scheme(classical_scheme("legendre", 8), 7, seed=-5)
 
 
 def test_certificate_arrays_are_read_only():

@@ -1,0 +1,67 @@
+"""Smoke tests of ``scripts/``: each runs as documented, in a subprocess
+with ``PYTHONPATH=src``, so that a library rename cannot break one unseen."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from opmaj import classical_scheme, verify_scheme
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, f"scripts/{name}", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_headroom_prints_the_rows_verify_judged():
+    proc = run_script("headroom.py", "--n-max", "4")
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split() == ["n", "check", "worst", "metric", "limit", "verdict"]
+    results = verify_scheme(classical_scheme("legendre", 6), 4)
+    recorded = {(r.case, r.metric, r.limit, r.passed) for r in results}
+    orders = set()
+    for line in lines:
+        n, family, metric, limit, verdict = line.split()
+        orders.add(int(n))
+        # the printed numbers are a recorded row of that order and family
+        assert any(
+            case.startswith(f"n={n} ") and family in case.split()
+            and (m, lim, ok) == (float(metric), float(limit), verdict == "pass")
+            for case, m, lim, ok in recorded
+        ), line
+    assert orders == {2, 3, 4}
+    assert sum(" row-sums " in line for line in lines) == 3
+
+
+def test_entry_accuracy_runs_one_case():
+    proc = run_script("entry_accuracy.py", "--case", "legendre", "6", "1,3")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:3] for row in rows[:2]] == [["legendre", "6", "1"], ["legendre", "6", "3"]]
+    assert rows[2][0] == "all" and all(float(v) < 1e-12 for v in rows[2][1:])
+
+
+def test_golden_outputs_diff(tmp_path):
+    records = [
+        {"argv": ["zeros", "--help"], "code": 0, "stdout": "usage", "stderr": ""},
+        {"case": ["legendre", "n=2 row-sums"], "metric": 0.0, "limit": 1e-10, "passed": True},
+    ]
+    changed = [records[0], {**records[1], "metric": 1.0}]
+    old, same, new = (tmp_path / name for name in ("old.jsonl", "same.jsonl", "new.jsonl"))
+    for path, rows in ((old, records), (same, records), (new, changed)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    proc = run_script("golden_outputs.py", "--diff", str(old), str(same))
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert "0 of 2 records differ" in proc.stderr
+    proc = run_script("golden_outputs.py", "--diff", str(old), str(new))
+    assert proc.returncode == 1
+    assert proc.stdout == '["legendre", "n=2 row-sums"]  metric\n'
+    assert "1 of 2 records differ" in proc.stderr
