@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -78,13 +77,17 @@ def _build_scheme(args: argparse.Namespace, depth: int) -> tuple[RecurrenceSchem
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    """``--tol`` for every check it covers, then the per-check overrides.
+    """``--tol`` for every check it covers, unless a per-check flag overrides it.
 
-    ``Tolerances`` refuses a limit that is not positive with ValueError.
+    A limit no flag gives keeps its ``Tolerances`` default.  ``Tolerances``
+    refuses a limit that is not positive with ValueError.
     """
-    tol = Tolerances(stochastic=args.tol, majorization=args.tol)
-    overrides = {"stochastic": args.tol_stochastic, "relation": args.tol_relation}
-    return replace(tol, **{name: v for name, v in overrides.items() if v is not None})
+    limits = {
+        "stochastic": args.tol if args.tol_stochastic is None else args.tol_stochastic,
+        "relation": args.tol_relation,
+        "majorization": args.tol,
+    }
+    return Tolerances(**{name: v for name, v in limits.items() if v is not None})
 
 
 def _emit(text: str, out: str | None):
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theorem", choices=["A", "B", "C"], required=True)
     p.add_argument("--k", type=int, help="deleted row/column (theorem C only)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float)
     p.add_argument("--tol-stochastic", type=float, dest="tol_stochastic")
     p.add_argument("--tol-relation", type=float, dest="tol_relation")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
     _add_scheme_args(p)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float)
     p.add_argument("--tol-stochastic", type=float, dest="tol_stochastic")
     p.add_argument("--tol-relation", type=float, dest="tol_relation")
     p.add_argument("--seed", type=int, help="spot-check RNG seed (or OPMAJ_SEED)")

@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .recurrence import RecurrenceScheme, shifted
-from .spectra import SpectralData, jacobi_matrix, readonly, scheme_spectral
+from .recurrence import RecurrenceScheme
+from .spectra import jacobi_matrix, readonly, scheme_spectral
 
 __all__ = [
     "PolynomialValueSet",
@@ -24,7 +24,6 @@ __all__ = [
     "christoffel_numbers_formula",
     "gauss_rule",
     "gauss_quadrature",
-    "associated_spectral",
     "jacobi_power_moment",
     "spectral_spot_points",
     "DEFAULT_SEED",
@@ -130,23 +129,23 @@ def gauss_rule(scheme: RecurrenceScheme, n: int) -> QuadratureRule:
 
 
 def gauss_quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float:
-    """Quadrature sum of f; exact for polynomials of degree <= 2n - 1 at n nodes."""
-    fx = np.array([f(float(x)) for x in rule.nodes], dtype=float)
-    return float(np.dot(rule.weights, fx))
+    """Quadrature sum of f; exact for polynomials of degree <= 2n - 1 at n nodes.
 
-
-def associated_spectral(scheme: RecurrenceScheme, k: int, m: int) -> SpectralData:
-    """Spectral data of the k-shifted scheme's order-m Jacobi matrix.
-
-    Eigenvalues are the zeros of the degree-m associated polynomial of
-    order k; the squared first eigenvector row (``christoffel``, derived on
-    access, not stored) holds the Christoffel numbers of the shifted
-    (associated) measure.  This is ``scheme_spectral(shifted(scheme,
-    k), m)``, cached there; k = 0 is the plain decomposition.
+    A sum that float64 cannot hold (f overflows, by OverflowError or to a
+    non-finite value, at some node) raises ValueError, with no numpy warning.
     """
-    if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
-    return scheme_spectral(shifted(scheme, k), m)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+            fx = np.array([f(float(x)) for x in rule.nodes], dtype=float)
+            value = float(np.dot(rule.weights, fx))
+    except OverflowError:
+        value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(
+            "the quadrature sum is not finite in float64: the integrand overflows "
+            f"over nodes up to |x| = {float(np.abs(rule.nodes).max())!r}"
+        )
+    return value
 
 
 def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:

@@ -123,11 +123,6 @@ class SpectralData:
         """Gaussian quadrature weights at the zeros (first-component squares)."""
         return frozen(self.components[0] ** 2)
 
-    @property
-    def diameter(self) -> float:
-        """Spread x_max - x_min of the spectrum."""
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 def jacobi_matrix(scheme: RecurrenceScheme, n: int) -> JacobiMatrix:
     """Truncated Jacobi matrix J_n of the scheme (needs depth >= n - 1)."""

@@ -19,7 +19,6 @@ from .majorization import (
 )
 from .orthopoly import (
     DEFAULT_SEED,
-    associated_spectral,
     christoffel_numbers_formula,
     eval_all,
     gauss_rule,
@@ -221,7 +220,7 @@ def verify_scheme(
             0.0,
             strict=True,
         )
-        assoc = associated_spectral(scheme, 1, n - 1).eigenvalues
+        assoc = scheme_spectral(shifted(scheme, 1), n - 1).eigenvalues
         out.add(
             f"n={n} interlacing-associated",
             -_min_interlace_margin(assoc, x),

@@ -23,7 +23,6 @@ import numpy as np
 from opmaj import (
     JacobiMatrix,
     StochasticMatrixResult,
-    associated_spectral,
     block_decompose,
     block_spectral,
     jacobi_matrix,
@@ -49,6 +48,12 @@ def christoffel_by_sum(scheme, n, nodes):
     return np.array(
         [1.0 / float(np.dot(v, v)) for v in (poly_values(scheme, n - 1, x) for x in nodes)]
     )
+
+
+def associated_spectral(scheme, k, m):
+    """Spectral data of the k-shifted scheme's order-m Jacobi matrix (the
+    zeros of the associated polynomial), read from the library's cache."""
+    return scheme_spectral(shifted(scheme, k), m)
 
 
 def min_target_gap(scheme, n, k) -> float:

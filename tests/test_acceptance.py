@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from opmaj import (
-    associated_spectral,
     check_majorization,
     christoffel_numbers_formula,
     classical_scheme,
@@ -23,7 +22,12 @@ from opmaj import (
     spectral_spot_points,
 )
 
-from oracles import check_doubly_stochastic, min_target_gap, quotient_form_C
+from oracles import (
+    associated_spectral,
+    check_doubly_stochastic,
+    min_target_gap,
+    quotient_form_C,
+)
 
 FAMILY_GRID = [
     ("chebyshev-u", {}),
@@ -72,7 +76,8 @@ def test_criterion_1_stochasticity_sweep(schemes):
     failures = []
     for tag, s in schemes.items():
         for n in range(2, N_MAX + 1):
-            diameter = scheme_spectral(s, n).diameter
+            x = scheme_spectral(s, n).eigenvalues
+            diameter = x[-1] - x[0]
             for res in _all_matrices(s, n):
                 check = check_doubly_stochastic(res, 1e-10)
                 if not check.ok:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,23 @@ def test_zeros_csv(capsys):
     assert [float(v) for v in lines[1].split(",")] == pytest.approx([-0.5, 0.5])
 
 
+def test_package_exports_each_modules_public_names():
+    import opmaj
+    from opmaj import majorization, orthopoly, recurrence, spectra, verification
+
+    modules = (recurrence, spectra, orthopoly, majorization, verification)
+    names = [name for module in modules for name in module.__all__]
+    assert opmaj.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(opmaj, name)
+            assert obj is vars(module)[name], name
+            if isinstance(obj, type) or callable(obj):
+                assert obj.__module__ == module.__name__, name  # defined there
+    assert not set(cli.__all__) & set(vars(opmaj))
+
+
 def test_quad_command(capsys):
     code, out, _ = run_cli(
         capsys, "quad", "--family", "chebyshev-u", "--n", "2", "--degree", "2"
@@ -233,6 +251,21 @@ def test_quad_command(capsys):
         "--coeffs", "1",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [
+        ("--family", "laguerre", "--n", "10", "--degree", "400"),  # float ** overflows
+        ("--family", "hermite", "--n", "4", "--coeffs", "1,1e308,1e308"),  # numpy add overflows
+    ],
+)
+def test_quad_overflow_refused_by_name(capsys, integrand):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "quad", *integrand)
+    assert (code, out) == (2, "")
+    assert err.startswith("opmaj: error: the quadrature sum is not finite in float64")
 
 
 def test_verify_legendre_passes(capsys):
@@ -308,6 +341,13 @@ def test_tolerance_validation(capsys):
         capsys, "verify", "--family", "legendre", "--n-max", "5", "--tol", "-1"
     )
     assert code == 2
+    # --tol sets the majorization limit, which is the one at fault here
+    code, _, err = run_cli(
+        capsys, "matrix", "--family", "legendre", "--n", "3", "--theorem", "A",
+        "--tol", "-1", "--tol-stochastic", "1e-3",
+    )
+    assert code == 2
+    assert "majorization" in err
 
 
 def test_matrix_failure_report_names_the_failing_checks(capsys):

@@ -21,6 +21,7 @@ from opmaj import (
     matrix_B,
     matrix_C,
     scheme_spectral,
+    shifted,
     spectra,
     verification,
     verify_scheme,
@@ -125,7 +126,8 @@ def test_reduction_identities(family, params):
 def test_stochasticity_and_relation(family, params):
     s = classical_scheme(family, 26, **params)
     for n in range(2, 26):
-        diam = scheme_spectral(s, n).diameter
+        xs = scheme_spectral(s, n).eigenvalues
+        diam = xs[-1] - xs[0]
         for res in (matrix_A(s, n), matrix_B(s, n), matrix_C(s, n, (n + 1) // 2)):
             assert check_doubly_stochastic(res, 1e-10).ok
             assert res.relation_err <= 1e-9 * diam
@@ -203,9 +205,7 @@ def test_sum_identities_at_source_zeros():
             for k in range(2, n):
                 t = scheme_spectral(s, k - 1).eigenvalues
                 lam_top = christoffel_numbers_formula(s, k - 1)
-                from opmaj import associated_spectral, shifted
-
-                y = associated_spectral(s, k, n - k).eigenvalues
+                y = scheme_spectral(shifted(s, k), n - k).eigenvalues
                 lam_assoc = christoffel_numbers_formula(shifted(s, k), n - k)
                 pk_t = np.array([eval_all(s, k, ti).values[k] for ti in t])
                 for j, xj in enumerate(xs):
@@ -433,7 +433,8 @@ def test_random_scheme_certificates(a, b, k_pick):
     s = from_sequences(a, b)
     n = s.max_index + 1
     k = 1 + (k_pick % n)
-    diam = max(scheme_spectral(s, n).diameter, 1.0)
+    xs = scheme_spectral(s, n).eigenvalues
+    diam = max(xs[-1] - xs[0], 1.0)
     for res in (matrix_A(s, n), matrix_B(s, n), matrix_C(s, n, k)):
         assert check_doubly_stochastic(res, 1e-10).ok
         assert res.relation_err <= 1e-9 * diam
@@ -464,7 +465,8 @@ def test_wide_random_scheme_certificates_every_k(coefficients):
     a, b = coefficients
     s = from_sequences(a, b)
     n = len(b)
-    diam = max(scheme_spectral(s, n).diameter, 1.0)
+    xs = scheme_spectral(s, n).eigenvalues
+    diam = max(xs[-1] - xs[0], 1.0)
     for k in range(1, n + 1):
         res = matrix_C(s, n, k)
         assert check_doubly_stochastic(res, 1e-10).ok, k

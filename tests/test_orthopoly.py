@@ -6,7 +6,6 @@ import pytest
 from opmaj import (
     DepthError,
     PolynomialOverflowError,
-    associated_spectral,
     christoffel_numbers_formula,
     classical_scheme,
     eval_all,
@@ -136,6 +135,13 @@ def test_quadrature_examples():
     assert gauss_quadrature(lg2, lambda x: x**3) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_quadrature_overflow_raises_value_error():
+    rule = gauss_rule(classical_scheme("laguerre", 10, alpha=0.0), 10)
+    for f in (lambda x: x**400, lambda x: np.float64(x) * 1e308):  # OverflowError, inf
+        with pytest.raises(ValueError, match="quadrature sum is not finite"):
+            gauss_quadrature(rule, f)
+
+
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_rule_weights_sum_to_one(family, params):
     s = classical_scheme(family, 30, **params)
@@ -217,24 +223,18 @@ def test_associated_factorization(family, params):
 
 def test_associated_spectral_examples():
     s = classical_scheme("chebyshev-u", 5)
-    sd = associated_spectral(s, 1, 2)
+    sd = scheme_spectral(shifted(s, 1), 2)
     assert sd.eigenvalues == pytest.approx([-0.5, 0.5], abs=1e-15)
     assert sd.christoffel == pytest.approx([0.5, 0.5], abs=1e-15)
     lg = classical_scheme("laguerre", 3, alpha=0.0)
-    assert associated_spectral(lg, 1, 1).eigenvalues == pytest.approx([3.0])
-
-
-def test_associated_spectral_zero_shift_identity():
-    s = classical_scheme("legendre", 8)
-    assert associated_spectral(s, 0, 5) is scheme_spectral(s, 5)
-    assert associated_spectral(s, 3, 4) is scheme_spectral(shifted(s, 3), 4)
+    assert scheme_spectral(shifted(lg, 1), 1).eigenvalues == pytest.approx([3.0])
 
 
 def test_associated_spectral_depth():
     s = classical_scheme("legendre", 5)
-    associated_spectral(s, 2, 4)
+    scheme_spectral(shifted(s, 2), 4)
     with pytest.raises(DepthError):
-        associated_spectral(s, 2, 5)
+        scheme_spectral(shifted(s, 2), 5)
 
 
 def test_spot_points_deterministic_and_inside():

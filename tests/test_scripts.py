@@ -2,6 +2,7 @@
 with ``PYTHONPATH=src``, so that a library rename cannot break one unseen."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,15 @@ def test_entry_accuracy_runs_one_case():
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [row[:3] for row in rows[:2]] == [["legendre", "6", "1"], ["legendre", "6", "3"]]
     assert rows[2][0] == "all" and all(float(v) < 1e-12 for v in rows[2][1:])
+
+
+def test_golden_outputs_prints_four_digests():
+    # only the shape: the digest values depend on the LAPACK build
+    proc = run_script("golden_outputs.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["cli", "verify", "stderr", "coeffs"]
+    assert all(re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows)
 
 
 def test_golden_outputs_diff(tmp_path):

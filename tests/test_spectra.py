@@ -17,6 +17,7 @@ from opmaj import (
     from_sequences,
     jacobi_matrix,
     scheme_spectral,
+    shifted,
     spectra,
 )
 
@@ -110,8 +111,6 @@ def test_delete_row_col_spectrum_matches_dense_deletion(family, params, k):
 
 def test_delete_row_col_blocks_match_scheme_views():
     # the trailing block is the Jacobi matrix of the k-shifted scheme
-    from opmaj import associated_spectral
-
     s = classical_scheme("jacobi", 9, alpha=2.0, beta=0.5)
     J = jacobi_matrix(s, 8)
     for k in (2, 3, 7):
@@ -120,7 +119,7 @@ def test_delete_row_col_blocks_match_scheme_views():
             scheme_spectral(s, k - 1).eigenvalues, abs=1e-13
         )
         assert eigen_decompose(bottom).eigenvalues == pytest.approx(
-            associated_spectral(s, k, 8 - k).eigenvalues, abs=1e-13
+            scheme_spectral(shifted(s, k), 8 - k).eigenvalues, abs=1e-13
         )
 
 
@@ -333,7 +332,7 @@ def test_eigenpair_residual_via_polynomial_vector(family, params):
     for n in (2, 7, 20):
         J = jacobi_matrix(s, n)
         sd = scheme_spectral(s, n)
-        diameter = sd.diameter
+        diameter = sd.eigenvalues[-1] - sd.eigenvalues[0]
         dense = J.dense()
         for j, x in enumerate(sd.eigenvalues):
             signs = np.sign(eval_all(s, n - 1, x).values)
