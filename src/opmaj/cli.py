@@ -3,9 +3,10 @@
 Exit codes: 0 on success with all checks passing, 1 when a requested check
 fails (a JSON report of the failing checks is emitted), 2 on usage or
 input errors, including a polynomial recurrence that overflows, a Jacobi
-matrix whose zeros float64 cannot separate, and a result that holds a
-non-finite number: every JSON emission is standard JSON, and nothing is
-written for such a result.
+matrix whose zeros float64 cannot separate, an ``--out`` file that cannot be
+written, and a result that holds a non-finite number: every JSON emission
+is standard JSON, and nothing is written for such a result.  141 (128 +
+SIGPIPE, as a shell reports it) when stdout is closed before all is written.
 """
 from __future__ import annotations
 
@@ -91,13 +92,14 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    if out is None:  # flushed here, so that a closed pipe raises inside main
+        print(text, end="" if text.endswith("\n") else "\n", flush=True)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 _encode_scalar = json.JSONEncoder(allow_nan=False).encode
@@ -309,6 +311,11 @@ def _add_out_arg(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="PATH", help="write to file instead of stdout")
 
 
+def _add_tol_args(parser: argparse.ArgumentParser):
+    for flag in ("--tol", "--tol-stochastic", "--tol-relation"):
+        parser.add_argument(flag, type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opmaj",
@@ -340,9 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theorem", choices=["A", "B", "C"], required=True)
     p.add_argument("--k", type=int, help="deleted row/column (theorem C only)")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--tol-stochastic", type=float, dest="tol_stochastic")
-    p.add_argument("--tol-relation", type=float, dest="tol_relation")
+    _add_tol_args(p)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_out_arg(p)
 
@@ -361,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
     _add_scheme_args(p)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--tol-stochastic", type=float, dest="tol_stochastic")
-    p.add_argument("--tol-relation", type=float, dest="tol_relation")
+    _add_tol_args(p)
     p.add_argument("--seed", type=int, help="spot-check RNG seed (or OPMAJ_SEED)")
     _add_out_arg(p)
 
@@ -394,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, PolynomialOverflowError, ConvergenceError) as exc:  # unservable input
         sys.stderr.write(f"opmaj: error: {exc}\n")
         return 2
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 141
 
 
 if __name__ == "__main__":

@@ -41,9 +41,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .recurrence import RecurrenceScheme, shifted
+from .recurrence import RecurrenceScheme
 from .spectra import (
-    block_decompose, block_spectral, frozen, jacobi_matrix, refuse_beyond_memory, scheme_spectral
+    JacobiMatrix, block_decompose, block_spectral, frozen, refuse_beyond_memory, scheme_spectral
 )
 
 __all__ = [
@@ -173,8 +173,9 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     enter only through inner products, so an entry's absolute error stays of
     order n eps, while the relative error of exponentially small entries is
     not resolved.  J_{k-1}, shared by every order above k - 1, is read from
-    the cache ``block_spectral``; the order n-k block of ``shifted(scheme, k)``
-    belongs to this (n, k) alone and comes uncached from ``block_decompose``.
+    the cache ``block_spectral``; the associated block, rows k+1..n of J_n
+    sliced from its one coefficient table, belongs to this (n, k) alone and
+    comes uncached from ``block_decompose``.
     J_n comes from ``scheme_spectral`` (QR): its row k is the last row, which
     keeps the relative accuracy of tiny Christoffel numbers.
 
@@ -189,14 +190,15 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     # the block solve's workspace is freed before the entries are made
     refuse_beyond_memory(32 * n**2, f"the order {n} certificate", "its n x n working arrays")
     sd_n = scheme_spectral(scheme, n)
+    offdiag, diag = scheme.coefficients(n - 1)
     # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
     blocks = []
     if k >= 2:
         blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1), slice(0, k - 1)))
     if k <= n - 1:
-        assoc = block_decompose(jacobi_matrix(shifted(scheme, k), n - k))
+        assoc = block_decompose(JacobiMatrix(diag[k:], offdiag[k:]))
         blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))
-    target = np.concatenate([*(sd.eigenvalues for sd, _, _ in blocks), [scheme.b(k - 1)]])
+    target = np.concatenate([*(sd.eigenvalues for sd, _, _ in blocks), [diag[k - 1]]])
     entries = np.empty((n, n))
     for sd, rows, out in blocks:
         np.matmul(sd.components.T, sd_n.components[rows], out=entries[out])

@@ -13,9 +13,7 @@ normalization only fixes p_0 and the total quadrature mass.
 ``scheme.coefficients(m)`` returns the table (a_1..a_m, b_0..b_m), evaluated
 on demand from one vectorized closed form per family, so a scheme is a cheap
 immutable value object even for large depths.  Jacobi matrices, polynomial
-recurrences and the shifted (associated) schemes all read that one table;
-``scheme.a(n)`` and ``scheme.b(n)`` evaluate the same closed form at their
-one index.
+recurrences and the shifted (associated) schemes all read that one table.
 """
 from __future__ import annotations
 
@@ -53,11 +51,10 @@ class DepthError(ValueError):
 class RecurrenceScheme:
     """Supplier of recurrence coefficients (a_n, b_n) up to ``max_index``.
 
-    ``coefficients(m)`` is the table up to index m; ``a(n)`` for
-    1 <= n <= max_index and ``b(n)`` for 0 <= n <= max_index are its
-    entries, bit for bit, each evaluated alone.  A nonzero ``shift`` indexes
-    into the tail of the base coefficient sequences; such schemes generate
-    the associated polynomials of the base measure.
+    ``coefficients(m)`` is the table up to index m.  A nonzero ``shift``
+    indexes into the tail of the base coefficient sequences; such schemes
+    generate the associated polynomials of the base measure, and their
+    table is the tail of the base table, bit for bit.
 
     Instances are immutable and hashable, safe to share across threads and
     to use as cache keys.
@@ -72,7 +69,10 @@ class RecurrenceScheme:
 
     def coefficients(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index."""
-        self._check_depth(m)
+        if not 0 <= m <= self.max_index:
+            raise DepthError(
+                f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
+            )
         lo = self.shift
         if self.kind is Family.CUSTOM:
             return np.array(self.a_seq[lo : lo + m]), np.array(self.b_seq[lo : lo + m + 1])
@@ -86,42 +86,10 @@ class RecurrenceScheme:
             b = np.concatenate(([b0], b))
         return a, b
 
-    def a(self, n: int) -> float:
-        """Off-diagonal coefficient a_n (strictly positive), evaluated alone.
-
-        Bit-equal to entry n - 1 of ``coefficients(m)[0]`` for every m >= n.
-        """
-        if n < 1:
-            raise DepthError(f"a_{n} unavailable: scheme depth is {self.max_index}")
-        self._check_depth(n)
-        j = self.shift + n
-        if self.kind is Family.CUSTOM:
-            return self.a_seq[j - 1]
-        a1 = self._lead()[0] if j == 1 else None
-        return float(self._a_form(float(j))) if a1 is None else a1
-
-    def b(self, n: int) -> float:
-        """Diagonal coefficient b_n, evaluated alone.
-
-        Bit-equal to entry n of ``coefficients(m)[1]`` for every m >= n.
-        """
-        self._check_depth(n)
-        i = self.shift + n
-        if self.kind is Family.CUSTOM:
-            return self.b_seq[i]
-        b0 = self._lead()[1] if i == 0 else None
-        return float(self._b_form(float(i))) if b0 is None else b0
-
-    def _check_depth(self, m: int) -> None:
-        if not 0 <= m <= self.max_index:
-            raise DepthError(
-                f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
-            )
-
-    # The closed forms below take base (unshifted) indices, as a float or a
-    # float array, and apply elementwise: a single index and a whole table
-    # go through the same correctly rounded operations, so they agree bit
-    # for bit.
+    # The closed forms below take base (unshifted) indices as a float array
+    # and apply elementwise, each entry through the same correctly rounded
+    # operations wherever the table starts: the table of shifted(s, k) is
+    # the slice [k:] of a longer table of s, bit for bit.
 
     def _lead(self) -> tuple[float | None, float | None]:
         """(a_1, b_0) of the base sequence where the general form does not give them."""

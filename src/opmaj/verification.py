@@ -189,8 +189,9 @@ def verify_scheme(
     QUADRATURE_N_CAP.  Results are sorted by case key.
 
     Each order builds C(1), ..., C(n) once, and its trace rows read their
-    ``trace_err``: each associated block is decomposed once, uncached, and
-    each leading block is read from the ``block_spectral`` cache.  A and B
+    ``trace_err``: each associated block, rows k+1..n of J_n sliced from one
+    coefficient table, is decomposed once, uncached, and each leading block
+    is read from the ``block_spectral`` cache.  A and B
     are C(n) and C(1) relabelled, as ``matrix_A``/``matrix_B`` define them,
     so their rows repeat the C(n) and C(1) metrics under their own keys, and
     the ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows read 0.0 by

@@ -33,11 +33,13 @@ from opmaj import (
 
 def poly_values(scheme, n, x):
     """p_0(x)..p_n(x) by a recurrence loop local to the tests."""
+    a, b = scheme.coefficients(n)
+    a = [0.0, *a.tolist()]  # a[m] = a_m, with a_0 = 0 for p_{-1} = 0
+    b = b.tolist()
     vals = [1.0]
     p_prev, p = 0.0, 1.0
     for m in range(n):
-        a_m = scheme.a(m) if m >= 1 else 0.0
-        p_next = ((x - scheme.b(m)) * p - a_m * p_prev) / scheme.a(m + 1)
+        p_next = ((x - b[m]) * p - a[m] * p_prev) / a[m + 1]
         vals.append(p_next)
         p_prev, p = p, p_next
     return np.array(vals)

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -326,6 +328,40 @@ def test_out_file(capsys, tmp_path):
     assert len(doc["zeros"]) == 3
 
 
+def test_unwritable_out_refused_by_name(capsys, tmp_path):
+    # a missing directory and a directory itself: exit 2 with the path named,
+    # never a traceback, for every command that takes --out
+    commands = [
+        ["zeros", "--family", "legendre", "--n", "3"],
+        ["weights", "--family", "legendre", "--n", "3"],
+        ["matrix", "--family", "legendre", "--n", "3", "--theorem", "A"],
+        ["quad", "--family", "legendre", "--n", "3", "--degree", "2"],
+        ["verify", "--family", "legendre", "--n-max", "2"],
+    ]
+    for argv in commands:
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert (code, stdout) == (2, ""), (argv, out)
+            assert err.startswith(f"opmaj: error: cannot write {out}: "), (argv, err)
+
+
+def test_closed_stdout_pipe_exits_141():
+    # 40,000 floats are far more than a pipe buffer holds, so the write
+    # meets the closed pipe; the exit is the shell's 128 + SIGPIPE, quietly
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "opmaj.cli", "matrix", "--family", "hermite", "--n", "200",
+         "--theorem", "B"],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_shape_parameter_validation(capsys):
     for argv in (
         ["--family", "laguerre", "--alpha", "nan"],
@@ -409,7 +445,7 @@ def test_format_only_where_csv_can_be_written(capsys, tmp_path):
 
 def test_matrix_order_one(capsys):
     # n = 1 has no deletion block: every theorem gives entries [[1.0]] and target [b_0]
-    b0 = classical_scheme("laguerre", 1, alpha=2.0).b(0)
+    b0 = classical_scheme("laguerre", 1, alpha=2.0).coefficients(0)[1][0]
     for thm in (["A"], ["B"], ["C", "--k", "1"]):
         code, out, _ = run_cli(
             capsys, "matrix", "--family", "laguerre", "--alpha", "2", "--n", "1",

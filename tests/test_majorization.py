@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opmaj import (
     ConvergenceError,
     Tolerances,
+    block_decompose,
     block_spectral,
     certificate_checks,
     check_majorization,
@@ -16,6 +17,7 @@ from opmaj import (
     convex_report,
     eval_all,
     from_sequences,
+    jacobi_matrix,
     majorization,
     matrix_A,
     matrix_B,
@@ -30,6 +32,7 @@ from opmaj import (
 from oracles import (
     check_doubly_stochastic,
     christoffel_by_sum,
+    delete_row_col,
     min_target_gap,
     overlap_entries,
     quotient_form_C,
@@ -198,6 +201,7 @@ def test_sum_identities_at_source_zeros():
     complementary partial sum (via the reciprocal Christoffel number)."""
     for family, params in FAMILIES:
         s = classical_scheme(family, 12, **params)
+        a = [0.0, *s.coefficients(12)[0].tolist()]  # a[i] = a_i
         for n in range(3, 11):
             xs = scheme_spectral(s, n).eigenvalues
             lam = christoffel_numbers_formula(s, n)
@@ -217,10 +221,10 @@ def test_sum_identities_at_source_zeros():
                     vals = eval_all(s, n, xj).values
                     if vals[k - 1] ** 2 < 1e-8 * float(np.dot(vals, vals)):
                         continue
-                    lhs1 = s.a(k) ** 2 * float(np.sum(lam_top * pk_t**2 / (t - xj) ** 2))
+                    lhs1 = a[k] ** 2 * float(np.sum(lam_top * pk_t**2 / (t - xj) ** 2))
                     rhs1 = float(np.dot(vals[: k - 1], vals[: k - 1])) / vals[k - 1] ** 2
                     assert lhs1 == pytest.approx(rhs1, rel=1e-8, abs=1e-12)
-                    lhs2 = s.a(k) ** 2 * float(np.sum(lam_assoc / (xj - y) ** 2))
+                    lhs2 = a[k] ** 2 * float(np.sum(lam_assoc / (xj - y) ** 2))
                     rhs2 = (1.0 / lam[j] - float(np.dot(vals[:k], vals[:k]))) / vals[k - 1] ** 2
                     assert lhs2 == pytest.approx(rhs2, rel=1e-8, abs=1e-12)
 
@@ -286,8 +290,9 @@ def test_majorization_and_convexity_sweep(family, params):
     order, where the top-of-spectrum gaps stay above rounding."""
     bounded = family in ("chebyshev-u", "chebyshev-t", "legendre", "jacobi")
     s = classical_scheme(family, 21, **params)
+    b = s.coefficients(20)[1].tolist()
     for n in range(2, 21):
-        b_scale = 1.0 + sum(abs(s.b(i)) for i in range(n))
+        b_scale = 1.0 + sum(map(abs, b[:n]))
         for res in (matrix_A(s, n), matrix_B(s, n), matrix_C(s, n, max(n // 2, 1))):
             assert check_majorization(res.target, res.source, tol=1e-10).holds
             assert convex_report(res, "square").margin >= -1e-10
@@ -340,6 +345,34 @@ def test_large_certificate_bits_equal_the_block_formulas():
         res = matrix_C(s, 400, k)
         assert np.array_equal(res.entries, overlap_entries(s, 400, k)), k
         assert res.trace_err == trace_residual(s, 400, k), k
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    FAMILIES
+    + [
+        ("jacobi", {"alpha": 0.5, "beta": -0.5}),  # b_0 is 0/0 in the general form
+        ("jacobi", {"alpha": -0.5, "beta": -0.5}),  # a_1 is 0/0 in the general form
+    ],
+)
+def test_deletion_blocks_sliced_from_the_table_of_J_n(family, params):
+    # rows k+1..n of J_n are the order-k associated Jacobi matrix, bit for
+    # bit, so the target of C(k) is the block zeros of that matrix and of
+    # J_{k-1}, then b_{k-1} as any table reads it
+    s = classical_scheme(family, 40, **params)
+    for n in (*range(1, 9), 30, 40):
+        J = jacobi_matrix(s, n)
+        for k in range(1, n + 1):
+            parts = [block_spectral(s, k - 1).eigenvalues] if k >= 2 else []
+            if k < n:
+                assoc = jacobi_matrix(shifted(s, k), n - k)
+                bottom = delete_row_col(J, k)[1]
+                assert bottom.diag.tobytes() == assoc.diag.tobytes(), (n, k)
+                assert bottom.offdiag.tobytes() == assoc.offdiag.tobytes(), (n, k)
+                parts.append(block_decompose(assoc).eigenvalues)
+            parts.append(s.coefficients(k - 1)[1][-1:])
+            target = matrix_C(s, n, k).target
+            assert target.tobytes() == np.concatenate(parts).tobytes(), (n, k)
 
 
 def test_only_the_leading_blocks_are_cached():

@@ -40,7 +40,7 @@ def test_eval_chebyshev_closed_form():
     ds = eval_all(s, 3, 0.0, derivatives=True)
     assert ds.derivative_values[3] == pytest.approx(-4.0, abs=1e-15)  # 24x^2 - 4 at 0
     assert ds.derivative_values[0] == 0.0
-    assert ds.derivative_values[1] == pytest.approx(1.0 / s.a(1))
+    assert ds.derivative_values[1] == pytest.approx(1.0 / s.coefficients(1)[0][0])
 
 
 def test_eval_normalization_any_scheme():
@@ -99,12 +99,13 @@ def test_christoffel_route_agreement(family, params):
 def test_christoffel_derivative_product(family, params):
     # lambda_{k,n} * a_n * p_n'(x_k) * p_{n-1}(x_k) = 1
     s = classical_scheme(family, 20, **params)
+    a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 21):
         nodes = scheme_spectral(s, n).eigenvalues
         lam = christoffel_numbers_formula(s, n)
         for j, x in enumerate(nodes):
             vs = eval_all(s, n, x, derivatives=True)
-            prod = lam[j] * s.a(n) * vs.derivative_values[n] * vs.values[n - 1]
+            prod = lam[j] * a[n] * vs.derivative_values[n] * vs.values[n - 1]
             assert prod == pytest.approx(1.0, rel=1e-8)
 
 
@@ -178,12 +179,13 @@ def test_quadrature_exactness_against_moment_oracle(family, params):
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_christoffel_darboux_confluent(family, params):
     s = classical_scheme(family, 20, **params)
+    a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
         for x in spectral_spot_points(s, max(n, 2), count=20):
             vs = eval_all(s, n + 1, x, derivatives=True)
             p, dp = vs.values, vs.derivative_values
             lhs = float(np.dot(p[: n + 1], p[: n + 1]))
-            rhs = s.a(n + 1) * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
+            rhs = a[n + 1] * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -193,14 +195,15 @@ def test_wronskian_of_neighbor_and_associated(family, params):
     polynomials, checked against the scale of the two products."""
     s = classical_scheme(family, 20, **params)
     sh = shifted(s, 1)
+    a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
         for x in spectral_spot_points(s, max(n, 2), count=20):
             p = eval_all(s, n + 1, x).values
             q = eval_all(sh, n, x).values
-            t1 = s.a(n + 1) * p[n] * q[n]
-            t2 = s.a(n + 1) * p[n + 1] * q[n - 1]
-            scale = abs(t1) + abs(t2) + s.a(1)
-            assert abs(t1 - t2 - s.a(1)) <= 1e-9 * scale
+            t1 = a[n + 1] * p[n] * q[n]
+            t2 = a[n + 1] * p[n + 1] * q[n - 1]
+            scale = abs(t1) + abs(t2) + a[1]
+            assert abs(t1 - t2 - a[1]) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -209,15 +212,16 @@ def test_associated_factorization(family, params):
     2 <= k <= n-1, checked against the scale of the products."""
     s = classical_scheme(family, 20, **params)
     sh = shifted(s, 1)
+    a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(3, 16):
         for x in spectral_spot_points(s, n, count=20):
             p = eval_all(s, n, x).values
             q = eval_all(sh, n - 1, x).values
             for k in range(2, n):
                 r = eval_all(shifted(s, k), n - k, x).values
-                lhs = s.a(1) * r[n - k]
-                u1 = s.a(k) * p[k - 1] * q[n - 1]
-                u2 = s.a(k) * p[n] * q[k - 2]
+                lhs = a[1] * r[n - k]
+                u1 = a[k] * p[k - 1] * q[n - 1]
+                u2 = a[k] * p[n] * q[k - 2]
                 assert abs(u1 - u2 - lhs) <= 1e-9 * (abs(u1) + abs(u2) + abs(lhs))
 
 

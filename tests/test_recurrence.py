@@ -21,43 +21,42 @@ FAMILIES = [
 
 
 def test_chebyshev_u_coefficients():
-    s = classical_scheme("chebyshev-u", 5)
-    assert [s.a(n) for n in range(1, 6)] == [0.5] * 5
-    assert [s.b(n) for n in range(5)] == [0.0] * 5
+    a, b = classical_scheme("chebyshev-u", 5).coefficients(5)
+    assert a.tolist() == [0.5] * 5
+    assert b.tolist() == [0.0] * 6
 
 
 def test_legendre_coefficients():
-    s = classical_scheme("legendre", 2)
-    assert s.a(1) == pytest.approx(0.5773502691896258, rel=1e-14)
-    assert s.a(2) == pytest.approx(2.0 / math.sqrt(15.0), rel=1e-14)
-    assert s.b(0) == 0.0 and s.b(1) == 0.0
+    a, b = classical_scheme("legendre", 2).coefficients(2)
+    assert a[0] == pytest.approx(0.5773502691896258, rel=1e-14)
+    assert a[1] == pytest.approx(2.0 / math.sqrt(15.0), rel=1e-14)
+    assert b[0] == 0.0 and b[1] == 0.0
 
 
 def test_hermite_first_coefficient():
     # second moment of the normalized Gaussian weight is 1/2
-    s = classical_scheme("hermite", 1)
-    assert s.a(1) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert s.b(0) == 0.0
+    a, b = classical_scheme("hermite", 1).coefficients(1)
+    assert a[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert b[0] == 0.0
 
 
 def test_laguerre_coefficients():
-    s = classical_scheme("laguerre", 4, alpha=0.0)
-    assert [s.b(n) for n in range(4)] == [1.0, 3.0, 5.0, 7.0]
-    assert [s.a(n) for n in range(1, 4)] == pytest.approx([1.0, 2.0, 3.0])
+    a, b = classical_scheme("laguerre", 4, alpha=0.0).coefficients(3)
+    assert b.tolist() == [1.0, 3.0, 5.0, 7.0]
+    assert a.tolist() == pytest.approx([1.0, 2.0, 3.0])
 
 
 def test_chebyshev_t_first_coefficient_differs():
-    s = classical_scheme("chebyshev-t", 3)
-    assert s.a(1) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert s.a(2) == 0.5 and s.a(3) == 0.5
+    a, _ = classical_scheme("chebyshev-t", 3).coefficients(3)
+    assert a[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert a[1] == 0.5 and a[2] == 0.5
 
 
 def test_jacobi_specializations_match_named_families():
-    legendre = classical_scheme("legendre", 10)
-    as_jacobi = classical_scheme("jacobi", 10, alpha=0.0, beta=0.0)
-    for n in range(1, 11):
-        assert as_jacobi.a(n) == pytest.approx(legendre.a(n), rel=1e-14)
-        assert as_jacobi.b(n) == pytest.approx(0.0, abs=1e-16)
+    legendre_a, _ = classical_scheme("legendre", 10).coefficients(10)
+    a, b = classical_scheme("jacobi", 10, alpha=0.0, beta=0.0).coefficients(10)
+    assert a.tolist() == pytest.approx(legendre_a.tolist(), rel=1e-14)
+    assert b[1:].tolist() == pytest.approx([0.0] * 10, abs=1e-16)
 
 
 def test_parameter_validation():
@@ -78,38 +77,15 @@ def test_parameter_validation():
             classical_scheme("jacobi", 5, alpha=0.0, beta=bad)
 
 
-@pytest.mark.parametrize(
-    "family,params",
-    FAMILIES
-    + [
-        ("jacobi", {"alpha": 0.5, "beta": -0.5}),  # b_0 is 0/0 in the general form
-        ("jacobi", {"alpha": -0.5, "beta": -0.5}),  # a_1 is 0/0 in the general form
-    ],
-)
-def test_single_coefficients_bit_equal_to_table(family, params):
-    # a(i) and b(i) evaluate one index, with the bits of the table's entry
-    base = classical_scheme(family, 305, **params)
-    for k in (0, 1, 5):
-        s = shifted(base, k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            a, b = s.coefficients(300)
-            single_a = [s.a(i) for i in range(1, 301)]
-            single_b = [s.b(i) for i in range(301)]
-        assert all(type(v) is float for v in single_a + single_b)
-        assert np.array(single_a).tobytes() == a.tobytes(), k
-        assert np.array(single_b).tobytes() == b.tobytes(), k
-
-
 def test_depth_errors():
     s = classical_scheme("legendre", 3)
     with pytest.raises(DepthError):
-        s.a(4)
+        s.coefficients(4)
     with pytest.raises(DepthError):
-        s.a(0)
+        s.coefficients(-1)
     with pytest.raises(DepthError):
-        s.b(4)
-    assert s.b(0) == 0.0
+        shifted(s, 1).coefficients(3)
+    assert s.coefficients(0)[1].tolist() == [0.0]
 
 
 def test_from_sequences_chebyshev_equivalent():
@@ -117,7 +93,7 @@ def test_from_sequences_chebyshev_equivalent():
     assert s.kind is Family.CUSTOM
     assert s.max_index == 2
     u = classical_scheme("chebyshev-u", 2)
-    assert all(s.a(n) == u.a(n) for n in (1, 2))
+    assert s.coefficients(2)[0].tobytes() == u.coefficients(2)[0].tobytes()
 
 
 def test_from_sequences_rejects_nonpositive():
@@ -152,7 +128,8 @@ def test_shifted_constant_sequences_invariant():
     s = classical_scheme("chebyshev-u", 10)
     t = shifted(s, 1)
     assert t.max_index == 9
-    assert all(t.a(n) == 0.5 and t.b(n - 1) == 0.0 for n in range(1, 10))
+    a, b = t.coefficients(9)
+    assert a.tolist() == [0.5] * 9 and b.tolist() == [0.0] * 10
 
 
 def test_shifted_zero_is_identity():
@@ -161,9 +138,9 @@ def test_shifted_zero_is_identity():
 
 
 def test_shifted_laguerre():
-    s = shifted(classical_scheme("laguerre", 5, alpha=0.0), 1)
-    assert s.b(0) == 3.0
-    assert s.a(1) == pytest.approx(2.0)
+    a, b = shifted(classical_scheme("laguerre", 5, alpha=0.0), 1).coefficients(1)
+    assert b[0] == 3.0
+    assert a[0] == pytest.approx(2.0)
 
 
 def test_shifted_beyond_depth():
@@ -187,11 +164,9 @@ def test_shifted_composes(a, j, k):
     lhs = shifted(shifted(s, j), k)
     rhs = shifted(s, j + k)
     assert lhs.max_index == rhs.max_index
-    for n in range(1, lhs.max_index + 1):
-        assert lhs.a(n) == rhs.a(n)
-    for n in range(lhs.max_index + 1):
-        assert lhs.b(n) == rhs.b(n)
     table_a, table_b = lhs.coefficients(lhs.max_index)
+    other_a, other_b = rhs.coefficients(rhs.max_index)
+    assert table_a.tobytes() == other_a.tobytes() and table_b.tobytes() == other_b.tobytes()
     assert table_a.tolist() == a[j + k :]
     assert table_b.tolist() == b[j + k :]
 
@@ -201,25 +176,31 @@ def test_shifted_composes(a, j, k):
     FAMILIES + [("jacobi", {"alpha": 0.5, "beta": -0.5}), ("jacobi", {"alpha": -0.5, "beta": -0.5})],
 )
 def test_coefficients_table_shifts_and_depth(family, params):
-    # alpha + beta = 0 or -1 makes the general Jacobi form 0/0 at b_0 or a_1
-    s = classical_scheme(family, 40, **params)
+    # alpha + beta = 0 or -1 makes the general Jacobi form 0/0 at b_0 or a_1.
+    # The table of shifted(s, k) is the slice [k:] of any longer table of s,
+    # bit for bit: matrix_C slices the associated block out of J_n's table.
+    s = classical_scheme(family, 305, **params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        longest_a, longest_b = s.coefficients(s.max_index)
         for k in (0, 1, 5):
             t = shifted(s, k)
-            for m in (0, 1, 7, t.max_index):
+            for m in (0, 1, 7, 30, 300, t.max_index):
                 a, b = t.coefficients(m)
-                full_a, full_b = s.coefficients(k + m)
-                assert np.array_equal(a, full_a[k:]) and np.array_equal(b, full_b[k:])
                 assert a.shape == (m,) and b.shape == (m + 1,)
+                full_a, full_b = s.coefficients(k + m)
+                assert a.tobytes() == full_a[k:].tobytes(), (k, m)
+                assert b.tobytes() == full_b[k:].tobytes(), (k, m)
+                assert a.tobytes() == longest_a[k : k + m].tobytes(), (k, m)
+                assert b.tobytes() == longest_b[k : k + m + 1].tobytes(), (k, m)
             with pytest.raises(DepthError):
                 t.coefficients(t.max_index + 1)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_offdiagonals_positive(family, params):
-    s = classical_scheme(family, 20, **params)
-    assert all(s.a(n) > 0.0 for n in range(1, 21))
+    a, _ = classical_scheme(family, 20, **params).coefficients(20)
+    assert (a > 0.0).all()
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -228,8 +209,9 @@ def test_coefficients_reproduce_defining_integrals(family, params):
     x p_n p_{n-1} and x p_n^2 against the classical weight, and the
     polynomials must come out unit-normalized, for 1 <= n <= 20."""
     s = classical_scheme(family, 22, **params)
+    a, b = s.coefficients(20)
     for n in range(1, 21):
         a_int, b_int, norm = mp_coefficient_integrals(s, family, tuple(params.values()), n)
-        assert a_int == pytest.approx(s.a(n), rel=1e-10)
-        assert b_int == pytest.approx(s.b(n), rel=1e-10, abs=1e-10)
+        assert a_int == pytest.approx(a[n - 1], rel=1e-10)
+        assert b_int == pytest.approx(b[n], rel=1e-10, abs=1e-10)
         assert norm == pytest.approx(1.0, rel=1e-10)
