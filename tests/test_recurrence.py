@@ -77,6 +77,29 @@ def test_parameter_validation():
             classical_scheme("jacobi", 5, alpha=0.0, beta=bad)
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    FAMILIES
+    + [
+        ("jacobi", {"alpha": 0.5, "beta": -0.5}),  # b_0 is 0/0 in the general form
+        ("jacobi", {"alpha": -0.5, "beta": -0.5}),  # a_1 is 0/0 in the general form
+    ],
+)
+def test_single_coefficients_bit_equal_to_table(family, params):
+    # one coefficient read alone, as the shortest table of a shifted scheme,
+    # has the bits of the table's entry
+    base = classical_scheme(family, 305, **params)
+    for k in (0, 1, 5):
+        s = shifted(base, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = s.coefficients(300)
+            single_a = [shifted(s, i - 1).coefficients(1)[0][0] for i in range(1, 301)]
+            single_b = [shifted(s, i).coefficients(0)[1][0] for i in range(301)]
+        assert np.array(single_a).tobytes() == a.tobytes(), k
+        assert np.array(single_b).tobytes() == b.tobytes(), k
+
+
 def test_depth_errors():
     s = classical_scheme("legendre", 3)
     with pytest.raises(DepthError):
