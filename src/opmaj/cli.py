@@ -3,9 +3,11 @@
 Exit codes: 0 on success with all checks passing, 1 when a requested check
 fails (a JSON report of the failing checks is emitted), 2 on usage or
 input errors, including a polynomial recurrence that overflows, a Jacobi
-matrix whose zeros float64 cannot separate, an ``--out`` file that cannot be
-written, and a result that holds a non-finite number: every JSON emission
-is standard JSON, and nothing is written for such a result.  141 (128 +
+matrix whose zeros float64 cannot separate, classical parameters or a
+certificate order that float64 cannot hold (refused by the library before
+any eigensolve), an ``--out`` file that cannot be written, and a JSON
+result that holds a non-finite number: every JSON emission is standard
+JSON, and nothing is written for such a result.  141 (128 +
 SIGPIPE, as a shell reports it) when stdout is closed before all is written.
 """
 from __future__ import annotations
@@ -186,12 +188,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         result = matrix_B(scheme, args.n)
     else:
         result = matrix_C(scheme, args.n, args.k)
-    errors = [result.row_sum_err, result.col_sum_err, result.relation_err]
-    if not all(np.isfinite(v).all() for v in (result.entries, result.target, errors)):
-        raise ValueError(
-            f"the theorem {result.theorem} certificate has non-finite entries "
-            "or residuals; nothing was written"
-        )
+    failures = _failures(certificate_checks(result, tol))  # measured before anything is written
     cert = check_majorization(result.target, result.source, tol.majorization)
     if args.format == "csv":
         _emit(_csv(result.entries), args.out)
@@ -214,7 +211,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             ],
         }
         _emit(_json(payload), args.out)
-    failures = _failures(certificate_checks(result, tol))
     if failures:
         sys.stderr.write(_json({"failures": failures}) + "\n")
         return 1

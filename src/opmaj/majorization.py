@@ -37,6 +37,7 @@ stochastic; entries may then be exactly zero rather than strictly positive.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,7 +181,9 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     keeps the relative accuracy of tiny Christoffel numbers.
 
     An order whose 32 n^2 bytes of working arrays exceed physical memory is
-    refused with ValueError before any eigensolve.
+    refused with ValueError before any eigensolve, as is an order whose
+    zeros could sum past float64: n (max |b_i| + 2 max a_i), a bound on the
+    sum of n zeros of magnitude at most the Gershgorin radius, is not finite.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -189,8 +192,14 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     # the J_n eigenvectors, the block eigenvectors and the entries live at once;
     # the block solve's workspace is freed before the entries are made
     refuse_beyond_memory(32 * n**2, f"the order {n} certificate", "its n x n working arrays")
-    sd_n = scheme_spectral(scheme, n)
     offdiag, diag = scheme.coefficients(n - 1)
+    radius = float(np.abs(diag).max()) + 2.0 * float(offdiag.max(initial=0.0))
+    if not math.isfinite(n * radius):  # Python floats: an overflow is inf, not a warning
+        raise ValueError(
+            f"the order {n} certificate sums zeros past float64: "
+            f"n (max |b_i| + 2 max a_i) = {n * radius!r}"
+        )
+    sd_n = scheme_spectral(scheme, n)
     # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
     blocks = []
     if k >= 2:

@@ -141,7 +141,9 @@ def classical_scheme(
     """Closed-form scheme for one of the classical families.
 
     ``alpha`` is the Jacobi or Laguerre exponent (Laguerre defaults to 0),
-    ``beta`` the second Jacobi exponent; both must be finite and exceed -1.
+    ``beta`` the second Jacobi exponent; both must be finite and exceed -1,
+    and parameters whose table up to ``max_index`` overflows float64 (an
+    entry not finite, or an a_i not positive) are refused by name.
     """
     family = Family(family)
     if family is Family.CUSTOM:
@@ -169,7 +171,16 @@ def classical_scheme(
         params = (alpha,)
     elif alpha is not None or beta is not None:
         raise ValueError(f"{family.value} takes no shape parameters")
-    return RecurrenceScheme(kind=family, max_index=int(max_index), params=params)
+    scheme = RecurrenceScheme(kind=family, max_index=int(max_index), params=params)
+    with np.errstate(all="ignore"):  # reported below, not warned
+        a, b = scheme.coefficients(scheme.max_index)
+    if not (np.all(a > 0.0) and np.isfinite(a).all() and np.isfinite(b).all()):
+        named = ", ".join(f"{k}={v!r}" for k, v in zip(("alpha", "beta"), params))
+        raise ValueError(
+            f"{family.value} with {named}: the recurrence coefficients up to "
+            f"index {scheme.max_index} overflow float64"
+        )
+    return scheme
 
 
 def _float(v) -> float:

@@ -178,9 +178,10 @@ def _decompose(J: JacobiMatrix, solver, name: str, bytes_per_sq: int, purpose: s
         eigvals, vecs, info = solver(J.diag, J.offdiag)
     if info:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {name} info = {info}")
-    gaps = np.diff(eigvals)
-    if gaps.size and not np.all(gaps > 0.0):
-        j = int(np.argmin(gaps))
+    # compared, not subtracted: a gap wider than float64 is still an increase
+    increasing = eigvals[1:] > eigvals[:-1]
+    if not increasing.all():
+        j = int(np.argmin(increasing))  # the first pair that is not
         raise ConvergenceError(
             f"eigenvalues {j + 1} and {j + 2} are not strictly increasing"
         )

@@ -7,7 +7,7 @@ scheme, and the CLI turns either outcome into exit codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,14 +61,10 @@ class CheckResult:
     passed: bool
 
 
-@dataclass
-class _Collector:
-    results: list[CheckResult] = field(default_factory=list)
-
-    def add(self, case: str, metric: float, limit: float, strict: bool = False):
-        metric = float(metric)
-        passed = metric < limit if strict else metric <= limit
-        self.results.append(CheckResult(case, metric, float(limit), bool(passed)))
+def _row(case: str, metric: float, limit: float, strict: bool = False) -> CheckResult:
+    metric = float(metric)
+    passed = metric < limit if strict else metric <= limit
+    return CheckResult(case, metric, float(limit), bool(passed))
 
 
 def _rel_err(lhs: float, rhs: float) -> float:
@@ -81,10 +77,6 @@ def _min_interlace_margin(inner: np.ndarray, outer: np.ndarray) -> float:
     return float(min((inner - outer[:-1]).min(), (outer[1:] - inner).min()))
 
 
-def _tag(result) -> str:
-    return f"n={result.n} {result.theorem}" + (f" k={result.k}" if result.theorem == "C" else "")
-
-
 def certificate_checks(result, tol: Tolerances = Tolerances()) -> list[CheckResult]:
     """The checks a certificate of theorem A, B or C(k) must pass, keyed by its tag.
 
@@ -94,30 +86,24 @@ def certificate_checks(result, tol: Tolerances = Tolerances()) -> list[CheckResu
     The row-sum, column-sum and relation residuals are read from the result,
     which computed them when it was built.
     """
-    out = _Collector()
-    tag = _tag(result)
-    out.add(f"{tag} row-sums", result.row_sum_err, tol.stochastic)
-    out.add(f"{tag} col-sums", result.col_sum_err, tol.stochastic)
-    out.add(f"{tag} nonnegative", -result.entries.min(), tol.stochastic)
+    tag = f"n={result.n} {result.theorem}" + (f" k={result.k}" if result.theorem == "C" else "")
     diameter = float(result.source[-1] - result.source[0])
-    out.add(f"{tag} relation", result.relation_err, tol.relation * max(diameter, 1.0))
     cert = check_majorization(result.target, result.source, tol.majorization)
-    out.add(f"{tag} majorization-margin", -cert.min_margin, tol.majorization)
-    out.add(f"{tag} majorization-total", cert.total_residual, tol.majorization)
-    return out.results
+    return [
+        _row(f"{tag} row-sums", result.row_sum_err, tol.stochastic),
+        _row(f"{tag} col-sums", result.col_sum_err, tol.stochastic),
+        _row(f"{tag} nonnegative", -result.entries.min(), tol.stochastic),
+        _row(f"{tag} relation", result.relation_err, tol.relation * max(diameter, 1.0)),
+        _row(f"{tag} majorization-margin", -cert.min_margin, tol.majorization),
+        _row(f"{tag} majorization-total", cert.total_residual, tol.majorization),
+    ]
 
 
-def _all_checks(out: _Collector, result, tol: Tolerances):
-    """``certificate_checks`` plus one convex-function margin row per f."""
-    out.results += certificate_checks(result, tol)
-    for f in CONVEX_FUNCTIONS:
-        out.add(f"{_tag(result)} convex-{f}", -convex_report(result, f).margin, tol.majorization)
-
-
-def _identity_checks(out: _Collector, scheme, n: int, points, res_a, res_b):
+def _identity_checks(out: list, scheme, n: int, points, res_cn, res_c1):
     """Polynomial-identity spot checks: Wronskian, Christoffel-Darboux,
     the associated-polynomial factorization, and the column-sum identities
-    of the certificates res_a, res_b against independently evaluated sides.
+    of theorems A and B, read from the certificates C(n) and C(1), against
+    independently evaluated sides.
 
     The first two difference identities are checked relative to the size of
     their terms (backward error): inside the spectral interval of measures
@@ -136,11 +122,11 @@ def _identity_checks(out: _Collector, scheme, n: int, points, res_a, res_b):
         t1 = a[n + 1] * p[n] * q[n]
         t2 = a[n + 1] * p[n + 1] * q[n - 1]
         metric = abs(t1 - t2 - a1) / (abs(t1) + abs(t2) + a1)
-        out.add(f"n={n} wronskian x={x:.6g}", metric, IDENTITY_TOL)
+        out.append(_row(f"n={n} wronskian x={x:.6g}", metric, IDENTITY_TOL))
         # sum_{j<=n} p_j^2 = a_{n+1} (p_{n+1}' p_n - p_{n+1} p_n')
         lhs = float(np.dot(p[: n + 1], p[: n + 1]))
         rhs = a[n + 1] * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
-        out.add(f"n={n} christoffel-darboux x={x:.6g}", _rel_err(lhs, rhs), IDENTITY_TOL)
+        out.append(_row(f"n={n} christoffel-darboux x={x:.6g}", _rel_err(lhs, rhs), IDENTITY_TOL))
         # a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}), 2 <= k <= n-1
         for k in range(2, n):
             r = eval_all(shifted(scheme, k), n - k, x).values
@@ -148,29 +134,29 @@ def _identity_checks(out: _Collector, scheme, n: int, points, res_a, res_b):
             u1 = a[k] * p[k - 1] * q[n - 1]
             u2 = a[k] * p[n] * q[k - 2]
             metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
-            out.add(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, IDENTITY_TOL)
+            out.append(_row(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, IDENTITY_TOL))
     # column sums of the deleted-row bands against independently evaluated right sides
     lam = christoffel_numbers_formula(scheme, n)
     x_nodes = scheme_spectral(scheme, n).eigenvalues
     p_nm1_sq = np.array(
         [eval_all(scheme, n - 1, xj).values[n - 1] ** 2 for xj in x_nodes]
     )
-    partial_a = res_a.entries[: n - 1].sum(axis=0)
-    partial_b = res_b.entries[: n - 1].sum(axis=0)
+    partial_a = res_cn.entries[: n - 1].sum(axis=0)
+    partial_b = res_c1.entries[: n - 1].sum(axis=0)
     err_a = max(_rel_err(sa, 1.0 - lj * pj) for sa, lj, pj in zip(partial_a, lam, p_nm1_sq))
     err_b = max(_rel_err(sb, 1.0 - lj) for sb, lj in zip(partial_b, lam))
-    out.add(f"n={n} column-sum-identity A", err_a, IDENTITY_TOL)
-    out.add(f"n={n} column-sum-identity B", err_b, IDENTITY_TOL)
+    out.append(_row(f"n={n} column-sum-identity A", err_a, IDENTITY_TOL))
+    out.append(_row(f"n={n} column-sum-identity B", err_b, IDENTITY_TOL))
 
 
-def _quadrature_checks(out: _Collector, scheme, n: int, moments):
+def _quadrature_checks(out: list, scheme, n: int, moments):
     rule = gauss_rule(scheme, n)
     worst = 0.0
     for m in range(1, 2 * n):
         quad = float(np.dot(rule.weights, rule.nodes**m))
         scale = float(np.dot(rule.weights, np.abs(rule.nodes) ** m))
         worst = max(worst, abs(quad - moments[m]) / max(scale, np.finfo(float).tiny))
-    out.add(f"n={n} quadrature-exactness", worst, QUADRATURE_TOL)
+    out.append(_row(f"n={n} quadrature-exactness", worst, QUADRATURE_TOL))
 
 
 def verify_scheme(
@@ -188,14 +174,11 @@ def verify_scheme(
     exactness against the operator-power moment oracle for n <=
     QUADRATURE_N_CAP.  Results are sorted by case key.
 
-    Each order builds C(1), ..., C(n) once, and its trace rows read their
-    ``trace_err``: each associated block, rows k+1..n of J_n sliced from one
-    coefficient table, is decomposed once, uncached, and each leading block
-    is read from the ``block_spectral`` cache.  A and B
-    are C(n) and C(1) relabelled, as ``matrix_A``/``matrix_B`` define them,
-    so their rows repeat the C(n) and C(1) metrics under their own keys, and
-    the ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows read 0.0 by
-    construction; they are kept so that the record set keeps its keys.
+    Each order builds and measures C(1), ..., C(n) once, and its trace rows
+    read their ``trace_err``.  A and B are C(n) and C(1), as ``matrix_A``/
+    ``matrix_B`` define them, so their rows are the C(n) and C(1) rows under
+    their own keys, and the ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows
+    record 0.0; they are kept so that the record set keeps its keys.
     An unservable n_max or a negative seed raises ValueError before any eigensolve,
     and a convex margin that float64 cannot hold raises it as ``convex_report`` does.
     """
@@ -208,49 +191,44 @@ def verify_scheme(
         )
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    out = _Collector()
+    out: list[CheckResult] = []
     b_scale = 1.0 + sum(map(abs, scheme.coefficients(n_max - 1)[1].tolist()))
     moment_cap = min(QUADRATURE_N_CAP, n_max)
     moments = [jacobi_power_moment(scheme, m) for m in range(2 * moment_cap)]
     for n in range(2, n_max + 1):
         x = scheme_spectral(scheme, n).eigenvalues
         prev = scheme_spectral(scheme, n - 1).eigenvalues
-        out.add(
-            f"n={n} interlacing-consecutive",
-            -_min_interlace_margin(prev, x),
-            0.0,
-            strict=True,
-        )
         assoc = scheme_spectral(shifted(scheme, 1), n - 1).eigenvalues
-        out.add(
-            f"n={n} interlacing-associated",
-            -_min_interlace_margin(assoc, x),
-            0.0,
-            strict=True,
-        )
-        traces = []
+        for name, inner in (("consecutive", prev), ("associated", assoc)):
+            margin = _min_interlace_margin(inner, x)
+            out.append(_row(f"n={n} interlacing-{name}", -margin, 0.0, strict=True))
+        ends = {"B": 1, "A": n}  # theorems B and A are C(1) and C(n)
+        traces, end_results = [], {}
         for k in range(1, n + 1):
             res_c = matrix_C(scheme, n, k)
-            _all_checks(out, res_c, tol)
             traces.append(res_c.trace_err)
-            # only the two end certificates are held past their k
-            if k == 1:
-                res_b = replace(res_c, theorem="B")
-                _all_checks(out, res_b, tol)
-                diff = float(np.max(np.abs(res_c.entries - res_b.entries)))
-                out.add(f"n={n} reduction-C1-vs-B", diff, REDUCTION_TOL)
-            if k == n:
-                res_a = replace(res_c, theorem="A")
-                _all_checks(out, res_a, tol)
-                diff = float(np.max(np.abs(res_c.entries - res_a.entries)))
-                out.add(f"n={n} reduction-Cn-vs-A", diff, REDUCTION_TOL)
+            tag = f"n={n} C k={k}"
+            rows = certificate_checks(res_c, tol) + [
+                _row(f"{tag} convex-{f}", -convex_report(res_c, f).margin, tol.majorization)
+                for f in CONVEX_FUNCTIONS
+            ]
+            out += rows
+            for name, end in ends.items():
+                if k == end:  # the same rows under the end theorem's key
+                    end_results[name] = res_c
+                    out += [replace(r, case=r.case.replace(tag, f"n={n} {name}")) for r in rows]
+        for name, end in ends.items():
+            # one certificate under two keys: its entries differ from themselves by 0.0
+            case = f"n={n} reduction-C{'n' if end == n else 1}-vs-{name}"
+            out.append(_row(case, 0.0, REDUCTION_TOL))
+        trace_limit = tol.majorization * b_scale
         for k in range(1, n + 1):
-            for name, residual in (("A", traces[-1]), ("B", traces[0]), ("C", traces[k - 1])):
-                out.add(f"n={n} k={k} trace-{name}", residual, tol.majorization * b_scale)
+            for name, end in (*ends.items(), ("C", k)):
+                out.append(_row(f"n={n} k={k} trace-{name}", traces[end - 1], trace_limit))
         if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
             points = spectral_spot_points(scheme, n, count=20, seed=seed)
-            _identity_checks(out, scheme, n, points, res_a, res_b)
+            _identity_checks(out, scheme, n, points, end_results["A"], end_results["B"])
         if n <= moment_cap:
             _quadrature_checks(out, scheme, n, moments)
-    out.results.sort(key=lambda r: r.case)
-    return out.results
+    out.sort(key=lambda r: r.case)
+    return out

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,6 +411,8 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
     monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     shallow = tmp_path / "shallow.json"
     shallow.write_text(json.dumps({"a": [0.5] * 4, "b": [0.0] * 5}))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"a": [1e300, 1e300], "b": [1e308, 1e308, 1e308]}))
     for argv in (
         ["matrix", "--family", "legendre", "--n", "5", "--theorem", "A", "--tol", "-1"],
         ["matrix", "--family", "legendre", "--n", "5", "--theorem", "C", "--k", "9"],
@@ -421,10 +422,23 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
         ["verify", "--family", "legendre", "--n-max", "5", "--seed", "-5"],
         ["matrix", "--custom", str(shallow), "--n", "9", "--theorem", "A"],
         ["verify", "--custom", str(shallow), "--n-max", "9"],
+        ["zeros", "--family", "laguerre", "--alpha", "1e308", "--n", "3"],
+        ["zeros", "--family", "jacobi", "--alpha", "1e80", "--beta", "1e80", "--n", "3"],
+        ["matrix", "--custom", str(huge), "--n", "3", "--theorem", "C", "--k", "2"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("opmaj: error: "), argv
+    # the parameters are named, and no warning precedes the refusal
+    _, _, err = run_cli(capsys, "zeros", "--family", "laguerre", "--alpha", "1e308", "--n", "3")
+    assert err == (
+        "opmaj: error: laguerre with alpha=1e+308: the recurrence coefficients "
+        "up to index 3 overflow float64\n"
+    )
+    _, _, err = run_cli(
+        capsys, "zeros", "--family", "jacobi", "--alpha", "1e80", "--beta", "1e80", "--n", "3"
+    )
+    assert err.startswith("opmaj: error: jacobi with alpha=1e+80, beta=1e+80: the recurrence")
 
 
 def test_format_only_where_csv_can_be_written(capsys, tmp_path):
@@ -467,24 +481,25 @@ def test_literal_route_overflow_exit_code(capsys, tmp_path):
     assert err.startswith("opmaj: error: recurrence overflowed")
 
 
-def test_non_finite_certificate_exit_code(capsys, monkeypatch):
-    # a certificate with an infinite entry reaches neither stream, in either format
-    def infinite_b(scheme, n):
-        result = matrix_B(scheme, n)
-        entries = result.entries.copy()
-        entries[0, 0] = math.inf
-        return replace(result, entries=entries)
-
-    monkeypatch.setattr(cli, "matrix_B", infinite_b)
+def test_non_finite_certificate_exit_code(capsys, tmp_path):
+    # three zeros near 1e308 sum past float64, so the certificate's trace,
+    # relation and majorization sums would not be finite: the order is
+    # refused by name before anything is solved or written, in either format
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"a": [1e300, 1e300], "b": [1e308, 1e308, 1e308]}))
     for fmt in ("json", "csv"):
         code, out, err = run_cli(
-            capsys, "matrix", "--family", "legendre", "--n", "4", "--theorem", "B",
+            capsys, "matrix", "--custom", str(path), "--n", "3", "--theorem", "C", "--k", "2",
             "--format", fmt,
         )
-        assert code == 2 and out == ""
-        assert err.startswith("opmaj: error: the theorem B certificate")
-        for stream in (out, err):
-            assert "Infinity" not in stream and "inf" not in stream
+        assert code == 2 and out == "", fmt
+        assert err == (
+            "opmaj: error: the order 3 certificate sums zeros past float64: "
+            "n (max |b_i| + 2 max a_i) = inf\n"
+        ), fmt
+    # order 1 of the same scheme sums one zero, and its matrix is served
+    argv = ("matrix", "--custom", str(path), "--n", "1", "--theorem", "A", "--format", "csv")
+    assert run_cli(capsys, *argv) == (0, "j=1\r\n1.0\r\n", "")
 
 
 def test_unseparable_zeros_exit_code(capsys, tmp_path):

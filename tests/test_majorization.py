@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opmaj import (
+    CONVEX_FUNCTIONS,
     ConvergenceError,
     Tolerances,
     block_decompose,
@@ -414,25 +415,44 @@ def test_certificate_checks_rows():
     assert tight["majorization-margin"].passed
     assert not tight["majorization-total"].passed
 
-    # verify holds each certificate it builds to exactly these rows
+    # verify holds each certificate it builds to exactly these rows, and
+    # its A and B convex rows are those of C(7) and C(1)
     cases = {r.case: r for r in verify_scheme(s, 7)}
     for result in (res, matrix_A(s, 7), matrix_B(s, 7)):
         for row in certificate_checks(result):
             assert cases[row.case] == row
+    for theorem, k in (("A", 7), ("B", 1)):
+        for f in CONVEX_FUNCTIONS:
+            end, c_k = cases[f"n=7 {theorem} convex-{f}"], cases[f"n=7 C k={k} convex-{f}"]
+            assert (end.metric, end.limit, end.passed) == (c_k.metric, c_k.limit, c_k.passed)
 
 
 def test_verify_builds_each_certificate_once(monkeypatch):
-    # A and B are C(n) and C(1) relabelled: each order builds C(1..n) and nothing more
-    built = []
+    # A and B are C(n) and C(1): each order builds and measures C(1..n) and
+    # nothing more, one majorization certificate and one convex report per f each
+    built, majorized, convex = [], [], []
 
     def counting_matrix_C(scheme, n, k):
         built.append((n, k))
         return matrix_C(scheme, n, k)
 
+    def counting_check_majorization(x, y, tol):
+        majorized.append(x.size)
+        return check_majorization(x, y, tol)
+
+    def counting_convex_report(result, f):
+        convex.append((result.n, result.k, f))
+        return convex_report(result, f)
+
     for module in (majorization, verification):
         monkeypatch.setattr(module, "matrix_C", counting_matrix_C)
+    monkeypatch.setattr(verification, "check_majorization", counting_check_majorization)
+    monkeypatch.setattr(verification, "convex_report", counting_convex_report)
     verify_scheme(classical_scheme("legendre", 8), 7)
-    assert sorted(built) == [(n, k) for n in range(2, 8) for k in range(1, n + 1)]
+    certificates = [(n, k) for n in range(2, 8) for k in range(1, n + 1)]
+    assert sorted(built) == certificates and len(certificates) == 27
+    assert len(majorized) == 27
+    assert sorted(convex) == [(n, k, f) for n, k in certificates for f in sorted(CONVEX_FUNCTIONS)]
 
 
 def test_verify_refuses_a_negative_seed_before_any_eigensolve(monkeypatch):

@@ -279,6 +279,17 @@ def test_descending_lapack_spectrum_raises_convergence_error(monkeypatch):
                 solve(3)
 
 
+def test_spectrum_wider_than_float64_is_served():
+    # the two outer zeros lie more than the largest double apart; the
+    # strict-increase check compares them instead of subtracting, so the
+    # spectrum is served with no overflow warning
+    s = from_sequences([1e307, 1e307], [1.7e308, -1.7e308, 1.7e308])
+    for sd in (eigen_decompose(jacobi_matrix(s, 3)), spectra.block_decompose(jacobi_matrix(s, 3))):
+        x = sd.eigenvalues
+        assert np.all(x[1:] > x[:-1]) and np.isfinite(x).all()
+        assert x[0] < -1.7e308 and x[-1] > 1.7e308
+
+
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_blocks_below_order_26_bit_equal_to_dstev(family, params):
     # dstevd hands orders up to 25 to the QR code of dstev: same bits there
