@@ -43,9 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .recurrence import RecurrenceScheme
-from .spectra import (
-    JacobiMatrix, block_decompose, block_spectral, frozen, refuse_beyond_memory, scheme_spectral
-)
+from .spectra import JacobiMatrix, block_decompose, frozen, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
     "StochasticMatrixResult",
@@ -170,15 +168,11 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
     lambda_{i,k-1} p_k^2(z_i) on the leading block and the associated
     Christoffel number lambda^(k)_{i,n-k} on the trailing one.
 
-    Both blocks are divide-and-conquer decompositions: their eigenvectors
-    enter only through inner products, so an entry's absolute error stays of
+    Both blocks are sliced from J_n's one coefficient table and solved,
+    uncached, by divide and conquer: an entry's absolute error stays of
     order n eps, while the relative error of exponentially small entries is
-    not resolved.  J_{k-1}, shared by every order above k - 1, is read from
-    the cache ``block_spectral``; the associated block, rows k+1..n of J_n
-    sliced from its one coefficient table, belongs to this (n, k) alone and
-    comes uncached from ``block_decompose``.
-    J_n comes from ``scheme_spectral`` (QR): its row k is the last row, which
-    keeps the relative accuracy of tiny Christoffel numbers.
+    not resolved.  J_n comes from ``scheme_spectral``, so an all-k sweep
+    holds J_n alone.
 
     An order whose 32 n^2 bytes of working arrays exceed physical memory is
     refused with ValueError before any eigensolve, as is an order whose
@@ -189,6 +183,11 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    return _matrix_C(scheme, n, k, {})
+
+
+def _certificate_table(scheme: RecurrenceScheme, n: int):
+    """J_n's table (offdiag, diag), after ``matrix_C``'s two refusals at order n."""
     # the J_n eigenvectors, the block eigenvectors and the entries live at once;
     # the block solve's workspace is freed before the entries are made
     refuse_beyond_memory(32 * n**2, f"the order {n} certificate", "its n x n working arrays")
@@ -199,11 +198,20 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
             f"the order {n} certificate sums zeros past float64: "
             f"n (max |b_i| + 2 max a_i) = {n * radius!r}"
         )
+    return offdiag, diag
+
+
+def _matrix_C(scheme: RecurrenceScheme, n: int, k: int, leads: dict) -> StochasticMatrixResult:
+    """``matrix_C`` at a valid (n, k), J_{k-1} read from or added to ``leads``, a
+    dict from m to J_m as a deletion block whose lifetime the caller sets."""
+    offdiag, diag = _certificate_table(scheme, n)
     sd_n = scheme_spectral(scheme, n)
     # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
     blocks = []
     if k >= 2:
-        blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1), slice(0, k - 1)))
+        if k - 1 not in leads:
+            leads[k - 1] = block_decompose(JacobiMatrix(diag[: k - 1], offdiag[: k - 2]))
+        blocks.append((leads[k - 1], slice(0, k - 1), slice(0, k - 1)))
     if k <= n - 1:
         assoc = block_decompose(JacobiMatrix(diag[k:], offdiag[k:]))
         blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))

@@ -13,9 +13,8 @@ The role of the data decides the solver; no option selects one.
 eigenvector component that is read: J_n of a certificate, associated
 spectra, Gauss rules, interlacing.  ``block_decompose`` (LAPACK ``dstevd``,
 divide and conquer) serves the deletion blocks, whose eigenvectors enter
-only through inner products with normwise error.  ``scheme_spectral`` caches
-every ``dstev`` decomposition, ``block_spectral`` the leading blocks J_m,
-which every higher order reuses; an associated block is never cached.
+only through inner products with normwise error.  ``scheme_spectral``, the
+one cache, holds every ``dstev`` decomposition and no deletion block.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ __all__ = [
     "eigen_decompose",
     "scheme_spectral",
     "block_decompose",
-    "block_spectral",
 ]
 
 
@@ -194,11 +192,11 @@ def _decompose(J: JacobiMatrix, solver, name: str, bytes_per_sq: int, purpose: s
 def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     """Cached ``eigen_decompose(jacobi_matrix(scheme, n))``: data read by component.
 
-    The cache of every decomposition whose single eigenvector components
-    are read (Christoffel numbers, the last row of a certificate):
-    associated spectra are cached here too, under their shifted scheme.
-    Safe to share: schemes are immutable and the returned arrays are
-    read-only.
+    The package's one cache, one entry per scheme and order for the life of
+    the process, of every decomposition whose single eigenvector components
+    are read (Christoffel numbers, the last row of a certificate), associated
+    spectra under their shifted scheme.  Safe to share: schemes are
+    immutable and the returned arrays are read-only.
     """
     return eigen_decompose(jacobi_matrix(scheme, n))
 
@@ -220,12 +218,3 @@ def block_decompose(J: JacobiMatrix) -> SpectralData:
     """
     return _decompose(J, dstevd, "dstevd", 16, "its eigenvectors and workspace")
 
-
-@lru_cache(maxsize=None)
-def block_spectral(scheme: RecurrenceScheme, m: int) -> SpectralData:
-    """Cached ``block_decompose(jacobi_matrix(scheme, m))``: a leading block J_m.
-
-    Every certificate of order above m reuses J_m, as ``verify_scheme`` does
-    at each order; an associated block is read once and not cached here.
-    """
-    return block_decompose(jacobi_matrix(scheme, m))

@@ -12,10 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .majorization import (
-    CONVEX_FUNCTIONS,
-    check_majorization,
-    convex_report,
-    matrix_C,
+    CONVEX_FUNCTIONS, _certificate_table, _matrix_C, check_majorization, convex_report
 )
 from .orthopoly import (
     DEFAULT_SEED,
@@ -174,13 +171,15 @@ def verify_scheme(
     exactness against the operator-power moment oracle for n <=
     QUADRATURE_N_CAP.  Results are sorted by case key.
 
-    Each order builds and measures C(1), ..., C(n) once, and its trace rows
-    read their ``trace_err``.  A and B are C(n) and C(1), as ``matrix_A``/
-    ``matrix_B`` define them, so their rows are the C(n) and C(1) rows under
-    their own keys, and the ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows
-    record 0.0; they are kept so that the record set keeps its keys.
-    An unservable n_max or a negative seed raises ValueError before any eigensolve,
-    and a convex margin that float64 cannot hold raises it as ``convex_report`` does.
+    Each order builds and measures C(1), ..., C(n) once, every order above m
+    reading the call's one J_m, and its trace rows read ``trace_err``.  A
+    and B are C(n) and C(1), as ``matrix_A``/``matrix_B`` define them, so
+    their rows are the C(n) and C(1) rows under their own keys, and the
+    ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows record 0.0; they are
+    kept so that the record set keeps its keys.
+    An n_max that ``matrix_C`` would refuse or the scheme cannot reach, or a
+    negative seed, raises ValueError before any eigensolve, and a convex margin
+    that float64 cannot hold raises it as ``convex_report`` does.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -191,8 +190,11 @@ def verify_scheme(
         )
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    # the memory need and the Gershgorin bound grow with n: n_max covers every order
+    diag = _certificate_table(scheme, n_max)[1]
     out: list[CheckResult] = []
-    b_scale = 1.0 + sum(map(abs, scheme.coefficients(n_max - 1)[1].tolist()))
+    leads: dict = {}  # J_m as a deletion block, reused by every order above m
+    b_scale = 1.0 + sum(map(abs, diag.tolist()))
     moment_cap = min(QUADRATURE_N_CAP, n_max)
     moments = [jacobi_power_moment(scheme, m) for m in range(2 * moment_cap)]
     for n in range(2, n_max + 1):
@@ -205,7 +207,7 @@ def verify_scheme(
         ends = {"B": 1, "A": n}  # theorems B and A are C(1) and C(n)
         traces, end_results = [], {}
         for k in range(1, n + 1):
-            res_c = matrix_C(scheme, n, k)
+            res_c = _matrix_C(scheme, n, k, leads)
             traces.append(res_c.trace_err)
             tag = f"n={n} C k={k}"
             rows = certificate_checks(res_c, tol) + [

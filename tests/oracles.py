@@ -24,7 +24,6 @@ from opmaj import (
     JacobiMatrix,
     StochasticMatrixResult,
     block_decompose,
-    block_spectral,
     jacobi_matrix,
     scheme_spectral,
     shifted,
@@ -251,7 +250,7 @@ def _deletion_blocks(scheme, n, k):
     """(block eigenbasis, the rows of J_n it spans) of C(k), leading block first."""
     blocks = []
     if k >= 2:
-        blocks.append((block_spectral(scheme, k - 1), slice(0, k - 1)))
+        blocks.append((block_decompose(jacobi_matrix(scheme, k - 1)), slice(0, k - 1)))
     if k <= n - 1:
         assoc = block_decompose(jacobi_matrix(shifted(scheme, k), n - k))
         blocks.append((assoc, slice(k, n)))

@@ -406,13 +406,14 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
         pytest.fail("the eigensolver was called")
 
     spectra.scheme_spectral.cache_clear()  # a cached decomposition would hide a solve
-    spectra.block_spectral.cache_clear()
     monkeypatch.setattr(spectra, "dstev", no_eigensolve)
     monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     shallow = tmp_path / "shallow.json"
     shallow.write_text(json.dumps({"a": [0.5] * 4, "b": [0.0] * 5}))
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"a": [1e300, 1e300], "b": [1e308, 1e308, 1e308]}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"a": [1e307, 1e307], "b": [1.7e308, -1.7e308, 1.7e308]}))
     for argv in (
         ["matrix", "--family", "legendre", "--n", "5", "--theorem", "A", "--tol", "-1"],
         ["matrix", "--family", "legendre", "--n", "5", "--theorem", "C", "--k", "9"],
@@ -425,6 +426,8 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
         ["zeros", "--family", "laguerre", "--alpha", "1e308", "--n", "3"],
         ["zeros", "--family", "jacobi", "--alpha", "1e80", "--beta", "1e80", "--n", "3"],
         ["matrix", "--custom", str(huge), "--n", "3", "--theorem", "C", "--k", "2"],
+        ["verify", "--custom", str(huge), "--n-max", "2"],
+        ["verify", "--custom", str(wide), "--n-max", "2"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from opmaj import (
     ConvergenceError,
     Tolerances,
     block_decompose,
-    block_spectral,
     certificate_checks,
     check_majorization,
     christoffel_numbers_formula,
@@ -364,7 +365,7 @@ def test_deletion_blocks_sliced_from_the_table_of_J_n(family, params):
     for n in (*range(1, 9), 30, 40):
         J = jacobi_matrix(s, n)
         for k in range(1, n + 1):
-            parts = [block_spectral(s, k - 1).eigenvalues] if k >= 2 else []
+            parts = [block_decompose(jacobi_matrix(s, k - 1)).eigenvalues] if k >= 2 else []
             if k < n:
                 assoc = jacobi_matrix(shifted(s, k), n - k)
                 bottom = delete_row_col(J, k)[1]
@@ -376,21 +377,38 @@ def test_deletion_blocks_sliced_from_the_table_of_J_n(family, params):
             assert target.tobytes() == np.concatenate(parts).tobytes(), (n, k)
 
 
-def test_only_the_leading_blocks_are_cached():
-    # J_{k-1} recurs at every higher order; the associated block of C(k)
-    # belongs to one (n, k) and is not kept
-    n = 40
+def test_an_all_k_sweep_keeps_only_J_n():
+    # the deletion blocks of C(k) go with the certificate: a sweep over every
+    # k leaves J_n's cached decomposition, 8 n^2 + 8 n bytes, and no block
+    n = 120
     s = classical_scheme("jacobi", n, alpha=0.37, beta=1.91)  # built by no other test
-    before = block_spectral.cache_info().currsize
-    for k in range(1, n + 1):
-        matrix_C(s, n, k)
-    assert block_spectral.cache_info().currsize == before + n - 1
-    # J_1..J_{n-1} all hit, so they are the n - 1 new keys: none is shifted
-    hits = block_spectral.cache_info().hits
-    for m in range(1, n):
-        block_spectral(s, m)
-    info = block_spectral.cache_info()
-    assert (info.hits, info.currsize) == (hits + n - 1, before + n - 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, n + 1):
+            matrix_C(s, n, k)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # a few kB of slack for the cache entry and its Python objects
+    assert held <= 8 * n**2 + 8 * n + 4096, held
+
+
+def test_verify_solves_each_leading_block_once(monkeypatch):
+    # per call, J_2..J_{N-1} once each, and the associated block of every C(k)
+    # of order at least 2: order-1 blocks never reach the solver
+    solves, dstevd = [], spectra.dstevd
+
+    def counting_dstevd(d, e):
+        solves.append(d.size)
+        return dstevd(d, e)
+
+    monkeypatch.setattr(spectra, "dstevd", counting_dstevd)
+    N = 12
+    verify_scheme(classical_scheme("legendre", N + 1), N)
+    assert len(solves) == (N - 2) + (N - 2) * (N - 1) // 2 == 65
+    # order m: J_m, and the associated block of C(n - m) for m < n <= N
+    assert Counter(solves) == {m: 1 + N - m for m in range(2, N)}
 
 
 def test_certificate_checks_rows():
@@ -431,10 +449,11 @@ def test_verify_builds_each_certificate_once(monkeypatch):
     # A and B are C(n) and C(1): each order builds and measures C(1..n) and
     # nothing more, one majorization certificate and one convex report per f each
     built, majorized, convex = [], [], []
+    matrix_C_body = majorization._matrix_C
 
-    def counting_matrix_C(scheme, n, k):
+    def counting_matrix_C(scheme, n, k, leads):
         built.append((n, k))
-        return matrix_C(scheme, n, k)
+        return matrix_C_body(scheme, n, k, leads)
 
     def counting_check_majorization(x, y, tol):
         majorized.append(x.size)
@@ -445,7 +464,7 @@ def test_verify_builds_each_certificate_once(monkeypatch):
         return convex_report(result, f)
 
     for module in (majorization, verification):
-        monkeypatch.setattr(module, "matrix_C", counting_matrix_C)
+        monkeypatch.setattr(module, "_matrix_C", counting_matrix_C)
     monkeypatch.setattr(verification, "check_majorization", counting_check_majorization)
     monkeypatch.setattr(verification, "convex_report", counting_convex_report)
     verify_scheme(classical_scheme("legendre", 8), 7)
@@ -460,11 +479,27 @@ def test_verify_refuses_a_negative_seed_before_any_eigensolve(monkeypatch):
         pytest.fail("the eigensolver was called")
 
     spectra.scheme_spectral.cache_clear()
-    spectra.block_spectral.cache_clear()
     monkeypatch.setattr(spectra, "dstev", no_eigensolve)
     monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
         verify_scheme(classical_scheme("legendre", 8), 7, seed=-5)
+
+
+def test_verify_refuses_an_order_matrix_C_refuses_before_any_eigensolve(monkeypatch):
+    # against a pretend physical memory of 3200 bytes the certificates of
+    # order 10 fit in their 32 n^2 bytes and those of order 11 do not
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 400}
+    monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
+    s = classical_scheme("legendre", 13)
+    assert matrix_C(s, 10, 5).n == 10
+    spectra.scheme_spectral.cache_clear()
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
+    with pytest.raises(ValueError, match="the order 12 certificate needs"):
+        verify_scheme(s, 12)
 
 
 def test_certificate_arrays_are_read_only():

@@ -10,7 +10,7 @@ from opmaj import (
     ConvergenceError,
     DepthError,
     JacobiMatrix,
-    block_spectral,
+    block_decompose,
     classical_scheme,
     eigen_decompose,
     eval_all,
@@ -225,23 +225,21 @@ def test_oversized_order_refused_before_solving(monkeypatch):
     memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}
     monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
     s = classical_scheme("legendre", 3)
-    block_spectral.cache_clear()  # a cached decomposition would hide a solve
     assert eigen_decompose(jacobi_matrix(s, 2)).order == 2
-    assert block_spectral(s, 1).order == 1
+    assert block_decompose(jacobi_matrix(s, 1)).order == 1
     monkeypatch.setattr(spectra, "dstev", _no_eigensolve)
     monkeypatch.setattr(spectra, "dstevd", _no_eigensolve)
     with pytest.raises(ValueError, match="order 3 needs"):
         eigen_decompose(jacobi_matrix(s, 3))
     with pytest.raises(ValueError, match="order 2 needs .* eigenvectors and workspace"):
-        block_spectral(s, 2)
+        block_decompose(jacobi_matrix(s, 2))
 
 
 def _solvers(s):
     """Each LAPACK entry point with a fresh solve that goes through it."""
-    block_spectral.cache_clear()  # a cached decomposition would hide a solve
     return {
         "dstev": lambda m: eigen_decompose(jacobi_matrix(s, m)),
-        "dstevd": lambda m: block_spectral(s, m),
+        "dstevd": lambda m: block_decompose(jacobi_matrix(s, m)),
     }
 
 
@@ -295,7 +293,7 @@ def test_blocks_below_order_26_bit_equal_to_dstev(family, params):
     # dstevd hands orders up to 25 to the QR code of dstev: same bits there
     s = classical_scheme(family, 25, **params)
     for m in (1, 2, 7, 25):
-        sd, block = scheme_spectral(s, m), block_spectral(s, m)
+        sd, block = scheme_spectral(s, m), block_decompose(jacobi_matrix(s, m))
         assert np.array_equal(block.eigenvalues, sd.eigenvalues), m
         assert np.array_equal(block.components, sd.components), m
 
