@@ -376,6 +376,8 @@ def _check_args(args: argparse.Namespace) -> None:
             args.coeffs = tuple(map(float, args.coeffs.split(","))) if args.coeffs else None
         except ValueError as exc:
             raise UsageError(f"--coeffs must be comma-separated numbers: {exc}") from exc
+        if not all(map(math.isfinite, args.coeffs or ())):
+            raise UsageError(f"--coeffs must be finite numbers, got {list(args.coeffs)}")
     if args.command == "verify" and args.seed is None and os.environ.get("OPMAJ_SEED"):
         try:
             args.seed = int(os.environ["OPMAJ_SEED"])

@@ -14,7 +14,7 @@ eigenvector component that is read: J_n of a certificate, associated
 spectra, Gauss rules, interlacing.  ``block_decompose`` (LAPACK ``dstevd``,
 divide and conquer) serves the deletion blocks, whose eigenvectors enter
 only through inner products with normwise error.  ``scheme_spectral``, the
-one cache, holds every ``dstev`` decomposition and no deletion block.
+one cache, holds the last J_n read: one decomposition per process.
 """
 from __future__ import annotations
 
@@ -188,15 +188,15 @@ def _decompose(J: JacobiMatrix, solver, name: str, bytes_per_sq: int, purpose: s
     return SpectralData(readonly(eigvals), frozen(vecs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     """Cached ``eigen_decompose(jacobi_matrix(scheme, n))``: data read by component.
 
-    The package's one cache, one entry per scheme and order for the life of
-    the process, of every decomposition whose single eigenvector components
-    are read (Christoffel numbers, the last row of a certificate), associated
-    spectra under their shifted scheme.  Safe to share: schemes are
-    immutable and the returned arrays are read-only.
+    The package's one cache holds the last (scheme, n) read, 8 n^2 + 8 n
+    bytes: every certificate of order n (A, B and C at each k), its Gauss
+    rule and its Christoffel numbers read the same J_n, the only reuse any
+    sweep makes.  Safe to share: schemes are immutable and the returned
+    arrays are read-only.
     """
     return eigen_decompose(jacobi_matrix(scheme, n))
 

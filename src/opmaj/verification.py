@@ -23,7 +23,7 @@ from .orthopoly import (
     spectral_spot_points,
 )
 from .recurrence import RecurrenceScheme, shifted
-from .spectra import scheme_spectral
+from .spectra import JacobiMatrix, eigen_decompose, scheme_spectral
 
 __all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
 
@@ -48,6 +48,8 @@ class Tolerances:
         for name, value in self.__dict__.items():
             if not value > 0.0:
                 raise ValueError(f"tolerance {name} must be positive, got {value}")
+            if value == np.inf:  # a limit no metric can exceed checks nothing
+                raise ValueError(f"tolerance {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,7 @@ def _identity_checks(out: list, scheme, n: int, points, res_cn, res_c1):
             out.append(_row(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, IDENTITY_TOL))
     # column sums of the deleted-row bands against independently evaluated right sides
     lam = christoffel_numbers_formula(scheme, n)
-    x_nodes = scheme_spectral(scheme, n).eigenvalues
-    p_nm1_sq = np.array(
-        [eval_all(scheme, n - 1, xj).values[n - 1] ** 2 for xj in x_nodes]
-    )
+    p_nm1_sq = np.array([eval_all(scheme, n - 1, xj).values[n - 1] ** 2 for xj in res_cn.source])
     partial_a = res_cn.entries[: n - 1].sum(axis=0)
     partial_b = res_c1.entries[: n - 1].sum(axis=0)
     err_a = max(_rel_err(sa, 1.0 - lj * pj) for sa, lj, pj in zip(partial_a, lam, p_nm1_sq))
@@ -172,11 +171,12 @@ def verify_scheme(
     QUADRATURE_N_CAP.  Results are sorted by case key.
 
     Each order builds and measures C(1), ..., C(n) once, every order above m
-    reading the call's one J_m, and its trace rows read ``trace_err``.  A
-    and B are C(n) and C(1), as ``matrix_A``/``matrix_B`` define them, so
-    their rows are the C(n) and C(1) rows under their own keys, and the
-    ``reduction-C1-vs-B``/``reduction-Cn-vs-A`` rows record 0.0; they are
-    kept so that the record set keeps its keys.
+    reading the call's one J_m, and its trace rows read ``trace_err``.  Only
+    J_n comes from ``scheme_spectral``; J_{n-1} is the order before's, and the
+    first associated block is solved from the J_{n_max} table.  A and B are
+    C(n) and C(1), as ``matrix_A``/``matrix_B`` define them, so their rows are
+    the C(n) and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
+    ``reduction-Cn-vs-A`` rows record 0.0, kept so the record set keeps its keys.
     An n_max that ``matrix_C`` would refuse or the scheme cannot reach, or a
     negative seed, raises ValueError before any eigensolve, and a convex margin
     that float64 cannot hold raises it as ``convex_report`` does.
@@ -191,16 +191,16 @@ def verify_scheme(
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     # the memory need and the Gershgorin bound grow with n: n_max covers every order
-    diag = _certificate_table(scheme, n_max)[1]
+    offdiag, diag = _certificate_table(scheme, n_max)
     out: list[CheckResult] = []
     leads: dict = {}  # J_m as a deletion block, reused by every order above m
     b_scale = 1.0 + sum(map(abs, diag.tolist()))
     moment_cap = min(QUADRATURE_N_CAP, n_max)
     moments = [jacobi_power_moment(scheme, m) for m in range(2 * moment_cap)]
+    x = diag[:1]  # the zero of p_1
     for n in range(2, n_max + 1):
-        x = scheme_spectral(scheme, n).eigenvalues
-        prev = scheme_spectral(scheme, n - 1).eigenvalues
-        assoc = scheme_spectral(shifted(scheme, 1), n - 1).eigenvalues
+        prev, x = x, scheme_spectral(scheme, n).eigenvalues
+        assoc = eigen_decompose(JacobiMatrix(diag[1:n], offdiag[1:n - 1])).eigenvalues
         for name, inner in (("consecutive", prev), ("associated", assoc)):
             margin = _min_interlace_margin(inner, x)
             out.append(_row(f"n={n} interlacing-{name}", -margin, 0.0, strict=True))

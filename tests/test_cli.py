@@ -252,6 +252,13 @@ def test_quad_command(capsys):
         "--coeffs", "1",
     )
     assert code == 2
+    # a non-finite coefficient is refused by name, not as an overflow of the sum
+    for coeffs in ("1,nan", "inf,0,1"):
+        code, out, err = run_cli(
+            capsys, "quad", "--family", "legendre", "--n", "3", "--coeffs", coeffs
+        )
+        assert (code, out) == (2, ""), coeffs
+        assert err.startswith("opmaj: error: --coeffs must be finite numbers, got ["), coeffs
 
 
 @pytest.mark.parametrize(
@@ -383,6 +390,14 @@ def test_tolerance_validation(capsys):
     )
     assert code == 2
     assert "majorization" in err
+    # an infinite limit would let every check pass: refused before any output
+    for argv in (
+        ["verify", "--family", "legendre", "--n-max", "5"],
+        ["matrix", "--family", "legendre", "--n", "3", "--theorem", "A"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--tol", "1e400")
+        assert (code, out) == (2, ""), argv
+        assert err == "opmaj: error: tolerance stochastic must be finite, got inf\n"
 
 
 def test_matrix_failure_report_names_the_failing_checks(capsys):

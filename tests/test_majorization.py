@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from collections import Counter
@@ -394,21 +395,73 @@ def test_an_all_k_sweep_keeps_only_J_n():
     assert held <= 8 * n**2 + 8 * n + 4096, held
 
 
+def _session(n_max: int, orders: tuple) -> None:
+    # verify on three families, then matrix_C over orders and k on two other schemes
+    for family in ("legendre", "laguerre", "hermite"):
+        verify_scheme(classical_scheme(family, n_max + 2), n_max)
+    for s in (
+        classical_scheme("jacobi", max(orders), alpha=0.5, beta=-0.5),
+        classical_scheme("chebyshev-t", max(orders)),
+    ):
+        for n in orders:
+            for k in (1, n // 2, n):
+                matrix_C(s, n, k)
+
+
+def test_a_long_lived_process_holds_one_decomposition():
+    # what a session leaves allocated is the last J_n (8 n^2 + 8 n bytes)
+    # plus a fixed slack: numpy keeps freed small arrays for reuse (28.5 KiB
+    # measured after this session), and the cache holds its scheme and key
+    _session(4, (3, 4))  # first-call allocations are not held by the session
+    tracemalloc.start()
+    try:
+        _session(20, (60, 90, 120))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n, slack = 120, 64 * 1024
+    assert held <= 8 * n**2 + 8 * n + slack, held
+    assert scheme_spectral.cache_info().currsize == 1
+
+
 def test_verify_solves_each_leading_block_once(monkeypatch):
     # per call, J_2..J_{N-1} once each, and the associated block of every C(k)
     # of order at least 2: order-1 blocks never reach the solver
     solves, dstevd = [], spectra.dstevd
+    read, dstev = [], spectra.dstev
 
     def counting_dstevd(d, e):
         solves.append(d.size)
         return dstevd(d, e)
 
+    def counting_dstev(d, e):
+        read.append(d.size)
+        return dstev(d, e)
+
+    spectra.scheme_spectral.cache_clear()  # a cached decomposition would hide a solve
     monkeypatch.setattr(spectra, "dstevd", counting_dstevd)
+    monkeypatch.setattr(spectra, "dstev", counting_dstev)
     N = 12
     verify_scheme(classical_scheme("legendre", N + 1), N)
     assert len(solves) == (N - 2) + (N - 2) * (N - 1) // 2 == 65
     # order m: J_m, and the associated block of C(n - m) for m < n <= N
     assert Counter(solves) == {m: 1 + N - m for m in range(2, N)}
+    # read by component, once per call: J_2..J_N, and the first associated
+    # block of every order n, of order n - 1
+    assert len(read) == 2 * N - 3 == 21
+    assert Counter(read) == {m: 2 for m in range(2, N)} | {N: 1}
+
+
+def test_tolerances_refuse_a_limit_no_metric_can_exceed():
+    # inf is positive, but every check held to it would pass
+    for value in (math.inf, float("1e400")):
+        with pytest.raises(ValueError, match="^tolerance relation must be finite, got inf$"):
+            Tolerances(relation=value)
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^tolerance majorization must be positive, got"):
+            Tolerances(majorization=value)
+    assert Tolerances(stochastic=1e308).stochastic == 1e308
 
 
 def test_certificate_checks_rows():
