@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest the observable outputs of opmaj, to show a refactor changes none.
 
-Prints four sha256 digests:
+Prints five sha256 digests:
 
 * ``cli``: (argv, exit code, stdout) of 383 invocations of the command
   line over a fixed grid: six families x n in {1, 2, 7, 30} x theorems A,
@@ -19,7 +19,10 @@ Prints four sha256 digests:
   of ``eval_all(..., n, x, derivatives=True)`` at three interior points,
   and of the leading coefficient gamma_n = 1 / (a_1 ... a_n), divided out
   in order from ``coefficients(n)``, with an exception recorded by type and
-  message.
+  message;
+* ``verify60``: the rows of ``verify_scheme`` at n_max = 60 for the same
+  three families, as ``verify`` records them: the benchmark's verify
+  workload.  It enters no ``--records`` file.
 
 Run from the root of a checkout, once per commit, and compare:
     PYTHONPATH=src python scripts/golden_outputs.py
@@ -137,13 +140,13 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def verify_records():
+def verify_records(n_max=30):
     rows = []
     for family in VERIFY_FAMILIES:
-        scheme = classical_scheme(family, 32)
+        scheme = classical_scheme(family, n_max + 2)
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            results = verify_scheme(scheme, 30)
+            results = verify_scheme(scheme, n_max)
         rows.append([family, [[r.case, r.metric, r.limit, r.passed] for r in results]])
     return rows
 
@@ -244,6 +247,7 @@ def main():
     print(f"verify  {digest(verify_rows)}")
     print(f"stderr  {digest(err_rows)}")
     print(f"coeffs  {digest(coeff_records())}")
+    print(f"verify60  {digest(verify_records(60))}")
     return 0
 
 

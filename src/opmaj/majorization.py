@@ -110,31 +110,6 @@ class ConvexReport:
         return self.rhs - self.lhs
 
 
-def _result(n, k, entries, source, target) -> StochasticMatrixResult:
-    """Residuals of a certificate ``matrix_C`` just built, its arrays frozen in place.
-
-    ``entries`` and ``target`` are fresh arrays and ``source`` is the cached
-    read-only zeros of p_n, so nothing is copied.
-    """
-    row_err = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
-    col_err = float(np.max(np.abs(entries.sum(axis=0) - 1.0)))
-    rel_err = float(np.max(np.abs(target - entries @ source)))
-    # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
-    trace = target[-1] + target[: k - 1].sum() + target[k - 1 : n - 1].sum()
-    return StochasticMatrixResult(
-        theorem="C",
-        n=n,
-        k=k,
-        entries=frozen(entries),
-        source=source,
-        target=frozen(target),
-        row_sum_err=row_err,
-        col_sum_err=col_err,
-        relation_err=rel_err,
-        trace_err=float(abs(trace - source.sum())),
-    )
-
-
 def matrix_A(scheme: RecurrenceScheme, n: int) -> StochasticMatrixResult:
     """Stochastic matrix mapping the zeros of p_n onto (zeros of p_{n-1}, b_{n-1}).
 
@@ -183,7 +158,7 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    return _matrix_C(scheme, n, k, {})
+    return _matrix_C(scheme, n, [k], {}, _certificate_table(scheme, n))[2][0]
 
 
 def _certificate_table(scheme: RecurrenceScheme, n: int):
@@ -201,27 +176,47 @@ def _certificate_table(scheme: RecurrenceScheme, n: int):
     return offdiag, diag
 
 
-def _matrix_C(scheme: RecurrenceScheme, n: int, k: int, leads: dict) -> StochasticMatrixResult:
-    """``matrix_C`` at a valid (n, k), J_{k-1} read from or added to ``leads``, a
-    dict from m to J_m as a deletion block whose lifetime the caller sets."""
-    offdiag, diag = _certificate_table(scheme, n)
+def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
+    """The certificates C(k), k in ``ks``, of a valid order n, built and measured as one stack.
+
+    Returns the frozen entries (len(ks), n, n) and target (len(ks), n) stacks
+    and one result per k viewing its slices.  Both blocks of each C(k) are
+    sliced from ``table``, the (offdiag, diag) of J_n or of a higher order;
+    J_{k-1} is read from or added to ``leads``, a dict from m to J_m as a
+    deletion block whose lifetime the caller sets.
+    """
+    offdiag, diag = table
     sd_n = scheme_spectral(scheme, n)
-    # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
-    blocks = []
-    if k >= 2:
-        if k - 1 not in leads:
-            leads[k - 1] = block_decompose(JacobiMatrix(diag[: k - 1], offdiag[: k - 2]))
-        blocks.append((leads[k - 1], slice(0, k - 1), slice(0, k - 1)))
-    if k <= n - 1:
-        assoc = block_decompose(JacobiMatrix(diag[k:], offdiag[k:]))
-        blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))
-    target = np.concatenate([*(sd.eigenvalues for sd, _, _ in blocks), [diag[k - 1]]])
-    entries = np.empty((n, n))
-    for sd, rows, out in blocks:
-        np.matmul(sd.components.T, sd_n.components[rows], out=entries[out])
-    entries[n - 1] = sd_n.components[k - 1]
+    for i, k in enumerate(ks):
+        # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
+        blocks = []
+        if k >= 2:
+            if k - 1 not in leads:
+                leads[k - 1] = block_decompose(JacobiMatrix(diag[: k - 1], offdiag[: k - 2]))
+            blocks.append((leads[k - 1], slice(0, k - 1), slice(0, k - 1)))
+        if k <= n - 1:
+            assoc = block_decompose(JacobiMatrix(diag[k:n], offdiag[k : n - 1]))
+            blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))
+        if i == 0:  # made once the first block solve's workspace is freed
+            entries, target = np.empty((len(ks), n, n)), np.empty((len(ks), n))
+        for sd, rows, out in blocks:
+            target[i, out] = sd.eigenvalues
+            np.matmul(sd.components.T, sd_n.components[rows], out=entries[i, out])
+        target[i, n - 1] = diag[k - 1]
+        entries[i, n - 1] = sd_n.components[k - 1]
     np.square(entries, out=entries)
-    return _result(n, k, entries, sd_n.eigenvalues, target)
+    source = sd_n.eigenvalues
+    row_err = np.abs(entries.sum(axis=2) - 1.0).max(axis=1)
+    col_err = np.abs(entries.sum(axis=1) - 1.0).max(axis=1)
+    rel_err = np.abs(target - np.matmul(entries, source)).max(axis=1)
+    results = []
+    for k, e, t, *errs in zip(ks, frozen(entries), frozen(target), row_err, col_err, rel_err):
+        # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
+        trace = t[-1] + t[: k - 1].sum() + t[k - 1 : n - 1].sum()
+        results.append(StochasticMatrixResult(
+            "C", n, k, e, source, t, *map(float, errs), float(abs(trace - source.sum()))
+        ))
+    return entries, target, results
 
 
 def check_majorization(x, y, tol: float = 1e-10) -> MajorizationCertificate:
@@ -230,14 +225,22 @@ def check_majorization(x, y, tol: float = 1e-10) -> MajorizationCertificate:
     Holds iff every descending partial sum of y dominates that of x within
     tol and the totals agree within tol.
     """
-    x = np.sort(np.asarray(x, dtype=float))[::-1]
-    y = np.sort(np.asarray(y, dtype=float))[::-1]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    margins = np.cumsum(y)[:-1] - np.cumsum(x)[:-1]
-    residual = float(abs(x.sum() - y.sum()))
-    holds = bool(np.all(margins >= -tol)) and residual <= tol
-    return MajorizationCertificate(frozen(margins), residual, holds)
+    margins, residual, holds = _majorization(x[None], y, tol)
+    return MajorizationCertificate(frozen(margins[0]), float(residual[0]), bool(holds[0]))
+
+
+def _majorization(xs, y, tol: float):
+    """``check_majorization`` of each row of the stack ``xs`` against one y:
+    the partial-sum margins (rows, n - 1), total residuals and verdicts."""
+    xs = np.sort(xs, axis=1)[:, ::-1]
+    y = np.sort(y)[::-1]
+    margins = np.cumsum(y)[:-1] - np.cumsum(xs, axis=1)[:, :-1]
+    residual = np.abs(xs.sum(axis=1) - y.sum())
+    holds = (margins >= -tol).all(axis=1) & (residual <= tol)
+    return margins, residual, holds
 
 
 def convex_report(result: StochasticMatrixResult, f: str = "square") -> ConvexReport:
@@ -248,20 +251,21 @@ def convex_report(result: StochasticMatrixResult, f: str = "square") -> ConvexRe
     for any convex f.  A sum that float64 cannot hold (exp past zeros of
     about 709.78) raises ValueError instead of making the margin NaN.
     """
-    try:
-        fn = CONVEX_FUNCTIONS[f]
-    except KeyError:
-        raise ValueError(
-            f"f must be one of {tuple(CONVEX_FUNCTIONS)}, got {f!r}"
-        ) from None
+    lhs, rhs = _convex_sums(result.target[None], result.source, f)
+    return ConvexReport(float(lhs[0]), float(rhs))
+
+
+def _convex_sums(targets, source, f: str):
+    """``convex_report``'s sums for each row of the stack ``targets``, and its refusals."""
+    if f not in CONVEX_FUNCTIONS:
+        raise ValueError(f"f must be one of {tuple(CONVEX_FUNCTIONS)}, got {f!r}")
     with np.errstate(over="ignore"):  # reported below, not warned
-        lhs = float(fn(result.target).sum())
-        rhs = float(fn(result.source).sum())
-    if not (np.isfinite(lhs) and np.isfinite(rhs)):
-        largest = float(np.abs(result.source).max())
+        lhs = CONVEX_FUNCTIONS[f](targets).sum(axis=1)
+        rhs = CONVEX_FUNCTIONS[f](source).sum()
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs)):
+        largest = float(np.abs(source).max())
         raise ValueError(
             f"the convex-{f} margin is not finite in float64: {f} overflows "
             f"over zeros up to |x| = {largest!r}"
         )
-    return ConvexReport(lhs, rhs)
-
+    return lhs, rhs

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .majorization import (
-    CONVEX_FUNCTIONS, _certificate_table, _matrix_C, check_majorization, convex_report
+    CONVEX_FUNCTIONS, _certificate_table, _convex_sums, _majorization, _matrix_C
 )
 from .orthopoly import (
     DEFAULT_SEED,
@@ -23,7 +23,7 @@ from .orthopoly import (
     spectral_spot_points,
 )
 from .recurrence import RecurrenceScheme, shifted
-from .spectra import JacobiMatrix, eigen_decompose, scheme_spectral
+from .spectra import JacobiMatrix, eigen_decompose, refuse_beyond_memory, scheme_spectral
 
 __all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
 
@@ -85,17 +85,29 @@ def certificate_checks(result, tol: Tolerances = Tolerances()) -> list[CheckResu
     The row-sum, column-sum and relation residuals are read from the result,
     which computed them when it was built.
     """
-    tag = f"n={result.n} {result.theorem}" + (f" k={result.k}" if result.theorem == "C" else "")
-    diameter = float(result.source[-1] - result.source[0])
-    cert = check_majorization(result.target, result.source, tol.majorization)
-    return [
-        _row(f"{tag} row-sums", result.row_sum_err, tol.stochastic),
-        _row(f"{tag} col-sums", result.col_sum_err, tol.stochastic),
-        _row(f"{tag} nonnegative", -result.entries.min(), tol.stochastic),
-        _row(f"{tag} relation", result.relation_err, tol.relation * max(diameter, 1.0)),
-        _row(f"{tag} majorization-margin", -cert.min_margin, tol.majorization),
-        _row(f"{tag} majorization-total", cert.total_residual, tol.majorization),
-    ]
+    return _certificate_checks([result], result.entries[None], result.target[None], tol)[0]
+
+
+def _certificate_checks(results, entries, target, tol: Tolerances) -> list[list[CheckResult]]:
+    """``certificate_checks`` of the certificates of one order, over their stacked arrays."""
+    source = results[0].source
+    diameter = float(source[-1] - source[0])
+    margins, totals, _ = _majorization(target, source, tol.majorization)
+    # check_majorization's min_margin: 0.0 when order 1 leaves no partial sum
+    least = margins.min(axis=1) if margins.shape[1] else np.zeros(len(results))
+    lowest = entries.min(axis=(1, 2))
+    out = []
+    for res, margin, total, low in zip(results, least, totals, lowest):
+        tag = f"n={res.n} {res.theorem}" + (f" k={res.k}" if res.theorem == "C" else "")
+        out.append([
+            _row(f"{tag} row-sums", res.row_sum_err, tol.stochastic),
+            _row(f"{tag} col-sums", res.col_sum_err, tol.stochastic),
+            _row(f"{tag} nonnegative", -low, tol.stochastic),
+            _row(f"{tag} relation", res.relation_err, tol.relation * max(diameter, 1.0)),
+            _row(f"{tag} majorization-margin", -margin, tol.majorization),
+            _row(f"{tag} majorization-total", total, tol.majorization),
+        ])
+    return out
 
 
 def _identity_checks(out: list, scheme, n: int, points, res_cn, res_c1):
@@ -155,6 +167,31 @@ def _quadrature_checks(out: list, scheme, n: int, moments):
     out.append(_row(f"n={n} quadrature-exactness", worst, QUADRATURE_TOL))
 
 
+def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limit, seed):
+    """verify's rows of C(1), ..., C(n), A and B at order n, from one stack freed on return."""
+    entries, target, results = _matrix_C(scheme, n, range(1, n + 1), leads, table)
+    convex = {f: _convex_sums(target, results[0].source, f) for f in CONVEX_FUNCTIONS}
+    ends = {"B": 1, "A": n}  # theorems B and A are C(1) and C(n)
+    for res, rows in zip(results, _certificate_checks(results, entries, target, tol)):
+        tag = f"n={n} C k={res.k}"
+        for f, (lhs, rhs) in convex.items():
+            rows.append(_row(f"{tag} convex-{f}", -(rhs - lhs[res.k - 1]), tol.majorization))
+        out += rows
+        for name, end in ends.items():
+            if res.k == end:  # the same rows under the end theorem's key
+                out += [replace(r, case=r.case.replace(tag, f"n={n} {name}")) for r in rows]
+    for name, end in ends.items():
+        # one certificate under two keys: its entries differ from themselves by 0.0
+        case = f"n={n} reduction-C{'n' if end == n else 1}-vs-{name}"
+        out.append(_row(case, 0.0, REDUCTION_TOL))
+    for k in range(1, n + 1):
+        for name, end in (*ends.items(), ("C", k)):
+            out.append(_row(f"n={n} k={k} trace-{name}", results[end - 1].trace_err, trace_limit))
+    if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
+        points = spectral_spot_points(scheme, n, count=20, seed=seed)
+        _identity_checks(out, scheme, n, points, results[n - 1], results[0])
+
+
 def verify_scheme(
     scheme: RecurrenceScheme,
     n_max: int,
@@ -170,16 +207,18 @@ def verify_scheme(
     exactness against the operator-power moment oracle for n <=
     QUADRATURE_N_CAP.  Results are sorted by case key.
 
-    Each order builds and measures C(1), ..., C(n) once, every order above m
-    reading the call's one J_m, and its trace rows read ``trace_err``.  Only
-    J_n comes from ``scheme_spectral``; J_{n-1} is the order before's, and the
-    first associated block is solved from the J_{n_max} table.  A and B are
-    C(n) and C(1), as ``matrix_A``/``matrix_B`` define them, so their rows are
-    the C(n) and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
+    Each order builds and measures C(1), ..., C(n) once, as one stack freed
+    before the next order's, every order above m reading the call's one J_m,
+    and its trace rows read ``trace_err``.  Only J_n comes from
+    ``scheme_spectral``; J_{n-1} is the order before's, and the first
+    associated block is solved from the J_{n_max} table.  A and B are C(n) and
+    C(1), as ``matrix_A``/``matrix_B`` define them, so their rows are the C(n)
+    and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
     ``reduction-Cn-vs-A`` rows record 0.0, kept so the record set keeps its keys.
-    An n_max that ``matrix_C`` would refuse or the scheme cannot reach, or a
-    negative seed, raises ValueError before any eigensolve, and a convex margin
-    that float64 cannot hold raises it as ``convex_report`` does.
+    An n_max that ``matrix_C`` would refuse or the scheme cannot reach, one whose
+    stack and leading blocks (about 32 n_max^3 / 3 bytes) exceed physical memory,
+    or a negative seed, raises ValueError before any eigensolve, and a convex
+    margin that float64 cannot hold raises it as ``convex_report`` does.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -191,7 +230,10 @@ def verify_scheme(
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     # the memory need and the Gershgorin bound grow with n: n_max covers every order
-    offdiag, diag = _certificate_table(scheme, n_max)
+    offdiag, diag = table = _certificate_table(scheme, n_max)
+    # one order's stack of n certificates, 8 n^3 bytes, beside J_1..J_{n-1}, about 8 n^3 / 3
+    refuse_beyond_memory(32 * n_max**3 // 3, f"verify to order {n_max}",
+                         "one order's certificate stack and its leading blocks")
     out: list[CheckResult] = []
     leads: dict = {}  # J_m as a deletion block, reused by every order above m
     b_scale = 1.0 + sum(map(abs, diag.tolist()))
@@ -204,33 +246,9 @@ def verify_scheme(
         for name, inner in (("consecutive", prev), ("associated", assoc)):
             margin = _min_interlace_margin(inner, x)
             out.append(_row(f"n={n} interlacing-{name}", -margin, 0.0, strict=True))
-        ends = {"B": 1, "A": n}  # theorems B and A are C(1) and C(n)
-        traces, end_results = [], {}
-        for k in range(1, n + 1):
-            res_c = _matrix_C(scheme, n, k, leads)
-            traces.append(res_c.trace_err)
-            tag = f"n={n} C k={k}"
-            rows = certificate_checks(res_c, tol) + [
-                _row(f"{tag} convex-{f}", -convex_report(res_c, f).margin, tol.majorization)
-                for f in CONVEX_FUNCTIONS
-            ]
-            out += rows
-            for name, end in ends.items():
-                if k == end:  # the same rows under the end theorem's key
-                    end_results[name] = res_c
-                    out += [replace(r, case=r.case.replace(tag, f"n={n} {name}")) for r in rows]
-        for name, end in ends.items():
-            # one certificate under two keys: its entries differ from themselves by 0.0
-            case = f"n={n} reduction-C{'n' if end == n else 1}-vs-{name}"
-            out.append(_row(case, 0.0, REDUCTION_TOL))
-        trace_limit = tol.majorization * b_scale
-        for k in range(1, n + 1):
-            for name, end in (*ends.items(), ("C", k)):
-                out.append(_row(f"n={n} k={k} trace-{name}", traces[end - 1], trace_limit))
-        if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
-            points = spectral_spot_points(scheme, n, count=20, seed=seed)
-            _identity_checks(out, scheme, n, points, end_results["A"], end_results["B"])
+        _order_checks(out, scheme, n, table, leads, tol, tol.majorization * b_scale, seed)
         if n <= moment_cap:
             _quadrature_checks(out, scheme, n, moments)
     out.sort(key=lambda r: r.case)
     return out
+

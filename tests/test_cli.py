@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from opmaj import classical_scheme, cli, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
+from opmaj import (
+    check_majorization, classical_scheme, cli, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
+)
 from opmaj.cli import _json, main
 
 
@@ -407,6 +409,11 @@ def test_matrix_failure_report_names_the_failing_checks(capsys):
     argv = ("matrix", "--family", "legendre", "--n", "7", "--theorem", "C", "--k", "3")
     code, out, err = run_cli(capsys, *argv, "--tol", "1e-30")
     assert code == 1 and json.loads(out)["k"] == 3
+    # the JSON verdict is read from the same rows: check_majorization's, at the same limit
+    res = matrix_C(classical_scheme("legendre", 7), 7, 3)
+    cert = check_majorization(res.target, res.source, 1e-30)
+    assert not cert.holds
+    assert json.loads(out)["majorization"] == {"holds": False, "min_margin": cert.min_margin}
     failures = json.loads(err)["failures"]
     assert "n=7 C k=3 majorization-total" in [f["case"] for f in failures]
     for f in failures:
@@ -487,6 +494,8 @@ def test_matrix_order_one(capsys):
         doc = json.loads(out)
         assert doc["matrix"] == [[1.0]] and doc["target"] == [b0], thm
         assert (doc["theorem"], doc["n"], doc["k"]) == (thm[0], 1, 1)
+        # no partial sum at order 1: check_majorization's empty margins read 0.0
+        assert doc["majorization"] == {"holds": True, "min_margin": 0.0}, thm
 
 
 def test_literal_route_overflow_exit_code(capsys, tmp_path):

@@ -499,32 +499,63 @@ def test_certificate_checks_rows():
 
 
 def test_verify_builds_each_certificate_once(monkeypatch):
-    # A and B are C(n) and C(1): each order builds and measures C(1..n) and
-    # nothing more, one majorization certificate and one convex report per f each
+    # A and B are C(n) and C(1): each order builds C(1..n) as one stack and
+    # nothing more, measured by one majorization pass and one convex pass per f
     built, majorized, convex = [], [], []
     matrix_C_body = majorization._matrix_C
 
-    def counting_matrix_C(scheme, n, k, leads):
-        built.append((n, k))
-        return matrix_C_body(scheme, n, k, leads)
+    def counting_matrix_C(scheme, n, ks, leads, table):
+        built.append((n, list(ks)))
+        return matrix_C_body(scheme, n, ks, leads, table)
 
-    def counting_check_majorization(x, y, tol):
-        majorized.append(x.size)
-        return check_majorization(x, y, tol)
+    def counting_majorization(xs, y, tol):
+        majorized.append(xs.shape)
+        return majorization._majorization(xs, y, tol)
 
-    def counting_convex_report(result, f):
-        convex.append((result.n, result.k, f))
-        return convex_report(result, f)
+    def counting_convex_sums(targets, source, f):
+        convex.append((targets.shape, f))
+        return majorization._convex_sums(targets, source, f)
 
     for module in (majorization, verification):
         monkeypatch.setattr(module, "_matrix_C", counting_matrix_C)
-    monkeypatch.setattr(verification, "check_majorization", counting_check_majorization)
-    monkeypatch.setattr(verification, "convex_report", counting_convex_report)
+    monkeypatch.setattr(verification, "_majorization", counting_majorization)
+    monkeypatch.setattr(verification, "_convex_sums", counting_convex_sums)
     verify_scheme(classical_scheme("legendre", 8), 7)
+    assert [n for n, _ in built] == list(range(2, 8))
     certificates = [(n, k) for n in range(2, 8) for k in range(1, n + 1)]
-    assert sorted(built) == certificates and len(certificates) == 27
-    assert len(majorized) == 27
-    assert sorted(convex) == [(n, k, f) for n, k in certificates for f in sorted(CONVEX_FUNCTIONS)]
+    assert sorted((n, k) for n, ks in built for k in ks) == certificates
+    assert len(certificates) == 27
+    assert majorized == [(n, n) for n in range(2, 8)]
+    assert sorted(convex) == [((n, n), f) for n in range(2, 8) for f in sorted(CONVEX_FUNCTIONS)]
+
+
+@pytest.mark.parametrize("family", ["legendre", "laguerre", "hermite"])
+def test_stacked_rows_equal_the_single_certificate_path(family):
+    # verify measures each order as one stack; every row it writes for C(k),
+    # A and B is bit-equal to certificate_checks and convex_report on the one
+    # certificate matrix_C builds, on both sides of dstevd's switch at order 26
+    s = classical_scheme(family, 33)
+    cases = {r.case: r for r in verify_scheme(s, 31)}
+
+    def bits(row):
+        return row.case, row.metric.hex(), row.limit.hex(), row.passed
+
+    for n in (2, 25, 26, 31):
+        for key, res in [(f"C k={k}", matrix_C(s, n, k)) for k in range(1, n + 1)] + [
+            ("A", matrix_A(s, n)), ("B", matrix_B(s, n))
+        ]:
+            for row in certificate_checks(res):
+                assert bits(cases[row.case]) == bits(row), row.case
+            for f in CONVEX_FUNCTIONS:
+                metric = cases[f"n={n} {key} convex-{f}"].metric
+                assert metric.hex() == (-convex_report(res, f).margin).hex(), (n, key, f)
+    # order 1, which verify never builds, leaves no partial sum: min_margin is 0.0
+    res = matrix_C(s, 1, 1)
+    cert = check_majorization(res.target, res.source)
+    margin = certificate_checks(res)[4]
+    assert cert.partial_margins.size == 0 and cert.holds
+    assert margin.case == "n=1 C k=1 majorization-margin" and margin.passed
+    assert -margin.metric == cert.min_margin == 0.0
 
 
 def test_verify_refuses_a_negative_seed_before_any_eigensolve(monkeypatch):
@@ -552,6 +583,25 @@ def test_verify_refuses_an_order_matrix_C_refuses_before_any_eigensolve(monkeypa
     monkeypatch.setattr(spectra, "dstev", no_eigensolve)
     monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
     with pytest.raises(ValueError, match="the order 12 certificate needs"):
+        verify_scheme(s, 12)
+
+
+def test_verify_refuses_an_order_whose_stack_exceeds_memory_before_any_eigensolve(monkeypatch):
+    # against a pretend physical memory of 8000 bytes every certificate of
+    # order 12 fits in its 32 n^2 = 4608 bytes, but verify to order 12 holds one
+    # order's stack (8 n^3 bytes) beside J_1..J_11 (about 8 n^3 / 3): 18432 bytes
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 1000}
+    monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
+    s = classical_scheme("legendre", 13)
+    assert matrix_C(s, 12, 6).n == 12
+    assert verify_scheme(s, 9)  # 32 * 9^3 / 3 = 7776 bytes fit
+    spectra.scheme_spectral.cache_clear()
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
+    with pytest.raises(ValueError, match="^verify to order 12 needs 0.0 GB for one order's"):
         verify_scheme(s, 12)
 
 

@@ -50,12 +50,12 @@ def test_entry_accuracy_runs_one_case():
     assert rows[2][0] == "all" and all(float(v) < 1e-12 for v in rows[2][1:])
 
 
-def test_golden_outputs_prints_four_digests():
+def test_golden_outputs_prints_five_digests():
     # only the shape: the digest values depend on the LAPACK build
     proc = run_script("golden_outputs.py")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [row[0] for row in rows] == ["cli", "verify", "stderr", "coeffs"]
+    assert [row[0] for row in rows] == ["cli", "verify", "stderr", "coeffs", "verify60"]
     assert all(re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows)
 
 
