@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .recurrence import RecurrenceScheme
-from .spectra import JacobiMatrix, block_decompose, frozen, refuse_beyond_memory, scheme_spectral
+from .spectra import _block_decompose, frozen, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
     "StochasticMatrixResult",
@@ -183,7 +183,8 @@ def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
     and one result per k viewing its slices.  Both blocks of each C(k) are
     sliced from ``table``, the (offdiag, diag) of J_n or of a higher order;
     J_{k-1} is read from or added to ``leads``, a dict from m to J_m as a
-    deletion block whose lifetime the caller sets.
+    deletion block whose lifetime the caller sets.  The slices go to the solver
+    unchecked: they lie in J_n's table, checked by ``scheme_spectral`` first.
     """
     offdiag, diag = table
     sd_n = scheme_spectral(scheme, n)
@@ -192,10 +193,10 @@ def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
         blocks = []
         if k >= 2:
             if k - 1 not in leads:
-                leads[k - 1] = block_decompose(JacobiMatrix(diag[: k - 1], offdiag[: k - 2]))
+                leads[k - 1] = _block_decompose(diag[: k - 1], offdiag[: k - 2])
             blocks.append((leads[k - 1], slice(0, k - 1), slice(0, k - 1)))
         if k <= n - 1:
-            assoc = block_decompose(JacobiMatrix(diag[k:n], offdiag[k : n - 1]))
+            assoc = _block_decompose(diag[k:n], offdiag[k : n - 1])
             blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))
         if i == 0:  # made once the first block solve's workspace is freed
             entries, target = np.empty((len(ks), n, n)), np.empty((len(ks), n))

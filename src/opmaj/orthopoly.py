@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .recurrence import RecurrenceScheme
-from .spectra import jacobi_matrix, readonly, scheme_spectral
+from .spectra import frozen, jacobi_matrix, scheme_spectral
 
 __all__ = [
     "PolynomialValueSet",
@@ -58,68 +58,67 @@ class QuadratureRule:
 
 
 def eval_all(
-    scheme: RecurrenceScheme, n: int, x: float, derivatives: bool = False
+    scheme: RecurrenceScheme, n: int, x, derivatives: bool = False
 ) -> PolynomialValueSet:
     """Evaluate p_0..p_n at x by the forward recurrence (needs depth >= n).
 
     Derivatives come from the differentiated recurrence
     p_{m+1}' = ((x - b_m) p_m' + p_m - a_m p_{m-1}') / a_{m+1}, which is
-    exact and costs the same as the value pass.
+    exact and costs the same as the value pass.  An array of P points gives
+    (P, n + 1) arrays, point-major, row i bit-equal to the call at point i.
+    An overflow raises PolynomialOverflowError, with no numpy warning, at
+    the first point that overflows, naming its first non-finite degree.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    points = np.asarray(x, dtype=float)
+    arrays = _forward(scheme, n, points.ravel(), derivatives)
+    bad = ~np.isfinite(arrays).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        degree, x = int(np.argmax(bad[i])), float(points.flat[i])
+        raise PolynomialOverflowError(f"recurrence overflowed at degree {degree} (x = {x})")
+    return PolynomialValueSet(*(frozen(v[0] if points.ndim == 0 else v) for v in arrays))
+
+
+def _forward(scheme: RecurrenceScheme, n: int, points: np.ndarray, derivatives: bool) -> list:
+    """``eval_all``'s point-major values (and derivatives), unchecked."""
     offdiag, diag = scheme.coefficients(n)
     a = [0.0, *offdiag.tolist()]  # a[m] = a_m, with a_0 = 0
     b = diag.tolist()
-    x = float(x)
-    vals = np.empty(n + 1)
-    vals[0] = 1.0
-    ders = np.empty(n + 1) if derivatives else None
-    if ders is not None:
-        ders[0] = 0.0
-    p_prev, p = 0.0, 1.0
-    d_prev, d = 0.0, 0.0
-    for m in range(n):
-        a_next, b_m, a_m = a[m + 1], b[m], a[m]
-        p_next = ((x - b_m) * p - a_m * p_prev) / a_next
-        vals[m + 1] = p_next
-        if ders is not None:
-            d_next = ((x - b_m) * d + p - a_m * d_prev) / a_next
-            ders[m + 1] = d_next
-            d_prev, d = d, d_next
-        p_prev, p = p, p_next
-    bad = ~np.isfinite(vals)
-    if ders is not None:
-        bad |= ~np.isfinite(ders)
-    if bad.any():
-        degree = int(np.argmax(bad))
-        raise PolynomialOverflowError(
-            f"recurrence overflowed at degree {degree} (x = {x})"
-        )
-    return PolynomialValueSet(readonly(vals), readonly(ders) if ders is not None else None)
+    # degree-major while the recurrence runs, from p_{-1} = 0 and p_0 = 1
+    p = np.zeros((n + 2, points.size))
+    p[1] = 1.0
+    d = np.zeros_like(p) if derivatives else None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked by the callers
+        for m in range(n):
+            x_b = points - b[m]
+            p[m + 2] = (x_b * p[m + 1] - a[m] * p[m]) / a[m + 1]
+            if d is not None:
+                d[m + 2] = (x_b * d[m + 1] + p[m + 1] - a[m] * d[m]) / a[m + 1]
+    return [np.ascontiguousarray(v[1:].T) for v in (p, d) if v is not None]
 
 
 def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     """Christoffel numbers at the zeros of p_n by the reciprocal-sum formula.
 
-    lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2.  Agrees with the squared
-    first eigenvector components of J_n; an overflow of the recurrence
-    raises PolynomialOverflowError, as does an overflow of the sum of squares
-    of finite values, in which case the spectral data
-    (``scheme_spectral(scheme, n).christoffel``) is the supported path.
+    lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2, one recurrence pass over
+    all zeros.  Agrees with the squared first eigenvector components of J_n;
+    an overflow of the recurrence raises PolynomialOverflowError, as does an
+    overflow of the sum of squares of finite values, in which case the
+    spectral data (``scheme_spectral(scheme, n).christoffel``) is the
+    supported path.  The error is the first one met zero by zero, ascending.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     nodes = scheme_spectral(scheme, n).eigenvalues
-    out = np.empty(n)
-    for k, x in enumerate(nodes):
-        vals = eval_all(scheme, n - 1, x).values
-        with np.errstate(over="ignore"):  # reported below, not warned
-            norm_sq = float(np.dot(vals, vals))
-        if not np.isfinite(norm_sq):
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        norm_sq = np.array([np.dot(row, row) for row in _forward(scheme, n - 1, nodes, False)[0]])
+    for x, norm in zip(nodes, norm_sq):
+        if not np.isfinite(norm):
+            eval_all(scheme, n - 1, x)  # raises if the values themselves overflowed
             raise PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
-        out[k] = 1.0 / norm_sq
-    return out
+    return 1.0 / norm_sq
 
 
 def gauss_rule(scheme: RecurrenceScheme, n: int) -> QuadratureRule:
@@ -154,6 +153,7 @@ def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:
     m_k equals the top-left entry of J_K^k whenever K > k/2 (a length-k walk
     from the corner cannot feel the truncation).  This path never touches
     an eigen-decomposition, so it is independent of the quadrature path.
+    A moment that float64 cannot hold raises ValueError, with no numpy warning.
     """
     if m < 0:
         raise ValueError(f"moment degree must be nonnegative, got {m}")
@@ -163,8 +163,11 @@ def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:
     J = jacobi_matrix(scheme, K).dense()
     v = np.zeros(K)
     v[0] = 1.0
-    for _ in range(m):
-        v = J @ v
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        for _ in range(m):
+            v = J @ v
+    if not np.isfinite(v[0]):
+        raise ValueError(f"the moment of degree {m} is not finite in float64: J_{K}^{m} overflows")
     return float(v[0])
 
 

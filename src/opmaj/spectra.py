@@ -156,24 +156,24 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     An order whose 8 m^2 bytes of eigenvectors exceed physical memory is
     refused with ValueError before the solver allocates anything.
     """
-    return _decompose(J, dstev, "dstev", 8, "its eigenvectors")
+    return _decompose(J.diag, J.offdiag, dstev, "dstev", 8, "its eigenvectors")
 
 
-def _decompose(J: JacobiMatrix, solver, name: str, bytes_per_sq: int, purpose: str):
-    """Spectral data of J from one LAPACK tridiagonal routine ``solver``.
+def _decompose(diag, offdiag, solver, name: str, bytes_per_sq: int, purpose: str):
+    """Spectral data of the Jacobi matrix (diag, offdiag), taken as checked, by ``solver``.
 
     The part both routines share: refusal of an order whose ``bytes_per_sq``
     m^2 bytes exceed physical memory, the order-1 answer, ``info`` as
     ConvergenceError, the strict-increase check of the ascending spectrum
     both routines return, and read-only arrays.
     """
-    if J.order < 1:
+    if diag.size < 1:
         raise ValueError("cannot decompose an empty Jacobi matrix")
-    refuse_beyond_memory(bytes_per_sq * J.order**2, f"order {J.order}", purpose)
-    if J.order == 1:  # the f2py wrappers refuse an empty off-diagonal
-        eigvals, vecs, info = J.diag, np.ones((1, 1)), 0
+    refuse_beyond_memory(bytes_per_sq * diag.size**2, f"order {diag.size}", purpose)
+    if diag.size == 1:  # the f2py wrappers refuse an empty off-diagonal
+        eigvals, vecs, info = diag, np.ones((1, 1)), 0
     else:
-        eigvals, vecs, info = solver(J.diag, J.offdiag)
+        eigvals, vecs, info = solver(diag, offdiag)
     if info:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {name} info = {info}")
     # compared, not subtracted: a gap wider than float64 is still an increase
@@ -215,6 +215,12 @@ def block_decompose(J: JacobiMatrix) -> SpectralData:
     ``eigen_decompose``.  An order whose 16 m^2 bytes of eigenvectors and
     workspace exceed physical memory is refused with ValueError before the
     solver runs; failures raise ConvergenceError as in ``eigen_decompose``.
+    The certificates' blocks, slices of a checked table, take the same path.
     """
-    return _decompose(J, dstevd, "dstevd", 16, "its eigenvectors and workspace")
+    return _block_decompose(J.diag, J.offdiag)
+
+
+def _block_decompose(diag, offdiag) -> SpectralData:
+    """``block_decompose`` of the Jacobi matrix (diag, offdiag), taken as checked."""
+    return _decompose(diag, offdiag, dstevd, "dstevd", 16, "its eigenvectors and workspace")
 

@@ -7,7 +7,7 @@ scheme, and the CLI turns either outcome into exit codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .majorization import (
 )
 from .orthopoly import (
     DEFAULT_SEED,
+    PolynomialOverflowError,
     christoffel_numbers_formula,
     eval_all,
     gauss_rule,
@@ -61,13 +62,12 @@ class CheckResult:
 
 
 def _row(case: str, metric: float, limit: float, strict: bool = False) -> CheckResult:
-    metric = float(metric)
-    passed = metric < limit if strict else metric <= limit
-    return CheckResult(case, metric, float(limit), bool(passed))
+    metric, limit = float(metric), float(limit)
+    return CheckResult(case, metric, limit, metric < limit if strict else metric <= limit)
 
 
-def _rel_err(lhs: float, rhs: float) -> float:
-    scale = max(abs(lhs), abs(rhs), np.finfo(float).tiny)
+def _rel_err(lhs, rhs):
+    scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), np.finfo(float).tiny)
     return abs(lhs - rhs) / scale
 
 
@@ -121,38 +121,41 @@ def _identity_checks(out: list, scheme, n: int, points, res_cn, res_c1):
     with unbounded support the products reach the reciprocal square root of
     the smallest Christoffel number, so a residual relative to the O(1)
     result is not resolvable in doubles while a formula error would still
-    surface at full term scale."""
-    shift1 = shifted(scheme, 1)
+    surface at full term scale.  Each scheme and shift takes one pass over
+    all spot points; an overflow, of the recurrence or of a product or sum of
+    the identities, raises PolynomialOverflowError with no numpy warning."""
     a = [0.0, *scheme.coefficients(n + 1)[0].tolist()]  # a[i] = a_i
-    a1 = a[1]
-    for x in points:
-        base = eval_all(scheme, n + 1, x, derivatives=True)
-        assoc = eval_all(shift1, n, x)
-        p, dp, q = base.values, base.derivative_values, assoc.values
-        # a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1
-        t1 = a[n + 1] * p[n] * q[n]
-        t2 = a[n + 1] * p[n + 1] * q[n - 1]
-        metric = abs(t1 - t2 - a1) / (abs(t1) + abs(t2) + a1)
-        out.append(_row(f"n={n} wronskian x={x:.6g}", metric, IDENTITY_TOL))
-        # sum_{j<=n} p_j^2 = a_{n+1} (p_{n+1}' p_n - p_{n+1} p_n')
-        lhs = float(np.dot(p[: n + 1], p[: n + 1]))
-        rhs = a[n + 1] * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
-        out.append(_row(f"n={n} christoffel-darboux x={x:.6g}", _rel_err(lhs, rhs), IDENTITY_TOL))
-        # a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}), 2 <= k <= n-1
-        for k in range(2, n):
-            r = eval_all(shifted(scheme, k), n - k, x).values
-            lhs = a1 * r[n - k]
-            u1 = a[k] * p[k - 1] * q[n - 1]
-            u2 = a[k] * p[n] * q[k - 2]
-            metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
-            out.append(_row(f"n={n} k={k} assoc-factorization x={x:.6g}", metric, IDENTITY_TOL))
+    base = eval_all(scheme, n + 1, points, derivatives=True)
+    p, dp = base.values, base.derivative_values
+    q = eval_all(shifted(scheme, 1), n, points).values
+    r = {k: eval_all(shifted(scheme, k), n - k, points).values[:, n - k] for k in range(2, n)}
     # column sums of the deleted-row bands against independently evaluated right sides
     lam = christoffel_numbers_formula(scheme, n)
-    p_nm1_sq = np.array([eval_all(scheme, n - 1, xj).values[n - 1] ** 2 for xj in res_cn.source])
-    partial_a = res_cn.entries[: n - 1].sum(axis=0)
-    partial_b = res_c1.entries[: n - 1].sum(axis=0)
-    err_a = max(_rel_err(sa, 1.0 - lj * pj) for sa, lj, pj in zip(partial_a, lam, p_nm1_sq))
-    err_b = max(_rel_err(sb, 1.0 - lj) for sb, lj in zip(partial_b, lam))
+    # squared one numpy scalar at a time, by libm's pow, whose bits x * x does not always match
+    p_nm1_sq = np.array([v ** 2 for v in eval_all(scheme, n - 1, res_cn.source).values[:, n - 1]])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1
+            t1 = a[n + 1] * p[:, n] * q[:, n]
+            t2 = a[n + 1] * p[:, n + 1] * q[:, n - 1]
+            spots = {"wronskian": abs(t1 - t2 - a[1]) / (abs(t1) + abs(t2) + a[1])}
+            # sum_{j<=n} p_j^2 = a_{n+1} (p_{n+1}' p_n - p_{n+1} p_n')
+            lhs = np.array([np.dot(row[: n + 1], row[: n + 1]) for row in p])
+            rhs = a[n + 1] * (dp[:, n + 1] * p[:, n] - p[:, n + 1] * dp[:, n])
+            spots["christoffel-darboux"] = _rel_err(lhs, rhs)
+            # a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}), 2 <= k <= n-1
+            for k, r_k in r.items():
+                lhs = a[1] * r_k
+                u1 = a[k] * p[:, k - 1] * q[:, n - 1]
+                u2 = a[k] * p[:, n] * q[:, k - 2]
+                metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
+                spots[f"k={k} assoc-factorization"] = metric
+            err_a = _rel_err(res_cn.entries[: n - 1].sum(axis=0), 1.0 - lam * p_nm1_sq).max()
+            err_b = _rel_err(res_c1.entries[: n - 1].sum(axis=0), 1.0 - lam).max()
+    except FloatingPointError:
+        raise PolynomialOverflowError(f"the order {n} identity checks overflow float64") from None
+    for i, x in enumerate(points):
+        out += [_row(f"n={n} {name} x={x:.6g}", m[i], IDENTITY_TOL) for name, m in spots.items()]
     out.append(_row(f"n={n} column-sum-identity A", err_a, IDENTITY_TOL))
     out.append(_row(f"n={n} column-sum-identity B", err_b, IDENTITY_TOL))
 
@@ -179,14 +182,17 @@ def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limi
         out += rows
         for name, end in ends.items():
             if res.k == end:  # the same rows under the end theorem's key
-                out += [replace(r, case=r.case.replace(tag, f"n={n} {name}")) for r in rows]
+                key = f"n={n} {name}"
+                out += [CheckResult(r.case.replace(tag, key), r.metric, r.limit, r.passed)
+                        for r in rows]
     for name, end in ends.items():
         # one certificate under two keys: its entries differ from themselves by 0.0
         case = f"n={n} reduction-C{'n' if end == n else 1}-vs-{name}"
         out.append(_row(case, 0.0, REDUCTION_TOL))
-    for k in range(1, n + 1):
-        for name, end in (*ends.items(), ("C", k)):
-            out.append(_row(f"n={n} k={k} trace-{name}", results[end - 1].trace_err, trace_limit))
+    ab = [(name, _row("", results[end - 1].trace_err, trace_limit)) for name, end in ends.items()]
+    for res in results:  # the A and B trace rows repeat at every k, re-keyed
+        for name, r in (*ab, ("C", _row("", res.trace_err, trace_limit))):
+            out.append(CheckResult(f"n={n} k={res.k} trace-{name}", r.metric, r.limit, r.passed))
     if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
         points = spectral_spot_points(scheme, n, count=20, seed=seed)
         _identity_checks(out, scheme, n, points, results[n - 1], results[0])
@@ -218,7 +224,8 @@ def verify_scheme(
     An n_max that ``matrix_C`` would refuse or the scheme cannot reach, one whose
     stack and leading blocks (about 32 n_max^3 / 3 bytes) exceed physical memory,
     or a negative seed, raises ValueError before any eigensolve, and a convex
-    margin that float64 cannot hold raises it as ``convex_report`` does.
+    margin that float64 cannot hold raises it as ``convex_report`` does, as does a moment;
+    recurrence and identity overflows raise PolynomialOverflowError, with no numpy warning.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")

@@ -508,6 +508,40 @@ def test_literal_route_overflow_exit_code(capsys, tmp_path):
     assert err.startswith("opmaj: error: recurrence overflowed")
 
 
+@pytest.mark.parametrize(
+    "coeffs,message",
+    [
+        # the identity checks' products overflow at the spot points, then the
+        # Christoffel sums at the zeros: the sums are refused by name
+        (
+            {"a": [2.09e-227, 2.25e58, 2.09], "b": [-5.4e-28, -3.4e-230, 4.7e-20, -8.2e-192]},
+            "sum of squared values overflowed (x = -3.4e-230)",
+        ),
+        # the operator-power moment J_2^2 e_0 overflows, before any eigensolve
+        (
+            {"a": [1e200, 1.0, 1.0], "b": [0, 0, 0, 0]},
+            "the moment of degree 2 is not finite in float64: J_2^2 overflows",
+        ),
+        # the identity products overflow and nothing else does: their
+        # non-finite metrics once reached the JSON writer
+        (
+            {"a": [2e-111, 2.5e-145, 1.45e8, 2.3e-14],
+             "b": [-5e-260, -1.2e-23, -1.1e-139, 3.6e-169, 1.4e-70]},
+            "the order 2 identity checks overflow float64",
+        ),
+    ],
+    ids=["christoffel-sums", "moment", "identity-products"],
+)
+def test_verify_overflow_refused_without_warning(capsys, tmp_path, coeffs, message):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--custom", str(path), "--n-max", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"opmaj: error: {message}") and err.count("\n") == 1, err
+
+
 def test_non_finite_certificate_exit_code(capsys, tmp_path):
     # three zeros near 1e308 sum past float64, so the certificate's trace,
     # relation and majorization sums would not be finite: the order is

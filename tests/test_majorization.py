@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from opmaj import (
     CONVEX_FUNCTIONS,
     ConvergenceError,
+    Family,
+    RecurrenceScheme,
     Tolerances,
     block_decompose,
     certificate_checks,
@@ -25,6 +27,7 @@ from opmaj import (
     matrix_A,
     matrix_B,
     matrix_C,
+    orthopoly,
     scheme_spectral,
     shifted,
     spectra,
@@ -451,6 +454,64 @@ def test_verify_solves_each_leading_block_once(monkeypatch):
     # block of every order n, of order n - 1
     assert len(read) == 2 * N - 3 == 21
     assert Counter(read) == {m: 2 for m in range(2, N)} | {N: 1}
+
+
+def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
+    # per order n with identity checks: one eval_all pass per scheme or
+    # shift (n of them) over all spot points, and one over the zeros for the
+    # column-sum right sides; the Christoffel numbers run the same recurrence
+    # once more, unchecked, so as to raise node by node.  The only Jacobi
+    # matrices built are the moments' J_K, then J_n's and the interlacing
+    # block's per order
+    N = 12
+    evals, built = [], []
+    eval_body, post_init = orthopoly.eval_all, spectra.JacobiMatrix.__post_init__
+    identity_body = verification._identity_checks
+
+    def counting_eval_all(*args, **kwargs):
+        evals[-1][1] += 1
+        return eval_body(*args, **kwargs)
+
+    def counting_identity_checks(out, scheme, n, *args):
+        evals.append([n, 0])
+        return identity_body(out, scheme, n, *args)
+
+    def counting_post_init(self):
+        built.append(np.size(self.diag))
+        post_init(self)
+
+    for module in (orthopoly, verification):
+        monkeypatch.setattr(module, "eval_all", counting_eval_all)
+    monkeypatch.setattr(verification, "_identity_checks", counting_identity_checks)
+    monkeypatch.setattr(spectra.JacobiMatrix, "__post_init__", counting_post_init)
+    scheme_spectral.cache_clear()  # each order's J_n is then built once
+    counts = []
+    for _ in range(2):
+        evals.clear()
+        built.clear()
+        verify_scheme(classical_scheme("legendre", N + 1), N)
+        counts.append(([tuple(e) for e in evals], list(built)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == [(n, n + 1) for n in range(2, N + 1)]
+    moments = [m // 2 + 1 for m in range(1, 2 * N)]
+    assert counts[0][1] == moments + [m for n in range(2, N + 1) for m in (n, n - 1)]
+
+
+def test_block_slices_are_checked_with_J_n_before_any_block_solve(monkeypatch):
+    # the blocks go to dstevd as slices of J_n's table, unchecked: a zero
+    # off-diagonal is refused when J_n (or a moment's J_K) is built, first
+    s = RecurrenceScheme(kind=Family.CUSTOM, max_index=3, a_seq=(1.0, 0.0, 1.0), b_seq=(0.0,) * 4)
+
+    def no_block_solve(*args):
+        raise AssertionError("dstevd called")
+
+    monkeypatch.setattr(spectra, "dstevd", no_block_solve)
+    message = "off-diagonal entries must be strictly positive"
+    for k in range(1, 5):
+        with pytest.raises(ValueError, match=message):
+            matrix_C(s, 4, k)
+    with pytest.raises(ValueError, match=message):
+        verify_scheme(s, 4)
 
 
 def test_tolerances_refuse_a_limit_no_metric_can_exceed():

@@ -60,6 +60,101 @@ def test_eval_overflow_reported():
         eval_all(s, 100, 1.0)
 
 
+def _pointwise(scheme, n, x):
+    """The forward recurrence at one point in Python floats: the reference bits."""
+    offdiag, diag = scheme.coefficients(n)
+    a, b = [0.0, *offdiag.tolist()], diag.tolist()
+    vals, ders = [0.0, 1.0], [0.0, 0.0]  # from p_{-1} = 0 and p_0 = 1
+    for m in range(n):
+        p, p_prev, d, d_prev = vals[-1], vals[-2], ders[-1], ders[-2]
+        vals.append(((x - b[m]) * p - a[m] * p_prev) / a[m + 1])
+        ders.append(((x - b[m]) * d + p - a[m] * d_prev) / a[m + 1])
+    return np.array(vals[1:]), np.array(ders[1:])
+
+
+BIT_PIN_SCHEMES = [
+    classical_scheme("legendre", 40),
+    classical_scheme("laguerre", 40, alpha=0.0),
+    classical_scheme("hermite", 40),
+    classical_scheme("chebyshev-t", 40),
+    classical_scheme("jacobi", 40, alpha=0.5, beta=-0.5),
+    from_sequences([0.3 + 0.1 * (i % 7) for i in range(40)],
+                   [0.2 * (i % 5) - 0.4 for i in range(41)]),
+]
+
+
+@pytest.mark.parametrize("scheme", BIT_PIN_SCHEMES, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("shift", [0, 1, 5])
+def test_eval_all_over_an_array_is_bit_equal_to_pointwise_calls(scheme, shift):
+    s = shifted(scheme, shift)
+    for n in (1, 12, 30):
+        zeros = scheme_spectral(s, n).eigenvalues
+        for points in (spectral_spot_points(s, n), zeros):
+            many = eval_all(s, n, points, derivatives=True)
+            assert many.values.shape == many.derivative_values.shape == (points.size, n + 1)
+            assert many.values.flags.c_contiguous and not many.values.flags.writeable
+            for i, x in enumerate(points):
+                one = eval_all(s, n, x, derivatives=True)
+                assert one.values.shape == one.derivative_values.shape == (n + 1,)
+                vals, ders = _pointwise(s, n, float(x))
+                for got in (many.values[i], one.values):
+                    assert got.tobytes() == vals.tobytes()
+                for got in (many.derivative_values[i], one.derivative_values):
+                    assert got.tobytes() == ders.tobytes()
+            assert eval_all(s, n, points).derivative_values is None
+
+
+def test_eval_all_over_an_array_raises_the_first_pointwise_overflow():
+    # growth 1e4 per step at x = 1 and faster at x = 2; x = 0 stays bounded
+    s = from_sequences((1e-4,) * 100, (0.0,) * 101)
+    eval_all(s, 100, 0.0, derivatives=True)
+    for derivatives in (False, True):
+        messages = []
+        for x in (1.0, 2.0):
+            with pytest.raises(PolynomialOverflowError) as pointwise:
+                eval_all(s, 100, x, derivatives=derivatives)
+            messages.append(str(pointwise.value))
+        assert messages[0] != messages[1]  # x = 2 overflows at a lower degree
+        assert messages[0].endswith(" (x = 1.0)")
+        with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
+            warnings.simplefilter("error")
+            eval_all(s, 100, np.array([0.0, 1.0, 2.0]), derivatives=derivatives)
+        assert str(err.value) == messages[0]
+
+
+@pytest.mark.parametrize("n", [190, 400])
+def test_christoffel_formula_raises_the_first_nodewise_error(n):
+    # laguerre p_399 overflows by recurrence at its 7 largest zeros, and the
+    # sum of squares overflows first, at smaller zeros: node-by-node
+    # evaluation in ascending order meets the sum's error first
+    s = classical_scheme("laguerre", n, alpha=0.0)
+    expected = None
+    for x in scheme_spectral(s, n).eigenvalues:
+        try:
+            vals = eval_all(s, n - 1, x).values
+        except PolynomialOverflowError as exc:
+            expected = exc
+            break
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.dot(vals, vals)):
+                expected = PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
+                break
+    assert expected is not None
+    with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
+        warnings.simplefilter("error")
+        christoffel_numbers_formula(s, n)
+    assert str(err.value) == str(expected)
+
+
+def test_moment_overflow_refused_by_name():
+    # J_2^2 e_0 = (1e400, 0): the walk leaves float64 at its second step
+    s = from_sequences((1e200, 1.0), (0.0, 0.0, 0.0))
+    assert jacobi_power_moment(s, 1) == 0.0
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="^the moment of degree 2 is"):
+        warnings.simplefilter("error")
+        jacobi_power_moment(s, 2)
+
+
 def test_christoffel_formula_overflow_reported():
     # at this order the reciprocal of the smallest weight exceeds the double
     # range, so the squared-value sums cannot be formed on the formula route
