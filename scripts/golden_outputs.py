@@ -29,7 +29,8 @@ Run from the root of a checkout, once per commit, and compare:
     PYTHONPATH=src python scripts/golden_outputs.py --records out.jsonl
     PYTHONPATH=src python scripts/golden_outputs.py --diff old.jsonl new.jsonl
 ``--records`` also writes one JSON line per CLI invocation (keyed by its
-argv) and per ``verify_scheme`` case (keyed by [family, case]).  ``--diff``
+argv), per ``verify_scheme`` case (keyed by [family, case]) and per
+coefficient case (keyed by [family, params, shift, order]).  ``--diff``
 prints the key and the changed fields of every record that differs between
 two such files, or that only one of them holds, and exits 1 if any does.
 """
@@ -200,7 +201,8 @@ def diff_records(old_path, new_path) -> int:
     def load(path):
         with open(path, encoding="utf-8") as fh:
             records = [(line, json.loads(line)) for line in fh.read().splitlines()]
-        return {json.dumps(r.get("argv", r.get("case"))): (line, r) for line, r in records}
+        keys = ("argv", "case", "table")
+        return {json.dumps(next(r[f] for f in keys if f in r)): (line, r) for line, r in records}
 
     old, new = load(old_path), load(new_path)
     differing = 0
@@ -221,7 +223,8 @@ def diff_records(old_path, new_path) -> int:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", metavar="PATH",
-                        help="also write one JSON line per CLI invocation and verify case")
+                        help="also write one JSON line per CLI invocation, verify case "
+                        "and coefficient case")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                         help="list the records that differ between two --records files")
     args = parser.parse_args()
@@ -234,6 +237,7 @@ def main():
         cli_rows.append([argv, code, out])
         err_rows.append([argv, err])
     verify_rows = verify_records()
+    coeff_rows = coeff_records()
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
             for (argv, code, out), (_, err) in zip(cli_rows, err_rows):
@@ -243,10 +247,13 @@ def main():
                 for case, metric, limit, passed in results:
                     fh.write(json.dumps({"case": [family, case], "metric": metric,
                                          "limit": limit, "passed": passed}) + "\n")
+            for family, params, k, n, matrix, values, leading in coeff_rows:
+                fh.write(json.dumps({"table": [family, params, k, n], "matrix": matrix,
+                                     "values": values, "leading": leading}) + "\n")
     print(f"cli     {digest(cli_rows)}  ({len(cli_rows)} invocations)")
     print(f"verify  {digest(verify_rows)}")
     print(f"stderr  {digest(err_rows)}")
-    print(f"coeffs  {digest(coeff_records())}")
+    print(f"coeffs  {digest(coeff_rows)}")
     print(f"verify60  {digest(verify_records(60))}")
     return 0
 

@@ -20,8 +20,8 @@ squared k-th eigenvector component row.  Row sums, column sums, and the
 linear relation are then exact up to the orthonormality of the computed
 eigenbases (~n * eps), with no error amplification from clustered zeros.
 Since an inner product of whole eigenvectors carries only normwise error,
-the blocks are divide-and-conquer decompositions (``block_decompose``); the
-last row reads single components of the J_n eigenvectors, which therefore
+the blocks are divide-and-conquer decompositions (``spectra._block_decompose``);
+the last row reads single components of the J_n eigenvectors, which therefore
 come from the componentwise-accurate ``scheme_spectral``.
 This is the same matrix as the paper's closed formula
 
@@ -92,10 +92,6 @@ class MajorizationCertificate:
     partial_margins: np.ndarray
     total_residual: float
     holds: bool
-
-    @property
-    def min_margin(self) -> float:
-        return float(self.partial_margins.min()) if self.partial_margins.size else 0.0
 
 
 @dataclass(frozen=True)

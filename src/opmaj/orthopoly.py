@@ -171,11 +171,9 @@ def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:
     return float(v[0])
 
 
-def spectral_spot_points(
-    scheme: RecurrenceScheme, n: int, count: int = 20, seed: int = DEFAULT_SEED
-) -> np.ndarray:
-    """Deterministic sample of points inside the spectral interval of J_n."""
+def spectral_spot_points(scheme: RecurrenceScheme, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Deterministic sample of 20 points inside the spectral interval of J_n."""
     sd = scheme_spectral(scheme, n)
     rng = np.random.default_rng(seed)
     lo, hi = sd.eigenvalues[0], sd.eigenvalues[-1]
-    return lo + (hi - lo) * rng.random(count)
+    return lo + (hi - lo) * rng.random(20)

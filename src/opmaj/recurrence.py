@@ -18,7 +18,7 @@ recurrences and the shifted (associated) schemes all read that one table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -54,7 +54,7 @@ class RecurrenceScheme:
     ``coefficients(m)`` is the table up to index m.  A nonzero ``shift``
     indexes into the tail of the base coefficient sequences; such schemes
     generate the associated polynomials of the base measure, and their
-    table is the tail of the base table, bit for bit.
+    table is the tail of the base table by construction.
 
     Instances are immutable and hashable, safe to share across threads and
     to use as cache keys.
@@ -68,42 +68,36 @@ class RecurrenceScheme:
     b_seq: tuple[float, ...] = ()
 
     def coefficients(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index."""
+        """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index:
+        the tail from ``shift`` on of the base table up to index ``shift + m``."""
         if not 0 <= m <= self.max_index:
             raise DepthError(
                 f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
             )
-        lo = self.shift
+        top = self.shift + m
         if self.kind is Family.CUSTOM:
-            return np.array(self.a_seq[lo : lo + m]), np.array(self.b_seq[lo : lo + m + 1])
-        i = np.arange(lo, lo + m + 1, dtype=float)  # base indices of b; i[1:] for a
-        a1, b0 = self._lead() if lo == 0 else (None, None)
-        a = self._a_form(i[1:] if a1 is None else i[2:])
-        b = self._b_form(i if b0 is None else i[1:])
-        if a1 is not None:
-            a = np.concatenate(([a1], a))[:m]
-        if b0 is not None:
-            b = np.concatenate(([b0], b))
-        return a, b
+            a, b = np.array(self.a_seq[:top]), np.array(self.b_seq[: top + 1])
+        else:
+            i = np.arange(top + 1, dtype=float)  # indices of b; i[1:] for a
+            a1, b0 = self._lead()
+            a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[:top]
+            b = np.concatenate((b0, self._b_form(i[len(b0) :])))
+        return a[self.shift :], b[self.shift :]
 
-    # The closed forms below take base (unshifted) indices as a float array
-    # and apply elementwise, each entry through the same correctly rounded
-    # operations wherever the table starts: the table of shifted(s, k) is
-    # the slice [k:] of a longer table of s, bit for bit.
-
-    def _lead(self) -> tuple[float | None, float | None]:
-        """(a_1, b_0) of the base sequence where the general form does not give them."""
+    def _lead(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(a_1,) and (b_0,) where the general forms do not give them, () where they do."""
         if self.kind is Family.JACOBI:
             # the general forms are 0/0 there when al + be is -1 (a_1) or 0 (b_0)
             al, be = self.params
             s = al + be + 2.0
-            return math.sqrt(4.0 * (al + 1.0) * (be + 1.0) / (s * s * (s + 1.0))), (be - al) / s
+            a1 = math.sqrt(4.0 * (al + 1.0) * (be + 1.0) / (s * s * (s + 1.0)))
+            return (a1,), ((be - al) / s,)
         if self.kind is Family.CHEBYSHEV_T:
-            return math.sqrt(0.5), None
-        return None, None
+            return (math.sqrt(0.5),), ()
+        return (), ()
 
     def _a_form(self, j):
-        """General closed form of a_j, for base indices j >= 1 (>= 2 where ``_lead`` gives a_1)."""
+        """General closed form of a_j, for indices j >= 1 (>= 2 where ``_lead`` gives a_1)."""
         kind = self.kind
         if kind is Family.JACOBI:
             al, be = self.params
@@ -120,7 +114,7 @@ class RecurrenceScheme:
         return np.full_like(j, 0.5)
 
     def _b_form(self, i):
-        """General closed form of b_i, for base indices i >= 0 (>= 1 where ``_lead`` gives b_0)."""
+        """General closed form of b_i, for indices i >= 0 (>= 1 where ``_lead`` gives b_0)."""
         kind = self.kind
         if kind is Family.JACOBI:
             al, be = self.params
@@ -226,7 +220,8 @@ def shifted(scheme: RecurrenceScheme, k: int) -> RecurrenceScheme:
     """Scheme of the k-fold associated polynomials: a'_n = a_{n+k}, b'_n = b_{n+k}.
 
     The orthonormal polynomials of the result are the associated polynomials
-    of order k, orthonormal for the k-th associated measure.
+    of order k, orthonormal for the k-th associated measure.  Only the depth
+    and the shift change: the result reads the tail of the same table.
     """
     if k < 0:
         raise ValueError(f"shift must be nonnegative, got {k}")
@@ -234,12 +229,4 @@ def shifted(scheme: RecurrenceScheme, k: int) -> RecurrenceScheme:
         return scheme
     if k > scheme.max_index:
         raise DepthError(f"shift {k} exceeds scheme depth {scheme.max_index}")
-    # built directly: dataclasses.replace costs several times more per call
-    return RecurrenceScheme(
-        kind=scheme.kind,
-        max_index=scheme.max_index - k,
-        params=scheme.params,
-        shift=scheme.shift + k,
-        a_seq=scheme.a_seq,
-        b_seq=scheme.b_seq,
-    )
+    return replace(scheme, max_index=scheme.max_index - k, shift=scheme.shift + k)

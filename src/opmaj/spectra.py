@@ -11,10 +11,11 @@ eigenvector sign convention leaks into them.
 The role of the data decides the solver; no option selects one.
 ``eigen_decompose`` (LAPACK ``dstev``, implicit QR) serves every single
 eigenvector component that is read: J_n of a certificate, associated
-spectra, Gauss rules, interlacing.  ``block_decompose`` (LAPACK ``dstevd``,
-divide and conquer) serves the deletion blocks, whose eigenvectors enter
-only through inner products with normwise error.  ``scheme_spectral``, the
-one cache, holds the last J_n read: one decomposition per process.
+spectra, Gauss rules, interlacing.  The private ``_block_decompose``
+(LAPACK ``dstevd``, divide and conquer) serves the deletion blocks, slices
+of a checked table; their eigenvectors enter only through inner products
+with normwise error.  ``scheme_spectral``, the one cache, holds the last
+J_n read: one decomposition per process.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ __all__ = [
     "jacobi_matrix",
     "eigen_decompose",
     "scheme_spectral",
-    "block_decompose",
 ]
 
 
@@ -201,8 +201,8 @@ def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     return eigen_decompose(jacobi_matrix(scheme, n))
 
 
-def block_decompose(J: JacobiMatrix) -> SpectralData:
-    """Eigenbasis of a Jacobi matrix as a deletion block, accurate in norm.
+def _block_decompose(diag, offdiag) -> SpectralData:
+    """Eigenbasis of the Jacobi matrix (diag, offdiag), taken as checked, as a deletion block.
 
     Calls LAPACK's divide-and-conquer routine ``dstevd`` (Gu & Eisenstat,
     SIAM J. Matrix Anal. Appl. 16, 1995), several times faster than
@@ -215,12 +215,5 @@ def block_decompose(J: JacobiMatrix) -> SpectralData:
     ``eigen_decompose``.  An order whose 16 m^2 bytes of eigenvectors and
     workspace exceed physical memory is refused with ValueError before the
     solver runs; failures raise ConvergenceError as in ``eigen_decompose``.
-    The certificates' blocks, slices of a checked table, take the same path.
     """
-    return _block_decompose(J.diag, J.offdiag)
-
-
-def _block_decompose(diag, offdiag) -> SpectralData:
-    """``block_decompose`` of the Jacobi matrix (diag, offdiag), taken as checked."""
     return _decompose(diag, offdiag, dstevd, "dstevd", 16, "its eigenvectors and workspace")
-

@@ -93,7 +93,7 @@ def _certificate_checks(results, entries, target, tol: Tolerances) -> list[list[
     source = results[0].source
     diameter = float(source[-1] - source[0])
     margins, totals, _ = _majorization(target, source, tol.majorization)
-    # check_majorization's min_margin: 0.0 when order 1 leaves no partial sum
+    # the least partial-sum margin: 0.0 when order 1 leaves no partial sum
     least = margins.min(axis=1) if margins.shape[1] else np.zeros(len(results))
     lowest = entries.min(axis=(1, 2))
     out = []
@@ -194,7 +194,7 @@ def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limi
         for name, r in (*ab, ("C", _row("", res.trace_err, trace_limit))):
             out.append(CheckResult(f"n={n} k={res.k} trace-{name}", r.metric, r.limit, r.passed))
     if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
-        points = spectral_spot_points(scheme, n, count=20, seed=seed)
+        points = spectral_spot_points(scheme, n, seed=seed)
         _identity_checks(out, scheme, n, points, results[n - 1], results[0])
 
 

@@ -6,8 +6,9 @@ loop, Christoffel numbers from local reciprocal sums, stochastic-matrix
 entries from row-normalized quotients, measure moments from closed forms or
 high-precision quadrature of the classical weight functions.  The
 reference helpers at the end (row/column deletion of a Jacobi matrix, the
-squared eigenvector components, a recomputing doubly-stochastic check, and
-the certificate entries and trace residuals restated from the block
+squared eigenvector components, a recomputing doubly-stochastic check, the
+library's deletion-block solve applied to a whole Jacobi matrix, and the
+certificate entries and trace residuals restated from the block
 decompositions) are plain restatements of definitions that only the tests
 read.
 """
@@ -23,11 +24,11 @@ import numpy as np
 from opmaj import (
     JacobiMatrix,
     StochasticMatrixResult,
-    block_decompose,
     jacobi_matrix,
     scheme_spectral,
     shifted,
 )
+from opmaj.spectra import _block_decompose
 
 
 def poly_values(scheme, n, x):
@@ -244,6 +245,11 @@ def check_doubly_stochastic(matrix, tol: float) -> StochasticCheck:
     min_entry = float(m.min())
     ok = min_entry >= -tol and row_err <= tol and col_err <= tol
     return StochasticCheck(ok, row_err, col_err, min_entry)
+
+
+def block_decompose(J: JacobiMatrix):
+    """The library's deletion-block solve (``dstevd``) of a whole Jacobi matrix."""
+    return _block_decompose(J.diag, J.offdiag)
 
 
 def _deletion_blocks(scheme, n, k):

@@ -167,7 +167,7 @@ def test_criterion_7_identity_spot_checks(schemes):
         sh1 = shifted(s, 1)
         a = [0.0, *s.coefficients(16)[0].tolist()]  # a[i] = a_i
         for n in range(2, 16):
-            for x in spectral_spot_points(s, n, count=20):
+            for x in spectral_spot_points(s, n):
                 p = eval_all(s, n + 1, x, derivatives=True)
                 q = eval_all(sh1, n, x).values
                 vals, ders = p.values, p.derivative_values

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,30 @@ def test_package_exports_each_modules_public_names():
     assert not set(cli.__all__) & set(vars(opmaj))
 
 
+def test_every_public_name_is_read_by_a_path_of_the_project():
+    # a public name is read when the library, a script, the benchmark or the
+    # acceptance suite loads it, or when one of the last three imports it;
+    # docstrings, __all__ strings and its own def are not reads
+    import opmaj
+
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src/opmaj").glob("*.py")) if p.name != "__init__.py"]
+    for where in ("scripts", "perfbench"):
+        files += sorted((root / where).glob("*.py"))
+    files.append(root / "tests/test_acceptance.py")
+    read = set()
+    for path in files:
+        outside = "src" not in path.relative_to(root).parts
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif outside and isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert [name for name in opmaj.__all__ if name not in read] == []
+
+
 def test_quad_command(capsys):
     code, out, _ = run_cli(
         capsys, "quad", "--family", "chebyshev-u", "--n", "2", "--degree", "2"
@@ -413,7 +439,8 @@ def test_matrix_failure_report_names_the_failing_checks(capsys):
     res = matrix_C(classical_scheme("legendre", 7), 7, 3)
     cert = check_majorization(res.target, res.source, 1e-30)
     assert not cert.holds
-    assert json.loads(out)["majorization"] == {"holds": False, "min_margin": cert.min_margin}
+    least = float(cert.partial_margins.min())
+    assert json.loads(out)["majorization"] == {"holds": False, "min_margin": least}
     failures = json.loads(err)["failures"]
     assert "n=7 C k=3 majorization-total" in [f["case"] for f in failures]
     for f in failures:

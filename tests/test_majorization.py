@@ -14,7 +14,6 @@ from opmaj import (
     Family,
     RecurrenceScheme,
     Tolerances,
-    block_decompose,
     certificate_checks,
     check_majorization,
     christoffel_numbers_formula,
@@ -36,6 +35,7 @@ from opmaj import (
 )
 
 from oracles import (
+    block_decompose,
     check_doubly_stochastic,
     christoffel_by_sum,
     delete_row_col,
@@ -253,7 +253,7 @@ def test_check_majorization_examples():
     assert cert.holds
     assert cert.partial_margins == pytest.approx([SQRT2 / 2 - 0.5, SQRT2 / 2 - 0.5])
     assert cert.total_residual <= 1e-15
-    assert cert.min_margin == pytest.approx(0.20710678118654757)
+    assert cert.partial_margins.min() == pytest.approx(0.20710678118654757)
 
     same = check_majorization([3.0, -1.0], [3.0, -1.0], tol=0.0)
     assert same.holds and same.partial_margins == pytest.approx([0.0])
@@ -610,13 +610,13 @@ def test_stacked_rows_equal_the_single_certificate_path(family):
             for f in CONVEX_FUNCTIONS:
                 metric = cases[f"n={n} {key} convex-{f}"].metric
                 assert metric.hex() == (-convex_report(res, f).margin).hex(), (n, key, f)
-    # order 1, which verify never builds, leaves no partial sum: min_margin is 0.0
+    # order 1, which verify never builds, leaves no partial sum: the margin row reads 0.0
     res = matrix_C(s, 1, 1)
     cert = check_majorization(res.target, res.source)
     margin = certificate_checks(res)[4]
     assert cert.partial_margins.size == 0 and cert.holds
     assert margin.case == "n=1 C k=1 majorization-margin" and margin.passed
-    assert -margin.metric == cert.min_margin == 0.0
+    assert -margin.metric == cert.partial_margins.min(initial=0.0) == 0.0
 
 
 def test_verify_refuses_a_negative_seed_before_any_eigensolve(monkeypatch):

@@ -276,7 +276,7 @@ def test_christoffel_darboux_confluent(family, params):
     s = classical_scheme(family, 20, **params)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
-        for x in spectral_spot_points(s, max(n, 2), count=20):
+        for x in spectral_spot_points(s, max(n, 2)):
             vs = eval_all(s, n + 1, x, derivatives=True)
             p, dp = vs.values, vs.derivative_values
             lhs = float(np.dot(p[: n + 1], p[: n + 1]))
@@ -292,7 +292,7 @@ def test_wronskian_of_neighbor_and_associated(family, params):
     sh = shifted(s, 1)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
-        for x in spectral_spot_points(s, max(n, 2), count=20):
+        for x in spectral_spot_points(s, max(n, 2)):
             p = eval_all(s, n + 1, x).values
             q = eval_all(sh, n, x).values
             t1 = a[n + 1] * p[n] * q[n]
@@ -309,7 +309,7 @@ def test_associated_factorization(family, params):
     sh = shifted(s, 1)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(3, 16):
-        for x in spectral_spot_points(s, n, count=20):
+        for x in spectral_spot_points(s, n):
             p = eval_all(s, n, x).values
             q = eval_all(sh, n - 1, x).values
             for k in range(2, n):
@@ -338,9 +338,9 @@ def test_associated_spectral_depth():
 
 def test_spot_points_deterministic_and_inside():
     s = classical_scheme("legendre", 10)
-    pts = spectral_spot_points(s, 8, count=20, seed=7)
-    again = spectral_spot_points(s, 8, count=20, seed=7)
+    pts = spectral_spot_points(s, 8, seed=7)
+    again = spectral_spot_points(s, 8, seed=7)
     assert np.array_equal(pts, again)
     x = scheme_spectral(s, 8).eigenvalues
     assert np.all(pts >= x[0]) and np.all(pts <= x[-1])
-    assert not np.array_equal(pts, spectral_spot_points(s, 8, count=20, seed=8))
+    assert not np.array_equal(pts, spectral_spot_points(s, 8, seed=8))

