@@ -3,11 +3,14 @@
 
 Prints five sha256 digests:
 
-* ``cli``: (argv, exit code, stdout) of 383 invocations of the command
+* ``cli``: (argv, exit code, stdout) of 386 invocations of the command
   line over a fixed grid: six families x n in {1, 2, 7, 30} x theorems A,
   B and C at k in {1, ceil(n/2), n} x json/csv, plus ``zeros``,
-  ``weights``, ``quad``, ``verify --n-max 12``, a fixed list of usage
-  errors and failing checks, and each command's ``--help``;
+  ``weights``, ``quad``, ``verify --n-max 12``, three larger outputs
+  (``weights`` laguerre n = 200 in json and csv, whose 0.0 and subnormal
+  weights carry the extreme exponents, and ``zeros`` hermite n = 400 in
+  csv), a fixed list of usage errors and failing checks, and each
+  command's ``--help``;
 * ``verify``: (case, metric, limit, passed) of ``verify_scheme`` at
   n_max = 30 for legendre, laguerre and hermite;
 * ``stderr``: the stderr of every invocation above, kept apart because
@@ -73,6 +76,13 @@ COEFF_SHIFTS = (0, 1, 5)
 COEFF_ORDERS = (1, 2, 7, 30, 300)
 COEFF_POINTS = (0.1, 0.5, 0.9)  # inside the support of every family above
 
+# beyond n = 30; each is served by dstev alone, so its bits do not depend on
+# the BLAS thread count
+LARGE_CASES = [
+    ["weights", "--family", "laguerre", "--n", "200", "--format", "json"],
+    ["weights", "--family", "laguerre", "--n", "200", "--format", "csv"],
+    ["zeros", "--family", "hermite", "--n", "400", "--format", "csv"],
+]
 ERROR_CASES = [
     ["matrix", "--family", "jacobi", "--n", "3", "--theorem", "A"],
     ["zeros", "--family", "jacobi", "--alpha", "1", "--n", "3"],
@@ -120,6 +130,7 @@ def cli_grid():
             yield ["quad", *family, *size, "--degree", str(2 * n - 1)]
             yield ["quad", *family, *size, "--coeffs", "1,0.5,-2"]
         yield ["verify", *family, "--n-max", "12"]
+    yield from LARGE_CASES
     yield from ERROR_CASES
     for command in ("zeros", "weights", "matrix", "quad", "verify"):
         yield [command, "--help"]  # the flag set and its help text

@@ -5,16 +5,15 @@ fails (a JSON report of the failing checks is emitted), 2 on usage or
 input errors, including a polynomial recurrence that overflows, a Jacobi
 matrix whose zeros float64 cannot separate, classical parameters or a
 certificate order that float64 cannot hold (refused by the library before
-any eigensolve), an ``--out`` file that cannot be written, and a JSON
-result that holds a non-finite number: every JSON emission is standard
-JSON, and nothing is written for such a result.  141 (128 +
-SIGPIPE, as a shell reports it) when stdout is closed before all is written.
+any eigensolve), an allocation the host cannot serve, an ``--out`` file or
+a stdout that cannot be written, and a JSON result that holds a non-finite
+number: every JSON emission is standard JSON, and nothing is written for
+such a result.  141 (128 + SIGPIPE, as a shell reports it) when stdout is
+closed before all is written.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -23,6 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from ._floatrepr import join_rows
 from .majorization import (
     CONVEX_FUNCTIONS,
     convex_report,
@@ -41,7 +41,8 @@ FAMILY_CHOICES = [f.value for f in Family if f is not Family.CUSTOM]
 
 
 class UsageError(ValueError):
-    """Invalid flag combination or malformed input file (exit code 2)."""
+    """Invalid flags, an unreadable or malformed input file, or an output that
+    cannot be written (exit code 2)."""
 
 
 def load_custom_scheme(path: str) -> RecurrenceScheme:
@@ -92,9 +93,20 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances(**{name: v for name, v in limits.items() if v is not None})
 
 
+def _detach_stdout() -> None:
+    """Point fd 1 at devnull, so that the flush at exit cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(text: str, out: str | None):
-    if out is None:  # flushed here, so that a closed pipe raises inside main
-        print(text, end="" if text.endswith("\n") else "\n", flush=True)
+    if out is None:  # flushed here, so that a closed or full stdout raises inside main
+        try:
+            print(text, end="" if text.endswith("\n") else "\n", flush=True)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:  # stdout refused the bytes, as /dev/full does
+            _detach_stdout()
+            raise UsageError(f"cannot write stdout: {exc}") from exc
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -106,8 +118,37 @@ def _emit(text: str, out: str | None):
 _encode_scalar = json.JSONEncoder(allow_nan=False).encode
 
 
+def _float_block(value) -> np.ndarray | None:
+    """``value`` as a 2-D float64 block of rows if it is a run of floats or a float matrix.
+
+    A run is a non-empty 1-D float64 array or a list of plain floats (one
+    row); a matrix is a 2-D float64 array with at least one column.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.size and value.ndim in (1, 2):
+            return value.reshape(-1, value.shape[-1])
+    elif isinstance(value, (list, tuple)) and value and {float}.issuperset(map(type, value)):
+        return np.array(value, dtype=np.float64)[None, :]
+    return None
+
+
 def _write(value, level: int, parts: list[str]) -> None:
     """Append the indent-2 JSON text of ``value`` at nesting ``level`` to ``parts``."""
+    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    block = _float_block(value)
+    if block is not None:
+        # the bulk of every payload: refused in one pass if not finite, and
+        # written by one vectorized float.__repr__ over the whole block
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite float")
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            item = inner + "  "
+            row_break = inner + "]," + inner + "[" + item
+            parts += ["[" + inner + "[" + item, join_rows(block, "," + item, row_break),
+                      inner + "]" + outer + "]"]
+        else:
+            parts += ["[" + inner, join_rows(block, "," + inner, ""), outer + "]"]
+        return
     if isinstance(value, np.ndarray):
         value = list(value) if value.ndim > 1 else value.tolist()
     if not isinstance(value, (dict, list, tuple)):
@@ -118,25 +159,18 @@ def _write(value, level: int, parts: list[str]) -> None:
     if not value:
         parts.append(opener + closer)
         return
-    inner = "\n" + "  " * (level + 1)
     separator = "," + inner
     parts.append(opener + inner)
     if is_dict:
         for i, (key, item) in enumerate(value.items()):
             parts.append((separator if i else "") + encode_basestring_ascii(key) + ": ")
             _write(item, level + 1, parts)
-    elif {float}.issuperset(map(type, value)):
-        # a run of plain floats, the bulk of every payload: checked and
-        # formatted by C loops, with float.__repr__ as the stdlib uses it
-        if not all(map(math.isfinite, value)):
-            raise ValueError("non-finite float")
-        parts.append(separator.join(map(float.__repr__, value)))
     else:
         for i, item in enumerate(value):
             if i:
                 parts.append(separator)
             _write(item, level + 1, parts)
-    parts.append("\n" + "  " * level + closer)
+    parts.append(outer + closer)
 
 
 def _json(payload) -> str:
@@ -145,10 +179,12 @@ def _json(payload) -> str:
     The layout is the stdlib's two-space indented one (its ``indent=2``
     with ``allow_nan=False``), floats in their shortest round-trip
     ``repr``; 1-D and 2-D float arrays are written as their ``tolist()``.
-    Keys must be strings; keys and every scalar other than a float in a
-    run are encoded by the stdlib itself.  A non-finite number is refused,
-    never written as ``NaN``, and the whole text is built before anything
-    is emitted.  Tests hold the writer to the stdlib on random payloads.
+    Runs of floats and float matrices are written by ``_floatrepr``, which
+    matches ``float.__repr__`` byte for byte; keys and every other scalar
+    are encoded by the stdlib itself.  Keys must be strings.  A non-finite
+    number is refused, never written as ``NaN``, and the whole text is
+    built before anything is emitted.  Tests hold the writer to the stdlib
+    on random payloads.
     """
     parts: list[str] = []
     try:
@@ -161,12 +197,13 @@ def _json(payload) -> str:
 
 
 def _csv(rows: np.ndarray) -> str:
-    """Rows of floats under a ``j=1..n`` header, shortest round-trip form."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([f"j={j}" for j in range(1, rows.shape[1] + 1)])
-    writer.writerows(rows.tolist())
-    return buf.getvalue()
+    """Rows of floats under a ``j=1..n`` header, as ``csv.writer`` writes them.
+
+    Floats in their ``repr`` (``inf`` and ``nan`` included), ``,`` between
+    fields and CRLF after each row.
+    """
+    header = ",".join(f"j={j}" for j in range(1, rows.shape[1] + 1)) + "\r\n"
+    return header + (join_rows(rows, ",", "\r\n") + "\r\n" if len(rows) else "")
 
 
 def _failures(results: list[CheckResult]) -> list[dict]:
@@ -190,6 +227,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     checks = certificate_checks(result, tol)  # measured before anything is written
     failures = _failures(checks)
     margin, total = checks[4:6]  # the majorization-margin and majorization-total rows
+    underflowed = result.underflowed.tolist()
     if args.format == "csv":
         _emit(_csv(result.entries), args.out)
     else:
@@ -211,6 +249,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             ],
         }
         _emit(_json(payload), args.out)
+    if underflowed:  # flagged on stderr, in either format, as weights --format csv does
+        sys.stderr.write(json.dumps({"underflowed": underflowed}) + "\n")
     if failures:
         sys.stderr.write(_json({"failures": failures}) + "\n")
         return 1
@@ -395,8 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, PolynomialOverflowError, ConvergenceError) as exc:  # unservable input
         sys.stderr.write(f"opmaj: error: {exc}\n")
         return 2
+    except MemoryError as exc:  # an allocation the host cannot serve
+        sys.stderr.write(f"opmaj: error: {str(exc) or 'out of memory'}\n")
+        return 2
     except BrokenPipeError:  # stdout closed early, as by `| head`
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        _detach_stdout()
         return 141
 
 

@@ -84,6 +84,11 @@ class StochasticMatrixResult:
     relation_err: float
     trace_err: float
 
+    @property
+    def underflowed(self) -> np.ndarray:
+        """(row, column) pairs of the entries below the smallest normal double."""
+        return np.argwhere(self.entries < np.finfo(float).tiny)
+
 
 @dataclass(frozen=True, eq=False)
 class MajorizationCertificate:

@@ -209,6 +209,33 @@ def test_weights_csv_flags_underflowed_christoffel_numbers_on_stderr(capsys):
     assert code == 0 and err == ""
 
 
+def test_matrix_flags_underflowed_entries_on_stderr(capsys):
+    # hermite n=400, k=1 has entries that underflow to 0.0 or to a subnormal
+    # (how many depends on the BLAS thread count): their 0-based (row,
+    # column) pairs go to stderr as one line in either format, stdout and
+    # the exit code unchanged; a clean certificate writes nothing there
+    ref = matrix_C(classical_scheme("hermite", 400), 400, 1)
+    pairs = np.argwhere(ref.entries < np.finfo(float).tiny).tolist()
+    assert len(pairs) > 100
+    argv = ["matrix", "--family", "hermite", "--n", "400", "--theorem", "C", "--k", "1"]
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, json.dumps({"underflowed": pairs}) + "\n"), fmt
+        assert "underflowed" not in out
+    code, _, err = run_cli(capsys, "matrix", "--family", "hermite", "--n", "30", "--theorem", "A")
+    assert (code, err) == (0, "")
+
+
+def test_csv_carries_an_infinity_that_json_refuses(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"a": [1e308], "b": [1e308, 1e308]}))
+    argv = ("zeros", "--custom", str(path), "--n", "2")
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, "j=1,j=2\r\n0.0,inf\r\n", "")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "opmaj: error: the result holds a non-finite number, which JSON cannot carry\n"
+
+
 def test_zeros_csv(capsys):
     code, out, _ = run_cli(
         capsys, "zeros", "--family", "chebyshev-u", "--n", "2", "--format", "csv"
@@ -394,6 +421,41 @@ def test_closed_stdout_pipe_exits_141():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+def cli_subprocess(*argv, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env, stderr=subprocess.PIPE, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_full_stdout_exits_2_by_name():
+    # a stdout that refuses the bytes is an output error, not a failed
+    # check: one error line, and no second failure at the exit flush
+    with open("/dev/full", "w") as full:
+        proc = cli_subprocess("-m", "opmaj.cli", "zeros", "--family", "legendre", "--n", "3",
+                              stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == b"opmaj: error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_allocation_failure_exits_2_by_name():
+    # under a 2 GB address space an order of 1e8 fails in an allocation
+    # before any refusal by size can run: exit 2 with one error line
+    script = (
+        "import resource, sys\n"
+        "from opmaj.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "sys.exit(main(['zeros', '--family', 'legendre', '--n', '100000000']))\n"
+    )
+    proc = cli_subprocess("-c", script, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"opmaj: error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
 
 
 def test_shape_parameter_validation(capsys):
@@ -722,3 +784,20 @@ def test_json_writer_refuses_non_finite(bad):
         with pytest.raises(ValueError, match="^the result holds a non-finite number, "
                            "which JSON cannot carry$"):
             _json(payload)
+
+
+# -- the CSV writer against its reference, csv.writer -------------------------
+CSV_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan])
+)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                  elements=CSV_FLOATS))
+@settings(max_examples=300, deadline=None)
+def test_csv_writer_matches_stdlib_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow([f"j={j}" for j in range(1, table.shape[1] + 1)])
+    writer.writerows(table.tolist())
+    assert cli._csv(table) == buf.getvalue()
