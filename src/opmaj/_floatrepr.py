@@ -1,6 +1,7 @@
 """``float.__repr__`` over whole float64 arrays, byte for byte.
 
-``join_rows(block, sep, row_break)`` returns exactly
+``chunks(block, sep, row_break)`` yields the text of a block CHUNK floats at
+a time, and ``join_rows(block, sep, row_break)``, their join, is exactly
 ``row_break.join(sep.join(map(float.__repr__, row)) for row in block)``.
 
 Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
@@ -200,29 +201,38 @@ def _format(x: np.ndarray, width: int) -> np.ndarray:
     return buf
 
 
-def join_rows(block: np.ndarray, sep: str, row_break: str) -> str:
-    """``row_break.join(sep.join(map(float.__repr__, row)) for row in block)``.
+def chunks(block: np.ndarray, sep: str, row_break: str):
+    """The text of ``join_rows(block, sep, row_break)``, one str per CHUNK floats.
 
-    ``block`` is 2-D float64; ``sep`` and ``row_break`` are ASCII without
-    NUL.  The block is written CHUNK floats at a time, whatever its shape.
+    Each chunk is formatted when it is asked for, so a consumer that writes
+    each one out holds the text of one chunk at a time, whatever the shape
+    of the block.  A block without rows yields nothing.
     """
     n_rows, n_cols = block.shape
     if n_rows == 0:
-        return ""
+        return
     if n_cols == 0:
-        return row_break * (n_rows - 1)
+        yield row_break * (n_rows - 1)
+        return
     flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
     seps = sep.encode("ascii"), row_break.encode("ascii")
     width = _FIELD + max(map(len, seps))
     sep_row, break_row = (
         np.frombuffer(s.ljust(width - _FIELD, b"\0"), dtype=np.uint8) for s in seps
     )
-    parts = []
     for start in range(0, flat.size, CHUNK):
         buf = _format(flat[start:start + CHUNK], width)
         buf[:, _FIELD:] = sep_row
         buf[(n_cols - 1 - start) % n_cols::n_cols, _FIELD:] = break_row
         if start + CHUNK >= flat.size:  # nothing after the last float
             buf[-1, _FIELD:] = 0
-        parts.append(str(buf[buf != 0].data, "ascii"))
-    return "".join(parts)
+        yield str(buf[buf != 0].data, "ascii")
+
+
+def join_rows(block: np.ndarray, sep: str, row_break: str) -> str:
+    """``row_break.join(sep.join(map(float.__repr__, row)) for row in block)``.
+
+    ``block`` is 2-D float64; ``sep`` and ``row_break`` are ASCII without
+    NUL.  It is the join of ``chunks``, the one writer of the text.
+    """
+    return "".join(chunks(block, sep, row_break))

@@ -18,11 +18,11 @@ import json
 import math
 import os
 import sys
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._floatrepr import join_rows
 from .majorization import (
     CONVEX_FUNCTIONS,
     convex_report,
@@ -98,10 +98,23 @@ def _detach_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(text: str, out: str | None):
-    if out is None:  # flushed here, so that a closed or full stdout raises inside main
+def _emit(pieces: list, out: str | None) -> None:
+    """Write the text of ``pieces`` to stdout, or to the file ``out``, chunk by chunk.
+
+    The pieces come from ``_json_pieces`` or ``_csv_pieces``, whose walk has
+    made every refusal, so nothing is written for a payload that is refused;
+    each float block is formatted one chunk at a time as it is written, so
+    its whole text is never held.  Stdout gets a final newline if the text
+    has none, and is flushed here, so that a closed or full stdout raises
+    inside main.
+    """
+    if out is None:
         try:
-            print(text, end="" if text.endswith("\n") else "\n", flush=True)
+            text = ""
+            for text in _chunks(pieces):
+                sys.stdout.write(text)
+            sys.stdout.write("" if text.endswith("\n") else "\n")
+            sys.stdout.flush()
         except BrokenPipeError:
             raise
         except OSError as exc:  # stdout refused the bytes, as /dev/full does
@@ -110,9 +123,26 @@ def _emit(text: str, out: str | None):
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(_chunks(pieces))
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
+def _chunks(pieces: list):
+    """The text of ``pieces``: each run of strings joined, each float block
+    ``(block, sep, row_break)`` written by ``_floatrepr.chunks``.
+
+    The kernel is imported here, on first use, so that a process that
+    writes no float block never builds its tables.
+    """
+    from ._floatrepr import chunks
+
+    for is_text, run in groupby(pieces, key=lambda piece: isinstance(piece, str)):
+        if is_text:
+            yield "".join(run)
+        else:
+            for block in run:
+                yield from chunks(*block)
 
 
 _encode_scalar = json.JSONEncoder(allow_nan=False).encode
@@ -132,22 +162,26 @@ def _float_block(value) -> np.ndarray | None:
     return None
 
 
-def _write(value, level: int, parts: list[str]) -> None:
-    """Append the indent-2 JSON text of ``value`` at nesting ``level`` to ``parts``."""
+def _write(value, level: int, parts: list) -> None:
+    """Append the indent-2 JSON pieces of ``value`` at nesting ``level`` to ``parts``.
+
+    A piece is a string, or a float block deferred as ``(block, sep,
+    row_break)`` for ``_chunks`` to format; every refusal is made here.
+    """
     outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
     block = _float_block(value)
     if block is not None:
         # the bulk of every payload: refused in one pass if not finite, and
-        # written by one vectorized float.__repr__ over the whole block
+        # written later by one vectorized float.__repr__, chunk by chunk
         if not np.isfinite(block).all():
             raise ValueError("non-finite float")
         if isinstance(value, np.ndarray) and value.ndim == 2:
             item = inner + "  "
             row_break = inner + "]," + inner + "[" + item
-            parts += ["[" + inner + "[" + item, join_rows(block, "," + item, row_break),
+            parts += ["[" + inner + "[" + item, (block, "," + item, row_break),
                       inner + "]" + outer + "]"]
         else:
-            parts += ["[" + inner, join_rows(block, "," + inner, ""), outer + "]"]
+            parts += ["[" + inner, (block, "," + inner, ""), outer + "]"]
         return
     if isinstance(value, np.ndarray):
         value = list(value) if value.ndim > 1 else value.tolist()
@@ -173,6 +207,18 @@ def _write(value, level: int, parts: list[str]) -> None:
     parts.append(outer + closer)
 
 
+def _json_pieces(payload) -> list:
+    """The pieces of ``_json(payload)``, for ``_emit``: every refusal is made here."""
+    parts: list = []
+    try:
+        _write(payload, 0, parts)
+    except ValueError:
+        raise ValueError(
+            "the result holds a non-finite number, which JSON cannot carry"
+        ) from None
+    return parts
+
+
 def _json(payload) -> str:
     """Standard JSON, byte for byte what the stdlib encoder writes for the payload.
 
@@ -182,18 +228,18 @@ def _json(payload) -> str:
     Runs of floats and float matrices are written by ``_floatrepr``, which
     matches ``float.__repr__`` byte for byte; keys and every other scalar
     are encoded by the stdlib itself.  Keys must be strings.  A non-finite
-    number is refused, never written as ``NaN``, and the whole text is
-    built before anything is emitted.  Tests hold the writer to the stdlib
-    on random payloads.
+    number is refused, never written as ``NaN``, by the walk of
+    ``_json_pieces``, before any float is formatted; ``_emit`` writes the
+    same pieces chunk by chunk, and this text is their join.  Tests hold
+    the writer to the stdlib on random payloads.
     """
-    parts: list[str] = []
-    try:
-        _write(payload, 0, parts)
-    except ValueError:
-        raise ValueError(
-            "the result holds a non-finite number, which JSON cannot carry"
-        ) from None
-    return "".join(parts)
+    return "".join(_chunks(_json_pieces(payload)))
+
+
+def _csv_pieces(rows: np.ndarray) -> list:
+    """The pieces of ``_csv(rows)``, for ``_emit``."""
+    header = ",".join(f"j={j}" for j in range(1, rows.shape[1] + 1)) + "\r\n"
+    return [header, (rows, ",", "\r\n"), "\r\n"] if len(rows) else [header]
 
 
 def _csv(rows: np.ndarray) -> str:
@@ -202,8 +248,7 @@ def _csv(rows: np.ndarray) -> str:
     Floats in their ``repr`` (``inf`` and ``nan`` included), ``,`` between
     fields and CRLF after each row.
     """
-    header = ",".join(f"j={j}" for j in range(1, rows.shape[1] + 1)) + "\r\n"
-    return header + (join_rows(rows, ",", "\r\n") + "\r\n" if len(rows) else "")
+    return "".join(_chunks(_csv_pieces(rows)))
 
 
 def _failures(results: list[CheckResult]) -> list[dict]:
@@ -229,7 +274,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     margin, total = checks[4:6]  # the majorization-margin and majorization-total rows
     underflowed = result.underflowed.tolist()
     if args.format == "csv":
-        _emit(_csv(result.entries), args.out)
+        _emit(_csv_pieces(result.entries), args.out)
     else:
         payload = {
             "theorem": result.theorem,
@@ -248,7 +293,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                 {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_FUNCTIONS
             ],
         }
-        _emit(_json(payload), args.out)
+        _emit(_json_pieces(payload), args.out)
     if underflowed:  # flagged on stderr, in either format, as weights --format csv does
         sys.stderr.write(json.dumps({"underflowed": underflowed}) + "\n")
     if failures:
@@ -261,10 +306,10 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     scheme, family, params = _build_scheme(args, args.n)
     zeros = scheme_spectral(scheme, args.n).eigenvalues
     if args.format == "csv":
-        _emit(_csv(zeros[None, :]), args.out)
+        _emit(_csv_pieces(zeros[None, :]), args.out)
     else:
         payload = {"family": family, "params": params, "n": args.n, "zeros": zeros}
-        _emit(_json(payload), args.out)
+        _emit(_json_pieces(payload), args.out)
     return 0
 
 
@@ -273,7 +318,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     rule = gauss_rule(scheme, args.n)
     underflowed = rule.underflowed.tolist()
     if args.format == "csv":
-        _emit(_csv(np.vstack([rule.nodes, rule.weights])), args.out)
+        _emit(_csv_pieces(np.vstack([rule.nodes, rule.weights])), args.out)
         if underflowed:  # flagged on stderr: stdout stays a table of floats
             sys.stderr.write(json.dumps({"underflowed": underflowed}) + "\n")
     else:
@@ -286,7 +331,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
         }
         if underflowed:
             payload["underflowed"] = underflowed
-        _emit(_json(payload), args.out)
+        _emit(_json_pieces(payload), args.out)
     return 0
 
 
@@ -313,7 +358,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         **integrand,
         "value": value,
     }
-    _emit(_json(payload), args.out)
+    _emit(_json_pieces(payload), args.out)
     return 0
 
 
@@ -329,7 +374,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "cases": len(results),
         "failures": failures,
     }
-    _emit(_json(payload), args.out)
+    _emit(_json_pieces(payload), args.out)
     return 1 if failures else 0
 
 

@@ -78,11 +78,16 @@ class RecurrenceScheme:
         if self.kind is Family.CUSTOM:
             a, b = np.array(self.a_seq[:top]), np.array(self.b_seq[: top + 1])
         else:
-            i = np.arange(top + 1, dtype=float)  # indices of b; i[1:] for a
-            a1, b0 = self._lead()
-            a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[:top]
-            b = np.concatenate((b0, self._b_form(i[len(b0) :])))
+            a, b = self._table(0, top)
         return a[self.shift :], b[self.shift :]
+
+    def _table(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a_{lo+1}..a_hi, b_lo..b_hi) of a classical base table, from its closed forms."""
+        i = np.arange(lo, hi + 1, dtype=float)  # indices of b; i[1:] for a
+        a1, b0 = (lead[lo:] for lead in self._lead())  # a_1 and b_0 lie in range from 0 only
+        a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[: hi - lo]
+        b = np.concatenate((b0, self._b_form(i[len(b0) :])))
+        return a, b
 
     def _lead(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(a_1,) and (b_0,) where the general forms do not give them, () where they do."""
@@ -123,6 +128,9 @@ class RecurrenceScheme:
         if kind is Family.LAGUERRE:
             return 2.0 * i + self.params[0] + 1.0
         return np.zeros_like(i)
+
+
+_SCAN = 1 << 16  # table indices per slice of classical_scheme's overflow scan
 
 
 def classical_scheme(
@@ -166,14 +174,17 @@ def classical_scheme(
     elif alpha is not None or beta is not None:
         raise ValueError(f"{family.value} takes no shape parameters")
     scheme = RecurrenceScheme(kind=family, max_index=int(max_index), params=params)
-    with np.errstate(all="ignore"):  # reported below, not warned
-        a, b = scheme.coefficients(scheme.max_index)
-    if not (np.all(a > 0.0) and np.isfinite(a).all() and np.isfinite(b).all()):
-        named = ", ".join(f"{k}={v!r}" for k, v in zip(("alpha", "beta"), params))
-        raise ValueError(
-            f"{family.value} with {named}: the recurrence coefficients up to "
-            f"index {scheme.max_index} overflow float64"
-        )
+    # scanned in slices of the table, so that a depth the caller then refuses
+    # by size never has its whole table built here
+    for lo in range(0, scheme.max_index, _SCAN):
+        with np.errstate(all="ignore"):  # reported below, not warned
+            a, b = scheme._table(lo, min(lo + _SCAN, scheme.max_index))
+        if not (np.all(a > 0.0) and np.isfinite(a).all() and np.isfinite(b).all()):
+            named = ", ".join(f"{k}={v!r}" for k, v in zip(("alpha", "beta"), params))
+            raise ValueError(
+                f"{family.value} with {named}: the recurrence coefficients up to "
+                f"index {scheme.max_index} overflow float64"
+            )
     return scheme
 
 

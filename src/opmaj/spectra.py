@@ -196,8 +196,10 @@ def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     bytes: every certificate of order n (A, B and C at each k), its Gauss
     rule and its Christoffel numbers read the same J_n, the only reuse any
     sweep makes.  Safe to share: schemes are immutable and the returned
-    arrays are read-only.
+    arrays are read-only.  An order ``eigen_decompose`` refuses by size is
+    refused before J_n's table is built.
     """
+    refuse_beyond_memory(8 * n**2, f"order {n}", "its eigenvectors")
     return eigen_decompose(jacobi_matrix(scheme, n))
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -434,6 +435,74 @@ def cli_subprocess(*argv, **kwargs):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_full_stdout_mid_stream_exits_2_by_name():
+    # 40,000 floats are ten chunks: the device refuses the first chunk's
+    # bytes, and the run stops there with one error line
+    with open("/dev/full", "w") as full:
+        proc = cli_subprocess("-m", "opmaj.cli", "matrix", "--family", "hermite", "--n", "200",
+                              "--theorem", "B", stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == b"opmaj: error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_refused_payload_creates_no_out_file(capsys, tmp_path):
+    # every refusal comes before the first byte: laguerre's convex-exp margin
+    # follows the 40,000-float matrix in the payload, and the infinite zero
+    # is the last float of its payload, yet neither run creates its --out file
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"a": [1e308], "b": [1e308, 1e308]}))
+    out = tmp_path / "out.json"
+    for argv in (["matrix", "--family", "laguerre", "--n", "200", "--theorem", "A"],
+                 ["zeros", "--custom", str(huge), "--n", "2"]):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith("opmaj: error: the ") and err.count("\n") == 1, err
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_certificate_output_peak_within_the_refusal_budget(capsys, tmp_path, fmt):
+    # the text of a certificate is written chunk by chunk, never held whole:
+    # the traced peak of the whole command, J_n's solve included, stays within
+    # the 32 n^2 bytes matrix_C refuses by, plus one chunk's temporaries;
+    # k = 1 holds the largest deletion block
+    n = 400
+    out = tmp_path / f"matrix.{fmt}"
+    spectra.scheme_spectral.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["matrix", "--family", "hermite", "--n", str(n), "--theorem", "C", "--k", "1",
+                     "--format", fmt, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and out.stat().st_size > 20 * n**2
+    assert peak <= 32 * n**2 + (1 << 20), f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_oversized_order_refused_before_its_table_is_built():
+    # classical_scheme scans its table in bounded slices and scheme_spectral
+    # refuses the 8 n^2 bytes of eigenvectors before J_n's table is built, so
+    # n = 2e7, whose table alone is 160 MB an array, peaks near the import
+    script = (
+        "import json, resource\n"
+        "from opmaj.cli import main\n"
+        "def peak(): return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "base = peak()\n"
+        "code = main(['zeros', '--family', 'legendre', '--n', '20000000'])\n"
+        "print(json.dumps([code, base, peak()]))\n"
+    )
+    proc = cli_subprocess("-c", script, stdout=subprocess.PIPE)
+    code, base_kb, peak_kb = json.loads(proc.stdout)
+    assert code == 2
+    assert proc.stderr.startswith(
+        b"opmaj: error: order 20000000 needs 3200000.0 GB for its eigenvectors"
+    ) and proc.stderr.count(b"\n") == 1, proc.stderr
+    assert peak_kb - base_kb <= 50 * 1024, f"peak RSS {(peak_kb - base_kb) / 1024:.0f} MB over import"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
 def test_full_stdout_exits_2_by_name():
     # a stdout that refuses the bytes is an output error, not a failed
     # check: one error line, and no second failure at the exit flush
@@ -445,8 +514,10 @@ def test_full_stdout_exits_2_by_name():
 
 
 def test_allocation_failure_exits_2_by_name():
-    # under a 2 GB address space an order of 1e8 fails in an allocation
-    # before any refusal by size can run: exit 2 with one error line
+    # under a 2 GB address space an order of 1e8 exits 2 with one error line:
+    # its table is scanned in bounded slices and its eigenvectors are refused
+    # by size before J_n's table is built; an allocation that failed first
+    # would exit 2 the same way
     script = (
         "import resource, sys\n"
         "from opmaj.cli import main\n"

@@ -100,6 +100,15 @@ def test_single_coefficients_bit_equal_to_table(family, params):
         assert np.array(single_b).tobytes() == b.tobytes(), k
 
 
+def test_overflow_scan_reaches_past_its_first_slice():
+    # laguerre a_i = sqrt(i (i + alpha)) overflows from i near 70,000 on at
+    # this alpha, beyond the first slice of classical_scheme's scan
+    alpha = 2.6e303
+    assert classical_scheme("laguerre", 60_000, alpha=alpha).max_index == 60_000
+    with pytest.raises(ValueError, match="index 100000 overflow float64"):
+        classical_scheme("laguerre", 100_000, alpha=alpha)
+
+
 def test_depth_errors():
     s = classical_scheme("legendre", 3)
     with pytest.raises(DepthError):
