@@ -23,13 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .majorization import (
-    CONVEX_FUNCTIONS,
-    convex_report,
-    matrix_A,
-    matrix_B,
-    matrix_C,
-)
+from .majorization import CONVEX_FUNCTIONS, convex_report, matrix_A, matrix_B, matrix_C
 from .orthopoly import DEFAULT_SEED, PolynomialOverflowError, gauss_quadrature, gauss_rule
 from .recurrence import Family, RecurrenceScheme, classical_scheme, from_sequences
 from .spectra import ConvergenceError, scheme_spectral

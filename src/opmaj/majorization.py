@@ -46,15 +46,8 @@ from .recurrence import RecurrenceScheme
 from .spectra import _block_decompose, frozen, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
-    "StochasticMatrixResult",
-    "MajorizationCertificate",
-    "ConvexReport",
-    "CONVEX_FUNCTIONS",
-    "matrix_A",
-    "matrix_B",
-    "matrix_C",
-    "check_majorization",
-    "convex_report",
+    "StochasticMatrixResult", "MajorizationCertificate", "ConvexReport", "CONVEX_FUNCTIONS",
+    "matrix_A", "matrix_B", "matrix_C", "check_majorization", "convex_report",
 ]
 
 CONVEX_FUNCTIONS = {
@@ -159,7 +152,8 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    return _matrix_C(scheme, n, [k], {}, _certificate_table(scheme, n))[2][0]
+    entries, target, source, errs = _matrix_C(scheme, n, [k], {}, _certificate_table(scheme, n))
+    return StochasticMatrixResult("C", n, k, entries[0], source, target[0], *(e[0] for e in errs))
 
 
 def _certificate_table(scheme: RecurrenceScheme, n: int):
@@ -180,9 +174,11 @@ def _certificate_table(scheme: RecurrenceScheme, n: int):
 def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
     """The certificates C(k), k in ``ks``, of a valid order n, built and measured as one stack.
 
-    Returns the frozen entries (len(ks), n, n) and target (len(ks), n) stacks
-    and one result per k viewing its slices.  Both blocks of each C(k) are
-    sliced from ``table``, the (offdiag, diag) of J_n or of a higher order;
+    Returns the frozen entries (len(ks), n, n) and target (len(ks), n) stacks,
+    the source zeros, and the row-sum, column-sum, relation and trace errors
+    of ``StochasticMatrixResult`` as four lists of floats, with no result
+    object per certificate.  Both blocks of each C(k) are sliced from
+    ``table``, the (offdiag, diag) of J_n or of a higher order;
     J_{k-1} is read from or added to ``leads``, a dict from m to J_m as a
     deletion block whose lifetime the caller sets.  The slices go to the solver
     unchecked: they lie in J_n's table, checked by ``scheme_spectral`` first.
@@ -208,17 +204,16 @@ def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
         entries[i, n - 1] = sd_n.components[k - 1]
     np.square(entries, out=entries)
     source = sd_n.eigenvalues
-    row_err = np.abs(entries.sum(axis=2) - 1.0).max(axis=1)
-    col_err = np.abs(entries.sum(axis=1) - 1.0).max(axis=1)
-    rel_err = np.abs(target - np.matmul(entries, source)).max(axis=1)
-    results = []
-    for k, e, t, *errs in zip(ks, frozen(entries), frozen(target), row_err, col_err, rel_err):
-        # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
-        trace = t[-1] + t[: k - 1].sum() + t[k - 1 : n - 1].sum()
-        results.append(StochasticMatrixResult(
-            "C", n, k, e, source, t, *map(float, errs), float(abs(trace - source.sum()))
-        ))
-    return entries, target, results
+    errs = [
+        np.abs(entries.sum(axis=2) - 1.0).max(axis=1).tolist(),
+        np.abs(entries.sum(axis=1) - 1.0).max(axis=1).tolist(),
+        np.abs(target - np.matmul(entries, source)).max(axis=1).tolist(),
+    ]
+    total = source.sum()
+    # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
+    errs.append([float(abs(t[-1] + t[: k - 1].sum() + t[k - 1 : n - 1].sum() - total))
+                 for k, t in zip(ks, target)])
+    return frozen(entries), frozen(target), source, errs
 
 
 def check_majorization(x, y, tol: float = 1e-10) -> MajorizationCertificate:

@@ -13,20 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from .recurrence import RecurrenceScheme
+from .recurrence import RecurrenceScheme, shifted
 from .spectra import frozen, jacobi_matrix, scheme_spectral
 
 __all__ = [
-    "PolynomialValueSet",
-    "QuadratureRule",
-    "PolynomialOverflowError",
-    "eval_all",
-    "christoffel_numbers_formula",
-    "gauss_rule",
-    "gauss_quadrature",
-    "jacobi_power_moment",
-    "spectral_spot_points",
-    "DEFAULT_SEED",
+    "PolynomialValueSet", "QuadratureRule", "PolynomialOverflowError", "eval_all",
+    "christoffel_numbers_formula", "gauss_rule", "gauss_quadrature", "jacobi_power_moment",
+    "spectral_spot_points", "DEFAULT_SEED",
 ]
 
 DEFAULT_SEED = 12345
@@ -97,6 +90,31 @@ def _forward(scheme: RecurrenceScheme, n: int, points: np.ndarray, derivatives: 
             if d is not None:
                 d[m + 2] = (x_b * d[m + 1] + p[m + 1] - a[m] * d[m]) / a[m + 1]
     return [np.ascontiguousarray(v[1:].T) for v in (p, d) if v is not None]
+
+
+def _associated_tops(scheme: RecurrenceScheme, n: int, points: np.ndarray, table) -> np.ndarray:
+    """p^(k)_{n-k} at ``points``, 2 <= k <= n - 1, in row k - 2, in one pass over
+    ``table``, the scheme's (offdiag, diag) to a_n and b_{n-1} or further.
+
+    Shift k runs ``_forward``'s operations on its slice a_{m+k}, b_{m+k} to its
+    degree, so its row is ``eval_all(shifted(scheme, k), n - k, points).values[:, n - k]``
+    bit for bit, and the first shift to overflow raises what that call raises:
+    a degree that left float64 leaves every degree above it non-finite."""
+    offdiag, diag = table
+    top = np.ones((n - 2, points.size))  # p_0 of each shift, then its latest degree
+    below = np.zeros_like(top)  # p_{-1}, then the degree before
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        for m in range(n - 2):
+            live = slice(0, n - 2 - m)  # shifts k <= n - 1 - m, still below their degree
+            x_b = points - diag[m + 2 : n, None]
+            a_m = offdiag[m + 1 : n - 1, None] if m else 0.0  # a'_0 = 0
+            below[live], top[live] = top[live], (
+                (x_b * top[live] - a_m * below[live]) / offdiag[m + 2 : n, None]
+            )
+    bad = np.flatnonzero(~np.isfinite(top).all(axis=1))
+    if bad.size:
+        eval_all(shifted(scheme, int(bad[0]) + 2), n - int(bad[0]) - 2, points)
+    return top
 
 
 def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:

@@ -8,6 +8,9 @@ scheme, and the CLI turns either outcome into exit codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, le, lt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,13 +18,8 @@ from .majorization import (
     CONVEX_FUNCTIONS, _certificate_table, _convex_sums, _majorization, _matrix_C
 )
 from .orthopoly import (
-    DEFAULT_SEED,
-    PolynomialOverflowError,
-    christoffel_numbers_formula,
-    eval_all,
-    gauss_rule,
-    jacobi_power_moment,
-    spectral_spot_points,
+    DEFAULT_SEED, PolynomialOverflowError, _associated_tops, christoffel_numbers_formula, eval_all,
+    gauss_rule, jacobi_power_moment, spectral_spot_points,
 )
 from .recurrence import RecurrenceScheme, shifted
 from .spectra import JacobiMatrix, eigen_decompose, refuse_beyond_memory, scheme_spectral
@@ -53,27 +51,26 @@ class Tolerances:
                 raise ValueError(f"tolerance {name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check: its sortable case key, the measured metric, its limit and the verdict."""
+
     case: str
     metric: float
     limit: float
     passed: bool
 
 
-def _row(case: str, metric: float, limit: float, strict: bool = False) -> CheckResult:
-    metric, limit = float(metric), float(limit)
-    return CheckResult(case, metric, limit, metric < limit if strict else metric <= limit)
+def _rows(cases, metrics: list, limit: float, strict: bool = False) -> list[CheckResult]:
+    """A row per case and its metric, a float, each held to ``limit``: below it if strict."""
+    limit = float(limit)
+    passed = map(lt if strict else le, metrics, repeat(limit))
+    # tuple.__new__ fills each row in C, with no Python frame per row
+    return list(map(tuple.__new__, repeat(CheckResult), zip(cases, metrics, repeat(limit), passed)))
 
 
 def _rel_err(lhs, rhs):
     scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), np.finfo(float).tiny)
     return abs(lhs - rhs) / scale
-
-
-def _min_interlace_margin(inner: np.ndarray, outer: np.ndarray) -> float:
-    """Smallest gap of the strict pattern outer_j < inner_j < outer_{j+1}."""
-    return float(min((inner - outer[:-1]).min(), (outer[1:] - inner).min()))
 
 
 def certificate_checks(result, tol: Tolerances = Tolerances()) -> list[CheckResult]:
@@ -85,54 +82,56 @@ def certificate_checks(result, tol: Tolerances = Tolerances()) -> list[CheckResu
     The row-sum, column-sum and relation residuals are read from the result,
     which computed them when it was built.
     """
-    return _certificate_checks([result], result.entries[None], result.target[None], tol)[0]
+    tag = f"n={result.n} {result.theorem}" + (f" k={result.k}" if result.theorem == "C" else "")
+    errs = [[float(e)] for e in (result.row_sum_err, result.col_sum_err, result.relation_err)]
+    stack = result.entries[None], result.target[None], result.source, errs
+    return [rows[0] for rows in _certificate_checks([tag], *stack, tol)]
 
 
-def _certificate_checks(results, entries, target, tol: Tolerances) -> list[list[CheckResult]]:
-    """``certificate_checks`` of the certificates of one order, over their stacked arrays."""
-    source = results[0].source
+def _certificate_checks(tags, entries, target, source, errs, tol) -> list[list[CheckResult]]:
+    """``certificate_checks`` of the certificates ``tags`` of one order, from their stacked
+    arrays and ``_matrix_C``'s error lists: one list of rows per check, in its order."""
     diameter = float(source[-1] - source[0])
     margins, totals, _ = _majorization(target, source, tol.majorization)
     # the least partial-sum margin: 0.0 when order 1 leaves no partial sum
-    least = margins.min(axis=1) if margins.shape[1] else np.zeros(len(results))
-    lowest = entries.min(axis=(1, 2))
-    out = []
-    for res, margin, total, low in zip(results, least, totals, lowest):
-        tag = f"n={res.n} {res.theorem}" + (f" k={res.k}" if res.theorem == "C" else "")
-        out.append([
-            _row(f"{tag} row-sums", res.row_sum_err, tol.stochastic),
-            _row(f"{tag} col-sums", res.col_sum_err, tol.stochastic),
-            _row(f"{tag} nonnegative", -low, tol.stochastic),
-            _row(f"{tag} relation", res.relation_err, tol.relation * max(diameter, 1.0)),
-            _row(f"{tag} majorization-margin", -margin, tol.majorization),
-            _row(f"{tag} majorization-total", total, tol.majorization),
-        ])
-    return out
+    least = margins.min(axis=1) if margins.shape[1] else np.zeros(len(tags))
+    columns = [
+        ("row-sums", errs[0], tol.stochastic),
+        ("col-sums", errs[1], tol.stochastic),
+        ("nonnegative", (-entries.min(axis=(1, 2))).tolist(), tol.stochastic),
+        ("relation", errs[2], tol.relation * max(diameter, 1.0)),
+        ("majorization-margin", (-least).tolist(), tol.majorization),
+        ("majorization-total", totals.tolist(), tol.majorization),
+    ]
+    return [_rows([f"{tag} {name}" for tag in tags], metrics, limit)
+            for name, metrics, limit in columns]
 
 
-def _identity_checks(out: list, scheme, n: int, points, res_cn, res_c1):
+def _identity_checks(out: list, scheme, n: int, points, source, entries_cn, entries_c1):
     """Polynomial-identity spot checks: Wronskian, Christoffel-Darboux,
     the associated-polynomial factorization, and the column-sum identities
-    of theorems A and B, read from the certificates C(n) and C(1), against
-    independently evaluated sides.
+    of theorems A and B, read from the entries of C(n) and C(1) over the
+    zeros ``source``, against independently evaluated sides.
 
     The first two difference identities are checked relative to the size of
     their terms (backward error): inside the spectral interval of measures
     with unbounded support the products reach the reciprocal square root of
     the smallest Christoffel number, so a residual relative to the O(1)
     result is not resolvable in doubles while a formula error would still
-    surface at full term scale.  Each scheme and shift takes one pass over
-    all spot points; an overflow, of the recurrence or of a product or sum of
+    surface at full term scale.  The scheme and its first shift take one pass
+    over all spot points, and shifts 2..n-1 one more together, on slices of
+    one table; an overflow, of the recurrence or of a product or sum of
     the identities, raises PolynomialOverflowError with no numpy warning."""
-    a = [0.0, *scheme.coefficients(n + 1)[0].tolist()]  # a[i] = a_i
+    offdiag, diag = scheme.coefficients(n + 1)
+    a = [0.0, *offdiag.tolist()]  # a[i] = a_i
     base = eval_all(scheme, n + 1, points, derivatives=True)
     p, dp = base.values, base.derivative_values
     q = eval_all(shifted(scheme, 1), n, points).values
-    r = {k: eval_all(shifted(scheme, k), n - k, points).values[:, n - k] for k in range(2, n)}
+    r = _associated_tops(scheme, n, points, (offdiag, diag))  # row k - 2: p^(k)_{n-k}
     # column sums of the deleted-row bands against independently evaluated right sides
     lam = christoffel_numbers_formula(scheme, n)
     # squared one numpy scalar at a time, by libm's pow, whose bits x * x does not always match
-    p_nm1_sq = np.array([v ** 2 for v in eval_all(scheme, n - 1, res_cn.source).values[:, n - 1]])
+    p_nm1_sq = np.array([v ** 2 for v in eval_all(scheme, n - 1, source).values[:, n - 1]])
     try:
         with np.errstate(over="raise", invalid="raise"):
             # a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1
@@ -144,20 +143,20 @@ def _identity_checks(out: list, scheme, n: int, points, res_cn, res_c1):
             rhs = a[n + 1] * (dp[:, n + 1] * p[:, n] - p[:, n + 1] * dp[:, n])
             spots["christoffel-darboux"] = _rel_err(lhs, rhs)
             # a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}), 2 <= k <= n-1
-            for k, r_k in r.items():
+            for k, r_k in enumerate(r, 2):
                 lhs = a[1] * r_k
                 u1 = a[k] * p[:, k - 1] * q[:, n - 1]
                 u2 = a[k] * p[:, n] * q[:, k - 2]
                 metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
                 spots[f"k={k} assoc-factorization"] = metric
-            err_a = _rel_err(res_cn.entries[: n - 1].sum(axis=0), 1.0 - lam * p_nm1_sq).max()
-            err_b = _rel_err(res_c1.entries[: n - 1].sum(axis=0), 1.0 - lam).max()
+            err_a = _rel_err(entries_cn[: n - 1].sum(axis=0), 1.0 - lam * p_nm1_sq).max()
+            err_b = _rel_err(entries_c1[: n - 1].sum(axis=0), 1.0 - lam).max()
     except FloatingPointError:
         raise PolynomialOverflowError(f"the order {n} identity checks overflow float64") from None
-    for i, x in enumerate(points):
-        out += [_row(f"n={n} {name} x={x:.6g}", m[i], IDENTITY_TOL) for name, m in spots.items()]
-    out.append(_row(f"n={n} column-sum-identity A", err_a, IDENTITY_TOL))
-    out.append(_row(f"n={n} column-sum-identity B", err_b, IDENTITY_TOL))
+    for name, m in spots.items():
+        out += _rows([f"n={n} {name} x={x:.6g}" for x in points], m.tolist(), IDENTITY_TOL)
+    out += _rows([f"n={n} column-sum-identity {name}" for name in "AB"],
+                 [float(err_a), float(err_b)], IDENTITY_TOL)
 
 
 def _quadrature_checks(out: list, scheme, n: int, moments):
@@ -167,35 +166,31 @@ def _quadrature_checks(out: list, scheme, n: int, moments):
         quad = float(np.dot(rule.weights, rule.nodes**m))
         scale = float(np.dot(rule.weights, np.abs(rule.nodes) ** m))
         worst = max(worst, abs(quad - moments[m]) / max(scale, np.finfo(float).tiny))
-    out.append(_row(f"n={n} quadrature-exactness", worst, QUADRATURE_TOL))
+    out += _rows([f"n={n} quadrature-exactness"], [float(worst)], QUADRATURE_TOL)
 
 
 def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limit, seed):
     """verify's rows of C(1), ..., C(n), A and B at order n, from one stack freed on return."""
-    entries, target, results = _matrix_C(scheme, n, range(1, n + 1), leads, table)
-    convex = {f: _convex_sums(target, results[0].source, f) for f in CONVEX_FUNCTIONS}
-    ends = {"B": 1, "A": n}  # theorems B and A are C(1) and C(n)
-    for res, rows in zip(results, _certificate_checks(results, entries, target, tol)):
-        tag = f"n={n} C k={res.k}"
-        for f, (lhs, rhs) in convex.items():
-            rows.append(_row(f"{tag} convex-{f}", -(rhs - lhs[res.k - 1]), tol.majorization))
+    entries, target, source, errs = _matrix_C(scheme, n, range(1, n + 1), leads, table)
+    tags = [f"n={n} C k={k}" for k in range(1, n + 1)]
+    columns = _certificate_checks(tags, entries, target, source, errs, tol)
+    for f in CONVEX_FUNCTIONS:
+        lhs, rhs = _convex_sums(target, source, f)
+        columns.append(_rows([f"{t} convex-{f}" for t in tags], (-(rhs - lhs)).tolist(),
+                             tol.majorization))
+    for rows in columns:
         out += rows
-        for name, end in ends.items():
-            if res.k == end:  # the same rows under the end theorem's key
-                key = f"n={n} {name}"
-                out += [CheckResult(r.case.replace(tag, key), r.metric, r.limit, r.passed)
-                        for r in rows]
-    for name, end in ends.items():
-        # one certificate under two keys: its entries differ from themselves by 0.0
-        case = f"n={n} reduction-C{'n' if end == n else 1}-vs-{name}"
-        out.append(_row(case, 0.0, REDUCTION_TOL))
-    ab = [(name, _row("", results[end - 1].trace_err, trace_limit)) for name, end in ends.items()]
-    for res in results:  # the A and B trace rows repeat at every k, re-keyed
-        for name, r in (*ab, ("C", _row("", res.trace_err, trace_limit))):
-            out.append(CheckResult(f"n={n} k={res.k} trace-{name}", r.metric, r.limit, r.passed))
+        for name, k in (("B", 1), ("A", n)):  # theorems B and A are C(1) and C(n), re-keyed
+            out.append(rows[k - 1]._replace(case=rows[k - 1].case.replace(f"C k={k}", name, 1)))
+    # one certificate under two keys: its entries differ from themselves by 0.0
+    cases = [f"n={n} reduction-C1-vs-B", f"n={n} reduction-Cn-vs-A"]
+    out += _rows(cases, [0.0, 0.0], REDUCTION_TOL)
+    trace = errs[3]  # the A and B trace rows repeat at every k
+    for name, metrics in (("A", [trace[-1]] * n), ("B", [trace[0]] * n), ("C", trace)):
+        out += _rows([f"n={n} k={k} trace-{name}" for k in range(1, n + 1)], metrics, trace_limit)
     if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
         points = spectral_spot_points(scheme, n, seed=seed)
-        _identity_checks(out, scheme, n, points, results[n - 1], results[0])
+        _identity_checks(out, scheme, n, points, source, entries[n - 1], entries[0])
 
 
 def verify_scheme(
@@ -215,8 +210,8 @@ def verify_scheme(
 
     Each order builds and measures C(1), ..., C(n) once, as one stack freed
     before the next order's, every order above m reading the call's one J_m,
-    and its trace rows read ``trace_err``.  Only J_n comes from
-    ``scheme_spectral``; J_{n-1} is the order before's, and the first
+    and writes its rows from the stack, with no result per certificate.  Only
+    J_n comes from ``scheme_spectral``; J_{n-1} is the order before's, and the first
     associated block is solved from the J_{n_max} table.  A and B are C(n) and
     C(1), as ``matrix_A``/``matrix_B`` define them, so their rows are the C(n)
     and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
@@ -230,10 +225,7 @@ def verify_scheme(
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if n_max > scheme.max_index + 1:
-        raise ValueError(
-            f"n_max {n_max} exceeds the scheme's usable order "
-            f"{scheme.max_index + 1}"
-        )
+        raise ValueError(f"n_max {n_max} exceeds the scheme's usable order {scheme.max_index + 1}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     # the memory need and the Gershgorin bound grow with n: n_max covers every order
@@ -250,12 +242,13 @@ def verify_scheme(
     for n in range(2, n_max + 1):
         prev, x = x, scheme_spectral(scheme, n).eigenvalues
         assoc = eigen_decompose(JacobiMatrix(diag[1:n], offdiag[1:n - 1])).eigenvalues
-        for name, inner in (("consecutive", prev), ("associated", assoc)):
-            margin = _min_interlace_margin(inner, x)
-            out.append(_row(f"n={n} interlacing-{name}", -margin, 0.0, strict=True))
+        # minus the least gap of the strict pattern x_j < inner_j < x_{j+1}
+        metrics = [-float(min((z - x[:-1]).min(), (x[1:] - z).min())) for z in (prev, assoc)]
+        cases = [f"n={n} interlacing-{name}" for name in ("consecutive", "associated")]
+        out += _rows(cases, metrics, 0.0, strict=True)
         _order_checks(out, scheme, n, table, leads, tol, tol.majorization * b_scale, seed)
         if n <= moment_cap:
             _quadrature_checks(out, scheme, n, moments)
-    out.sort(key=lambda r: r.case)
+    out.sort(key=attrgetter("case"))
     return out
 

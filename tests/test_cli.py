@@ -20,6 +20,7 @@ from opmaj import (
     check_majorization, classical_scheme, cli, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
 )
 from opmaj.cli import _json, main
+from opmaj.verification import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +354,26 @@ def test_verify_absurd_tolerance_fails(capsys):
     assert {"case", "metric", "limit"} <= set(sample)
 
 
+def test_no_payload_carries_a_check_row(capsys, monkeypatch):
+    # a CheckResult is a tuple, which _write would write as a JSON list: the
+    # failing rows of matrix and verify reach stdout and stderr as dicts only
+    write, walked = cli._write, []
+
+    def checking_write(value, level, parts):
+        assert not isinstance(value, CheckResult), value
+        walked.append(type(value))
+        write(value, level, parts)
+
+    monkeypatch.setattr(cli, "_write", checking_write)
+    for argv in (("verify", "--family", "legendre", "--n-max", "6"),
+                 ("matrix", "--family", "legendre", "--n", "7", "--theorem", "C", "--k", "3")):
+        code, out, err = run_cli(capsys, *argv, "--tol", "1e-30")
+        assert code == 1, argv
+        failures = json.loads(out if argv[0] == "verify" else err)["failures"]
+        assert failures and all(isinstance(f, dict) for f in failures), argv
+    assert dict in walked
+
+
 def test_verify_custom_scheme(capsys, tmp_path):
     path = tmp_path / "cheb.json"
     path.write_text(json.dumps({"a": [0.5] * 12, "b": [0.0] * 13}))
@@ -427,6 +448,9 @@ def test_closed_stdout_pipe_exits_141():
 def cli_subprocess(*argv, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    # buffered stdout, as a shell gives it: the exit flush then retries what
+    # the failed write left behind, unless main detached stdout first
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *argv],
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

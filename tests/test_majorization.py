@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from opmaj import (
     CONVEX_FUNCTIONS,
+    CheckResult,
     ConvergenceError,
     Family,
     RecurrenceScheme,
+    StochasticMatrixResult,
     Tolerances,
     certificate_checks,
     check_majorization,
@@ -457,8 +459,9 @@ def test_verify_solves_each_leading_block_once(monkeypatch):
 
 
 def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
-    # per order n with identity checks: one eval_all pass per scheme or
-    # shift (n of them) over all spot points, and one over the zeros for the
+    # per order n with identity checks: one eval_all pass over all spot points
+    # for the scheme and one for its first shift, one 2-D pass for shifts
+    # 2..n-1 together, and one eval_all pass over the zeros for the
     # column-sum right sides; the Christoffel numbers run the same recurrence
     # once more, unchecked, so as to raise node by node.  The only Jacobi
     # matrices built are the moments' J_K, then J_n's and the interlacing
@@ -466,14 +469,18 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     N = 12
     evals, built = [], []
     eval_body, post_init = orthopoly.eval_all, spectra.JacobiMatrix.__post_init__
-    identity_body = verification._identity_checks
+    identity_body, tops_body = verification._identity_checks, orthopoly._associated_tops
 
     def counting_eval_all(*args, **kwargs):
         evals[-1][1] += 1
         return eval_body(*args, **kwargs)
 
+    def counting_tops(*args):
+        evals[-1][2] += 1
+        return tops_body(*args)
+
     def counting_identity_checks(out, scheme, n, *args):
-        evals.append([n, 0])
+        evals.append([n, 0, 0])
         return identity_body(out, scheme, n, *args)
 
     def counting_post_init(self):
@@ -483,6 +490,7 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     for module in (orthopoly, verification):
         monkeypatch.setattr(module, "eval_all", counting_eval_all)
     monkeypatch.setattr(verification, "_identity_checks", counting_identity_checks)
+    monkeypatch.setattr(verification, "_associated_tops", counting_tops)
     monkeypatch.setattr(spectra.JacobiMatrix, "__post_init__", counting_post_init)
     scheme_spectral.cache_clear()  # each order's J_n is then built once
     counts = []
@@ -492,7 +500,7 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
         verify_scheme(classical_scheme("legendre", N + 1), N)
         counts.append(([tuple(e) for e in evals], list(built)))
     assert counts[0] == counts[1]
-    assert counts[0][0] == [(n, n + 1) for n in range(2, N + 1)]
+    assert counts[0][0] == [(n, 3, 1) for n in range(2, N + 1)]
     moments = [m // 2 + 1 for m in range(1, 2 * N)]
     assert counts[0][1] == moments + [m for n in range(2, N + 1) for m in (n, n - 1)]
 
@@ -561,9 +569,15 @@ def test_certificate_checks_rows():
 
 def test_verify_builds_each_certificate_once(monkeypatch):
     # A and B are C(n) and C(1): each order builds C(1..n) as one stack and
-    # nothing more, measured by one majorization pass and one convex pass per f
-    built, majorized, convex = [], [], []
-    matrix_C_body = majorization._matrix_C
+    # nothing more, measured by one majorization pass and one convex pass per f;
+    # its rows come from the stack, with at most the C(1) and C(n) results
+    # built, and only at orders that run the identity checks
+    built, majorized, convex, results = [], [], [], []
+    matrix_C_body, result_init = majorization._matrix_C, StochasticMatrixResult.__init__
+
+    def counting_result_init(self, *args, **kwargs):
+        result_init(self, *args, **kwargs)
+        results.append((self.n, self.k))
 
     def counting_matrix_C(scheme, n, ks, leads, table):
         built.append((n, list(ks)))
@@ -581,6 +595,7 @@ def test_verify_builds_each_certificate_once(monkeypatch):
         monkeypatch.setattr(module, "_matrix_C", counting_matrix_C)
     monkeypatch.setattr(verification, "_majorization", counting_majorization)
     monkeypatch.setattr(verification, "_convex_sums", counting_convex_sums)
+    monkeypatch.setattr(StochasticMatrixResult, "__init__", counting_result_init)
     verify_scheme(classical_scheme("legendre", 8), 7)
     assert [n for n, _ in built] == list(range(2, 8))
     certificates = [(n, k) for n in range(2, 8) for k in range(1, n + 1)]
@@ -588,6 +603,35 @@ def test_verify_builds_each_certificate_once(monkeypatch):
     assert len(certificates) == 27
     assert majorized == [(n, n) for n in range(2, 8)]
     assert sorted(convex) == [((n, n), f) for n in range(2, 8) for f in sorted(CONVEX_FUNCTIONS)]
+    # orders 16 and 17 lie above the identity checks' cap, 17 past the depth too
+    N = verification.IDENTITY_N_CAP + 2
+    verify_scheme(classical_scheme("legendre", N), N)
+    assert all(k in (1, n) and n <= verification.IDENTITY_N_CAP for n, k in results), results
+    assert max(Counter(n for n, _ in results).values(), default=0) <= 2
+    matrix_C(classical_scheme("legendre", 8), 7, 3)  # the count sees every construction
+    assert results[-1] == (7, 3)
+
+
+def test_check_result_contract():
+    # verify's and certificate_checks' row: four named fields, immutable, hashable
+    row = CheckResult("n=2 C k=1 row-sums", 0.0, 1e-10, True)
+    assert row == CheckResult(case="n=2 C k=1 row-sums", metric=0.0, limit=1e-10, passed=True)
+    assert CheckResult._fields == ("case", "metric", "limit", "passed")
+    assert (row.case, row.metric, row.limit, row.passed) == ("n=2 C k=1 row-sums", 0.0, 1e-10, True)
+    with pytest.raises(AttributeError):
+        row.passed = False
+    assert hash(row) == hash(CheckResult(*row)) and len({row, CheckResult(*row)}) == 1
+    assert repr(row) == (
+        "CheckResult(case='n=2 C k=1 row-sums', metric=0.0, limit=1e-10, passed=True)"
+    )
+    # every row verify writes carries a float metric and limit and a bool verdict,
+    # failing rows (laguerre's) and strict interlacing rows included
+    rows = verify_scheme(classical_scheme("laguerre", 32, alpha=0.0), 30)
+    assert not all(r.passed for r in rows)
+    assert {(type(r), type(r.metric), type(r.limit), type(r.passed)) for r in rows} == {
+        (CheckResult, float, float, bool)
+    }
+    assert rows == sorted(rows, key=lambda r: r.case)
 
 
 @pytest.mark.parametrize("family", ["legendre", "laguerre", "hermite"])

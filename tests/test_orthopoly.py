@@ -18,6 +18,9 @@ from opmaj import (
     spectral_spot_points,
 )
 
+from opmaj.orthopoly import _associated_tops
+from opmaj.verification import IDENTITY_N_CAP
+
 from oracles import closed_form_moment
 
 FAMILIES = [
@@ -102,6 +105,39 @@ def test_eval_all_over_an_array_is_bit_equal_to_pointwise_calls(scheme, shift):
                 for got in (many.derivative_values[i], one.derivative_values):
                     assert got.tobytes() == ders.tobytes()
             assert eval_all(s, n, points).derivative_values is None
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_associated_tops_are_bit_equal_to_each_shifts_eval_all(family, params):
+    # the identity checks' one pass for shifts 2..n-1 reads each at its own degree
+    s = classical_scheme(family, IDENTITY_N_CAP + 1, **params)
+    for n in range(2, IDENTITY_N_CAP + 1):
+        points = spectral_spot_points(s, n)
+        tops = _associated_tops(s, n, points, s.coefficients(n + 1))
+        assert tops.shape == (n - 2, points.size)
+        for k in range(2, n):
+            top = eval_all(shifted(s, k), n - k, points).values[:, n - k]
+            assert tops[k - 2].tobytes() == top.tobytes(), (n, k)
+
+
+def test_associated_tops_raise_the_first_shifts_overflow():
+    # growth about 1e4 per step at x = 1 and 2, slower for later shifts, none
+    # at x = 0: at order 99 shifts 2..13 overflow, not all at the same degree,
+    # and the pass raises what eval_all raises for shift 2, with no numpy warning
+    s = from_sequences([1e-4 * 1.03**i for i in range(100)], (0.0,) * 101)
+    n, points = 99, np.array([0.0, 1.0, 2.0])
+    overflows = []
+    for k in range(2, n):
+        try:
+            eval_all(shifted(s, k), n - k, points)
+        except PolynomialOverflowError as exc:
+            overflows.append((k, str(exc)))
+    assert [k for k, _ in overflows] == list(range(2, 14))
+    assert overflows[0][1] != overflows[1][1]
+    with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
+        warnings.simplefilter("error")
+        _associated_tops(s, n, points, s.coefficients(n))
+    assert str(err.value) == overflows[0][1]
 
 
 def test_eval_all_over_an_array_raises_the_first_pointwise_overflow():
