@@ -3,13 +3,14 @@
 
 Prints five sha256 digests:
 
-* ``cli``: (argv, exit code, stdout) of 386 invocations of the command
+* ``cli``: (argv, exit code, stdout) of 391 invocations of the command
   line over a fixed grid: six families x n in {1, 2, 7, 30} x theorems A,
   B and C at k in {1, ceil(n/2), n} x json/csv, plus ``zeros``,
   ``weights``, ``quad``, ``verify --n-max 12``, three larger outputs
   (``weights`` laguerre n = 200 in json and csv, whose 0.0 and subnormal
   weights carry the extreme exponents, and ``zeros`` hermite n = 400 in
-  csv), a fixed list of usage errors and failing checks, and each
+  csv), a fixed list of usage errors and failing checks (some with two
+  errors, so that stderr shows which is reported first), and each
   command's ``--help``;
 * ``verify``: (case, metric, limit, passed) of ``verify_scheme`` at
   n_max = 30 for legendre, laguerre and hermite;
@@ -110,6 +111,12 @@ ERROR_CASES = [
      "--tol", "1e-30"],
     ["matrix", "--family", "legendre", "--n", "7", "--theorem", "B",
      "--tol-stochastic", "1e-30", "--tol-relation", "1e-30"],
+    # two errors each: the stderr digest pins which one is reported first
+    ["matrix", "--family", "jacobi", "--n", "3", "--theorem", "A", "--k", "2"],
+    ["matrix", "--family", "jacobi", "--n", "3", "--theorem", "A", "--tol", "-1"],
+    ["quad", "--family", "jacobi", "--n", "2", "--degree", "-1"],
+    ["quad", "--n", "2", "--coeffs", "1,x"],
+    ["verify", "--family", "jacobi", "--n-max", "3", "--tol", "-1"],
 ]
 
 

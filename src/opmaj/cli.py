@@ -10,6 +10,12 @@ a stdout that cannot be written, and a JSON result that holds a non-finite
 number: every JSON emission is standard JSON, and nothing is written for
 such a result.  141 (128 + SIGPIPE, as a shell reports it) when stdout is
 closed before all is written.
+
+Each command only computes: it returns its JSON payload or, with
+``--format csv``, its CSV rows (the other is None), its stderr notes (the
+lines that flag underflowed entries and ``matrix``'s failure report) and
+its exit code.  ``main`` writes stdout or ``--out`` first, and the notes
+only once that write has succeeded.
 """
 from __future__ import annotations
 
@@ -145,14 +151,12 @@ _encode_scalar = json.JSONEncoder(allow_nan=False).encode
 def _float_block(value) -> np.ndarray | None:
     """``value`` as a 2-D float64 block of rows if it is a run of floats or a float matrix.
 
-    A run is a non-empty 1-D float64 array or a list of plain floats (one
-    row); a matrix is a 2-D float64 array with at least one column.
+    A run is a non-empty 1-D float64 array (one row); a matrix is a 2-D
+    float64 array with at least one column.  Lists are written item by item.
     """
-    if isinstance(value, np.ndarray):
-        if value.dtype == np.float64 and value.size and value.ndim in (1, 2):
-            return value.reshape(-1, value.shape[-1])
-    elif isinstance(value, (list, tuple)) and value and {float}.issuperset(map(type, value)):
-        return np.array(value, dtype=np.float64)[None, :]
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.size \
+            and value.ndim in (1, 2):
+        return value.reshape(-1, value.shape[-1])
     return None
 
 
@@ -169,7 +173,7 @@ def _write(value, level: int, parts: list) -> None:
         # written later by one vectorized float.__repr__, chunk by chunk
         if not np.isfinite(block).all():
             raise ValueError("non-finite float")
-        if isinstance(value, np.ndarray) and value.ndim == 2:
+        if value.ndim == 2:
             item = inner + "  "
             row_break = inner + "]," + inner + "[" + item
             parts += ["[" + inner + "[" + item, (block, "," + item, row_break),
@@ -250,7 +254,12 @@ def _failures(results: list[CheckResult]) -> list[dict]:
     return [{"case": r.case, "metric": r.metric, "limit": r.limit} for r in results if not r.passed]
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
+def _underflow_notes(underflowed: list) -> list[str]:
+    """The stderr line that flags underflowed entries, when there are any."""
+    return [json.dumps({"underflowed": underflowed}) + "\n"] if underflowed else []
+
+
+def _cmd_matrix(args: argparse.Namespace) -> tuple:
     if args.theorem == "C" and args.k is None:
         raise UsageError("--k is required for theorem C")
     if args.theorem != "C" and args.k is not None:
@@ -263,73 +272,63 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         result = matrix_B(scheme, args.n)
     else:
         result = matrix_C(scheme, args.n, args.k)
-    checks = certificate_checks(result, tol)  # measured before anything is written
+    checks = certificate_checks(result, tol)
     failures = _failures(checks)
-    margin, total = checks[4:6]  # the majorization-margin and majorization-total rows
-    underflowed = result.underflowed.tolist()
-    if args.format == "csv":
-        _emit(_csv_pieces(result.entries), args.out)
-    else:
-        payload = {
-            "theorem": result.theorem,
-            "family": family,
-            "params": params,
-            "n": result.n,
-            "k": result.k,
-            "source_zeros": result.source,
-            "target": result.target,
-            "matrix": result.entries,
-            "row_sum_max_err": result.row_sum_err,
-            "col_sum_max_err": result.col_sum_err,
-            "relation_max_err": result.relation_err,
-            "majorization": {"holds": margin.passed and total.passed, "min_margin": -margin.metric},
-            "convex": [
-                {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_FUNCTIONS
-            ],
-        }
-        _emit(_json_pieces(payload), args.out)
-    if underflowed:  # flagged on stderr, in either format, as weights --format csv does
-        sys.stderr.write(json.dumps({"underflowed": underflowed}) + "\n")
+    # flagged on stderr in either format, as weights --format csv does
+    notes = _underflow_notes(result.underflowed.tolist())
     if failures:
-        sys.stderr.write(_json({"failures": failures}) + "\n")
-        return 1
-    return 0
+        notes.append(_json({"failures": failures}) + "\n")
+    if args.format == "csv":
+        return None, result.entries, notes, 1 if failures else 0
+    check = {r.case.rpartition(" ")[2]: r for r in checks}
+    margin, total = check["majorization-margin"], check["majorization-total"]
+    payload = {
+        "theorem": result.theorem,
+        "family": family,
+        "params": params,
+        "n": result.n,
+        "k": result.k,
+        "source_zeros": result.source,
+        "target": result.target,
+        "matrix": result.entries,
+        "row_sum_max_err": result.row_sum_err,
+        "col_sum_max_err": result.col_sum_err,
+        "relation_max_err": result.relation_err,
+        "majorization": {"holds": margin.passed and total.passed, "min_margin": -margin.metric},
+        "convex": [
+            {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_FUNCTIONS
+        ],
+    }
+    return payload, None, notes, 1 if failures else 0
 
 
-def _cmd_zeros(args: argparse.Namespace) -> int:
+def _cmd_zeros(args: argparse.Namespace) -> tuple:
     scheme, family, params = _build_scheme(args, args.n)
     zeros = scheme_spectral(scheme, args.n).eigenvalues
     if args.format == "csv":
-        _emit(_csv_pieces(zeros[None, :]), args.out)
-    else:
-        payload = {"family": family, "params": params, "n": args.n, "zeros": zeros}
-        _emit(_json_pieces(payload), args.out)
-    return 0
+        return None, zeros[None, :], [], 0
+    return {"family": family, "params": params, "n": args.n, "zeros": zeros}, None, [], 0
 
 
-def _cmd_weights(args: argparse.Namespace) -> int:
+def _cmd_weights(args: argparse.Namespace) -> tuple:
     scheme, family, params = _build_scheme(args, args.n)
     rule = gauss_rule(scheme, args.n)
     underflowed = rule.underflowed.tolist()
-    if args.format == "csv":
-        _emit(_csv_pieces(np.vstack([rule.nodes, rule.weights])), args.out)
-        if underflowed:  # flagged on stderr: stdout stays a table of floats
-            sys.stderr.write(json.dumps({"underflowed": underflowed}) + "\n")
-    else:
-        payload = {
-            "family": family,
-            "params": params,
-            "n": args.n,
-            "nodes": rule.nodes,
-            "weights": rule.weights,
-        }
-        if underflowed:
-            payload["underflowed"] = underflowed
-        _emit(_json_pieces(payload), args.out)
-    return 0
+    if args.format == "csv":  # flagged on stderr: stdout stays a table of floats
+        return None, np.vstack([rule.nodes, rule.weights]), _underflow_notes(underflowed), 0
+    payload = {
+        "family": family,
+        "params": params,
+        "n": args.n,
+        "nodes": rule.nodes,
+        "weights": rule.weights,
+    }
+    if underflowed:
+        payload["underflowed"] = underflowed
+    return payload, None, [], 0
 
 
-def _cmd_quad(args: argparse.Namespace) -> int:
+def _cmd_quad(args: argparse.Namespace) -> tuple:
     if (args.degree is None) == (args.coeffs is None):
         raise UsageError("quad needs exactly one of --degree or --coeffs")
     scheme, family, params = _build_scheme(args, args.n)
@@ -344,7 +343,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         value = gauss_quadrature(
             rule, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs))
         )
-        integrand = {"coeffs": coeffs.tolist()}
+        integrand = {"coeffs": coeffs}
     payload = {
         "family": family,
         "params": params,
@@ -352,11 +351,10 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         **integrand,
         "value": value,
     }
-    _emit(_json_pieces(payload), args.out)
-    return 0
+    return payload, None, [], 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     scheme, family, params = _build_scheme(args, args.n_max + 2)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     results = verify_scheme(scheme, args.n_max, tol=_tolerances(args), seed=seed)
@@ -368,27 +366,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "cases": len(results),
         "failures": failures,
     }
-    _emit(_json_pieces(payload), args.out)
-    return 1 if failures else 0
+    return payload, None, [], 1 if failures else 0
 
 
-def _add_scheme_args(parser: argparse.ArgumentParser):
-    src = parser.add_argument_group("measure")
-    src.add_argument("--family", choices=FAMILY_CHOICES, help="classical family")
-    src.add_argument(
-        "--custom", metavar="PATH", help='JSON file with keys "a" and "b"'
-    )
-    src.add_argument("--alpha", type=float, help="jacobi/laguerre exponent")
-    src.add_argument("--beta", type=float, help="second jacobi exponent")
+_N = ("--n", {"type": int, "required": True})
+_FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
+_TOLS = [(flag, {"type": float}) for flag in ("--tol", "--tol-stochastic", "--tol-relation")]
 
-
-def _add_out_arg(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", metavar="PATH", help="write to file instead of stdout")
-
-
-def _add_tol_args(parser: argparse.ArgumentParser):
-    for flag in ("--tol", "--tol-stochastic", "--tol-relation"):
-        parser.add_argument(flag, type=float)
+# name: (help, handler, its own flags in order); each command takes the
+# "measure" flags before its own and --out after them
+COMMANDS = {
+    "zeros": ("zeros of p_n (Jacobi matrix eigenvalues)", _cmd_zeros, [_N, _FORMAT]),
+    "weights": ("Gaussian nodes and Christoffel numbers", _cmd_weights, [_N, _FORMAT]),
+    "matrix": ("stochastic matrix certificate for A, B or C", _cmd_matrix, [
+        _N,
+        ("--theorem", {"choices": ["A", "B", "C"], "required": True}),
+        ("--k", {"type": int, "help": "deleted row/column (theorem C only)"}),
+        *_TOLS,
+        _FORMAT,
+    ]),
+    "quad": ("Gaussian quadrature of a polynomial", _cmd_quad, [
+        _N,
+        ("--degree", {"type": int, "help": "integrate the monomial x^degree"}),
+        ("--coeffs", {"help": "comma-separated polynomial coefficients, ascending degree"}),
+    ]),
+    "verify": ("run the certificate sweep; exit 1 on failure", _cmd_verify, [
+        ("--n-max", {"type": int, "required": True}),
+        *_TOLS,
+        ("--seed", {"type": int, "help": "spot-check RNG seed (or OPMAJ_SEED)"}),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,50 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("zeros", help="zeros of p_n (Jacobi matrix eigenvalues)")
-    p.set_defaults(handler=_cmd_zeros)
-    _add_scheme_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out_arg(p)
-
-    p = sub.add_parser("weights", help="Gaussian nodes and Christoffel numbers")
-    p.set_defaults(handler=_cmd_weights)
-    _add_scheme_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out_arg(p)
-
-    p = sub.add_parser("matrix", help="stochastic matrix certificate for A, B or C")
-    p.set_defaults(handler=_cmd_matrix)
-    _add_scheme_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theorem", choices=["A", "B", "C"], required=True)
-    p.add_argument("--k", type=int, help="deleted row/column (theorem C only)")
-    _add_tol_args(p)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out_arg(p)
-
-    p = sub.add_parser("quad", help="Gaussian quadrature of a polynomial")
-    p.set_defaults(handler=_cmd_quad)
-    _add_scheme_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, help="integrate the monomial x^degree")
-    p.add_argument(
-        "--coeffs",
-        help="comma-separated polynomial coefficients, ascending degree",
-    )
-    _add_out_arg(p)
-
-    p = sub.add_parser("verify", help="run the certificate sweep; exit 1 on failure")
-    p.set_defaults(handler=_cmd_verify)
-    _add_scheme_args(p)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    _add_tol_args(p)
-    p.add_argument("--seed", type=int, help="spot-check RNG seed (or OPMAJ_SEED)")
-    _add_out_arg(p)
-
+    for name, (help_text, handler, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        src = p.add_argument_group("measure")
+        src.add_argument("--family", choices=FAMILY_CHOICES, help="classical family")
+        src.add_argument("--custom", metavar="PATH", help='JSON file with keys "a" and "b"')
+        src.add_argument("--alpha", type=float, help="jacobi/laguerre exponent")
+        src.add_argument("--beta", type=float, help="second jacobi exponent")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--out", metavar="PATH", help="write to file instead of stdout")
     return parser
 
 
@@ -470,7 +444,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.handler(args)
+        payload, rows, notes, code = args.handler(args)
+        _emit(_json_pieces(payload) if rows is None else _csv_pieces(rows), args.out)
+        sys.stderr.writelines(notes)  # only once stdout or --out holds the result
+        return code
     except (ValueError, PolynomialOverflowError, ConvergenceError) as exc:  # unservable input
         sys.stderr.write(f"opmaj: error: {exc}\n")
         return 2

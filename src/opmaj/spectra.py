@@ -156,20 +156,20 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     An order whose 8 m^2 bytes of eigenvectors exceed physical memory is
     refused with ValueError before the solver allocates anything.
     """
-    return _decompose(J.diag, J.offdiag, dstev, "dstev", 8, "its eigenvectors")
+    refuse_beyond_memory(8 * J.order**2, f"order {J.order}", "its eigenvectors")
+    return _decompose(J.diag, J.offdiag, dstev, "dstev")
 
 
-def _decompose(diag, offdiag, solver, name: str, bytes_per_sq: int, purpose: str):
+def _decompose(diag, offdiag, solver, name: str):
     """Spectral data of the Jacobi matrix (diag, offdiag), taken as checked, by ``solver``.
 
-    The part both routines share: refusal of an order whose ``bytes_per_sq``
-    m^2 bytes exceed physical memory, the order-1 answer, ``info`` as
+    The part both routines share: the order-1 answer, ``info`` as
     ConvergenceError, the strict-increase check of the ascending spectrum
-    both routines return, and read-only arrays.
+    both routines return, and read-only arrays.  The caller has refused an
+    order too large for memory.
     """
     if diag.size < 1:
         raise ValueError("cannot decompose an empty Jacobi matrix")
-    refuse_beyond_memory(bytes_per_sq * diag.size**2, f"order {diag.size}", purpose)
     if diag.size == 1:  # the f2py wrappers refuse an empty off-diagonal
         eigvals, vecs, info = diag, np.ones((1, 1)), 0
     else:
@@ -200,7 +200,8 @@ def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     refused before J_n's table is built.
     """
     refuse_beyond_memory(8 * n**2, f"order {n}", "its eigenvectors")
-    return eigen_decompose(jacobi_matrix(scheme, n))
+    J = jacobi_matrix(scheme, n)
+    return _decompose(J.diag, J.offdiag, dstev, "dstev")
 
 
 def _block_decompose(diag, offdiag) -> SpectralData:
@@ -214,8 +215,9 @@ def _block_decompose(diag, offdiag) -> SpectralData:
     eigenvalues and the inner products of whole eigenvectors that make up
     the certificate entries.  Below order 26 ``dstevd`` hands the problem
     to the same QR code as ``dstev``, with the same bits.  Uncached, as is
-    ``eigen_decompose``.  An order whose 16 m^2 bytes of eigenvectors and
-    workspace exceed physical memory is refused with ValueError before the
-    solver runs; failures raise ConvergenceError as in ``eigen_decompose``.
+    ``eigen_decompose``.  No size refusal is made here: a block is a slice
+    of a table whose order ``_certificate_table`` (32 n^2 bytes) or
+    ``verify_scheme`` (32 n^3 / 3 bytes) has already held to physical
+    memory.  Failures raise ConvergenceError as in ``eigen_decompose``.
     """
-    return _decompose(diag, offdiag, dstevd, "dstevd", 16, "its eigenvectors and workspace")
+    return _decompose(diag, offdiag, dstevd, "dstevd")

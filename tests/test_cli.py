@@ -428,6 +428,19 @@ def test_unwritable_out_refused_by_name(capsys, tmp_path):
             assert err.startswith(f"opmaj: error: cannot write {out}: "), (argv, err)
 
 
+def test_refused_write_leaves_no_notes(capsys, tmp_path):
+    # hermite n=400, k=1 flags underflowed entries, and at --tol 1e-30 it has
+    # a failure report: both go to stderr only after the result is written,
+    # so a refused --out leaves the one error line alone
+    argv = ["matrix", "--family", "hermite", "--n", "400", "--theorem", "C", "--k", "1",
+            "--out", str(tmp_path)]
+    for extra in ([], ["--tol", "1e-30"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (2, ""), extra
+        assert err.startswith(f"opmaj: error: cannot write {tmp_path}: ") and err.count("\n") == 1
+        assert "underflowed" not in err and "failures" not in err, extra
+
+
 def test_closed_stdout_pipe_exits_141():
     # 40,000 floats are far more than a pipe buffer holds, so the write
     # meets the closed pipe; the exit is the shell's 128 + SIGPIPE, quietly

@@ -15,9 +15,11 @@ from opmaj import (
     eval_all,
     from_sequences,
     jacobi_matrix,
+    matrix_C,
     scheme_spectral,
     shifted,
     spectra,
+    verify_scheme,
 )
 
 from oracles import (
@@ -221,19 +223,20 @@ def _no_eigensolve(*args, **kwargs):
 
 def test_oversized_order_refused_before_solving(monkeypatch):
     # against a pretend physical memory of 32 bytes: 8 m^2 bytes of
-    # eigenvectors for dstev, 16 m^2 bytes of eigenvectors and workspace for
-    # the dstevd blocks, so order 2 is served as J_n and refused as a block
+    # eigenvectors for dstev, so order 2 is served as J_n; the dstevd blocks
+    # are slices of a certificate's table, whose 32 n^2 bytes refuse order 2
+    # before any block is solved
     memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}
     monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
     s = classical_scheme("legendre", 3)
     assert eigen_decompose(jacobi_matrix(s, 2)).order == 2
-    assert block_decompose(jacobi_matrix(s, 1)).order == 1
     monkeypatch.setattr(spectra, "dstev", _no_eigensolve)
     monkeypatch.setattr(spectra, "dstevd", _no_eigensolve)
     with pytest.raises(ValueError, match="order 3 needs"):
         eigen_decompose(jacobi_matrix(s, 3))
-    with pytest.raises(ValueError, match="order 2 needs .* eigenvectors and workspace"):
-        block_decompose(jacobi_matrix(s, 2))
+    for build in (lambda: matrix_C(s, 2, 1), lambda: verify_scheme(s, 2)):
+        with pytest.raises(ValueError, match="the order 2 certificate needs"):
+            build()
 
 
 def _solvers(s):
