@@ -3,7 +3,7 @@
 
 Prints five sha256 digests:
 
-* ``cli``: (argv, exit code, stdout) of 391 invocations of the command
+* ``cli``: (argv, exit code, stdout) of 393 invocations of the command
   line over a fixed grid: six families x n in {1, 2, 7, 30} x theorems A,
   B and C at k in {1, ceil(n/2), n} x json/csv, plus ``zeros``,
   ``weights``, ``quad``, ``verify --n-max 12``, three larger outputs
@@ -117,6 +117,10 @@ ERROR_CASES = [
     ["quad", "--family", "jacobi", "--n", "2", "--degree", "-1"],
     ["quad", "--n", "2", "--coeffs", "1,x"],
     ["verify", "--family", "jacobi", "--n-max", "3", "--tol", "-1"],
+    # coefficient tables that overflow float64, refused as they are built:
+    # a_2 at order 3, and a_11 of the identity checks' table beyond J_10's
+    ["zeros", "--family", "laguerre", "--alpha", "1e308", "--n", "3"],
+    ["verify", "--family", "laguerre", "--alpha", "1.7e307", "--n-max", "10"],
 ]
 
 

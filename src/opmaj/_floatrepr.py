@@ -1,7 +1,7 @@
 """``float.__repr__`` over whole float64 arrays, byte for byte.
 
 ``chunks(block, sep, row_break)`` yields the text of a block CHUNK floats at
-a time, and ``join_rows(block, sep, row_break)``, their join, is exactly
+a time; their join is exactly
 ``row_break.join(sep.join(map(float.__repr__, row)) for row in block)``.
 
 Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
@@ -202,11 +202,13 @@ def _format(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def chunks(block: np.ndarray, sep: str, row_break: str):
-    """The text of ``join_rows(block, sep, row_break)``, one str per CHUNK floats.
+    """``row_break.join(sep.join(map(float.__repr__, row)) for row in block)``,
+    one str per CHUNK floats.
 
-    Each chunk is formatted when it is asked for, so a consumer that writes
-    each one out holds the text of one chunk at a time, whatever the shape
-    of the block.  A block without rows yields nothing.
+    ``block`` is 2-D float64; ``sep`` and ``row_break`` are ASCII without
+    NUL.  Each chunk is formatted when it is asked for, so a consumer that
+    writes each one out holds the text of one chunk at a time, whatever the
+    shape of the block.  A block without rows yields nothing.
     """
     n_rows, n_cols = block.shape
     if n_rows == 0:
@@ -227,12 +229,3 @@ def chunks(block: np.ndarray, sep: str, row_break: str):
         if start + CHUNK >= flat.size:  # nothing after the last float
             buf[-1, _FIELD:] = 0
         yield str(buf[buf != 0].data, "ascii")
-
-
-def join_rows(block: np.ndarray, sep: str, row_break: str) -> str:
-    """``row_break.join(sep.join(map(float.__repr__, row)) for row in block)``.
-
-    ``block`` is 2-D float64; ``sep`` and ``row_break`` are ASCII without
-    NUL.  It is the join of ``chunks``, the one writer of the text.
-    """
-    return "".join(chunks(block, sep, row_break))

@@ -52,7 +52,7 @@ def load_custom_scheme(path: str) -> RecurrenceScheme:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or bytes, huge int, deep nesting
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict) or "a" not in data or "b" not in data:
         raise UsageError(f'{path}: expected a JSON object with keys "a" and "b"')
@@ -235,18 +235,11 @@ def _json(payload) -> str:
 
 
 def _csv_pieces(rows: np.ndarray) -> list:
-    """The pieces of ``_csv(rows)``, for ``_emit``."""
+    """The pieces of rows of floats under a ``j=1..n`` header, for ``_emit``,
+    as ``csv.writer`` writes them: floats in their ``repr`` (``inf`` and
+    ``nan`` included), ``,`` between fields and CRLF after each row."""
     header = ",".join(f"j={j}" for j in range(1, rows.shape[1] + 1)) + "\r\n"
     return [header, (rows, ",", "\r\n"), "\r\n"] if len(rows) else [header]
-
-
-def _csv(rows: np.ndarray) -> str:
-    """Rows of floats under a ``j=1..n`` header, as ``csv.writer`` writes them.
-
-    Floats in their ``repr`` (``inf`` and ``nan`` included), ``,`` between
-    fields and CRLF after each row.
-    """
-    return "".join(_chunks(_csv_pieces(rows)))
 
 
 def _failures(results: list[CheckResult]) -> list[dict]:

@@ -12,8 +12,10 @@ normalization only fixes p_0 and the total quadrature mass.
 
 ``scheme.coefficients(m)`` returns the table (a_1..a_m, b_0..b_m), evaluated
 on demand from one vectorized closed form per family, so a scheme is a cheap
-immutable value object even for large depths.  Jacobi matrices, polynomial
-recurrences and the shifted (associated) schemes all read that one table.
+immutable value object even for large depths: making one builds no table,
+and a table that float64 cannot hold is refused as it is built.  Jacobi
+matrices, polynomial recurrences and the shifted (associated) schemes all
+read that one table.
 """
 from __future__ import annotations
 
@@ -78,15 +80,23 @@ class RecurrenceScheme:
         if self.kind is Family.CUSTOM:
             a, b = np.array(self.a_seq[:top]), np.array(self.b_seq[: top + 1])
         else:
-            a, b = self._table(0, top)
+            a, b = self._table(top)
         return a[self.shift :], b[self.shift :]
 
-    def _table(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a_{lo+1}..a_hi, b_lo..b_hi) of a classical base table, from its closed forms."""
-        i = np.arange(lo, hi + 1, dtype=float)  # indices of b; i[1:] for a
-        a1, b0 = (lead[lo:] for lead in self._lead())  # a_1 and b_0 lie in range from 0 only
-        a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[: hi - lo]
-        b = np.concatenate((b0, self._b_form(i[len(b0) :])))
+    def _table(self, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a_1..a_hi, b_0..b_hi) of a classical base table, from its closed forms,
+        refused by name, with no numpy warning, if float64 cannot hold it."""
+        i = np.arange(hi + 1, dtype=float)  # indices of b; i[1:] for a
+        a1, b0 = self._lead()
+        with np.errstate(all="ignore"):  # reported below, not warned
+            a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[:hi]
+            b = np.concatenate((b0, self._b_form(i[len(b0) :])))
+        if not (np.all(a > 0.0) and np.isfinite(a).all() and np.isfinite(b).all()):
+            named = ", ".join(f"{k}={v!r}" for k, v in zip(("alpha", "beta"), self.params))
+            raise ValueError(
+                f"{self.kind.value} with {named}: the recurrence coefficients up to "
+                f"index {self.shift + self.max_index} overflow float64"
+            )
         return a, b
 
     def _lead(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -130,9 +140,6 @@ class RecurrenceScheme:
         return np.zeros_like(i)
 
 
-_SCAN = 1 << 16  # table indices per slice of classical_scheme's overflow scan
-
-
 def classical_scheme(
     family: Family | str,
     max_index: int,
@@ -143,9 +150,11 @@ def classical_scheme(
     """Closed-form scheme for one of the classical families.
 
     ``alpha`` is the Jacobi or Laguerre exponent (Laguerre defaults to 0),
-    ``beta`` the second Jacobi exponent; both must be finite and exceed -1,
-    and parameters whose table up to ``max_index`` overflows float64 (an
-    entry not finite, or an a_i not positive) are refused by name.
+    ``beta`` the second Jacobi exponent; both must be finite and exceed -1.
+    Only the parameters are checked here, so a scheme of any depth is made
+    without building its table; a table that overflows float64 (an entry
+    not finite, or an a_i not positive) is refused by name, with the
+    parameters and ``max_index``, by the ``coefficients`` call that builds it.
     """
     family = Family(family)
     if family is Family.CUSTOM:
@@ -173,19 +182,7 @@ def classical_scheme(
         params = (alpha,)
     elif alpha is not None or beta is not None:
         raise ValueError(f"{family.value} takes no shape parameters")
-    scheme = RecurrenceScheme(kind=family, max_index=int(max_index), params=params)
-    # scanned in slices of the table, so that a depth the caller then refuses
-    # by size never has its whole table built here
-    for lo in range(0, scheme.max_index, _SCAN):
-        with np.errstate(all="ignore"):  # reported below, not warned
-            a, b = scheme._table(lo, min(lo + _SCAN, scheme.max_index))
-        if not (np.all(a > 0.0) and np.isfinite(a).all() and np.isfinite(b).all()):
-            named = ", ".join(f"{k}={v!r}" for k, v in zip(("alpha", "beta"), params))
-            raise ValueError(
-                f"{family.value} with {named}: the recurrence coefficients up to "
-                f"index {scheme.max_index} overflow float64"
-            )
-    return scheme
+    return RecurrenceScheme(kind=family, max_index=int(max_index), params=params)
 
 
 def _float(v) -> float:

@@ -218,7 +218,9 @@ def verify_scheme(
     ``reduction-Cn-vs-A`` rows record 0.0, kept so the record set keeps its keys.
     An n_max that ``matrix_C`` would refuse or the scheme cannot reach, one whose
     stack and leading blocks (about 32 n_max^3 / 3 bytes) exceed physical memory,
-    or a negative seed, raises ValueError before any eigensolve, and a convex
+    one whose deepest table, to index min(n_max + 1, max_index) as the identity
+    checks read it, overflows float64, or a negative seed, raises ValueError
+    before any eigensolve, and a convex
     margin that float64 cannot hold raises it as ``convex_report`` does, as does a moment;
     recurrence and identity overflows raise PolynomialOverflowError, with no numpy warning.
     """
@@ -233,6 +235,8 @@ def verify_scheme(
     # one order's stack of n certificates, 8 n^3 bytes, beside J_1..J_{n-1}, about 8 n^3 / 3
     refuse_beyond_memory(32 * n_max**3 // 3, f"verify to order {n_max}",
                          "one order's certificate stack and its leading blocks")
+    # the identity checks' table, the deepest read: an overflow in it is refused here
+    scheme.coefficients(min(n_max + 1, scheme.max_index))
     out: list[CheckResult] = []
     leads: dict = {}  # J_m as a deletion block, reused by every order above m
     b_scale = 1.0 + sum(map(abs, diag.tolist()))

@@ -20,6 +20,7 @@ from opmaj import (
     check_majorization, classical_scheme, cli, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
 )
 from opmaj.cli import _json, main
+from opmaj.recurrence import RecurrenceScheme
 from opmaj.verification import CheckResult
 
 
@@ -166,6 +167,20 @@ def test_custom_scheme_error_reporting(capsys, tmp_path):
     code, out, err = run_cli(capsys, "zeros", "--custom", str(huge), "--n", "2")
     assert code == 2 and out == ""
     assert "a[2] must be finite" in err
+
+    # nesting past the recursion limit, an integer past the digit limit and
+    # bytes that are not UTF-8 are malformed input, named with the file
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": %s, "b": [0]}' % ("[" * 200_000 + "]" * 200_000))
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"a": [%s], "b": [0, 0]}' % ("9" * 5000))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"a": [1], "b": [0, 0], "note": "\xff"}')
+    for path in (deep, digits, latin):
+        code, out, err = run_cli(capsys, "zeros", "--custom", str(path), "--n", "1")
+        assert (code, out) == (2, ""), path.name
+        assert err.startswith(f"opmaj: error: malformed JSON in {path}: "), err
+        assert err.count("\n") == 1, err
 
 
 def test_weights_output(capsys):
@@ -519,9 +534,9 @@ def test_certificate_output_peak_within_the_refusal_budget(capsys, tmp_path, fmt
 
 
 def test_oversized_order_refused_before_its_table_is_built():
-    # classical_scheme scans its table in bounded slices and scheme_spectral
-    # refuses the 8 n^2 bytes of eigenvectors before J_n's table is built, so
-    # n = 2e7, whose table alone is 160 MB an array, peaks near the import
+    # classical_scheme builds no table and scheme_spectral refuses the 8 n^2
+    # bytes of eigenvectors before J_n's table is built, so n = 2e7, whose
+    # table alone is 160 MB an array, peaks near the import
     script = (
         "import json, resource\n"
         "from opmaj.cli import main\n"
@@ -550,20 +565,36 @@ def test_full_stdout_exits_2_by_name():
     assert proc.stderr == b"opmaj: error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") < 4e9,
+                    reason="needs 4 GB of physical memory, so that order 20000 is not refused by size")
 def test_allocation_failure_exits_2_by_name():
-    # under a 2 GB address space an order of 1e8 exits 2 with one error line:
-    # its table is scanned in bounded slices and its eigenvectors are refused
-    # by size before J_n's table is built; an allocation that failed first
-    # would exit 2 the same way
+    # the 3.2 GB of order 20000's eigenvectors fit in physical memory, so the
+    # order is not refused by size, but not in a 2 GB address space: the
+    # allocation fails with MemoryError, which exits 2 with one error line
     script = (
         "import resource, sys\n"
         "from opmaj.cli import main\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-        "sys.exit(main(['zeros', '--family', 'legendre', '--n', '100000000']))\n"
+        "sys.exit(main(['zeros', '--family', 'legendre', '--n', '20000']))\n"
     )
     proc = cli_subprocess("-c", script, stdout=subprocess.PIPE)
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.startswith(b"opmaj: error: ") and proc.stderr.count(b"\n") == 1, proc.stderr
+    assert b"physical memory" not in proc.stderr, proc.stderr
+
+
+def test_huge_order_refused_without_building_a_table(capsys, monkeypatch):
+    # a scheme of any depth is made without its table, and an order refused
+    # by size is refused before J_n's table is built
+    def no_table(self, hi):
+        pytest.fail(f"a table up to index {hi} was built")
+
+    monkeypatch.setattr(RecurrenceScheme, "_table", no_table)
+    assert classical_scheme("laguerre", 10**15, alpha=0.5).max_index == 10**15
+    code, out, err = run_cli(capsys, "zeros", "--family", "legendre", "--n", str(10**15))
+    assert (code, out) == (2, "")
+    assert err.startswith("opmaj: error: order 1000000000000000 needs ")
+    assert " GB for its eigenvectors" in err and err.count("\n") == 1
 
 
 def test_shape_parameter_validation(capsys):
@@ -908,4 +939,4 @@ def test_csv_writer_matches_stdlib_csv(table):
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow([f"j={j}" for j in range(1, table.shape[1] + 1)])
     writer.writerows(table.tolist())
-    assert cli._csv(table) == buf.getvalue()
+    assert "".join(cli._chunks(cli._csv_pieces(table))) == buf.getvalue()

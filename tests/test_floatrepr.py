@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from opmaj import _floatrepr
-from opmaj._floatrepr import join_rows
+
+
+def join_rows(block, sep, row_break):
+    """The kernel's whole text of ``block``: the join of its chunks."""
+    return "".join(_floatrepr.chunks(block, sep, row_break))
 
 
 def reference(block, sep, row_break):

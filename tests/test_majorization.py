@@ -674,6 +674,25 @@ def test_verify_refuses_a_negative_seed_before_any_eigensolve(monkeypatch):
         verify_scheme(classical_scheme("legendre", 8), 7, seed=-5)
 
 
+def test_verify_refuses_an_overflowing_table_before_any_eigensolve(monkeypatch):
+    # laguerre a_11 = sqrt(11 (11 + alpha)) overflows at this alpha: the
+    # tables J_10 reads are finite, and the identity checks' table to index
+    # 11 is refused by name before anything is solved
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    s = classical_scheme("laguerre", 12, alpha=1.7e307)
+    assert np.isfinite(s.coefficients(10)[0]).all()
+    spectra.scheme_spectral.cache_clear()
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
+    with pytest.raises(ValueError) as err:
+        verify_scheme(s, 10)
+    assert str(err.value) == (
+        "laguerre with alpha=1.7e+307: the recurrence coefficients up to index 12 overflow float64"
+    )
+
+
 def test_verify_refuses_an_order_matrix_C_refuses_before_any_eigensolve(monkeypatch):
     # against a pretend physical memory of 3200 bytes the certificates of
     # order 10 fit in their 32 n^2 bytes and those of order 11 do not

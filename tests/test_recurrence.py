@@ -100,13 +100,17 @@ def test_single_coefficients_bit_equal_to_table(family, params):
         assert np.array(single_b).tobytes() == b.tobytes(), k
 
 
-def test_overflow_scan_reaches_past_its_first_slice():
+def test_overflow_refused_by_the_table_that_reaches_it():
     # laguerre a_i = sqrt(i (i + alpha)) overflows from i near 70,000 on at
-    # this alpha, beyond the first slice of classical_scheme's scan
+    # this alpha: the scheme is made, a table short of that index is served,
+    # and one past it is refused, naming the scheme's depth
     alpha = 2.6e303
-    assert classical_scheme("laguerre", 60_000, alpha=alpha).max_index == 60_000
-    with pytest.raises(ValueError, match="index 100000 overflow float64"):
-        classical_scheme("laguerre", 100_000, alpha=alpha)
+    s = classical_scheme("laguerre", 100_000, alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert s.coefficients(60_000)[0].size == 60_000
+        with pytest.raises(ValueError, match="index 100000 overflow float64"):
+            s.coefficients(100_000)
 
 
 def test_depth_errors():
