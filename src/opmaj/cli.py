@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from itertools import groupby
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -101,7 +100,7 @@ def _detach_stdout() -> None:
 def _emit(pieces: list, out: str | None) -> None:
     """Write the text of ``pieces`` to stdout, or to the file ``out``, chunk by chunk.
 
-    The pieces come from ``_json_pieces`` or ``_csv_pieces``, whose walk has
+    The pieces come from ``_json_pieces`` or ``_csv_pieces``, which have
     made every refusal, so nothing is written for a payload that is refused;
     each float block is formatted one chunk at a time as it is written, so
     its whole text is never held.  Stdout gets a final newline if the text
@@ -145,71 +144,51 @@ def _chunks(pieces: list):
                 yield from chunks(*block)
 
 
-_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+def _json_pieces(payload) -> list:
+    """The pieces of ``_json(payload)``, for ``_emit``: every refusal is made here.
 
-
-def _float_block(value) -> np.ndarray | None:
-    """``value`` as a 2-D float64 block of rows if it is a run of floats or a float matrix.
-
-    A run is a non-empty 1-D float64 array (one row); a matrix is a 2-D
-    float64 array with at least one column.  Lists are written item by item.
+    The stdlib encoder writes the layout, every key and every scalar, and
+    any array but a float block as its ``tolist()``.  A float block (a
+    non-empty 1-D or 2-D float64 array) is checked finite by ``defer`` and
+    becomes the piece ``(block, sep, row_break)`` for ``_chunks``, at the
+    indent of the current output line.  ``indent`` selects the stdlib's
+    pure-Python encoder, which calls ``default`` just before it yields the
+    returned placeholder: the chunk that arrives while a block is pending
+    is that block's place, whatever strings the payload holds.
     """
-    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.size \
-            and value.ndim in (1, 2):
-        return value.reshape(-1, value.shape[-1])
-    return None
+    blocks: list = []
 
-
-def _write(value, level: int, parts: list) -> None:
-    """Append the indent-2 JSON pieces of ``value`` at nesting ``level`` to ``parts``.
-
-    A piece is a string, or a float block deferred as ``(block, sep,
-    row_break)`` for ``_chunks`` to format; every refusal is made here.
-    """
-    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
-    block = _float_block(value)
-    if block is not None:
+    def defer(value):
+        if not isinstance(value, np.ndarray):
+            return json.JSONEncoder().default(value)  # the stdlib's TypeError
+        if value.dtype != np.float64 or not value.size or value.ndim not in (1, 2):
+            return value.tolist()
         # the bulk of every payload: refused in one pass if not finite, and
         # written later by one vectorized float.__repr__, chunk by chunk
-        if not np.isfinite(block).all():
+        if not np.isfinite(value).all():
             raise ValueError("non-finite float")
-        if value.ndim == 2:
-            item = inner + "  "
-            row_break = inner + "]," + inner + "[" + item
-            parts += ["[" + inner + "[" + item, (block, "," + item, row_break),
-                      inner + "]" + outer + "]"]
-        else:
-            parts += ["[" + inner, (block, "," + inner, ""), outer + "]"]
-        return
-    if isinstance(value, np.ndarray):
-        value = list(value) if value.ndim > 1 else value.tolist()
-    if not isinstance(value, (dict, list, tuple)):
-        parts.append(_encode_scalar(value))
-        return
-    is_dict = isinstance(value, dict)
-    opener, closer = "{}" if is_dict else "[]"
-    if not value:
-        parts.append(opener + closer)
-        return
-    separator = "," + inner
-    parts.append(opener + inner)
-    if is_dict:
-        for i, (key, item) in enumerate(value.items()):
-            parts.append((separator if i else "") + encode_basestring_ascii(key) + ": ")
-            _write(item, level + 1, parts)
-    else:
-        for i, item in enumerate(value):
-            if i:
-                parts.append(separator)
-            _write(item, level + 1, parts)
-    parts.append(outer + closer)
+        blocks.append(value)
+        return ""
 
-
-def _json_pieces(payload) -> list:
-    """The pieces of ``_json(payload)``, for ``_emit``: every refusal is made here."""
     parts: list = []
+    line = ""  # the output line the next chunk continues
     try:
-        _write(payload, 0, parts)
+        for chunk in json.JSONEncoder(indent=2, allow_nan=False, default=defer).iterencode(payload):
+            if not blocks:
+                parts.append(chunk)
+                line = (line + chunk).rpartition("\n")[2]
+                continue
+            value = blocks.pop()  # written in place of this chunk, its placeholder
+            block = value.reshape(-1, value.shape[-1])
+            outer = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            inner = outer + "  "
+            if value.ndim == 2:
+                item = inner + "  "
+                row_break = inner + "]," + inner + "[" + item
+                parts += ["[" + inner + "[" + item, (block, "," + item, row_break),
+                          inner + "]" + outer + "]"]
+            else:
+                parts += ["[" + inner, (block, "," + inner, ""), outer + "]"]
     except ValueError:
         raise ValueError(
             "the result holds a non-finite number, which JSON cannot carry"
@@ -218,18 +197,14 @@ def _json_pieces(payload) -> list:
 
 
 def _json(payload) -> str:
-    """Standard JSON, byte for byte what the stdlib encoder writes for the payload.
+    """Standard JSON, byte for byte ``json.dumps(payload, indent=2,
+    allow_nan=False)`` with each array as its ``tolist()``.
 
-    The layout is the stdlib's two-space indented one (its ``indent=2``
-    with ``allow_nan=False``), floats in their shortest round-trip
-    ``repr``; 1-D and 2-D float arrays are written as their ``tolist()``.
-    Runs of floats and float matrices are written by ``_floatrepr``, which
-    matches ``float.__repr__`` byte for byte; keys and every other scalar
-    are encoded by the stdlib itself.  Keys must be strings.  A non-finite
-    number is refused, never written as ``NaN``, by the walk of
-    ``_json_pieces``, before any float is formatted; ``_emit`` writes the
-    same pieces chunk by chunk, and this text is their join.  Tests hold
-    the writer to the stdlib on random payloads.
+    Float blocks are written by ``_floatrepr``, which matches
+    ``float.__repr__`` byte for byte, and all else by the stdlib encoder in
+    ``_json_pieces``, which refuses a non-finite number before any float is
+    formatted.  ``_emit`` writes the same pieces chunk by chunk, and this
+    text is their join.  Tests hold it to the stdlib on random payloads.
     """
     return "".join(_chunks(_json_pieces(payload)))
 

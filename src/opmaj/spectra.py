@@ -157,10 +157,10 @@ def eigen_decompose(J: JacobiMatrix) -> SpectralData:
     refused with ValueError before the solver allocates anything.
     """
     refuse_beyond_memory(8 * J.order**2, f"order {J.order}", "its eigenvectors")
-    return _decompose(J.diag, J.offdiag, dstev, "dstev")
+    return _decompose(J.diag, J.offdiag, dstev)
 
 
-def _decompose(diag, offdiag, solver, name: str):
+def _decompose(diag, offdiag, solver):
     """Spectral data of the Jacobi matrix (diag, offdiag), taken as checked, by ``solver``.
 
     The part both routines share: the order-1 answer, ``info`` as
@@ -174,7 +174,8 @@ def _decompose(diag, offdiag, solver, name: str):
         eigvals, vecs, info = diag, np.ones((1, 1)), 0
     else:
         eigvals, vecs, info = solver(diag, offdiag)
-    if info:
+    if info:  # an f2py wrapper's __name__ reads "function dstev"
+        name = solver.__name__.rpartition(" ")[2]
         raise ConvergenceError(f"tridiagonal eigensolver failed: {name} info = {info}")
     # compared, not subtracted: a gap wider than float64 is still an increase
     increasing = eigvals[1:] > eigvals[:-1]
@@ -201,7 +202,7 @@ def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     """
     refuse_beyond_memory(8 * n**2, f"order {n}", "its eigenvectors")
     J = jacobi_matrix(scheme, n)
-    return _decompose(J.diag, J.offdiag, dstev, "dstev")
+    return _decompose(J.diag, J.offdiag, dstev)
 
 
 def _block_decompose(diag, offdiag) -> SpectralData:
@@ -220,4 +221,4 @@ def _block_decompose(diag, offdiag) -> SpectralData:
     ``verify_scheme`` (32 n^3 / 3 bytes) has already held to physical
     memory.  Failures raise ConvergenceError as in ``eigen_decompose``.
     """
-    return _decompose(diag, offdiag, dstevd, "dstevd")
+    return _decompose(diag, offdiag, dstevd)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -370,16 +370,24 @@ def test_verify_absurd_tolerance_fails(capsys):
 
 
 def test_no_payload_carries_a_check_row(capsys, monkeypatch):
-    # a CheckResult is a tuple, which _write would write as a JSON list: the
-    # failing rows of matrix and verify reach stdout and stderr as dicts only
-    write, walked = cli._write, []
+    # a CheckResult is a tuple, which the JSON encoder would write as a list:
+    # the failing rows of matrix and verify reach stdout and stderr as dicts only
+    json_pieces, walked = cli._json_pieces, []
 
-    def checking_write(value, level, parts):
+    def walk(value):
         assert not isinstance(value, CheckResult), value
         walked.append(type(value))
-        write(value, level, parts)
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
 
-    monkeypatch.setattr(cli, "_write", checking_write)
+    def checking_json_pieces(payload):
+        walk(payload)
+        return json_pieces(payload)
+
+    monkeypatch.setattr(cli, "_json_pieces", checking_json_pieces)
     for argv in (("verify", "--family", "legendre", "--n-max", "6"),
                  ("matrix", "--family", "legendre", "--n", "7", "--theorem", "C", "--k", "3")):
         code, out, err = run_cli(capsys, *argv, "--tol", "1e-30")
@@ -863,9 +871,10 @@ KEYS = st.one_of(
     st.sampled_from(['"', "\\", '"quoted"', "\u00e9t\u00e9", "\u2028", "\x00", "\U0001f600"]),
 )
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, KEYS)
-ARRAYS = hnp.arrays(
-    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
-    elements=FLOATS,
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, SHAPES, elements=FLOATS),
+    hnp.arrays(st.sampled_from([np.int64, np.bool_]), SHAPES),
 )
 PAYLOADS = st.recursive(
     st.one_of(SCALARS, ARRAYS, st.lists(FLOATS, max_size=8)),
@@ -888,6 +897,14 @@ def as_lists(payload):
 
 
 @given(PAYLOADS)
+@example({"a": "", "run": np.array([0.5, 1.0]), "b": ""})
+@example(["", np.array([[0.5], [1.0]]), ""])
+@example(np.array([0.5, 1.0]))
+@example(np.array([[0.5, 1.0], [2.0, 3.0]]))
+@example([np.array([0.5]), np.array([[1.0, 2.0]])])
+@example({"run": np.array([0.5]), "matrix": np.array([[1.0, 2.0]])})
+@example({"empty": np.zeros((2, 0))})
+@example({"\x00": "\x00", "run": np.array([0.5])})
 @settings(max_examples=300, deadline=None)
 def test_json_writer_matches_stdlib_indent_2(payload):
     assert _json(payload) == json.dumps(as_lists(payload), indent=2, allow_nan=False)
@@ -918,6 +935,7 @@ def test_json_writer_refuses_non_finite(bad):
         {"runs": [[0.25, 0.5], [1.0, bad]]},
         {"mixed": [1, "x", bad]},
         {"array": np.array([[0.5, 0.5], [bad, 1.0]])},
+        {"zero-d": np.array(bad)},
     ]
     for payload in payloads:
         with pytest.raises(ValueError, match="^the result holds a non-finite number, "
