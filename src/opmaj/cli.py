@@ -103,16 +103,12 @@ def _emit(pieces: list, out: str | None) -> None:
     The pieces come from ``_json_pieces`` or ``_csv_pieces``, which have
     made every refusal, so nothing is written for a payload that is refused;
     each float block is formatted one chunk at a time as it is written, so
-    its whole text is never held.  Stdout gets a final newline if the text
-    has none, and is flushed here, so that a closed or full stdout raises
-    inside main.
+    its whole text is never held.  Both sinks get the same bytes; stdout is
+    flushed here, so that a closed or full stdout raises inside main.
     """
     if out is None:
         try:
-            text = ""
-            for text in _chunks(pieces):
-                sys.stdout.write(text)
-            sys.stdout.write("" if text.endswith("\n") else "\n")
+            sys.stdout.writelines(_chunks(pieces))
             sys.stdout.flush()
         except BrokenPipeError:
             raise
@@ -394,10 +390,10 @@ def _check_args(args: argparse.Namespace) -> None:
     """Input checks argparse does not make; parses --coeffs and, for verify, OPMAJ_SEED."""
     if getattr(args, "coeffs", None) is not None:
         try:
-            args.coeffs = tuple(map(float, args.coeffs.split(","))) if args.coeffs else None
+            args.coeffs = tuple(map(float, args.coeffs.split(",")))
         except ValueError as exc:
             raise UsageError(f"--coeffs must be comma-separated numbers: {exc}") from exc
-        if not all(map(math.isfinite, args.coeffs or ())):
+        if not all(map(math.isfinite, args.coeffs)):
             raise UsageError(f"--coeffs must be finite numbers, got {list(args.coeffs)}")
     if args.command == "verify" and args.seed is None and os.environ.get("OPMAJ_SEED"):
         try:
@@ -413,7 +409,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_args(args)
         payload, rows, notes, code = args.handler(args)
-        _emit(_json_pieces(payload) if rows is None else _csv_pieces(rows), args.out)
+        # CSV rows end in CRLF; JSON text gets the newline it lacks
+        _emit([*_json_pieces(payload), "\n"] if rows is None else _csv_pieces(rows), args.out)
         sys.stderr.writelines(notes)  # only once stdout or --out holds the result
         return code
     except (ValueError, PolynomialOverflowError, ConvergenceError) as exc:  # unservable input

@@ -181,7 +181,7 @@ def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
     ``table``, the (offdiag, diag) of J_n or of a higher order;
     J_{k-1} is read from or added to ``leads``, a dict from m to J_m as a
     deletion block whose lifetime the caller sets.  The slices go to the solver
-    unchecked: they lie in J_n's table, checked by ``scheme_spectral`` first.
+    as they are: ``coefficients`` checked the table as it built it.
     """
     offdiag, diag = table
     sd_n = scheme_spectral(scheme, n)
@@ -220,9 +220,11 @@ def check_majorization(x, y, tol: float = 1e-10) -> MajorizationCertificate:
     """Certificate that x is majorized by y.
 
     Holds iff every descending partial sum of y dominates that of x within
-    tol and the totals agree within tol.
+    tol and the totals agree within tol.  x and y must be 1-D, of one length.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"x and y must be 1-D, got shapes {x.shape} and {y.shape}")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     margins, residual, holds = _majorization(x[None], y, tol)

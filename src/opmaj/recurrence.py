@@ -13,9 +13,9 @@ normalization only fixes p_0 and the total quadrature mass.
 ``scheme.coefficients(m)`` returns the table (a_1..a_m, b_0..b_m), evaluated
 on demand from one vectorized closed form per family, so a scheme is a cheap
 immutable value object even for large depths: making one builds no table,
-and a table that float64 cannot hold is refused as it is built.  Jacobi
-matrices, polynomial recurrences and the shifted (associated) schemes all
-read that one table.
+and a table is checked as it is built, the one place it is.  Jacobi
+matrices, polynomial recurrences, the eigensolvers and the shifted
+(associated) schemes all read that one table.
 """
 from __future__ import annotations
 
@@ -71,14 +71,18 @@ class RecurrenceScheme:
 
     def coefficients(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index:
-        the tail from ``shift`` on of the base table up to index ``shift + m``."""
+        the tail from ``shift`` on of the base table up to index ``shift + m``,
+        which is refused with ValueError, and no numpy warning, if float64
+        cannot hold it or a custom entry is missing, not finite or not positive."""
         if not 0 <= m <= self.max_index:
             raise DepthError(
                 f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
             )
         top = self.shift + m
         if self.kind is Family.CUSTOM:
-            a, b = np.array(self.a_seq[:top]), np.array(self.b_seq[: top + 1])
+            a = np.array(self.a_seq[:top], dtype=float)
+            b = np.array(self.b_seq[: top + 1], dtype=float)
+            _check_entries(a, b, top)
         else:
             a, b = self._table(top)
         return a[self.shift :], b[self.shift :]
@@ -193,6 +197,20 @@ def _float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def _check_entries(a: np.ndarray, b: np.ndarray, top: int) -> None:
+    """Refuse by index the first a_i (a[0] is a_1) not finite, not positive or missing
+    up to a_top, then the first b_i (b[0] is b_0) not finite or missing up to b_top."""
+    for name, values, size, ok in (("a", a, top, np.isfinite(a) & (a > 0.0)),
+                                   ("b", b, top + 1, np.isfinite(b))):
+        first = int(name == "a")
+        if not ok.all():
+            i = int(ok.argmin())
+            need = "finite" if name == "b" or values[i] > 0.0 else "positive"
+            raise ValueError(f"{name}[{i + first}] must be {need}, got {float(values[i])}")
+        if values.size < size:
+            raise ValueError(f"{name}[{values.size + first}] is missing")
+
+
 def from_sequences(a, b) -> RecurrenceScheme:
     """Scheme wrapping explicit sequences (a_1, a_2, ...) and (b_0, b_1, ...).
 
@@ -211,14 +229,7 @@ def from_sequences(a, b) -> RecurrenceScheme:
         )
     if not b:
         raise ValueError("need at least one diagonal coefficient b_0")
-    for i, v in enumerate(a, start=1):
-        if not v > 0.0:
-            raise ValueError(f"a[{i}] must be positive, got {v}")
-        if not math.isfinite(v):
-            raise ValueError(f"a[{i}] must be finite, got {v}")
-    for i, v in enumerate(b):
-        if not math.isfinite(v):
-            raise ValueError(f"b[{i}] must be finite, got {v}")
+    _check_entries(np.array(a), np.array(b), len(b) - 1)
     return RecurrenceScheme(
         kind=Family.CUSTOM, max_index=len(b) - 1, a_seq=a, b_seq=b
     )

@@ -8,14 +8,13 @@ stored, one m x m array per decomposition; the squares are derived from
 them on access, and single-matrix formulas use only the squares, so no
 eigenvector sign convention leaks into them.
 
-The role of the data decides the solver; no option selects one.
-``eigen_decompose`` (LAPACK ``dstev``, implicit QR) serves every single
-eigenvector component that is read: J_n of a certificate, associated
-spectra, Gauss rules, interlacing.  The private ``_block_decompose``
-(LAPACK ``dstevd``, divide and conquer) serves the deletion blocks, slices
-of a checked table; their eigenvectors enter only through inner products
-with normwise error.  ``scheme_spectral``, the one cache, holds the last
-J_n read: one decomposition per process.
+The role of the data decides the solver; no option selects one.  LAPACK
+``dstev`` (implicit QR) serves every single eigenvector component that is
+read: J_n through ``scheme_spectral``, the one cache, which holds the last
+J_n read, and verify's associated spectra.  The private ``_block_decompose``
+(LAPACK ``dstevd``, divide and conquer) serves the deletion blocks, whose
+eigenvectors enter only through inner products with normwise error.  Both
+solve slices of a coefficient table as they are: ``coefficients`` checked it.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ __all__ = [
     "SpectralData",
     "ConvergenceError",
     "jacobi_matrix",
-    "eigen_decompose",
     "scheme_spectral",
 ]
 
@@ -57,8 +55,8 @@ def frozen(out: np.ndarray) -> np.ndarray:
 class JacobiMatrix:
     """Symmetric tridiagonal matrix: diagonal b_0..b_{n-1}, off-diagonal a_1..a_{n-1}.
 
-    Order 0 (empty) is allowed; decomposition requires order >= 1.  Every
-    entry must be finite.
+    Order 0 (empty) is allowed.  Every entry must be finite, and every
+    off-diagonal entry positive.
     """
 
     diag: np.ndarray
@@ -140,36 +138,14 @@ def refuse_beyond_memory(needed: int, subject: str, purpose: str) -> None:
         )
 
 
-def eigen_decompose(J: JacobiMatrix) -> SpectralData:
-    """Full spectral decomposition of a Jacobi matrix, accurate componentwise.
-
-    Calls LAPACK's implicit-shift QL/QR routine ``dstev`` with full
-    eigenvector accumulation: unlike the faster MRRR routine it preserves
-    the relative accuracy of exponentially small eigenvector components, on
-    which the Christoffel numbers at extreme nodes of unbounded-support
-    measures depend.  Order 1 needs no solve.
-
-    LAPACK returns the eigenvalues in ascending order.  Positive
-    off-diagonals guarantee simple eigenvalues, so a nonincreasing pair in
-    the computed spectrum is reported as a ConvergenceError rather than
-    silently accepted, as is a solver failure.
-    An order whose 8 m^2 bytes of eigenvectors exceed physical memory is
-    refused with ValueError before the solver allocates anything.
-    """
-    refuse_beyond_memory(8 * J.order**2, f"order {J.order}", "its eigenvectors")
-    return _decompose(J.diag, J.offdiag, dstev)
-
-
 def _decompose(diag, offdiag, solver):
-    """Spectral data of the Jacobi matrix (diag, offdiag), taken as checked, by ``solver``.
+    """Spectral data of the Jacobi matrix (diag, offdiag), of order >= 1, by ``solver``.
 
     The part both routines share: the order-1 answer, ``info`` as
     ConvergenceError, the strict-increase check of the ascending spectrum
     both routines return, and read-only arrays.  The caller has refused an
     order too large for memory.
     """
-    if diag.size < 1:
-        raise ValueError("cannot decompose an empty Jacobi matrix")
     if diag.size == 1:  # the f2py wrappers refuse an empty off-diagonal
         eigvals, vecs, info = diag, np.ones((1, 1)), 0
     else:
@@ -191,22 +167,35 @@ def _decompose(diag, offdiag, solver):
 
 @lru_cache(maxsize=1)
 def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
-    """Cached ``eigen_decompose(jacobi_matrix(scheme, n))``: data read by component.
+    """Cached spectral data of J_n, the order-n Jacobi matrix of the scheme.
 
     The package's one cache holds the last (scheme, n) read, 8 n^2 + 8 n
     bytes: every certificate of order n (A, B and C at each k), its Gauss
     rule and its Christoffel numbers read the same J_n, the only reuse any
     sweep makes.  Safe to share: schemes are immutable and the returned
-    arrays are read-only.  An order ``eigen_decompose`` refuses by size is
-    refused before J_n's table is built.
+    arrays are read-only.  An order whose 8 n^2 bytes of eigenvectors exceed
+    physical memory is refused with ValueError before J_n's table is built.
     """
     refuse_beyond_memory(8 * n**2, f"order {n}", "its eigenvectors")
-    J = jacobi_matrix(scheme, n)
-    return _decompose(J.diag, J.offdiag, dstev)
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    offdiag, diag = scheme.coefficients(n - 1)
+    return _componentwise_decompose(diag, offdiag)
+
+
+def _componentwise_decompose(diag, offdiag) -> SpectralData:
+    """Eigenbasis of the Jacobi matrix (diag, offdiag), accurate componentwise, uncached.
+
+    LAPACK's implicit-shift QL/QR ``dstev`` with full eigenvector
+    accumulation keeps, unlike MRRR, the relative accuracy of exponentially
+    small components, on which the Christoffel numbers at extreme nodes of
+    unbounded-support measures depend.
+    """
+    return _decompose(diag, offdiag, dstev)
 
 
 def _block_decompose(diag, offdiag) -> SpectralData:
-    """Eigenbasis of the Jacobi matrix (diag, offdiag), taken as checked, as a deletion block.
+    """Eigenbasis of the Jacobi matrix (diag, offdiag) as a deletion block, uncached.
 
     Calls LAPACK's divide-and-conquer routine ``dstevd`` (Gu & Eisenstat,
     SIAM J. Matrix Anal. Appl. 16, 1995), several times faster than
@@ -215,10 +204,10 @@ def _block_decompose(diag, offdiag) -> SpectralData:
     relative accuracy, so it serves only data whose error is normwise, the
     eigenvalues and the inner products of whole eigenvectors that make up
     the certificate entries.  Below order 26 ``dstevd`` hands the problem
-    to the same QR code as ``dstev``, with the same bits.  Uncached, as is
-    ``eigen_decompose``.  No size refusal is made here: a block is a slice
-    of a table whose order ``_certificate_table`` (32 n^2 bytes) or
-    ``verify_scheme`` (32 n^3 / 3 bytes) has already held to physical
-    memory.  Failures raise ConvergenceError as in ``eigen_decompose``.
+    to the same QR code as ``dstev``, with the same bits.  No size refusal
+    is made here: a block is a slice of a table whose order
+    ``_certificate_table`` (32 n^2 bytes) or ``verify_scheme`` (32 n^3 / 3
+    bytes) has already held to physical memory.  Failures raise
+    ConvergenceError as in ``_componentwise_decompose``.
     """
     return _decompose(diag, offdiag, dstevd)

@@ -22,7 +22,7 @@ from .orthopoly import (
     gauss_rule, jacobi_power_moment, spectral_spot_points,
 )
 from .recurrence import RecurrenceScheme, shifted
-from .spectra import JacobiMatrix, eigen_decompose, refuse_beyond_memory, scheme_spectral
+from .spectra import _componentwise_decompose, refuse_beyond_memory, scheme_spectral
 
 __all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
 
@@ -245,7 +245,7 @@ def verify_scheme(
     x = diag[:1]  # the zero of p_1
     for n in range(2, n_max + 1):
         prev, x = x, scheme_spectral(scheme, n).eigenvalues
-        assoc = eigen_decompose(JacobiMatrix(diag[1:n], offdiag[1:n - 1])).eigenvalues
+        assoc = _componentwise_decompose(diag[1:n], offdiag[1:n - 1]).eigenvalues
         # minus the least gap of the strict pattern x_j < inner_j < x_{j+1}
         metrics = [-float(min((z - x[:-1]).min(), (x[1:] - z).min())) for z in (prev, assoc)]
         cases = [f"n={n} interlacing-{name}" for name in ("consecutive", "associated")]

@@ -304,6 +304,50 @@ def test_every_public_name_is_read_by_a_path_of_the_project():
     assert [name for name in opmaj.__all__ if name not in read] == []
 
 
+def test_every_opmaj_name_the_benchmark_and_the_scripts_read_resolves():
+    # perfbench/run.py --baselines reads opmaj.jacobi_matrix, and no check runs
+    # that mode: a renamed or removed name must fail here instead.  Every
+    # dotted load rooted at the name opmaj, and every name imported from an
+    # opmaj module, must resolve on the package
+    import importlib
+
+    import opmaj.cli  # noqa: F401  (perfbench/worker.py reads opmaj.cli.main)
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute) and (head := dotted(node.value)):
+            return [*head, node.attr]
+        return []
+
+    def resolves(module, names):
+        obj = importlib.import_module(module)
+        for name in names:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    root = Path(__file__).resolve().parents[1]
+    unresolved, seen = [], 0
+    for path in [*sorted((root / "perfbench").glob("*.py")), *sorted((root / "scripts").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module == "opmaj" or node.module.startswith("opmaj.")
+            ):
+                reads = [(node.module, [alias.name]) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = dotted(node)
+                reads = [("opmaj", names[1:])] if names[:1] == ["opmaj"] else []
+            else:
+                continue
+            seen += len(reads)
+            unresolved += [(path.name, module, names) for module, names in reads
+                           if not resolves(module, names)]
+    assert seen >= 20  # the walk found the reads it guards
+    assert unresolved == []
+
+
 def test_quad_command(capsys):
     code, out, _ = run_cli(
         capsys, "quad", "--family", "chebyshev-u", "--n", "2", "--degree", "2"
@@ -331,6 +375,16 @@ def test_quad_command(capsys):
         )
         assert (code, out) == (2, ""), coeffs
         assert err.startswith("opmaj: error: --coeffs must be finite numbers, got ["), coeffs
+
+
+def test_quad_refuses_an_empty_coeffs(capsys):
+    # '' is refused as '1,,2' is, alone and beside --degree, never ignored
+    base = ["quad", "--family", "legendre", "--n", "2"]
+    message = ("opmaj: error: --coeffs must be comma-separated numbers: "
+               "could not convert string to float: ''\n")
+    for argv in ([*base, "--coeffs", "1,,2"], [*base, "--coeffs", ""],
+                 [*base, "--degree", "2", "--coeffs", ""]):
+        assert run_cli(capsys, *argv) == (2, "", message), argv
 
 
 @pytest.mark.parametrize(
@@ -432,6 +486,24 @@ def test_out_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert len(doc["zeros"]) == 3
+
+
+def test_out_file_gets_the_bytes_stdout_gets(capsys, tmp_path):
+    # one final-newline rule for both sinks, in either format
+    target = tmp_path / "out"
+    commands = [
+        (["zeros", "--family", "legendre", "--n", "2"], True),
+        (["weights", "--family", "laguerre", "--n", "3"], True),
+        (["matrix", "--family", "hermite", "--n", "3", "--theorem", "C", "--k", "2"], True),
+        (["quad", "--family", "legendre", "--n", "3", "--coeffs", "1,0,2"], False),
+        (["verify", "--family", "legendre", "--n-max", "3"], False),
+    ]
+    for argv, has_csv in commands:
+        for fmt in ([], ["--format", "csv"]) if has_csv else ([],):
+            code, out, err = run_cli(capsys, *argv, *fmt)
+            assert code == 0 and out.endswith("\n"), (argv, fmt)
+            assert run_cli(capsys, *argv, *fmt, "--out", str(target)) == (code, "", err)
+            assert target.read_bytes() == out.encode(), (argv, fmt)
 
 
 def test_unwritable_out_refused_by_name(capsys, tmp_path):

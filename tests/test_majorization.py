@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -266,6 +267,11 @@ def test_check_majorization_examples():
 
     with pytest.raises(ValueError):
         check_majorization([1.0], [1.0, 2.0])
+    # not 1-D: refused by shape, not by numpy's broadcast or axis errors
+    square = [[1.0, 2.0], [3.0, 4.0]]
+    for x, y, shapes in ((square, square, "(2, 2) and (2, 2)"), (1.0, 2.0, "() and ()")):
+        with pytest.raises(ValueError, match=re.escape(f"x and y must be 1-D, got shapes {shapes}")):
+            check_majorization(x, y)
 
 
 def test_convex_report_examples(chebyshev):
@@ -464,8 +470,7 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     # 2..n-1 together, and one eval_all pass over the zeros for the
     # column-sum right sides; the Christoffel numbers run the same recurrence
     # once more, unchecked, so as to raise node by node.  The only Jacobi
-    # matrices built are the moments' J_K, then J_n's and the interlacing
-    # block's per order
+    # matrices built are the moments' J_K: every solve reads its table
     N = 12
     evals, built = [], []
     eval_body, post_init = orthopoly.eval_all, spectra.JacobiMatrix.__post_init__
@@ -502,19 +507,19 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     assert counts[0] == counts[1]
     assert counts[0][0] == [(n, 3, 1) for n in range(2, N + 1)]
     moments = [m // 2 + 1 for m in range(1, 2 * N)]
-    assert counts[0][1] == moments + [m for n in range(2, N + 1) for m in (n, n - 1)]
+    assert counts[0][1] == moments
 
 
 def test_block_slices_are_checked_with_J_n_before_any_block_solve(monkeypatch):
-    # the blocks go to dstevd as slices of J_n's table, unchecked: a zero
-    # off-diagonal is refused when J_n (or a moment's J_K) is built, first
+    # the blocks go to dstevd as slices of J_n's table, which coefficients
+    # checks as it builds it: a zero off-diagonal is refused there, first
     s = RecurrenceScheme(kind=Family.CUSTOM, max_index=3, a_seq=(1.0, 0.0, 1.0), b_seq=(0.0,) * 4)
 
     def no_block_solve(*args):
         raise AssertionError("dstevd called")
 
     monkeypatch.setattr(spectra, "dstevd", no_block_solve)
-    message = "off-diagonal entries must be strictly positive"
+    message = re.escape("a[2] must be positive, got 0.0")
     for k in range(1, 5):
         with pytest.raises(ValueError, match=message):
             matrix_C(s, 4, k)
@@ -762,7 +767,7 @@ def test_random_scheme_certificates(a, b, k_pick):
     reason="the range holds schemes whose zeros float64 cannot separate: for the "
     "explicit example two zeros of p_10 near 9.9 are 1.6e-15 apart and two near "
     "10.1 are 1.5e-15 apart (mpmath), each under one ulp (1.8e-15), so "
-    "eigen_decompose refuses J_10 with ConvergenceError",
+    "scheme_spectral refuses J_10 with ConvergenceError",
 )
 @given(
     st.integers(min_value=1, max_value=25).flatmap(

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmaj import DepthError, Family, classical_scheme, from_sequences, jacobi_matrix, shifted
+from opmaj import (
+    DepthError, Family, RecurrenceScheme, christoffel_numbers_formula, classical_scheme, eval_all,
+    from_sequences, jacobi_matrix, matrix_C, scheme_spectral, shifted, verify_scheme,
+)
 
 from oracles import mp_coefficient_integrals
 
@@ -152,6 +156,35 @@ def test_from_sequences_rejects_integers_beyond_float_range():
 def test_from_sequences_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         from_sequences((1.0,), (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "a_seq,b_seq,message",
+    [
+        ((1.0, 0.0, 1.0, 1.0), (0.0,) * 5, "a[2] must be positive, got 0.0"),
+        ((1.0,) * 4, (0.0, math.nan, 0.0, 0.0, 0.0), "b[1] must be finite, got nan"),
+        ((1.0, 1.0), (0.0,) * 5, "a[3] is missing"),
+        ((1.0,) * 4, (0.0,) * 3, "b[3] is missing"),
+    ],
+    ids=["zero-a", "nan-b", "short-a", "short-b"],
+)
+def test_a_directly_built_custom_table_is_refused_where_it_is_built(a_seq, b_seq, message):
+    # a scheme made without from_sequences is checked by coefficients, so every
+    # path that reads its table refuses the same entry by name, with no warning
+    s = RecurrenceScheme(kind=Family.CUSTOM, max_index=4, a_seq=a_seq, b_seq=b_seq)
+    paths = {
+        "coefficients": lambda: s.coefficients(4),
+        "eval_all": lambda: eval_all(s, 4, 0.3),
+        "scheme_spectral": lambda: scheme_spectral(s, 4),
+        "matrix_C": lambda: matrix_C(s, 4, 2),
+        "verify_scheme": lambda: verify_scheme(s, 4),
+        "christoffel_numbers_formula": lambda: christoffel_numbers_formula(s, 4),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, path in paths.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                path()
 
 
 def test_from_sequences_trace():

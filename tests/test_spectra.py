@@ -11,7 +11,6 @@ from opmaj import (
     DepthError,
     JacobiMatrix,
     classical_scheme,
-    eigen_decompose,
     eval_all,
     from_sequences,
     jacobi_matrix,
@@ -25,6 +24,12 @@ from opmaj import (
 from oracles import (
     block_decompose, chebyshev_u_weights, chebyshev_u_zeros, comp_sq, delete_row_col
 )
+
+
+def stev(J):
+    """Spectral data of a hand-built Jacobi matrix by the library's dstev route."""
+    return scheme_spectral(from_sequences(J.offdiag, J.diag), J.order)
+
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -101,8 +106,8 @@ def test_delete_row_col_spectrum_matches_dense_deletion(family, params, k):
     ours = np.sort(
         np.concatenate(
             [
-                eigen_decompose(top).eigenvalues if top.order else np.empty(0),
-                eigen_decompose(bottom).eigenvalues if bottom.order else np.empty(0),
+                stev(top).eigenvalues if top.order else np.empty(0),
+                stev(bottom).eigenvalues if bottom.order else np.empty(0),
             ]
         )
     )
@@ -118,37 +123,40 @@ def test_delete_row_col_blocks_match_scheme_views():
     J = jacobi_matrix(s, 8)
     for k in (2, 3, 7):
         top, bottom = delete_row_col(J, k)
-        assert eigen_decompose(top).eigenvalues == pytest.approx(
+        assert stev(top).eigenvalues == pytest.approx(
             scheme_spectral(s, k - 1).eigenvalues, abs=1e-13
         )
-        assert eigen_decompose(bottom).eigenvalues == pytest.approx(
+        assert stev(bottom).eigenvalues == pytest.approx(
             scheme_spectral(shifted(s, k), 8 - k).eigenvalues, abs=1e-13
         )
 
 
 def test_eigen_chebyshev_2x2():
-    sd = eigen_decompose(jacobi_matrix(classical_scheme("chebyshev-u", 3), 2))
+    sd = scheme_spectral(classical_scheme("chebyshev-u", 3), 2)
     assert sd.eigenvalues == pytest.approx([-0.5, 0.5], abs=1e-15)
     assert comp_sq(sd)[0] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_eigen_trivial_1x1():
-    sd = eigen_decompose(jacobi_matrix(from_sequences((), (7.0,)), 1))
+    sd = scheme_spectral(from_sequences((), (7.0,)), 1)
     assert sd.eigenvalues == pytest.approx([7.0])
     assert comp_sq(sd) == pytest.approx(np.array([[1.0]]))
 
 
 def test_eigen_chebyshev_3x3_closed_form():
-    sd = eigen_decompose(jacobi_matrix(classical_scheme("chebyshev-u", 3), 3))
+    sd = scheme_spectral(classical_scheme("chebyshev-u", 3), 3)
     assert sd.eigenvalues == pytest.approx([-math.sqrt(0.5), 0.0, math.sqrt(0.5)], abs=1e-15)
     assert comp_sq(sd)[0] == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
     assert sd.eigenvalues == pytest.approx(chebyshev_u_zeros(3), abs=1e-15)
     assert comp_sq(sd)[0] == pytest.approx(chebyshev_u_weights(3), abs=1e-15)
 
 
-def test_empty_matrix_rejected():
-    with pytest.raises(ValueError):
-        eigen_decompose(JacobiMatrix(np.empty(0), np.empty(0)))
+def test_order_below_one_refused():
+    s = classical_scheme("legendre", 3)
+    for n in (0, -1):
+        for build in (scheme_spectral, jacobi_matrix):
+            with pytest.raises(ValueError, match=f"^order must be >= 1, got {n}$"):
+                build(s, n)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -204,7 +212,7 @@ def test_spectral_data_is_immutable():
 def test_spectral_data_holds_one_eigenvector_array():
     # the squares are derived on access, so a decomposition holds 8m^2 + 8m bytes
     for m in (1, 2, 7, 40):
-        sd = eigen_decompose(jacobi_matrix(classical_scheme("laguerre", m), m))
+        sd = scheme_spectral(classical_scheme("laguerre", m), m)
         assert sum(v.nbytes for v in vars(sd).values()) == 8 * m * m + 8 * m
 
 
@@ -229,20 +237,25 @@ def test_oversized_order_refused_before_solving(monkeypatch):
     memory = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}
     monkeypatch.setattr(spectra.os, "sysconf", memory.__getitem__)
     s = classical_scheme("legendre", 3)
-    assert eigen_decompose(jacobi_matrix(s, 2)).order == 2
+    assert _fresh_spectral(s, 2).order == 2
     monkeypatch.setattr(spectra, "dstev", _no_eigensolve)
     monkeypatch.setattr(spectra, "dstevd", _no_eigensolve)
     with pytest.raises(ValueError, match="order 3 needs"):
-        eigen_decompose(jacobi_matrix(s, 3))
+        _fresh_spectral(s, 3)
     for build in (lambda: matrix_C(s, 2, 1), lambda: verify_scheme(s, 2)):
         with pytest.raises(ValueError, match="the order 2 certificate needs"):
             build()
 
 
+def _fresh_spectral(s, m):
+    scheme_spectral.cache_clear()  # a cached decomposition would hide the solve
+    return scheme_spectral(s, m)
+
+
 def _solvers(s):
     """Each LAPACK entry point with a fresh solve that goes through it."""
     return {
-        "dstev": lambda m: eigen_decompose(jacobi_matrix(s, m)),
+        "dstev": lambda m: _fresh_spectral(s, m),
         "dstevd": lambda m: block_decompose(jacobi_matrix(s, m)),
     }
 
@@ -290,7 +303,7 @@ def test_spectrum_wider_than_float64_is_served():
     # strict-increase check compares them instead of subtracting, so the
     # spectrum is served with no overflow warning
     s = from_sequences([1e307, 1e307], [1.7e308, -1.7e308, 1.7e308])
-    for sd in (eigen_decompose(jacobi_matrix(s, 3)), block_decompose(jacobi_matrix(s, 3))):
+    for sd in (scheme_spectral(s, 3), block_decompose(jacobi_matrix(s, 3))):
         x = sd.eigenvalues
         assert np.all(x[1:] > x[:-1]) and np.isfinite(x).all()
         assert x[0] < -1.7e308 and x[-1] > 1.7e308
@@ -319,11 +332,11 @@ def test_blocks_below_order_26_bit_equal_to_dstev(family, params):
     ids=["legendre", "laguerre", "hermite", "custom"],
 )
 def test_eigen_decompose_bit_equal_to_scipy_stev(scheme):
-    # the direct LAPACK call returns exactly what scipy's stev wrapper returns
+    # scheme_spectral's direct LAPACK call returns exactly what scipy's stev wrapper returns
     for n in (1, 2, 7, 60):
         J = jacobi_matrix(scheme, n)
         eigvals, vecs = eigh_tridiagonal(J.diag, J.offdiag, lapack_driver="stev")
-        sd = eigen_decompose(J)
+        sd = scheme_spectral(scheme, n)
         assert np.array_equal(sd.eigenvalues, eigvals), n
         assert np.array_equal(sd.components, vecs), n
 
@@ -368,7 +381,7 @@ def test_eigen_invariants_random_schemes(a, b):
         return
     s = from_sequences(a, b)
     J = jacobi_matrix(s, s.max_index + 1)
-    sd = eigen_decompose(J)
+    sd = scheme_spectral(s, J.order)
     assert np.all(np.diff(sd.eigenvalues) > 0.0)
     assert comp_sq(sd).sum(axis=0) == pytest.approx(np.ones(J.order), abs=1e-12)
     assert abs(sd.eigenvalues.sum() - J.diag.sum()) <= 1e-10 * (1.0 + np.abs(J.diag).sum())
