@@ -59,12 +59,15 @@ def eval_all(
     p_{m+1}' = ((x - b_m) p_m' + p_m - a_m p_{m-1}') / a_{m+1}, which is
     exact and costs the same as the value pass.  An array of P points gives
     (P, n + 1) arrays, point-major, row i bit-equal to the call at point i.
-    An overflow raises PolynomialOverflowError, with no numpy warning, at
+    The first point that is not finite raises ValueError before the recurrence
+    runs; an overflow raises PolynomialOverflowError, with no numpy warning, at
     the first point that overflows, naming its first non-finite degree.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     points = np.asarray(x, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError(f"x must be finite, got {points[~np.isfinite(points)][0]}")
     arrays = _forward(scheme, n, points.ravel(), derivatives)
     bad = ~np.isfinite(arrays).all(axis=0)
     if bad.any():

@@ -14,7 +14,8 @@ read: J_n through ``scheme_spectral``, the one cache, which holds the last
 J_n read, and verify's associated spectra.  The private ``_block_decompose``
 (LAPACK ``dstevd``, divide and conquer) serves the deletion blocks, whose
 eigenvectors enter only through inner products with normwise error.  Both
-solve slices of a coefficient table as they are: ``coefficients`` checked it.
+solve slices of the table ``coefficients`` checked, which ``jacobi_matrix``
+hands out read-only, uncopied, in a ``JacobiMatrix`` (not re-exported).
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from scipy.linalg.lapack import dstev, dstevd
 from .recurrence import RecurrenceScheme
 
 __all__ = [
-    "JacobiMatrix",
     "SpectralData",
     "ConvergenceError",
     "jacobi_matrix",
@@ -38,11 +38,6 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """The tridiagonal eigensolver failed; treat as a defect, not a fallback."""
-
-
-def readonly(values) -> np.ndarray:
-    """Copy into a float array with the write flag cleared."""
-    return frozen(np.array(values, dtype=float))
 
 
 def frozen(out: np.ndarray) -> np.ndarray:
@@ -55,29 +50,11 @@ def frozen(out: np.ndarray) -> np.ndarray:
 class JacobiMatrix:
     """Symmetric tridiagonal matrix: diagonal b_0..b_{n-1}, off-diagonal a_1..a_{n-1}.
 
-    Order 0 (empty) is allowed.  Every entry must be finite, and every
-    off-diagonal entry positive.
+    ``jacobi_matrix`` builds it on the read-only table ``coefficients`` checked.
     """
 
     diag: np.ndarray
     offdiag: np.ndarray
-
-    def __post_init__(self):
-        diag = readonly(self.diag)
-        offdiag = readonly(self.offdiag)
-        expected = max(diag.size - 1, 0)
-        if offdiag.size != expected:
-            raise ValueError(
-                f"offdiag must have length {expected} for order {diag.size}, "
-                f"got {offdiag.size}"
-            )
-        for name, values in (("diag", diag), ("offdiag", offdiag)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} entries must be finite")
-        if offdiag.size and not np.all(offdiag > 0.0):
-            raise ValueError("off-diagonal entries must be strictly positive")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
 
     @property
     def order(self) -> int:
@@ -121,11 +98,11 @@ class SpectralData:
 
 
 def jacobi_matrix(scheme: RecurrenceScheme, n: int) -> JacobiMatrix:
-    """Truncated Jacobi matrix J_n of the scheme (needs depth >= n - 1)."""
+    """Truncated Jacobi matrix J_n of the scheme (needs depth >= n - 1), not copied."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     offdiag, diag = scheme.coefficients(n - 1)
-    return JacobiMatrix(diag, offdiag)
+    return JacobiMatrix(frozen(diag), frozen(offdiag))
 
 
 def refuse_beyond_memory(needed: int, subject: str, purpose: str) -> None:
@@ -143,11 +120,11 @@ def _decompose(diag, offdiag, solver):
 
     The part both routines share: the order-1 answer, ``info`` as
     ConvergenceError, the strict-increase check of the ascending spectrum
-    both routines return, and read-only arrays.  The caller has refused an
-    order too large for memory.
+    both routines return, and read-only arrays, none a view of the caller's
+    table.  The caller has refused an order too large for memory.
     """
     if diag.size == 1:  # the f2py wrappers refuse an empty off-diagonal
-        eigvals, vecs, info = diag, np.ones((1, 1)), 0
+        eigvals, vecs, info = diag.copy(), np.ones((1, 1)), 0
     else:
         eigvals, vecs, info = solver(diag, offdiag)
     if info:  # an f2py wrapper's __name__ reads "function dstev"
@@ -162,7 +139,7 @@ def _decompose(diag, offdiag, solver):
         )
     # vecs is LAPACK's fresh array in Fortran layout; it is kept as is,
     # since the bits of the overlap products depend on that layout.
-    return SpectralData(readonly(eigvals), frozen(vecs))
+    return SpectralData(frozen(eigvals), frozen(vecs))
 
 
 @lru_cache(maxsize=1)
@@ -176,9 +153,9 @@ def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     arrays are read-only.  An order whose 8 n^2 bytes of eigenvectors exceed
     physical memory is refused with ValueError before J_n's table is built.
     """
-    refuse_beyond_memory(8 * n**2, f"order {n}", "its eigenvectors")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    refuse_beyond_memory(8 * n**2, f"order {n}", "its eigenvectors")
     offdiag, diag = scheme.coefficients(n - 1)
     return _componentwise_decompose(diag, offdiag)
 

@@ -22,13 +22,12 @@ import mpmath as mp
 import numpy as np
 
 from opmaj import (
-    JacobiMatrix,
     StochasticMatrixResult,
     jacobi_matrix,
     scheme_spectral,
     shifted,
 )
-from opmaj.spectra import _block_decompose
+from opmaj.spectra import JacobiMatrix, _block_decompose
 
 
 def poly_values(scheme, n, x):

@@ -613,6 +613,12 @@ def test_certificate_output_peak_within_the_refusal_budget(capsys, tmp_path, fmt
     assert peak <= 32 * n**2 + (1 << 20), f"traced peak {peak / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize("n", [0, -1, -10**8])
+def test_order_below_one_refused_before_it_is_sized(capsys, n):
+    code, out, err = run_cli(capsys, "zeros", "--family", "legendre", "--n", str(n))
+    assert (code, out, err) == (2, "", f"opmaj: error: order must be >= 1, got {n}\n")
+
+
 def test_oversized_order_refused_before_its_table_is_built():
     # classical_scheme builds no table and scheme_spectral refuses the 8 n^2
     # bytes of eigenvectors before J_n's table is built, so n = 2e7, whose

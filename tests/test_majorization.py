@@ -469,11 +469,11 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     # for the scheme and one for its first shift, one 2-D pass for shifts
     # 2..n-1 together, and one eval_all pass over the zeros for the
     # column-sum right sides; the Christoffel numbers run the same recurrence
-    # once more, unchecked, so as to raise node by node.  The only Jacobi
-    # matrices built are the moments' J_K: every solve reads its table
+    # once more, unchecked, so as to raise node by node.  The only
+    # jacobi_matrix calls are the moments' J_K: every solve reads its table
     N = 12
     evals, built = [], []
-    eval_body, post_init = orthopoly.eval_all, spectra.JacobiMatrix.__post_init__
+    eval_body, jacobi_body = orthopoly.eval_all, orthopoly.jacobi_matrix
     identity_body, tops_body = verification._identity_checks, orthopoly._associated_tops
 
     def counting_eval_all(*args, **kwargs):
@@ -488,15 +488,15 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
         evals.append([n, 0, 0])
         return identity_body(out, scheme, n, *args)
 
-    def counting_post_init(self):
-        built.append(np.size(self.diag))
-        post_init(self)
+    def counting_jacobi_matrix(scheme, n):
+        built.append(n)
+        return jacobi_body(scheme, n)
 
     for module in (orthopoly, verification):
         monkeypatch.setattr(module, "eval_all", counting_eval_all)
     monkeypatch.setattr(verification, "_identity_checks", counting_identity_checks)
     monkeypatch.setattr(verification, "_associated_tops", counting_tops)
-    monkeypatch.setattr(spectra.JacobiMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(orthopoly, "jacobi_matrix", counting_jacobi_matrix)
     scheme_spectral.cache_clear()  # each order's J_n is then built once
     counts = []
     for _ in range(2):

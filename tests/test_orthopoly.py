@@ -56,6 +56,15 @@ def test_eval_depth_error():
         eval_all(classical_scheme("legendre", 4), 5, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_eval_all_refuses_a_non_finite_point_by_name(bad):
+    # bad input, not an overflow: refused before the recurrence runs
+    s = classical_scheme("legendre", 5)
+    for x in (bad, [0.5, bad, 0.25, bad], [[0.0], [bad]]):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {bad}$"):
+            eval_all(s, 3, x)
+
+
 def test_eval_overflow_reported():
     # tiny off-diagonals amplify each recurrence step by 1e4
     s = from_sequences((1e-4,) * 100, (0.0,) * 101)

@@ -1,5 +1,6 @@
-"""Smoke tests of ``scripts/``: each runs as documented, in a subprocess
-with ``PYTHONPATH=src``, so that a library rename cannot break one unseen."""
+"""Smoke tests of ``scripts/`` and of the benchmark's worker: each runs as
+documented, in a subprocess with ``PYTHONPATH=src``, so that a library
+rename cannot break one unseen."""
 import json
 import os
 import re
@@ -12,11 +13,11 @@ from opmaj import classical_scheme, verify_scheme
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, folder="scripts"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, f"scripts/{name}", *args],
+        [sys.executable, f"{folder}/{name}", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -83,3 +84,26 @@ def test_golden_outputs_diff(tmp_path):
         '["jacobi", {"alpha": 0.5, "beta": -0.5}, 1, 2]  matrix\n'
     )
     assert "2 of 3 records differ" in proc.stderr
+
+
+def test_benchmark_worker_passes_its_own_checks_on_small_specs(tmp_path):
+    # one cold pass of each benchmark workload, small, with the worker's own
+    # output checks, and one traced pass: a failed op or check here would end
+    # a benchmark run as incorrect or failed
+    specs = [
+        {"workload": "allk-sweep", "n": 12, "ks": [1, 6, 12]},
+        {"workload": "cli-matrix", "n": 12, "ks": [1, 12], "out": str(tmp_path / "matrix.json")},
+        {"workload": "verify-sweep", "seed": 1, "families": ["legendre"]},
+        {"workload": "allk-sweep", "n": 12, "ks": [1, 6, 12], "trace": 1},
+    ]
+    for spec in specs:
+        proc = run_script("worker.py", json.dumps(spec), folder="perfbench")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "ready"
+        result = json.loads(lines[-1])
+        assert [op["label"] for op in result["ops"]] == spec.get("ks", spec.get("families"))
+        assert all(op["ok"] for op in result["ops"]), result["ops"]
+        checks = result["checks"]
+        assert checks["total"] > 0 and checks["passed"] == checks["total"], checks
+        assert ("trace" in result) == bool(spec.get("trace"))

@@ -9,10 +9,11 @@ from scipy.linalg import eigh_tridiagonal
 from opmaj import (
     ConvergenceError,
     DepthError,
-    JacobiMatrix,
+    RecurrenceScheme,
     classical_scheme,
     eval_all,
     from_sequences,
+    gauss_rule,
     jacobi_matrix,
     matrix_C,
     scheme_spectral,
@@ -63,13 +64,35 @@ def test_jacobi_matrix_depth_error():
         jacobi_matrix(s, 5)
 
 
-def test_jacobi_matrix_rejects_bad_offdiag():
-    from opmaj import JacobiMatrix
+def test_jacobi_matrix_freezes_the_table_coefficients_built(monkeypatch):
+    # J_n holds the arrays coefficients returned, read-only, not a copy
+    tables, coefficients = [], RecurrenceScheme.coefficients
 
-    with pytest.raises(ValueError):
-        JacobiMatrix(np.zeros(3), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        JacobiMatrix(np.zeros(3), np.array([1.0]))
+    def recording_coefficients(self, m):
+        tables.append(coefficients(self, m))
+        return tables[-1]
+
+    monkeypatch.setattr(RecurrenceScheme, "coefficients", recording_coefficients)
+    for s in (classical_scheme("laguerre", 9, alpha=0.5), from_sequences((1.0, 2.0), (0.5, -1.0))):
+        for n in (1, 2, s.max_index + 1):
+            tables.clear()
+            J = jacobi_matrix(s, n)
+            assert len(tables) == 1
+            (offdiag, diag), (offdiag_now, diag_now) = tables[0], coefficients(s, n - 1)
+            assert J.diag is diag and J.offdiag is offdiag
+            assert not (J.diag.flags.writeable or J.offdiag.flags.writeable)
+            assert diag.tobytes() == diag_now.tobytes()
+            assert offdiag.tobytes() == offdiag_now.tobytes()
+
+
+def test_eigenvalues_never_point_into_the_solved_table():
+    # LAPACK returns fresh arrays; order 1, solved without it, copies b_0
+    offdiag, diag = classical_scheme("laguerre", 9).coefficients(4)
+    for m in (1, 2, 5):
+        for solve in (spectra._componentwise_decompose, spectra._block_decompose):
+            sd = solve(diag[:m], offdiag[: m - 1])
+            assert not np.shares_memory(sd.eigenvalues, diag)
+            assert not sd.eigenvalues.flags.writeable and diag.flags.writeable
 
 
 def test_delete_row_col_middle():
@@ -152,9 +175,10 @@ def test_eigen_chebyshev_3x3_closed_form():
 
 
 def test_order_below_one_refused():
+    # before the 8 n^2 memory refusal, which a large negative n would fail
     s = classical_scheme("legendre", 3)
-    for n in (0, -1):
-        for build in (scheme_spectral, jacobi_matrix):
+    for n in (0, -1, -10**8):
+        for build in (scheme_spectral, gauss_rule, jacobi_matrix):
             with pytest.raises(ValueError, match=f"^order must be >= 1, got {n}$"):
                 build(s, n)
 
@@ -339,19 +363,6 @@ def test_eigen_decompose_bit_equal_to_scipy_stev(scheme):
         sd = scheme_spectral(scheme, n)
         assert np.array_equal(sd.eigenvalues, eigvals), n
         assert np.array_equal(sd.components, vecs), n
-
-
-@pytest.mark.parametrize(
-    "diag,offdiag",
-    [
-        ([0.0, math.nan, 1.0], [0.5, 0.5]),
-        ([0.0, 1.0, 2.0], [0.5, math.inf]),
-        ([-math.inf, 1.0], [0.5]),
-    ],
-)
-def test_jacobi_matrix_refuses_non_finite_entries(diag, offdiag):
-    with pytest.raises(ValueError, match="must be finite"):
-        JacobiMatrix(np.array(diag), np.array(offdiag))
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
