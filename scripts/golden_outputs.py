@@ -26,17 +26,18 @@ Prints five sha256 digests:
   message;
 * ``verify60``: the rows of ``verify_scheme`` at n_max = 60 for the same
   three families, as ``verify`` records them: the benchmark's verify
-  workload.  It enters no ``--records`` file.
+  workload.
 
 Run from the root of a checkout, once per commit, and compare:
     PYTHONPATH=src python scripts/golden_outputs.py
     PYTHONPATH=src python scripts/golden_outputs.py --records out.jsonl
     PYTHONPATH=src python scripts/golden_outputs.py --diff old.jsonl new.jsonl
 ``--records`` also writes one JSON line per CLI invocation (keyed by its
-argv), per ``verify_scheme`` case (keyed by [family, case]) and per
-coefficient case (keyed by [family, params, shift, order]).  ``--diff``
-prints the key and the changed fields of every record that differs between
-two such files, or that only one of them holds, and exits 1 if any does.
+argv), per ``verify_scheme`` case (keyed by [family, case] at n_max = 30 and
+by [family, case, 60] at n_max = 60) and per coefficient case (keyed by
+[family, params, shift, order]).  ``--diff`` prints the key and the changed
+fields of every record that differs between two such files, or that only one
+of them holds, and exits 1 if any does.
 """
 import argparse
 import contextlib
@@ -246,7 +247,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", metavar="PATH",
                         help="also write one JSON line per CLI invocation, verify case "
-                        "and coefficient case")
+                        "(n_max 30 and 60) and coefficient case")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                         help="list the records that differ between two --records files")
     args = parser.parse_args()
@@ -260,15 +261,17 @@ def main():
         err_rows.append([argv, err])
     verify_rows = verify_records()
     coeff_rows = coeff_records()
+    verify60_rows = verify_records(60)
     if args.records:
         with open(args.records, "w", encoding="utf-8") as fh:
             for (argv, code, out), (_, err) in zip(cli_rows, err_rows):
                 fh.write(json.dumps({"argv": argv, "code": code, "stdout": out,
                                      "stderr": err}) + "\n")
-            for family, results in verify_rows:
-                for case, metric, limit, passed in results:
-                    fh.write(json.dumps({"case": [family, case], "metric": metric,
-                                         "limit": limit, "passed": passed}) + "\n")
+            for suffix, rows in (([], verify_rows), ([60], verify60_rows)):
+                for family, results in rows:
+                    for case, metric, limit, passed in results:
+                        fh.write(json.dumps({"case": [family, case, *suffix], "metric": metric,
+                                             "limit": limit, "passed": passed}) + "\n")
             for family, params, k, n, matrix, values, leading in coeff_rows:
                 fh.write(json.dumps({"table": [family, params, k, n], "matrix": matrix,
                                      "values": values, "leading": leading}) + "\n")
@@ -276,7 +279,7 @@ def main():
     print(f"verify  {digest(verify_rows)}")
     print(f"stderr  {digest(err_rows)}")
     print(f"coeffs  {digest(coeff_rows)}")
-    print(f"verify60  {digest(verify_records(60))}")
+    print(f"verify60  {digest(verify60_rows)}")
     return 0
 
 

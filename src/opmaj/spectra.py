@@ -11,9 +11,9 @@ eigenvector sign convention leaks into them.
 The role of the data decides the solver; no option selects one.  LAPACK
 ``dstev`` (implicit QR) serves every single eigenvector component that is
 read: J_n through ``scheme_spectral``, the one cache, which holds the last
-J_n read, and verify's associated spectra.  The private ``_block_decompose``
-(LAPACK ``dstevd``, divide and conquer) serves the deletion blocks, whose
-eigenvectors enter only through inner products with normwise error.  Both
+J_n read.  The private ``_block_decompose`` (LAPACK ``dstevd``, divide and
+conquer) serves the deletion blocks, whose eigenvectors enter only through
+inner products with normwise error and whose zeros verify reads.  Both
 solve slices of the table ``coefficients`` checked, which ``jacobi_matrix``
 hands out read-only, uncopied, in a ``JacobiMatrix`` (not re-exported).
 """
@@ -149,25 +149,16 @@ def scheme_spectral(scheme: RecurrenceScheme, n: int) -> SpectralData:
     The package's one cache holds the last (scheme, n) read, 8 n^2 + 8 n
     bytes: every certificate of order n (A, B and C at each k), its Gauss
     rule and its Christoffel numbers read the same J_n, the only reuse any
-    sweep makes.  Safe to share: schemes are immutable and the returned
-    arrays are read-only.  An order whose 8 n^2 bytes of eigenvectors exceed
-    physical memory is refused with ValueError before J_n's table is built.
+    sweep makes; verify reads it only through the certificates.  Safe to
+    share: schemes are immutable and the returned arrays are read-only.  An
+    order whose 8 n^2 bytes of eigenvectors exceed physical memory is
+    refused with ValueError before J_n's table is built.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     refuse_beyond_memory(8 * n**2, f"order {n}", "its eigenvectors")
     offdiag, diag = scheme.coefficients(n - 1)
-    return _componentwise_decompose(diag, offdiag)
-
-
-def _componentwise_decompose(diag, offdiag) -> SpectralData:
-    """Eigenbasis of the Jacobi matrix (diag, offdiag), accurate componentwise, uncached.
-
-    LAPACK's implicit-shift QL/QR ``dstev`` with full eigenvector
-    accumulation keeps, unlike MRRR, the relative accuracy of exponentially
-    small components, on which the Christoffel numbers at extreme nodes of
-    unbounded-support measures depend.
-    """
+    # dstev keeps, unlike MRRR, the relative accuracy of exponentially small components
     return _decompose(diag, offdiag, dstev)
 
 
@@ -185,6 +176,6 @@ def _block_decompose(diag, offdiag) -> SpectralData:
     is made here: a block is a slice of a table whose order
     ``_certificate_table`` (32 n^2 bytes) or ``verify_scheme`` (32 n^3 / 3
     bytes) has already held to physical memory.  Failures raise
-    ConvergenceError as in ``_componentwise_decompose``.
+    ConvergenceError as in ``scheme_spectral``.
     """
     return _decompose(diag, offdiag, dstevd)

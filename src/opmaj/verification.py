@@ -19,10 +19,10 @@ from .majorization import (
 )
 from .orthopoly import (
     DEFAULT_SEED, PolynomialOverflowError, _associated_tops, christoffel_numbers_formula, eval_all,
-    gauss_rule, jacobi_power_moment, spectral_spot_points,
+    jacobi_power_moment, spectral_spot_points,
 )
 from .recurrence import RecurrenceScheme, shifted
-from .spectra import _componentwise_decompose, refuse_beyond_memory, scheme_spectral
+from .spectra import refuse_beyond_memory
 
 __all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
 
@@ -159,19 +159,27 @@ def _identity_checks(out: list, scheme, n: int, points, source, entries_cn, entr
                  [float(err_a), float(err_b)], IDENTITY_TOL)
 
 
-def _quadrature_checks(out: list, scheme, n: int, moments):
-    rule = gauss_rule(scheme, n)
+def _quadrature_checks(out: list, n: int, nodes, weights, moments):
     worst = 0.0
     for m in range(1, 2 * n):
-        quad = float(np.dot(rule.weights, rule.nodes**m))
-        scale = float(np.dot(rule.weights, np.abs(rule.nodes) ** m))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+            quad = float(np.dot(weights, nodes**m))
+            scale = float(np.dot(weights, np.abs(nodes) ** m))
+        if not (np.isfinite(quad) and np.isfinite(scale)):
+            raise ValueError(f"the order {n} quadrature check is not finite in float64: x^{m} "
+                             f"overflows over zeros up to |x| = {float(np.abs(nodes).max())!r}")
         worst = max(worst, abs(quad - moments[m]) / max(scale, np.finfo(float).tiny))
     out += _rows([f"n={n} quadrature-exactness"], [float(worst)], QUADRATURE_TOL)
 
 
-def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limit, seed):
-    """verify's rows of C(1), ..., C(n), A and B at order n, from one stack freed on return."""
+def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limit, seed, moments):
+    """verify's rows at order n; all but the identity rows read one stack freed on return."""
     entries, target, source, errs = _matrix_C(scheme, n, range(1, n + 1), leads, table)
+    # minus the least gap of the strict pattern x_j < z_j < x_{j+1}, z A's and B's target zeros
+    metrics = [-float(min((z - source[:-1]).min(), (source[1:] - z).min()))
+               for z in (target[n - 1, :-1], target[0, :-1])]
+    cases = [f"n={n} interlacing-{name}" for name in ("consecutive", "associated")]
+    out += _rows(cases, metrics, 0.0, strict=True)
     tags = [f"n={n} C k={k}" for k in range(1, n + 1)]
     columns = _certificate_checks(tags, entries, target, source, errs, tol)
     for f in CONVEX_FUNCTIONS:
@@ -191,6 +199,8 @@ def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limi
     if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
         points = spectral_spot_points(scheme, n, seed=seed)
         _identity_checks(out, scheme, n, points, source, entries[n - 1], entries[0])
+    if 2 * n <= len(moments):  # B's last row is the Gauss rule's weights
+        _quadrature_checks(out, n, source, entries[0, n - 1], moments)
 
 
 def verify_scheme(
@@ -216,12 +226,13 @@ def verify_scheme(
     C(1), as ``matrix_A``/``matrix_B`` define them, so their rows are the C(n)
     and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
     ``reduction-Cn-vs-A`` rows record 0.0, kept so the record set keeps its keys.
+    Interlacing reads A's and B's target zeros, quadrature B's last row (the weights).
     An n_max that ``matrix_C`` would refuse or the scheme cannot reach, one whose
     stack and leading blocks (about 32 n_max^3 / 3 bytes) exceed physical memory,
     one whose deepest table, to index min(n_max + 1, max_index) as the identity
     checks read it, overflows float64, or a negative seed, raises ValueError
-    before any eigensolve, and a convex
-    margin that float64 cannot hold raises it as ``convex_report`` does, as does a moment;
+    before any eigensolve, and a convex margin or quadrature power sum that
+    float64 cannot hold raises it as ``convex_report`` does, as does a moment;
     recurrence and identity overflows raise PolynomialOverflowError, with no numpy warning.
     """
     if n_max < 2:
@@ -231,7 +242,7 @@ def verify_scheme(
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     # the memory need and the Gershgorin bound grow with n: n_max covers every order
-    offdiag, diag = table = _certificate_table(scheme, n_max)
+    _, diag = table = _certificate_table(scheme, n_max)
     # one order's stack of n certificates, 8 n^3 bytes, beside J_1..J_{n-1}, about 8 n^3 / 3
     refuse_beyond_memory(32 * n_max**3 // 3, f"verify to order {n_max}",
                          "one order's certificate stack and its leading blocks")
@@ -240,19 +251,9 @@ def verify_scheme(
     out: list[CheckResult] = []
     leads: dict = {}  # J_m as a deletion block, reused by every order above m
     b_scale = 1.0 + sum(map(abs, diag.tolist()))
-    moment_cap = min(QUADRATURE_N_CAP, n_max)
-    moments = [jacobi_power_moment(scheme, m) for m in range(2 * moment_cap)]
-    x = diag[:1]  # the zero of p_1
+    moments = [jacobi_power_moment(scheme, m) for m in range(2 * min(QUADRATURE_N_CAP, n_max))]
     for n in range(2, n_max + 1):
-        prev, x = x, scheme_spectral(scheme, n).eigenvalues
-        assoc = _componentwise_decompose(diag[1:n], offdiag[1:n - 1]).eigenvalues
-        # minus the least gap of the strict pattern x_j < inner_j < x_{j+1}
-        metrics = [-float(min((z - x[:-1]).min(), (x[1:] - z).min())) for z in (prev, assoc)]
-        cases = [f"n={n} interlacing-{name}" for name in ("consecutive", "associated")]
-        out += _rows(cases, metrics, 0.0, strict=True)
-        _order_checks(out, scheme, n, table, leads, tol, tol.majorization * b_scale, seed)
-        if n <= moment_cap:
-            _quadrature_checks(out, scheme, n, moments)
+        _order_checks(out, scheme, n, table, leads, tol, tol.majorization * b_scale, seed, moments)
     out.sort(key=attrgetter("case"))
     return out
 

@@ -460,6 +460,19 @@ def test_verify_custom_scheme(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_refuses_a_quadrature_sum_that_overflows(capsys, tmp_path):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"a": [3.1613246304029503e-230],
+                                "b": [-5.471541305223879e-215, -4.0075646382308806e+133]}))
+    code, out, err = run_cli(capsys, "verify", "--custom", str(path), "--n-max", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "opmaj: error: the order 2 quadrature check is not finite in float64: x^3 overflows "
+        "over zeros up to |x| = 4.0075646382308806e+133\n"
+    )
+
+
 def test_verify_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("OPMAJ_SEED", "777")
     code, out, _ = run_cli(capsys, "verify", "--family", "chebyshev-u", "--n-max", "5")

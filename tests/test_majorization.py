@@ -24,6 +24,7 @@ from opmaj import (
     convex_report,
     eval_all,
     from_sequences,
+    gauss_rule,
     jacobi_matrix,
     majorization,
     matrix_A,
@@ -169,6 +170,14 @@ def test_last_row_holds_relative_accurate_christoffel_numbers(family):
     res = matrix_B(s, 60)
     lam = christoffel_by_sum(s, 60, res.source)
     assert np.max(np.abs(res.entries[-1] - lam) / lam) <= 1e-10
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_B_last_row_is_the_gauss_rule_weights(family, params):
+    # verify's quadrature rows read B's last row as the Christoffel numbers
+    s = classical_scheme(family, 61, **params)
+    for n in (1, 2, 7, 30, 60):
+        assert matrix_B(s, n).entries[-1].tobytes() == gauss_rule(s, n).weights.tobytes(), n
 
 
 def test_entries_strictly_positive_for_end_deletions():
@@ -458,10 +467,10 @@ def test_verify_solves_each_leading_block_once(monkeypatch):
     assert len(solves) == (N - 2) + (N - 2) * (N - 1) // 2 == 65
     # order m: J_m, and the associated block of C(n - m) for m < n <= N
     assert Counter(solves) == {m: 1 + N - m for m in range(2, N)}
-    # read by component, once per call: J_2..J_N, and the first associated
-    # block of every order n, of order n - 1
-    assert len(read) == 2 * N - 3 == 21
-    assert Counter(read) == {m: 2 for m in range(2, N)} | {N: 1}
+    # read by component, once per call: J_2..J_N; the interlacing rows read
+    # the certificates' target zeros and solve nothing of their own
+    assert len(read) == N - 1 == 11
+    assert Counter(read) == {m: 1 for m in range(2, N + 1)}
 
 
 def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
@@ -666,6 +675,34 @@ def test_stacked_rows_equal_the_single_certificate_path(family):
     assert cert.partial_margins.size == 0 and cert.holds
     assert margin.case == "n=1 C k=1 majorization-margin" and margin.passed
     assert -margin.metric == cert.partial_margins.min(initial=0.0) == 0.0
+
+
+@pytest.mark.parametrize("family", ["laguerre", "hermite"])
+@pytest.mark.parametrize("n", [27, 30])
+def test_verify_interlacing_rows_read_the_zeros_A_and_B_output(family, n):
+    # above order 26 dstevd no longer hands the blocks to dstev's QR code, so a
+    # second solve of J_{n-1} or of the associated block could give other bits
+    s = classical_scheme(family, n + 2)
+    cases = {r.case: r for r in verify_scheme(s, n)}
+    for name, res in (("consecutive", matrix_A(s, n)), ("associated", matrix_B(s, n))):
+        x, z = res.source, res.target[:-1]
+        margin = min((z - x[:-1]).min(), (x[1:] - z).min())
+        row = cases[f"n={n} interlacing-{name}"]
+        assert row.metric.hex() == (-float(margin)).hex() and row.passed == (margin > 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_refuses_a_quadrature_sum_that_overflows():
+    # x^3 overflows at the zero near -4e133 of p_2, while the moments stay
+    # finite: the row passed with metric 0.0 once every power sum was NaN
+    s = from_sequences([3.1613246304029503e-230],
+                       [-5.471541305223879e-215, -4.0075646382308806e+133])
+    with pytest.raises(ValueError) as err:
+        verify_scheme(s, 2)
+    assert str(err.value) == (
+        "the order 2 quadrature check is not finite in float64: x^3 overflows "
+        "over zeros up to |x| = 4.0075646382308806e+133"
+    )
 
 
 def test_verify_refuses_a_negative_seed_before_any_eigensolve(monkeypatch):

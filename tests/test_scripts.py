@@ -67,23 +67,25 @@ def test_golden_outputs_diff(tmp_path):
     records = [
         {"argv": ["zeros", "--help"], "code": 0, "stdout": "usage", "stderr": ""},
         {"case": ["legendre", "n=2 row-sums"], "metric": 0.0, "limit": 1e-10, "passed": True},
+        {"case": ["legendre", "n=2 row-sums", 60], "metric": 0.0, "limit": 1e-10, "passed": True},
         {"table": ["jacobi", {"alpha": 0.5, "beta": -0.5}, 1, 2], "matrix": ["00", ""],
          "values": [], "leading": ["01"]},
     ]
-    changed = [records[0], {**records[1], "metric": 1.0}, {**records[2], "matrix": ["01", ""]}]
+    # the n_max = 60 row of a case is a record of its own: the n_max = 30 row stays
+    changed = [*records[:2], {**records[2], "metric": 1.0}, {**records[3], "matrix": ["01", ""]}]
     old, same, new = (tmp_path / name for name in ("old.jsonl", "same.jsonl", "new.jsonl"))
     for path, rows in ((old, records), (same, records), (new, changed)):
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     proc = run_script("golden_outputs.py", "--diff", str(old), str(same))
     assert (proc.returncode, proc.stdout) == (0, "")
-    assert "0 of 3 records differ" in proc.stderr
+    assert "0 of 4 records differ" in proc.stderr
     proc = run_script("golden_outputs.py", "--diff", str(old), str(new))
     assert proc.returncode == 1
     assert proc.stdout == (
-        '["legendre", "n=2 row-sums"]  metric\n'
+        '["legendre", "n=2 row-sums", 60]  metric\n'
         '["jacobi", {"alpha": 0.5, "beta": -0.5}, 1, 2]  matrix\n'
     )
-    assert "2 of 3 records differ" in proc.stderr
+    assert "2 of 4 records differ" in proc.stderr
 
 
 def test_benchmark_worker_passes_its_own_checks_on_small_specs(tmp_path):

@@ -89,8 +89,8 @@ def test_eigenvalues_never_point_into_the_solved_table():
     # LAPACK returns fresh arrays; order 1, solved without it, copies b_0
     offdiag, diag = classical_scheme("laguerre", 9).coefficients(4)
     for m in (1, 2, 5):
-        for solve in (spectra._componentwise_decompose, spectra._block_decompose):
-            sd = solve(diag[:m], offdiag[: m - 1])
+        for solver in (spectra.dstev, spectra.dstevd):
+            sd = spectra._decompose(diag[:m], offdiag[: m - 1], solver)
             assert not np.shares_memory(sd.eigenvalues, diag)
             assert not sd.eigenvalues.flags.writeable and diag.flags.writeable
 
