@@ -32,6 +32,10 @@ Run from the root of a checkout, once per commit, and compare:
     PYTHONPATH=src python scripts/golden_outputs.py
     PYTHONPATH=src python scripts/golden_outputs.py --records out.jsonl
     PYTHONPATH=src python scripts/golden_outputs.py --diff old.jsonl new.jsonl
+``scripts/golden_digests.json`` records the five digests printed under
+``OPENBLAS_NUM_THREADS=1`` on each build they were taken on (the numpy and
+scipy versions, their BLAS and LAPACK, the machine); the tests compare them
+on a recorded build, so a change of output bits on purpose updates that file.
 ``--records`` also writes one JSON line per CLI invocation (keyed by its
 argv), per ``verify_scheme`` case (keyed by [family, case] at n_max = 30 and
 by [family, case, 60] at n_max = 60) and per coefficient case (keyed by

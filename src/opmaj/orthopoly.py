@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .recurrence import RecurrenceScheme, shifted
+from .recurrence import RecurrenceScheme
 from .spectra import frozen, jacobi_matrix, scheme_spectral
 
 __all__ = [
@@ -68,18 +68,26 @@ def eval_all(
     points = np.asarray(x, dtype=float)
     if not np.isfinite(points).all():
         raise ValueError(f"x must be finite, got {points[~np.isfinite(points)][0]}")
-    arrays = _forward(scheme, n, points.ravel(), derivatives)
-    bad = ~np.isfinite(arrays).all(axis=0)
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        degree, x = int(np.argmax(bad[i])), float(points.flat[i])
-        raise PolynomialOverflowError(f"recurrence overflowed at degree {degree} (x = {x})")
+    arrays = _values(scheme.coefficients(n), n, points.ravel(), derivatives)
     return PolynomialValueSet(*(frozen(v[0] if points.ndim == 0 else v) for v in arrays))
 
 
-def _forward(scheme: RecurrenceScheme, n: int, points: np.ndarray, derivatives: bool) -> list:
-    """``eval_all``'s point-major values (and derivatives), unchecked."""
-    offdiag, diag = scheme.coefficients(n)
+def _values(table, n: int, points: np.ndarray, derivatives: bool = False) -> list:
+    """``_forward``'s arrays, or ``eval_all``'s overflow error at the first point that overflows."""
+    arrays = _forward(table, n, points, derivatives)
+    bad = ~np.isfinite(arrays).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        degree, x = int(np.argmax(bad[i])), float(points[i])
+        raise PolynomialOverflowError(f"recurrence overflowed at degree {degree} (x = {x})")
+    return arrays
+
+
+def _forward(table, n: int, points: np.ndarray, derivatives: bool) -> list:
+    """Point-major values p_0..p_n (and derivatives) at the finite 1-D ``points``,
+    unchecked, from ``table``, an (offdiag, diag) to a_n and b_{n-1} or further:
+    a slice of it from index k on gives the order-k associated polynomials."""
+    offdiag, diag = table
     a = [0.0, *offdiag.tolist()]  # a[m] = a_m, with a_0 = 0
     b = diag.tolist()
     # degree-major while the recurrence runs, from p_{-1} = 0 and p_0 = 1
@@ -95,31 +103,6 @@ def _forward(scheme: RecurrenceScheme, n: int, points: np.ndarray, derivatives: 
     return [np.ascontiguousarray(v[1:].T) for v in (p, d) if v is not None]
 
 
-def _associated_tops(scheme: RecurrenceScheme, n: int, points: np.ndarray, table) -> np.ndarray:
-    """p^(k)_{n-k} at ``points``, 2 <= k <= n - 1, in row k - 2, in one pass over
-    ``table``, the scheme's (offdiag, diag) to a_n and b_{n-1} or further.
-
-    Shift k runs ``_forward``'s operations on its slice a_{m+k}, b_{m+k} to its
-    degree, so its row is ``eval_all(shifted(scheme, k), n - k, points).values[:, n - k]``
-    bit for bit, and the first shift to overflow raises what that call raises:
-    a degree that left float64 leaves every degree above it non-finite."""
-    offdiag, diag = table
-    top = np.ones((n - 2, points.size))  # p_0 of each shift, then its latest degree
-    below = np.zeros_like(top)  # p_{-1}, then the degree before
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        for m in range(n - 2):
-            live = slice(0, n - 2 - m)  # shifts k <= n - 1 - m, still below their degree
-            x_b = points - diag[m + 2 : n, None]
-            a_m = offdiag[m + 1 : n - 1, None] if m else 0.0  # a'_0 = 0
-            below[live], top[live] = top[live], (
-                (x_b * top[live] - a_m * below[live]) / offdiag[m + 2 : n, None]
-            )
-    bad = np.flatnonzero(~np.isfinite(top).all(axis=1))
-    if bad.size:
-        eval_all(shifted(scheme, int(bad[0]) + 2), n - int(bad[0]) - 2, points)
-    return top
-
-
 def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     """Christoffel numbers at the zeros of p_n by the reciprocal-sum formula.
 
@@ -133,11 +116,12 @@ def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     nodes = scheme_spectral(scheme, n).eigenvalues
+    table = scheme.coefficients(n - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        norm_sq = np.array([np.dot(row, row) for row in _forward(scheme, n - 1, nodes, False)[0]])
+        norm_sq = np.array([np.dot(row, row) for row in _forward(table, n - 1, nodes, False)[0]])
     for x, norm in zip(nodes, norm_sq):
         if not np.isfinite(norm):
-            eval_all(scheme, n - 1, x)  # raises if the values themselves overflowed
+            _values(table, n - 1, np.array([x]))  # raises if the values themselves overflowed
             raise PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
     return 1.0 / norm_sq
 

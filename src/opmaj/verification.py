@@ -18,10 +18,10 @@ from .majorization import (
     CONVEX_FUNCTIONS, _certificate_table, _convex_sums, _majorization, _matrix_C
 )
 from .orthopoly import (
-    DEFAULT_SEED, PolynomialOverflowError, _associated_tops, christoffel_numbers_formula, eval_all,
+    DEFAULT_SEED, PolynomialOverflowError, _values, christoffel_numbers_formula,
     jacobi_power_moment, spectral_spot_points,
 )
-from .recurrence import RecurrenceScheme, shifted
+from .recurrence import RecurrenceScheme
 from .spectra import refuse_beyond_memory
 
 __all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
@@ -107,7 +107,7 @@ def _certificate_checks(tags, entries, target, source, errs, tol) -> list[list[C
             for name, metrics, limit in columns]
 
 
-def _identity_checks(out: list, scheme, n: int, points, source, entries_cn, entries_c1):
+def _identity_checks(out: list, scheme, n: int, table, points, source, entries_cn, entries_c1):
     """Polynomial-identity spot checks: Wronskian, Christoffel-Darboux,
     the associated-polynomial factorization, and the column-sum identities
     of theorems A and B, read from the entries of C(n) and C(1) over the
@@ -118,20 +118,19 @@ def _identity_checks(out: list, scheme, n: int, points, source, entries_cn, entr
     with unbounded support the products reach the reciprocal square root of
     the smallest Christoffel number, so a residual relative to the O(1)
     result is not resolvable in doubles while a formula error would still
-    surface at full term scale.  The scheme and its first shift take one pass
-    over all spot points, and shifts 2..n-1 one more together, on slices of
-    one table; an overflow, of the recurrence or of a product or sum of
-    the identities, raises PolynomialOverflowError with no numpy warning."""
-    offdiag, diag = scheme.coefficients(n + 1)
+    surface at full term scale.  Each side but the Christoffel numbers is one
+    checked pass of ``eval_all``'s recurrence over verify's ``table``, or over
+    its slice from index k on for shift k; an overflow, of the recurrence or of
+    a product or sum of the identities, raises PolynomialOverflowError unwarned."""
+    offdiag, diag = table
     a = [0.0, *offdiag.tolist()]  # a[i] = a_i
-    base = eval_all(scheme, n + 1, points, derivatives=True)
-    p, dp = base.values, base.derivative_values
-    q = eval_all(shifted(scheme, 1), n, points).values
-    r = _associated_tops(scheme, n, points, (offdiag, diag))  # row k - 2: p^(k)_{n-k}
+    p, dp = _values(table, n + 1, points, derivatives=True)
+    q = _values((offdiag[1:], diag[1:]), n, points)[0]
+    tops = [_values((offdiag[k:], diag[k:]), n - k, points)[0][:, n - k] for k in range(2, n)]
     # column sums of the deleted-row bands against independently evaluated right sides
     lam = christoffel_numbers_formula(scheme, n)
     # squared one numpy scalar at a time, by libm's pow, whose bits x * x does not always match
-    p_nm1_sq = np.array([v ** 2 for v in eval_all(scheme, n - 1, source).values[:, n - 1]])
+    p_nm1_sq = np.array([v ** 2 for v in _values(table, n - 1, source)[0][:, n - 1]])
     try:
         with np.errstate(over="raise", invalid="raise"):
             # a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1
@@ -143,8 +142,8 @@ def _identity_checks(out: list, scheme, n: int, points, source, entries_cn, entr
             rhs = a[n + 1] * (dp[:, n + 1] * p[:, n] - p[:, n + 1] * dp[:, n])
             spots["christoffel-darboux"] = _rel_err(lhs, rhs)
             # a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}), 2 <= k <= n-1
-            for k, r_k in enumerate(r, 2):
-                lhs = a[1] * r_k
+            for k, top in enumerate(tops, 2):  # top = p^(k)_{n-k}
+                lhs = a[1] * top
                 u1 = a[k] * p[:, k - 1] * q[:, n - 1]
                 u2 = a[k] * p[:, n] * q[:, k - 2]
                 metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
@@ -198,7 +197,7 @@ def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limi
         out += _rows([f"n={n} k={k} trace-{name}" for k in range(1, n + 1)], metrics, trace_limit)
     if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
         points = spectral_spot_points(scheme, n, seed=seed)
-        _identity_checks(out, scheme, n, points, source, entries[n - 1], entries[0])
+        _identity_checks(out, scheme, n, table, points, source, entries[n - 1], entries[0])
     if 2 * n <= len(moments):  # B's last row is the Gauss rule's weights
         _quadrature_checks(out, n, source, entries[0, n - 1], moments)
 
@@ -219,18 +218,18 @@ def verify_scheme(
     QUADRATURE_N_CAP.  Results are sorted by case key.
 
     Each order builds and measures C(1), ..., C(n) once, as one stack freed
-    before the next order's, every order above m reading the call's one J_m,
-    and writes its rows from the stack, with no result per certificate.  Only
-    J_n comes from ``scheme_spectral``; J_{n-1} is the order before's, and the first
-    associated block is solved from the J_{n_max} table.  A and B are C(n) and
-    C(1), as ``matrix_A``/``matrix_B`` define them, so their rows are the C(n)
-    and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
+    before the next order's, and writes its rows from the stack, with no result
+    per certificate.  Every block is a slice of one table, the scheme's to index
+    min(n_max + 1, max_index), built once: J_m is solved once into ``leads`` and
+    read by every order above m, J_n comes from ``scheme_spectral``, and the
+    identity rows evaluate the scheme and its shifts from the same table.  A and
+    B are C(n) and C(1), as ``matrix_A``/``matrix_B`` define them, so their rows
+    are the C(n) and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
     ``reduction-Cn-vs-A`` rows record 0.0, kept so the record set keeps its keys.
     Interlacing reads A's and B's target zeros, quadrature B's last row (the weights).
     An n_max that ``matrix_C`` would refuse or the scheme cannot reach, one whose
     stack and leading blocks (about 32 n_max^3 / 3 bytes) exceed physical memory,
-    one whose deepest table, to index min(n_max + 1, max_index) as the identity
-    checks read it, overflows float64, or a negative seed, raises ValueError
+    one whose table overflows float64, or a negative seed, raises ValueError
     before any eigensolve, and a convex margin or quadrature power sum that
     float64 cannot hold raises it as ``convex_report`` does, as does a moment;
     recurrence and identity overflows raise PolynomialOverflowError, with no numpy warning.
@@ -241,16 +240,16 @@ def verify_scheme(
         raise ValueError(f"n_max {n_max} exceeds the scheme's usable order {scheme.max_index + 1}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    # the memory need and the Gershgorin bound grow with n: n_max covers every order
-    _, diag = table = _certificate_table(scheme, n_max)
+    # the memory need and the Gershgorin bound grow with n: n_max's refusals cover every order
+    _certificate_table(scheme, n_max)
     # one order's stack of n certificates, 8 n^3 bytes, beside J_1..J_{n-1}, about 8 n^3 / 3
     refuse_beyond_memory(32 * n_max**3 // 3, f"verify to order {n_max}",
                          "one order's certificate stack and its leading blocks")
-    # the identity checks' table, the deepest read: an overflow in it is refused here
-    scheme.coefficients(min(n_max + 1, scheme.max_index))
+    # every order's table, the identity checks' a_{n+1} included: an overflow is refused here
+    _, diag = table = scheme.coefficients(min(n_max + 1, scheme.max_index))
     out: list[CheckResult] = []
     leads: dict = {}  # J_m as a deletion block, reused by every order above m
-    b_scale = 1.0 + sum(map(abs, diag.tolist()))
+    b_scale = 1.0 + sum(map(abs, diag[:n_max].tolist()))
     moments = [jacobi_power_moment(scheme, m) for m in range(2 * min(QUADRATURE_N_CAP, n_max))]
     for n in range(2, n_max + 1):
         _order_checks(out, scheme, n, table, leads, tol, tol.majorization * b_scale, seed, moments)

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from opmaj import (
 )
 from opmaj.cli import _json, main
 from opmaj.recurrence import RecurrenceScheme
-from opmaj.verification import CheckResult
+from opmaj.verification import CheckResult, verify_scheme
 
 
 def run_cli(capsys, *argv):
@@ -835,29 +837,30 @@ def test_literal_route_overflow_exit_code(capsys, tmp_path):
     assert err.startswith("opmaj: error: recurrence overflowed")
 
 
+VERIFY_OVERFLOWS = [
+    # the identity checks' products overflow at the spot points, then the
+    # Christoffel sums at the zeros: the sums are refused by name
+    (
+        {"a": [2.09e-227, 2.25e58, 2.09], "b": [-5.4e-28, -3.4e-230, 4.7e-20, -8.2e-192]},
+        "sum of squared values overflowed (x = -3.4e-230)",
+    ),
+    # the operator-power moment J_2^2 e_0 overflows, before any eigensolve
+    (
+        {"a": [1e200, 1.0, 1.0], "b": [0, 0, 0, 0]},
+        "the moment of degree 2 is not finite in float64: J_2^2 overflows",
+    ),
+    # the identity products overflow and nothing else does: their
+    # non-finite metrics once reached the JSON writer
+    (
+        {"a": [2e-111, 2.5e-145, 1.45e8, 2.3e-14],
+         "b": [-5e-260, -1.2e-23, -1.1e-139, 3.6e-169, 1.4e-70]},
+        "the order 2 identity checks overflow float64",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "coeffs,message",
-    [
-        # the identity checks' products overflow at the spot points, then the
-        # Christoffel sums at the zeros: the sums are refused by name
-        (
-            {"a": [2.09e-227, 2.25e58, 2.09], "b": [-5.4e-28, -3.4e-230, 4.7e-20, -8.2e-192]},
-            "sum of squared values overflowed (x = -3.4e-230)",
-        ),
-        # the operator-power moment J_2^2 e_0 overflows, before any eigensolve
-        (
-            {"a": [1e200, 1.0, 1.0], "b": [0, 0, 0, 0]},
-            "the moment of degree 2 is not finite in float64: J_2^2 overflows",
-        ),
-        # the identity products overflow and nothing else does: their
-        # non-finite metrics once reached the JSON writer
-        (
-            {"a": [2e-111, 2.5e-145, 1.45e8, 2.3e-14],
-             "b": [-5e-260, -1.2e-23, -1.1e-139, 3.6e-169, 1.4e-70]},
-            "the order 2 identity checks overflow float64",
-        ),
-    ],
-    ids=["christoffel-sums", "moment", "identity-products"],
+    "coeffs,message", VERIFY_OVERFLOWS, ids=["christoffel-sums", "moment", "identity-products"]
 )
 def test_verify_overflow_refused_without_warning(capsys, tmp_path, coeffs, message):
     path = tmp_path / "scheme.json"
@@ -867,6 +870,102 @@ def test_verify_overflow_refused_without_warning(capsys, tmp_path, coeffs, messa
         code, out, err = run_cli(capsys, "verify", "--custom", str(path), "--n-max", "2")
     assert (code, out) == (2, "")
     assert err.startswith(f"opmaj: error: {message}") and err.count("\n") == 1, err
+
+
+# -- the CLI contract over any custom scheme and any command -------------------
+LIMIT_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+MODERATE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+# log-uniform over the float64 range, the limits of the range, and the moderate scales mixed in
+MIXED = st.one_of(
+    MODERATE, st.floats(-323.3, 308.25).map(lambda e: 10.0**e), st.sampled_from(LIMIT_FLOATS)
+)
+
+
+@st.composite
+def invocations(draw):
+    """(a, b, argv) of one ``--custom`` invocation: |a_i| and |b_i| all in [1e-3, 1e3]
+    for one scheme in two, else each from MIXED; b_i of either sign, to b_12; any
+    command at an order up to 12 and up to one beyond the scheme's usable order."""
+    magnitudes = MODERATE if draw(st.booleans()) else MIXED
+    depth = draw(st.integers(0, 12))
+    b = [draw(st.sampled_from([1.0, -1.0])) * draw(magnitudes) for _ in range(depth + 1)]
+    a = [draw(magnitudes) for _ in range(depth + draw(st.integers(0, 1)))]
+    command = draw(st.sampled_from(["zeros", "weights", "matrix", "quad", "verify"]))
+    n = draw(st.integers(1 + (command == "verify"), max(min(depth + 2, 12), 2)))
+    if command == "verify":
+        return a, b, ["verify", "--n-max", str(n)]
+    argv = [command, "--n", str(n)]
+    if command == "matrix":
+        theorem = draw(st.sampled_from("ABC"))
+        argv += ["--theorem", theorem, *(["--k", str(draw(st.integers(1, n)))] * (theorem == "C"))]
+    if command == "quad":
+        return a, b, [*argv, "--degree", str(draw(st.integers(0, 2 * n - 1)))]
+    return a, b, [*argv, "--format", draw(st.sampled_from(["json", "csv"]))]
+
+
+VERIFY_2 = ["verify", "--n-max", "2"]
+
+
+def json_documents(text):
+    """The standard JSON values that ``text`` holds one after another."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    decoder, docs, at = json.JSONDecoder(parse_constant=refuse), [], 0
+    while text[at:].strip():
+        doc, at = decoder.raw_decode(text, len(text) - len(text[at:].lstrip()))
+        docs.append(doc)
+    return docs
+
+
+@given(invocation=invocations())
+@example(invocation=(VERIFY_OVERFLOWS[0][0]["a"], VERIFY_OVERFLOWS[0][0]["b"], VERIFY_2))
+@example(invocation=(VERIFY_OVERFLOWS[1][0]["a"], VERIFY_OVERFLOWS[1][0]["b"], VERIFY_2))
+@example(invocation=(VERIFY_OVERFLOWS[2][0]["a"], VERIFY_OVERFLOWS[2][0]["b"], VERIFY_2))
+# the quadrature sum that once overflowed to a NaN metric, which max() then dropped
+@example(invocation=([3.1613246304029503e-230],
+                     [-5.471541305223879e-215, -4.0075646382308806e+133], VERIFY_2))
+@settings(max_examples=150, deadline=None)
+def test_cli_contract_over_any_custom_scheme(tmp_path_factory, invocation):
+    # exit 0, exit 1 with a failure report (matrix and verify), or exit 2 with
+    # one error line and nothing on stdout; no uncaught error and no warning;
+    # every payload parses back, and every check verify makes is finite
+    a, b, argv = invocation
+    path = tmp_path_factory.mktemp("custom") / "scheme.json"  # a new file: truncating one can be slow
+    path.write_text(json.dumps({"a": a, "b": b}))
+    out, err, checked = io.StringIO(), io.StringIO(), []
+
+    def recording_verify_scheme(*args, **kwargs):
+        checked.extend(verify_scheme(*args, **kwargs))
+        return checked
+
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "verify_scheme", recording_verify_scheme), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([argv[0], "--custom", str(path), *argv[1:]])
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert all(math.isfinite(r.metric) for r in checked)  # whether or not the writer refused them
+    if code == 2:
+        assert stdout == "" and stderr.startswith("opmaj: error: "), stderr
+        assert stderr.count("\n") == 1 and stderr.endswith("\n"), stderr
+        return
+    assert code in (0, 1), code
+    notes = json_documents(stderr)  # underflow flags and matrix's failure report
+    if argv[-2:] == ["--format", "csv"]:
+        header, *rows = csv.reader(io.StringIO(stdout, newline=""))
+        assert header == [f"j={j}" for j in range(1, len(header) + 1)]
+        assert np.array(rows, dtype=float).shape == (len(rows), len(header)) and rows
+    else:
+        [doc] = json_documents(stdout)
+    if argv[0] == "verify":
+        assert doc["cases"] == len(checked)
+        assert len(doc["failures"]) == sum(not r.passed for r in checked)
+        assert bool(doc["failures"]) == (code == 1)
+    elif argv[0] == "matrix" and code == 1:
+        assert notes[-1]["failures"]
+    else:
+        assert code == 0
 
 
 def test_non_finite_certificate_exit_code(capsys, tmp_path):

@@ -474,47 +474,58 @@ def test_verify_solves_each_leading_block_once(monkeypatch):
 
 
 def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
-    # per order n with identity checks: one eval_all pass over all spot points
-    # for the scheme and one for its first shift, one 2-D pass for shifts
-    # 2..n-1 together, and one eval_all pass over the zeros for the
-    # column-sum right sides; the Christoffel numbers run the same recurrence
-    # once more, unchecked, so as to raise node by node.  The only
+    # per order n with identity checks, n + 1 checked passes of one recurrence,
+    # each on a slice of the table verify checked: over the spot points the
+    # scheme to degree n + 1 (with derivatives), its first shift to degree n and
+    # shift k to degree n - k, 2 <= k <= n - 1, then p_{n-1} over the zeros for
+    # the column-sum right sides.  No eval_all and no table of their own: the
+    # one coefficients call is the Christoffel formula's, which runs the
+    # recurrence once more, unchecked, so as to raise node by node.  The only
     # jacobi_matrix calls are the moments' J_K: every solve reads its table
     N = 12
-    evals, built = [], []
-    eval_body, jacobi_body = orthopoly.eval_all, orthopoly.jacobi_matrix
-    identity_body, tops_body = verification._identity_checks, orthopoly._associated_tops
+    calls, built, running = [], [], []
+    identity_body, jacobi_body = verification._identity_checks, orthopoly.jacobi_matrix
 
-    def counting_eval_all(*args, **kwargs):
-        evals[-1][1] += 1
-        return eval_body(*args, **kwargs)
+    def recording(name, body):
+        def wrapper(*args, **kwargs):
+            if running:  # every recorded callee takes its degree second
+                calls[-1][1].append((name, args[1]))
+            return body(*args, **kwargs)
+        return wrapper
 
-    def counting_tops(*args):
-        evals[-1][2] += 1
-        return tops_body(*args)
-
-    def counting_identity_checks(out, scheme, n, *args):
-        evals.append([n, 0, 0])
-        return identity_body(out, scheme, n, *args)
+    def recording_identity_checks(out, scheme, n, *args):
+        calls.append((n, []))
+        running.append(n)
+        try:
+            return identity_body(out, scheme, n, *args)
+        finally:
+            running.pop()
 
     def counting_jacobi_matrix(scheme, n):
         built.append(n)
         return jacobi_body(scheme, n)
 
-    for module in (orthopoly, verification):
-        monkeypatch.setattr(module, "eval_all", counting_eval_all)
-    monkeypatch.setattr(verification, "_identity_checks", counting_identity_checks)
-    monkeypatch.setattr(verification, "_associated_tops", counting_tops)
+    assert not hasattr(verification, "eval_all") and not hasattr(verification, "shifted")
+    for module, name in ((orthopoly, "eval_all"), (verification, "_values"),
+                         (verification, "christoffel_numbers_formula")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    monkeypatch.setattr(RecurrenceScheme, "coefficients",
+                        recording("coefficients", RecurrenceScheme.coefficients))
+    monkeypatch.setattr(verification, "_identity_checks", recording_identity_checks)
     monkeypatch.setattr(orthopoly, "jacobi_matrix", counting_jacobi_matrix)
     scheme_spectral.cache_clear()  # each order's J_n is then built once
     counts = []
     for _ in range(2):
-        evals.clear()
+        calls.clear()
         built.clear()
         verify_scheme(classical_scheme("legendre", N + 1), N)
-        counts.append(([tuple(e) for e in evals], list(built)))
+        counts.append((list(calls), list(built)))
     assert counts[0] == counts[1]
-    assert counts[0][0] == [(n, 3, 1) for n in range(2, N + 1)]
+    assert counts[0][0] == [
+        (n, [("_values", n + 1), ("_values", n), *(("_values", n - k) for k in range(2, n)),
+             ("christoffel_numbers_formula", n), ("coefficients", n - 1), ("_values", n - 1)])
+        for n in range(2, N + 1)
+    ]
     moments = [m // 2 + 1 for m in range(1, 2 * N)]
     assert counts[0][1] == moments
 

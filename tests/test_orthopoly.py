@@ -18,7 +18,7 @@ from opmaj import (
     spectral_spot_points,
 )
 
-from opmaj.orthopoly import _associated_tops
+from opmaj.orthopoly import _values
 from opmaj.verification import IDENTITY_N_CAP
 
 from oracles import closed_form_moment
@@ -116,36 +116,58 @@ def test_eval_all_over_an_array_is_bit_equal_to_pointwise_calls(scheme, shift):
             assert eval_all(s, n, points).derivative_values is None
 
 
+def tops(table, n, points):
+    """p^(k)_{n-k}, 2 <= k <= n - 1, as the identity checks read them: each from one
+    pass over the slice of ``table`` from index k on, shift by shift."""
+    offdiag, diag = table
+    return [_values((offdiag[k:], diag[k:]), n - k, points)[0][:, n - k] for k in range(2, n)]
+
+
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_associated_tops_are_bit_equal_to_each_shifts_eval_all(family, params):
-    # the identity checks' one pass for shifts 2..n-1 reads each at its own degree
+    # the identity checks evaluate shift k on the slice of one table from index
+    # k on: every degree of every shift is eval_all's for its own scheme
     s = classical_scheme(family, IDENTITY_N_CAP + 1, **params)
+    offdiag, diag = table = s.coefficients(IDENTITY_N_CAP + 1)
     for n in range(2, IDENTITY_N_CAP + 1):
         points = spectral_spot_points(s, n)
-        tops = _associated_tops(s, n, points, s.coefficients(n + 1))
-        assert tops.shape == (n - 2, points.size)
-        for k in range(2, n):
-            top = eval_all(shifted(s, k), n - k, points).values[:, n - k]
-            assert tops[k - 2].tobytes() == top.tobytes(), (n, k)
+        for k in range(n):
+            values = eval_all(shifted(s, k), n - k, points).values
+            tail = _values((offdiag[k:], diag[k:]), n - k, points)
+            assert len(tail) == 1 and tail[0].tobytes() == values.tobytes(), (n, k)
+        assert [top.tobytes() for top in tops(table, n, points)] == [
+            eval_all(shifted(s, k), n - k, points).values[:, n - k].tobytes()
+            for k in range(2, n)
+        ]
 
 
 def test_associated_tops_raise_the_first_shifts_overflow():
     # growth about 1e4 per step at x = 1 and 2, slower for later shifts, none
-    # at x = 0: at order 99 shifts 2..13 overflow, not all at the same degree,
-    # and the pass raises what eval_all raises for shift 2, with no numpy warning
+    # at x = 0: at order 99 shifts 2..13 overflow, not all at the same degree;
+    # each tail pass raises what eval_all raises for its shift, so the shifts
+    # in turn raise shift 2's, with no numpy warning
     s = from_sequences([1e-4 * 1.03**i for i in range(100)], (0.0,) * 101)
     n, points = 99, np.array([0.0, 1.0, 2.0])
+    offdiag, diag = table = s.coefficients(n)
     overflows = []
     for k in range(2, n):
-        try:
-            eval_all(shifted(s, k), n - k, points)
-        except PolynomialOverflowError as exc:
-            overflows.append((k, str(exc)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = eval_all(shifted(s, k), n - k, points).values
+            except PolynomialOverflowError as exc:
+                overflows.append((k, str(exc)))
+                with pytest.raises(PolynomialOverflowError) as err:
+                    _values((offdiag[k:], diag[k:]), n - k, points)
+                assert str(err.value) == str(exc), k
+            else:
+                tail = _values((offdiag[k:], diag[k:]), n - k, points)[0]
+                assert tail.tobytes() == expected.tobytes(), k
     assert [k for k, _ in overflows] == list(range(2, 14))
     assert overflows[0][1] != overflows[1][1]
     with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
         warnings.simplefilter("error")
-        _associated_tops(s, n, points, s.coefficients(n))
+        tops(table, n, points)
     assert str(err.value) == overflows[0][1]
 
 
@@ -189,6 +211,20 @@ def test_christoffel_formula_raises_the_first_nodewise_error(n):
         warnings.simplefilter("error")
         christoffel_numbers_formula(s, n)
     assert str(err.value) == str(expected)
+
+
+def test_christoffel_formula_raises_a_values_overflow_by_degree():
+    # a_2 = 1e-320 sends p_2 past float64 at the middle zero 0 and nowhere
+    # else: there the values overflow, not only their sum, and the error
+    # names the degree, as eval_all's at that zero does
+    s = from_sequences([1.0, 1e-320], [0.0, 0.0, 0.0])
+    assert scheme_spectral(s, 3).eigenvalues.tolist() == [-1.0, 0.0, 1.0]
+    with pytest.raises(PolynomialOverflowError) as pointwise:
+        eval_all(s, 2, 0.0)
+    with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
+        warnings.simplefilter("error")
+        christoffel_numbers_formula(s, 3)
+    assert str(err.value) == str(pointwise.value) == "recurrence overflowed at degree 2 (x = 0.0)"
 
 
 def test_moment_overflow_refused_by_name():

@@ -3,18 +3,23 @@ documented, in a subprocess with ``PYTHONPATH=src``, so that a library
 rename cannot break one unseen."""
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
+import pytest
+import scipy
 
 from opmaj import classical_scheme, verify_scheme
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, folder="scripts"):
-    env = dict(os.environ)
+def run_script(name, *args, folder="scripts", **variables):
+    env = {**os.environ, **variables}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, f"{folder}/{name}", *args],
@@ -51,16 +56,35 @@ def test_entry_accuracy_runs_one_case():
     assert rows[2][0] == "all" and all(float(v) < 1e-12 for v in rows[2][1:])
 
 
+def build_fingerprint():
+    """The numpy and scipy versions, the BLAS and LAPACK each was built with, and the machine."""
+    config = {mod.__name__: mod.show_config(mode="dicts")["Build Dependencies"]
+              for mod in (numpy, scipy)}
+    return {
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        **{f"{mod} {lib}": f"{deps[lib]['name']} {deps[lib]['version']}"
+           for mod, deps in config.items() for lib in ("blas", "lapack")},
+        "machine": platform.machine(),
+    }
+
+
 def test_golden_outputs_prints_five_digests():
     # the coefficient tables, Jacobi matrix bytes and recurrence values read
-    # no LAPACK or BLAS, so their digest is pinned; the other four depend on
-    # the LAPACK build, so only their shape is checked
-    proc = run_script("golden_outputs.py")
+    # no LAPACK or BLAS, so their digest is pinned everywhere; all five are
+    # pinned, at one BLAS thread, on every build scripts/golden_digests.json records
+    proc = run_script("golden_outputs.py", OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert [row[0] for row in rows] == ["cli", "verify", "stderr", "coeffs", "verify60"]
     assert all(re.fullmatch("[0-9a-f]{64}", row[1]) for row in rows)
     assert rows[3][1] == "c3675668a4f05ba7d3bc544c54965f0b98e36e6b4778256ac26be02125e58b7e"
+    build = build_fingerprint()
+    records = json.loads((ROOT / "scripts" / "golden_digests.json").read_text())
+    recorded = [record["digests"] for record in records if record["build"] == build]
+    if not recorded:
+        pytest.skip(f"no golden digests recorded for this build: {build}")
+    assert {row[0]: row[1] for row in rows} == recorded[0]
 
 
 def test_golden_outputs_diff(tmp_path):
