@@ -256,7 +256,11 @@ def main():
                         help="list the records that differ between two --records files")
     args = parser.parse_args()
     if args.diff:
-        return diff_records(*args.diff)
+        try:
+            return diff_records(*args.diff)
+        except BrokenPipeError:  # stdout closed early, as by `| head`, after a differing record
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+            return 1
     os.environ["COLUMNS"] = "100"  # argparse wraps help text to this width
     cli_rows, err_rows = [], []
     for argv in cli_grid():

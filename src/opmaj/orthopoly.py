@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .recurrence import RecurrenceScheme
-from .spectra import frozen, jacobi_matrix, scheme_spectral
+from .spectra import frozen, scheme_spectral
 
 __all__ = [
     "PolynomialValueSet", "QuadratureRule", "PolynomialOverflowError", "eval_all",
@@ -162,18 +162,26 @@ def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:
     """
     if m < 0:
         raise ValueError(f"moment degree must be nonnegative, got {m}")
-    if m == 0:
-        return 1.0
-    K = m // 2 + 1
-    J = jacobi_matrix(scheme, K).dense()
-    v = np.zeros(K)
-    v[0] = 1.0
+    return _moments(scheme.coefficients(m // 2), m + 1)[m]
+
+
+def _moments(table, count: int) -> list[float]:
+    """Moments 0..count-1, v[0] after each step of one walk of e_1 on J_K, K = (count + 1) // 2,
+    sliced from the (offdiag, diag) ``table``: the walk of m steps cannot feel rows past m // 2,
+    so each has the bits of its own degree's walk.  The first not finite raises ValueError."""
+    K = (count + 1) // 2
+    a, b = table[0][: K - 1], table[1][:K]
+    v, out = np.eye(1, K)[0], [1.0]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        for _ in range(m):
-            v = J @ v
-    if not np.isfinite(v[0]):
-        raise ValueError(f"the moment of degree {m} is not finite in float64: J_{K}^{m} overflows")
-    return float(v[0])
+        for m in range(1, count):
+            v, w = b * v, v  # (b_i v_i + a_{i+1} v_{i+1}) + a_i v_{i-1}
+            v[:-1] += a * w[1:]
+            v[1:] += a * w[:-1]
+            if not np.isfinite(v[0]):
+                raise ValueError(f"the moment of degree {m} is not finite in float64: "
+                                 f"J_{m // 2 + 1}^{m} overflows")
+            out.append(float(v[0]))
+    return out
 
 
 def spectral_spot_points(scheme: RecurrenceScheme, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:

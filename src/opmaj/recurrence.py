@@ -79,21 +79,20 @@ class RecurrenceScheme:
                 f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
             )
         top = self.shift + m
-        if self.kind is Family.CUSTOM:
-            a = np.array(self.a_seq[:top], dtype=float)
-            b = np.array(self.b_seq[: top + 1], dtype=float)
-            _check_entries(a, b, top)
-        else:
-            a, b = self._table(top)
+        if self.kind is not Family.CUSTOM:
+            return self._table(self.shift, top)
+        a = np.array(self.a_seq[:top], dtype=float)
+        b = np.array(self.b_seq[: top + 1], dtype=float)
+        _check_entries(a, b, top)
         return a[self.shift :], b[self.shift :]
 
-    def _table(self, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a_1..a_hi, b_0..b_hi) of a classical base table, from its closed forms,
-        refused by name, with no numpy warning, if float64 cannot hold it."""
-        i = np.arange(hi + 1, dtype=float)  # indices of b; i[1:] for a
-        a1, b0 = self._lead()
+    def _table(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a_lo+1..a_hi, b_lo..b_hi) of a classical base table, from its closed forms at
+        those indices only, refused by name, with no numpy warning, if float64 cannot hold it."""
+        i = np.arange(lo, hi + 1, dtype=float)  # indices of b; i[1:] for a
+        a1, b0 = self._lead() if lo == 0 else ((), ())
         with np.errstate(all="ignore"):  # reported below, not warned
-            a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[:hi]
+            a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[: hi - lo]
             b = np.concatenate((b0, self._b_form(i[len(b0) :])))
         if not (np.all(a > 0.0) and np.isfinite(a).all() and np.isfinite(b).all()):
             named = ", ".join(f"{k}={v!r}" for k, v in zip(("alpha", "beta"), self.params))

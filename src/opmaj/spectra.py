@@ -60,16 +60,6 @@ class JacobiMatrix:
     def order(self) -> int:
         return self.diag.size
 
-    def dense(self) -> np.ndarray:
-        """Dense symmetric copy."""
-        n = self.order
-        out = np.zeros((n, n))
-        np.fill_diagonal(out, self.diag)
-        idx = np.arange(n - 1)
-        out[idx, idx + 1] = self.offdiag
-        out[idx + 1, idx] = self.offdiag
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:

@@ -18,8 +18,8 @@ from .majorization import (
     CONVEX_FUNCTIONS, _certificate_table, _convex_sums, _majorization, _matrix_C
 )
 from .orthopoly import (
-    DEFAULT_SEED, PolynomialOverflowError, _values, christoffel_numbers_formula,
-    jacobi_power_moment, spectral_spot_points,
+    DEFAULT_SEED, PolynomialOverflowError, _moments, _values, christoffel_numbers_formula,
+    spectral_spot_points,
 )
 from .recurrence import RecurrenceScheme
 from .spectra import refuse_beyond_memory
@@ -221,8 +221,9 @@ def verify_scheme(
     before the next order's, and writes its rows from the stack, with no result
     per certificate.  Every block is a slice of one table, the scheme's to index
     min(n_max + 1, max_index), built once: J_m is solved once into ``leads`` and
-    read by every order above m, J_n comes from ``scheme_spectral``, and the
-    identity rows evaluate the scheme and its shifts from the same table.  A and
+    read by every order above m, J_n comes from ``scheme_spectral``, the identity
+    rows evaluate the scheme and its shifts from the same table, and the moments
+    are one walk of e_1 on its J_K, K = min(n_max, QUADRATURE_N_CAP).  A and
     B are C(n) and C(1), as ``matrix_A``/``matrix_B`` define them, so their rows
     are the C(n) and C(1) rows under their own keys, and the ``reduction-C1-vs-B``/
     ``reduction-Cn-vs-A`` rows record 0.0, kept so the record set keeps its keys.
@@ -250,7 +251,7 @@ def verify_scheme(
     out: list[CheckResult] = []
     leads: dict = {}  # J_m as a deletion block, reused by every order above m
     b_scale = 1.0 + sum(map(abs, diag[:n_max].tolist()))
-    moments = [jacobi_power_moment(scheme, m) for m in range(2 * min(QUADRATURE_N_CAP, n_max))]
+    moments = _moments(table, 2 * min(QUADRATURE_N_CAP, n_max))
     for n in range(2, n_max + 1):
         _order_checks(out, scheme, n, table, leads, tol, tol.majorization * b_scale, seed, moments)
     out.sort(key=attrgetter("case"))

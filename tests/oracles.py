@@ -5,8 +5,9 @@ construction code paths: polynomial values come from a local recurrence
 loop, Christoffel numbers from local reciprocal sums, stochastic-matrix
 entries from row-normalized quotients, measure moments from closed forms or
 high-precision quadrature of the classical weight functions.  The
-reference helpers at the end (row/column deletion of a Jacobi matrix, the
-squared eigenvector components, a recomputing doubly-stochastic check, the
+schemes of the ``coeffs`` golden digest are read from its script.  The
+reference helpers at the end (row/column deletion of a Jacobi matrix, its
+dense copy, the squared eigenvector components, a recomputing doubly-stochastic check, the
 library's deletion-block solve applied to a whole Jacobi matrix, and the
 certificate entries and trace residuals restated from the block
 decompositions) are plain restatements of definitions that only the tests
@@ -15,8 +16,10 @@ read.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -196,6 +199,17 @@ def mp_coefficient_integrals(scheme, family: str, params, n: int):
     return float(a_int), float(b_int), float(norm)
 
 
+@functools.lru_cache(maxsize=None)
+def golden_coeff_schemes() -> list:
+    """(family, params) of every scheme the ``coeffs`` golden digest pins, read from
+    ``scripts/golden_outputs.py``, so that the tests hold the same list."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "golden_outputs.py"
+    spec = importlib.util.spec_from_file_location("golden_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COEFF_SCHEMES
+
+
 def delete_row_col(J: JacobiMatrix, k: int) -> tuple[JacobiMatrix, JacobiMatrix]:
     """Split J after deleting its k-th row and column (1-based).
 
@@ -210,6 +224,17 @@ def delete_row_col(J: JacobiMatrix, k: int) -> tuple[JacobiMatrix, JacobiMatrix]
     top = JacobiMatrix(J.diag[: k - 1], J.offdiag[: max(k - 2, 0)])
     bottom = JacobiMatrix(J.diag[k:], J.offdiag[k:])
     return top, bottom
+
+
+def dense(J: JacobiMatrix) -> np.ndarray:
+    """Dense symmetric copy."""
+    n = J.order
+    out = np.zeros((n, n))
+    np.fill_diagonal(out, J.diag)
+    idx = np.arange(n - 1)
+    out[idx, idx + 1] = J.offdiag
+    out[idx + 1, idx] = J.offdiag
+    return out
 
 
 def comp_sq(sd) -> np.ndarray:

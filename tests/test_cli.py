@@ -687,8 +687,8 @@ def test_allocation_failure_exits_2_by_name():
 def test_huge_order_refused_without_building_a_table(capsys, monkeypatch):
     # a scheme of any depth is made without its table, and an order refused
     # by size is refused before J_n's table is built
-    def no_table(self, hi):
-        pytest.fail(f"a table up to index {hi} was built")
+    def no_table(self, lo, hi):
+        pytest.fail(f"a table of indices {lo} to {hi} was built")
 
     monkeypatch.setattr(RecurrenceScheme, "_table", no_table)
     assert classical_scheme("laguerre", 10**15, alpha=0.5).max_index == 10**15

@@ -480,14 +480,16 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     # shift k to degree n - k, 2 <= k <= n - 1, then p_{n-1} over the zeros for
     # the column-sum right sides.  No eval_all and no table of their own: the
     # one coefficients call is the Christoffel formula's, which runs the
-    # recurrence once more, unchecked, so as to raise node by node.  The only
-    # jacobi_matrix calls are the moments' J_K: every solve reads its table
+    # recurrence once more, unchecked, so as to raise node by node.  The moments
+    # are one walk on the same table, and no J_K is built for them
     N = 12
-    calls, built, running = [], [], []
-    identity_body, jacobi_body = verification._identity_checks, orthopoly.jacobi_matrix
+    calls, walks, tables, running = [], [], [], []
+    identity_body, moments_body = verification._identity_checks, verification._moments
 
     def recording(name, body):
         def wrapper(*args, **kwargs):
+            if name == "coefficients":
+                tables.append(args[1])
             if running:  # every recorded callee takes its degree second
                 calls[-1][1].append((name, args[1]))
             return body(*args, **kwargs)
@@ -501,33 +503,45 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
         finally:
             running.pop()
 
-    def counting_jacobi_matrix(scheme, n):
-        built.append(n)
-        return jacobi_body(scheme, n)
+    def recording_moments(table, count):
+        walks.append((table[1].size - 1, count))
+        return moments_body(table, count)
+
+    def no_jacobi_matrix(*args):
+        raise AssertionError("jacobi_matrix called")
 
     assert not hasattr(verification, "eval_all") and not hasattr(verification, "shifted")
+    assert not hasattr(verification, "jacobi_matrix") and not hasattr(orthopoly, "jacobi_matrix")
     for module, name in ((orthopoly, "eval_all"), (verification, "_values"),
                          (verification, "christoffel_numbers_formula")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     monkeypatch.setattr(RecurrenceScheme, "coefficients",
                         recording("coefficients", RecurrenceScheme.coefficients))
     monkeypatch.setattr(verification, "_identity_checks", recording_identity_checks)
-    monkeypatch.setattr(orthopoly, "jacobi_matrix", counting_jacobi_matrix)
+    monkeypatch.setattr(verification, "_moments", recording_moments)
+    monkeypatch.setattr(spectra, "jacobi_matrix", no_jacobi_matrix)
     scheme_spectral.cache_clear()  # each order's J_n is then built once
     counts = []
     for _ in range(2):
         calls.clear()
-        built.clear()
+        walks.clear()
         verify_scheme(classical_scheme("legendre", N + 1), N)
-        counts.append((list(calls), list(built)))
+        counts.append((list(calls), list(walks)))
     assert counts[0] == counts[1]
     assert counts[0][0] == [
         (n, [("_values", n + 1), ("_values", n), *(("_values", n - k) for k in range(2, n)),
              ("christoffel_numbers_formula", n), ("coefficients", n - 1), ("_values", n - 1)])
         for n in range(2, N + 1)
     ]
-    moments = [m // 2 + 1 for m in range(1, 2 * N)]
-    assert counts[0][1] == moments
+    # one walk, of 2 N - 1 steps, on verify's table to index N + 1
+    assert counts[0][1] == [(N + 1, 2 * N)]
+    # at n_max 60: J_2..J_60 of the 59 scheme_spectral misses, the Christoffel
+    # formula's 14 tables to index n - 1, _certificate_table's J_60 and verify's own
+    scheme_spectral.cache_clear()
+    tables.clear()
+    verify_scheme(classical_scheme("legendre", 62), 60)
+    assert len(tables) == 75
+    assert Counter(tables) == Counter([*range(1, 60), *range(1, 15), 59, 61])
 
 
 def test_block_slices_are_checked_with_J_n_before_any_block_solve(monkeypatch):

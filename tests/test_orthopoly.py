@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opmaj import (
     DepthError,
@@ -12,16 +14,18 @@ from opmaj import (
     from_sequences,
     gauss_quadrature,
     gauss_rule,
+    jacobi_matrix,
     jacobi_power_moment,
     scheme_spectral,
     shifted,
     spectral_spot_points,
+    verify_scheme,
 )
 
-from opmaj.orthopoly import _values
+from opmaj.orthopoly import _moments, _values
 from opmaj.verification import IDENTITY_N_CAP
 
-from oracles import closed_form_moment
+from oracles import closed_form_moment, dense, golden_coeff_schemes
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -234,6 +238,60 @@ def test_moment_overflow_refused_by_name():
     with warnings.catch_warnings(), pytest.raises(ValueError, match="^the moment of degree 2 is"):
         warnings.simplefilter("error")
         jacobi_power_moment(s, 2)
+
+
+def test_moment_overflow_refused_at_the_first_degree_that_overflows():
+    # J_3 e_0 walks to (1, 0, 1e160) in two steps, to (0, inf, 0) in three, and
+    # its corner is first not finite at degree 4, by either route
+    s = from_sequences((1.0, 1e160, 1.0), (0.0,) * 4)
+    message = "^the moment of degree 4 is not finite in float64: J_3\\^4 overflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [jacobi_power_moment(s, m) for m in range(4)] == [1.0, 0.0, 1.0, 0.0]
+        with pytest.raises(ValueError, match=message):
+            jacobi_power_moment(s, 4)
+        with pytest.raises(ValueError, match=message):
+            verify_scheme(s, 3)
+
+
+def _hex(moments) -> list[str]:
+    return [float(v).hex() for v in moments]
+
+
+def test_one_walk_equals_the_walk_of_each_degree():
+    # a walk of m steps from the corner never reaches past row m // 2 on its
+    # way back, so the depth of the table cannot move the bits of a moment
+    for family, params in golden_coeff_schemes():
+        s = classical_scheme(family, 61, **params)
+        expected = _hex(jacobi_power_moment(s, m) for m in range(60))
+        assert _hex(_moments(s.coefficients(61), 60)) == expected, (family, params)
+
+
+magnitudes = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_walk_equals_the_walk_of_each_degree_random_schemes(data):
+    depth = data.draw(st.integers(61, 70))
+    a = data.draw(st.lists(magnitudes, min_size=depth, max_size=depth))
+    b = data.draw(st.lists(st.tuples(magnitudes, st.sampled_from((-1.0, 1.0))),
+                           min_size=depth + 1, max_size=depth + 1))
+    s = from_sequences(a, [v * sign for v, sign in b])
+    expected = _hex(jacobi_power_moment(s, m) for m in range(60))
+    assert _hex(_moments(s.coefficients(61), 60)) == expected
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_moments_agree_with_a_dense_walk(family, params):
+    # the walk on the table against J_K^m e_0 by dense products, K = m // 2 + 1
+    s = classical_scheme(family, 32, **params)
+    for m in range(60):
+        J = dense(jacobi_matrix(s, m // 2 + 1))
+        v = np.eye(J.shape[0])[0]
+        for _ in range(m):
+            v = J @ v
+        assert jacobi_power_moment(s, m) == pytest.approx(v[0], rel=1e-12), m
 
 
 def test_christoffel_formula_overflow_reported():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from opmaj import (
     from_sequences, jacobi_matrix, matrix_C, scheme_spectral, shifted, verify_scheme,
 )
 
-from oracles import mp_coefficient_integrals
+from oracles import golden_coeff_schemes, mp_coefficient_integrals
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -264,6 +265,30 @@ def test_coefficients_table_shifts_and_depth(family, params):
                 assert b.tobytes() == longest_b[k : k + m + 1].tobytes(), (k, m)
             with pytest.raises(DepthError):
                 t.coefficients(t.max_index + 1)
+
+
+def test_shifted_table_evaluates_its_own_indices_only():
+    # a classical table is evaluated at indices shift..shift + m alone, so that
+    # its cost does not grow with the shift (the base table up to index
+    # 10^6 + 3 would take 16 MB), and it is the tail of the base table, bit for bit
+    s = shifted(classical_scheme("legendre", 10**6 + 10), 10**6)
+    s.coefficients(3)  # one-time costs out of the count
+    tracemalloc.start()
+    try:
+        a, b = s.coefficients(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (a.size, b.size) == (3, 4) and peak < 64 * 1024, peak
+    for family, params in golden_coeff_schemes():
+        base = classical_scheme(family, 1100, **params)
+        full_a, full_b = base.coefficients(1100)
+        for k in (1, 5, 1000):
+            t = shifted(base, k)
+            for m in (0, 1, 7, t.max_index):
+                a, b = t.coefficients(m)
+                assert a.tobytes() == full_a[k : k + m].tobytes(), (family, params, k, m)
+                assert b.tobytes() == full_b[k : k + m + 1].tobytes(), (family, params, k, m)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)

@@ -112,6 +112,25 @@ def test_golden_outputs_diff(tmp_path):
     assert "2 of 4 records differ" in proc.stderr
 
 
+def test_golden_outputs_diff_into_a_closed_pipe(tmp_path):
+    # `--diff A B | head -1`: far more differing records than a pipe holds, and
+    # the reader gone after one line, ends with the diff's status and no traceback
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    for path, metric in ((old, 0.0), (new, 1.0)):
+        path.write_text("".join(
+            json.dumps({"case": ["legendre", f"n={i} row-sums"], "metric": metric}) + "\n"
+            for i in range(20_000)))
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.Popen(
+        [sys.executable, "scripts/golden_outputs.py", "--diff", str(old), str(new)], cwd=ROOT,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == '["legendre", "n=0 row-sums"]  metric\n'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_benchmark_worker_passes_its_own_checks_on_small_specs(tmp_path):
     # one cold pass of each benchmark workload, small, with the worker's own
     # output checks, and one traced pass: a failed op or check here would end

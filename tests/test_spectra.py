@@ -23,7 +23,7 @@ from opmaj import (
 )
 
 from oracles import (
-    block_decompose, chebyshev_u_weights, chebyshev_u_zeros, comp_sq, delete_row_col
+    block_decompose, chebyshev_u_weights, chebyshev_u_zeros, comp_sq, delete_row_col, dense
 )
 
 
@@ -134,8 +134,8 @@ def test_delete_row_col_spectrum_matches_dense_deletion(family, params, k):
             ]
         )
     )
-    dense = np.delete(np.delete(J.dense(), k - 1, axis=0), k - 1, axis=1)
-    ref = np.linalg.eigvalsh(dense)
+    deleted = np.delete(np.delete(dense(J), k - 1, axis=0), k - 1, axis=1)
+    ref = np.linalg.eigvalsh(deleted)
     assert ours.size == 6
     assert ours == pytest.approx(ref, abs=1e-12 * max(1.0, np.abs(ref).max()))
 
@@ -374,11 +374,11 @@ def test_eigenpair_residual_via_polynomial_vector(family, params):
         J = jacobi_matrix(s, n)
         sd = scheme_spectral(s, n)
         diameter = sd.eigenvalues[-1] - sd.eigenvalues[0]
-        dense = J.dense()
+        matrix = dense(J)
         for j, x in enumerate(sd.eigenvalues):
             signs = np.sign(eval_all(s, n - 1, x).values)
             v = np.sqrt(comp_sq(sd)[:, j]) * signs
-            res = np.max(np.abs(dense @ v - x * v))
+            res = np.max(np.abs(matrix @ v - x * v))
             assert res <= 1e-12 * diameter
 
 
