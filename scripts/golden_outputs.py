@@ -41,7 +41,12 @@ argv), per ``verify_scheme`` case (keyed by [family, case] at n_max = 30 and
 by [family, case, 60] at n_max = 60) and per coefficient case (keyed by
 [family, params, shift, order]).  ``--diff`` prints the key and the changed
 fields of every record that differs between two such files, or that only one
-of them holds, and exits 1 if any does.
+of them holds, and exits 1 if any does; on stderr it then tallies the
+differing records by group and changed fields, most first: a verify case by
+its check family (as the benchmark's worker names it, its case key without
+the ``n=``/``k=``/``x=`` tags and A/B/C labels: "n=9 B quadrature-exactness"
+is "quadrature-exactness"), a CLI invocation by its command ("cli matrix"), a
+coefficient case as "coeffs".
 """
 import argparse
 import contextlib
@@ -52,6 +57,7 @@ import math
 import os
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -232,19 +238,32 @@ def diff_records(old_path, new_path) -> int:
         return {json.dumps(next(r[f] for f in keys if f in r)): (line, r) for line, r in records}
 
     old, new = load(old_path), load(new_path)
-    differing = 0
+    tally = Counter()
     for key in [*old, *(key for key in new if key not in old)]:
         if key not in old or key not in new:
             print(f"{key}  only in {old_path if key in old else new_path}")
+            change = "only in old" if key in old else "only in new"
         elif old[key][0] != new[key][0]:
             a, b = old[key][1], new[key][1]
-            fields = [f for f in a if json.dumps(a[f]) != json.dumps(b.get(f))]
-            print(f"{key}  {' '.join(fields)}")
+            change = " ".join(f for f in a if json.dumps(a[f]) != json.dumps(b.get(f)))
+            print(f"{key}  {change}")
         else:
             continue
-        differing += 1
+        tally[group(old.get(key, new.get(key))[1]), change] += 1
+    differing = sum(tally.values())
     print(f"{differing} of {len(old.keys() | new.keys())} records differ", file=sys.stderr)
+    for (name, change), count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{name} {change} {count}", file=sys.stderr)
     return 1 if differing else 0
+
+
+def group(record) -> str:
+    """A record's group in the ``--diff`` tally: a verify case's check family, a
+    CLI invocation's command, or ``coeffs``."""
+    if "case" in record:
+        tokens = record["case"][1].split()
+        return " ".join(t for t in tokens if "=" not in t and t not in ("A", "B", "C"))
+    return f"cli {record['argv'][0]}" if "argv" in record else "coeffs"
 
 
 def main():

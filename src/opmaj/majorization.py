@@ -179,21 +179,27 @@ def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
     of ``StochasticMatrixResult`` as four lists of floats, with no result
     object per certificate.  Both blocks of each C(k) are sliced from
     ``table``, the (offdiag, diag) of J_n or of a higher order;
-    J_{k-1} is read from or added to ``leads``, a dict from m to J_m as a
-    deletion block whose lifetime the caller sets.  The slices go to the solver
-    as they are: ``coefficients`` checked the table as it built it.
+    J_{k-1} is read from or added to ``leads``, a dict from m to (J_m as a
+    deletion block, the sum of its zeros) whose lifetime the caller sets, so
+    each block's zeros are summed once, where it is solved.  The slices go to
+    the solver as they are: ``coefficients`` checked the table as it built it.
     """
     offdiag, diag = table
     sd_n = scheme_spectral(scheme, n)
+    source, trace = sd_n.eigenvalues, []
+    total = float(source.sum())
     for i, k in enumerate(ks):
         # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
-        blocks = []
+        blocks, lead_sum, assoc_sum = [], 0.0, 0.0
         if k >= 2:
             if k - 1 not in leads:
-                leads[k - 1] = _block_decompose(diag[: k - 1], offdiag[: k - 2])
-            blocks.append((leads[k - 1], slice(0, k - 1), slice(0, k - 1)))
+                lead = _block_decompose(diag[: k - 1], offdiag[: k - 2])
+                leads[k - 1] = lead, float(lead.eigenvalues.sum())
+            lead, lead_sum = leads[k - 1]
+            blocks.append((lead, slice(0, k - 1), slice(0, k - 1)))
         if k <= n - 1:
             assoc = _block_decompose(diag[k:n], offdiag[k : n - 1])
+            assoc_sum = float(assoc.eigenvalues.sum())
             blocks.append((assoc, slice(k, n), slice(k - 1, n - 1)))
         if i == 0:  # made once the first block solve's workspace is freed
             entries, target = np.empty((len(ks), n, n)), np.empty((len(ks), n))
@@ -202,17 +208,15 @@ def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
             np.matmul(sd.components.T, sd_n.components[rows], out=entries[i, out])
         target[i, n - 1] = diag[k - 1]
         entries[i, n - 1] = sd_n.components[k - 1]
+        # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
+        trace.append(abs(float(diag[k - 1]) + lead_sum + assoc_sum - total))
     np.square(entries, out=entries)
-    source = sd_n.eigenvalues
     errs = [
         np.abs(entries.sum(axis=2) - 1.0).max(axis=1).tolist(),
         np.abs(entries.sum(axis=1) - 1.0).max(axis=1).tolist(),
         np.abs(target - np.matmul(entries, source)).max(axis=1).tolist(),
+        trace,
     ]
-    total = source.sum()
-    # b_{k-1} plus the zeros of each block, in this order, make the trace of J_n
-    errs.append([float(abs(t[-1] + t[: k - 1].sum() + t[k - 1 : n - 1].sum() - total))
-                 for k, t in zip(ks, target)])
     return frozen(entries), frozen(target), source, errs
 
 

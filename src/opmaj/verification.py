@@ -152,22 +152,25 @@ def _identity_checks(out: list, scheme, n: int, table, points, source, entries_c
             err_b = _rel_err(entries_c1[: n - 1].sum(axis=0), 1.0 - lam).max()
     except FloatingPointError:
         raise PolynomialOverflowError(f"the order {n} identity checks overflow float64") from None
+    labels = [f"x={x:.6g}" for x in points.tolist()]
     for name, m in spots.items():
-        out += _rows([f"n={n} {name} x={x:.6g}" for x in points], m.tolist(), IDENTITY_TOL)
+        out += _rows([f"n={n} {name} {x}" for x in labels], m.tolist(), IDENTITY_TOL)
     out += _rows([f"n={n} column-sum-identity {name}" for name in "AB"],
                  [float(err_a), float(err_b)], IDENTITY_TOL)
 
 
 def _quadrature_checks(out: list, n: int, nodes, weights, moments):
-    worst = 0.0
-    for m in range(1, 2 * n):
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-            quad = float(np.dot(weights, nodes**m))
-            scale = float(np.dot(weights, np.abs(nodes) ** m))
-        if not (np.isfinite(quad) and np.isfinite(scale)):
-            raise ValueError(f"the order {n} quadrature check is not finite in float64: x^{m} "
-                             f"overflows over zeros up to |x| = {float(np.abs(nodes).max())!r}")
-        worst = max(worst, abs(quad - moments[m]) / max(scale, np.finfo(float).tiny))
+    """Gauss exactness of degrees 1..2n-1 over one (2n - 1) x n power table: the worst error
+    relative to the absolute-moment scale; the first degree whose sum is not finite raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        powers = nodes ** np.arange(1.0, 2 * n)[:, None]
+        quad, scale = powers @ weights, np.abs(powers) @ weights
+    finite = np.isfinite(quad) & np.isfinite(scale)
+    if not finite.all():
+        m = int(finite.argmin()) + 1
+        raise ValueError(f"the order {n} quadrature check is not finite in float64: x^{m} "
+                         f"overflows over zeros up to |x| = {float(np.abs(nodes).max())!r}")
+    worst = (np.abs(quad - moments[1 : 2 * n]) / np.maximum(scale, np.finfo(float).tiny)).max()
     out += _rows([f"n={n} quadrature-exactness"], [float(worst)], QUADRATURE_TOL)
 
 
@@ -188,7 +191,8 @@ def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limi
     for rows in columns:
         out += rows
         for name, k in (("B", 1), ("A", n)):  # theorems B and A are C(1) and C(n), re-keyed
-            out.append(rows[k - 1]._replace(case=rows[k - 1].case.replace(f"C k={k}", name, 1)))
+            case, *rest = rows[k - 1]
+            out.append(tuple.__new__(CheckResult, (case.replace(f"C k={k}", name, 1), *rest)))
     # one certificate under two keys: its entries differ from themselves by 0.0
     cases = [f"n={n} reduction-C1-vs-B", f"n={n} reduction-Cn-vs-A"]
     out += _rows(cases, [0.0, 0.0], REDUCTION_TOL)

@@ -26,6 +26,7 @@ from opmaj import (
     from_sequences,
     gauss_rule,
     jacobi_matrix,
+    jacobi_power_moment,
     majorization,
     matrix_A,
     matrix_B,
@@ -727,6 +728,40 @@ def test_verify_refuses_a_quadrature_sum_that_overflows():
     assert str(err.value) == (
         "the order 2 quadrature check is not finite in float64: x^3 overflows "
         "over zeros up to |x| = 4.0075646382308806e+133"
+    )
+
+
+@pytest.mark.parametrize("family,params", FAMILIES)
+def test_verify_quadrature_rows_match_a_per_degree_reference(family, params):
+    # the power table's matrix-vector sums may differ from one dot product per
+    # degree in the last bits of the relative errors, never in a verdict
+    s = classical_scheme(family, 32, **params)
+    rows = {r.case: r for r in verify_scheme(s, 30)}
+    moments = [jacobi_power_moment(s, m) for m in range(60)]
+    for n in range(2, 31):
+        rule = gauss_rule(s, n)
+        nodes, weights = rule.nodes, rule.weights
+        worst = 0.0
+        for m in range(1, 2 * n):
+            quad = float(np.dot(weights, nodes**m))
+            scale = float(np.dot(weights, np.abs(nodes) ** m))
+            worst = max(worst, abs(quad - moments[m]) / max(scale, np.finfo(float).tiny))
+        row = rows[f"n={n} quadrature-exactness"]
+        assert abs(row.metric - worst) <= 8 * np.finfo(float).eps, (n, row.metric, worst)
+        assert row.passed == (worst <= verification.QUADRATURE_TOL) == (row.metric <= row.limit)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_quadrature_refusal_names_the_first_degree_that_overflows():
+    # orders 2 and 3 share the zeros near +-1; order 3 adds one near -1e120, with a
+    # weight that underflows, so x^3, x^4 and x^5 all overflow at it: the refusal
+    # names 3, not the last degree 2n - 1 = 5
+    s = from_sequences([1.0, 1e-230], [0.0, 0.0, -1e120])
+    with pytest.raises(ValueError) as err:
+        verify_scheme(s, 3)
+    assert str(err.value) == (
+        "the order 3 quadrature check is not finite in float64: x^3 overflows "
+        "over zeros up to |x| = 1e+120"
     )
 
 

@@ -112,6 +112,50 @@ def test_golden_outputs_diff(tmp_path):
     assert "2 of 4 records differ" in proc.stderr
 
 
+def test_golden_outputs_diff_tallies_by_check_family_and_field(tmp_path):
+    def case(key, metric=0.0, passed=True):
+        return {"case": key, "metric": metric, "limit": 1e-8, "passed": passed}
+
+    old_rows = [
+        case(["legendre", "n=9 quadrature-exactness"]),
+        case(["hermite", "n=9 quadrature-exactness", 60]),
+        case(["laguerre", "n=7 C k=3 convex-exp"]),
+        case(["laguerre", "n=7 A convex-exp", 60]),
+        case(["hermite", "n=5 k=2 assoc-factorization x=0.125"]),
+        case(["hermite", "n=5 column-sum-identity B"]),
+        {"argv": ["matrix", "--n", "2"], "code": 0, "stdout": "[]", "stderr": ""},
+        {"argv": ["verify", "--n-max", "2"], "code": 0, "stdout": "[]", "stderr": ""},
+        {"table": ["hermite", {}, 0, 2], "matrix": ["00"], "values": [], "leading": ["01"]},
+    ]
+    new_rows = [
+        case(["legendre", "n=9 quadrature-exactness"], metric=1e-16),
+        case(["hermite", "n=9 quadrature-exactness", 60], metric=2e-16),
+        case(["laguerre", "n=7 C k=3 convex-exp"], metric=1.0, passed=False),
+        case(["laguerre", "n=7 A convex-exp", 60], metric=1.0, passed=False),
+        case(["hermite", "n=5 k=2 assoc-factorization x=0.125"], metric=1e-16),
+        case(["hermite", "n=6 column-sum-identity B"]),
+        {"argv": ["matrix", "--n", "2"], "code": 1, "stdout": "", "stderr": "boom"},
+        {"argv": ["verify", "--n-max", "2"], "code": 0, "stdout": "[]", "stderr": ""},
+        {"table": ["hermite", {}, 0, 2], "matrix": ["01"], "values": [], "leading": ["01"]},
+    ]
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    for path, rows in ((old, old_rows), (new, new_rows)):
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    proc = run_script("golden_outputs.py", "--diff", str(old), str(new))
+    assert proc.returncode == 1
+    # most first, ties by name; each record counted once, under all its changed fields
+    assert proc.stderr == (
+        "9 of 10 records differ\n"
+        "convex-exp metric passed 2\n"
+        "quadrature-exactness metric 2\n"
+        "assoc-factorization metric 1\n"
+        "cli matrix code stdout stderr 1\n"
+        "coeffs matrix 1\n"
+        "column-sum-identity only in new 1\n"
+        "column-sum-identity only in old 1\n"
+    )
+
+
 def test_golden_outputs_diff_into_a_closed_pipe(tmp_path):
     # `--diff A B | head -1`: far more differing records than a pipe holds, and
     # the reader gone after one line, ends with the diff's status and no traceback
