@@ -296,10 +296,10 @@ def _cmd_quad(args: argparse.Namespace) -> tuple:
     if (args.degree is None) == (args.coeffs is None):
         raise UsageError("quad needs exactly one of --degree or --coeffs")
     scheme, family, params = _build_scheme(args, args.n)
+    if args.degree is not None and args.degree < 0:  # before the rule is solved
+        raise UsageError("--degree must be nonnegative")
     rule = gauss_rule(scheme, args.n)
     if args.degree is not None:
-        if args.degree < 0:
-            raise UsageError("--degree must be nonnegative")
         value = gauss_quadrature(rule, lambda x: x**args.degree)
         integrand = {"degree": args.degree}
     else:

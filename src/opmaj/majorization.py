@@ -152,7 +152,8 @@ def matrix_C(scheme: RecurrenceScheme, n: int, k: int) -> StochasticMatrixResult
         raise ValueError(f"need n >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    entries, target, source, errs = _matrix_C(scheme, n, [k], {}, _certificate_table(scheme, n))
+    table = _certificate_table(scheme, n)  # its refusals precede every solve, J_n's included
+    entries, target, source, errs = _matrix_C(table, scheme_spectral(scheme, n), [k], {})
     return StochasticMatrixResult("C", n, k, entries[0], source, target[0], *(e[0] for e in errs))
 
 
@@ -171,23 +172,22 @@ def _certificate_table(scheme: RecurrenceScheme, n: int):
     return offdiag, diag
 
 
-def _matrix_C(scheme: RecurrenceScheme, n: int, ks, leads: dict, table):
+def _matrix_C(table, sd_n, ks, leads: dict):
     """The certificates C(k), k in ``ks``, of a valid order n, built and measured as one stack.
 
     Returns the frozen entries (len(ks), n, n) and target (len(ks), n) stacks,
     the source zeros, and the row-sum, column-sum, relation and trace errors
     of ``StochasticMatrixResult`` as four lists of floats, with no result
-    object per certificate.  Both blocks of each C(k) are sliced from
-    ``table``, the (offdiag, diag) of J_n or of a higher order;
+    object per certificate.  The caller hands in J_n's ``scheme_spectral`` data ``sd_n``;
+    both blocks of each C(k) are sliced from ``table``, the (offdiag, diag) of J_n or higher.
     J_{k-1} is read from or added to ``leads``, a dict from m to (J_m as a
     deletion block, the sum of its zeros) whose lifetime the caller sets, so
     each block's zeros are summed once, where it is solved.  The slices go to
     the solver as they are: ``coefficients`` checked the table as it built it.
     """
     offdiag, diag = table
-    sd_n = scheme_spectral(scheme, n)
     source, trace = sd_n.eigenvalues, []
-    total = float(source.sum())
+    n, total = source.size, float(source.sum())
     for i, k in enumerate(ks):
         # (block eigenbasis, the rows of J_n it spans, its rows of the entries); none at order 1
         blocks, lead_sum, assoc_sum = [], 0.0, 0.0

@@ -106,24 +106,30 @@ def _forward(table, n: int, points: np.ndarray, derivatives: bool) -> list:
 def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     """Christoffel numbers at the zeros of p_n by the reciprocal-sum formula.
 
-    lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2, one recurrence pass over
-    all zeros.  Agrees with the squared first eigenvector components of J_n;
-    an overflow of the recurrence raises PolynomialOverflowError, as does an
-    overflow of the sum of squares of finite values, in which case the
-    spectral data (``scheme_spectral(scheme, n).christoffel``) is the
+    lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2, one recurrence pass over all zeros
+    (``_christoffel``, shared with verify's column-sum rows).  Agrees with the squared
+    first eigenvector components of J_n; an overflow of the recurrence raises
+    PolynomialOverflowError, as does an overflow of the sum of squares of finite values,
+    in which case the spectral data (``scheme_spectral(scheme, n).christoffel``) is the
     supported path.  The error is the first one met zero by zero, ascending.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     nodes = scheme_spectral(scheme, n).eigenvalues
-    table = scheme.coefficients(n - 1)
+    return _christoffel(scheme.coefficients(n - 1), n - 1, nodes)[0]
+
+
+def _christoffel(table, m: int, nodes: np.ndarray) -> tuple:
+    """1 / sum_{j<=m} p_j^2 at the ascending ``nodes`` and the point-major p_0..p_m: one pass
+    over ``table`` (to a_m, b_{m-1} or further), all finite; the first node to overflow raises."""
+    values = _forward(table, m, nodes, False)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        norm_sq = np.array([np.dot(row, row) for row in _forward(table, n - 1, nodes, False)[0]])
+        norm_sq = np.array([np.dot(row, row) for row in values])
     for x, norm in zip(nodes, norm_sq):
         if not np.isfinite(norm):
-            _values(table, n - 1, np.array([x]))  # raises if the values themselves overflowed
+            _values(table, m, np.array([x]))  # raises if the values themselves overflowed
             raise PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
-    return 1.0 / norm_sq
+    return 1.0 / norm_sq, values
 
 
 def gauss_rule(scheme: RecurrenceScheme, n: int) -> QuadratureRule:

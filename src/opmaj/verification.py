@@ -18,11 +18,10 @@ from .majorization import (
     CONVEX_FUNCTIONS, _certificate_table, _convex_sums, _majorization, _matrix_C
 )
 from .orthopoly import (
-    DEFAULT_SEED, PolynomialOverflowError, _moments, _values, christoffel_numbers_formula,
-    spectral_spot_points,
+    DEFAULT_SEED, PolynomialOverflowError, _christoffel, _moments, _values, spectral_spot_points,
 )
 from .recurrence import RecurrenceScheme
-from .spectra import refuse_beyond_memory
+from .spectra import refuse_beyond_memory, scheme_spectral
 
 __all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
 
@@ -107,7 +106,7 @@ def _certificate_checks(tags, entries, target, source, errs, tol) -> list[list[C
             for name, metrics, limit in columns]
 
 
-def _identity_checks(out: list, scheme, n: int, table, points, source, entries_cn, entries_c1):
+def _identity_checks(out: list, n: int, table, points, source, entries_cn, entries_c1):
     """Polynomial-identity spot checks: Wronskian, Christoffel-Darboux,
     the associated-polynomial factorization, and the column-sum identities
     of theorems A and B, read from the entries of C(n) and C(1) over the
@@ -118,19 +117,19 @@ def _identity_checks(out: list, scheme, n: int, table, points, source, entries_c
     with unbounded support the products reach the reciprocal square root of
     the smallest Christoffel number, so a residual relative to the O(1)
     result is not resolvable in doubles while a formula error would still
-    surface at full term scale.  Each side but the Christoffel numbers is one
-    checked pass of ``eval_all``'s recurrence over verify's ``table``, or over
-    its slice from index k on for shift k; an overflow, of the recurrence or of
-    a product or sum of the identities, raises PolynomialOverflowError unwarned."""
+    surface at full term scale.  Each side is one checked pass of the recurrence over verify's
+    ``table``, or its slice from index k on for shift k; one pass over the zeros gives both the
+    formula's Christoffel numbers and p_{n-1}.  An overflow, of the recurrence or of a product
+    or sum of the identities, raises PolynomialOverflowError unwarned."""
     offdiag, diag = table
     a = [0.0, *offdiag.tolist()]  # a[i] = a_i
     p, dp = _values(table, n + 1, points, derivatives=True)
     q = _values((offdiag[1:], diag[1:]), n, points)[0]
     tops = [_values((offdiag[k:], diag[k:]), n - k, points)[0][:, n - k] for k in range(2, n)]
     # column sums of the deleted-row bands against independently evaluated right sides
-    lam = christoffel_numbers_formula(scheme, n)
+    lam, values = _christoffel(table, n - 1, source)
     # squared one numpy scalar at a time, by libm's pow, whose bits x * x does not always match
-    p_nm1_sq = np.array([v ** 2 for v in _values(table, n - 1, source)[0][:, n - 1]])
+    p_nm1_sq = np.array([v ** 2 for v in values[:, n - 1]])
     try:
         with np.errstate(over="raise", invalid="raise"):
             # a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1
@@ -176,7 +175,8 @@ def _quadrature_checks(out: list, n: int, nodes, weights, moments):
 
 def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limit, seed, moments):
     """verify's rows at order n; all but the identity rows read one stack freed on return."""
-    entries, target, source, errs = _matrix_C(scheme, n, range(1, n + 1), leads, table)
+    sd_n = scheme_spectral(scheme, n)
+    entries, target, source, errs = _matrix_C(table, sd_n, range(1, n + 1), leads)
     # minus the least gap of the strict pattern x_j < z_j < x_{j+1}, z A's and B's target zeros
     metrics = [-float(min((z - source[:-1]).min(), (source[1:] - z).min()))
                for z in (target[n - 1, :-1], target[0, :-1])]
@@ -201,7 +201,7 @@ def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limi
         out += _rows([f"n={n} k={k} trace-{name}" for k in range(1, n + 1)], metrics, trace_limit)
     if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
         points = spectral_spot_points(scheme, n, seed=seed)
-        _identity_checks(out, scheme, n, table, points, source, entries[n - 1], entries[0])
+        _identity_checks(out, n, table, points, source, entries[n - 1], entries[0])
     if 2 * n <= len(moments):  # B's last row is the Gauss rule's weights
         _quadrature_checks(out, n, source, entries[0, n - 1], moments)
 

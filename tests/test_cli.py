@@ -795,6 +795,37 @@ def test_range_checks_refused_before_any_eigensolve(capsys, monkeypatch, tmp_pat
     assert err.startswith("opmaj: error: jacobi with alpha=1e+80, beta=1e+80: the recurrence")
 
 
+def test_refusals_that_need_no_solve_precede_every_solve(capsys, monkeypatch):
+    # each input is refused whatever J_n holds, at orders whose solve with
+    # eigenvectors would take seconds (order 3000) or verify's whole sweep
+    def no_eigensolve(*args, **kwargs):
+        pytest.fail("the eigensolver was called")
+
+    spectra.scheme_spectral.cache_clear()  # a cached decomposition would hide a solve
+    monkeypatch.setattr(spectra, "dstev", no_eigensolve)
+    monkeypatch.setattr(spectra, "dstevd", no_eigensolve)
+    legendre = ["--family", "legendre"]
+    for argv in (
+        ["quad", *legendre, "--n", "3000", "--degree", "-1"],
+        ["quad", *legendre, "--n", "3000"],
+        ["quad", *legendre, "--n", "3000", "--coeffs", "1,x"],
+        ["matrix", *legendre, "--n", "3000", "--theorem", "C"],
+        ["matrix", *legendre, "--n", "3000", "--theorem", "A", "--k", "2"],
+        ["matrix", *legendre, "--n", "3000", "--theorem", "C", "--k", "3001"],
+        ["matrix", *legendre, "--n", "3000", "--theorem", "A", "--tol", "-1"],
+        ["verify", *legendre, "--n-max", "300", "--seed", "-5"],
+        ["verify", *legendre, "--n-max", "1"],
+        ["verify", *legendre, "--n-max", "300", "--tol-relation", "0"],
+        ["weights", *legendre, "--n", "0"],
+        ["zeros", *legendre, "--n", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("opmaj: error: ") and err.count("\n") == 1, (argv, err)
+    _, _, err = run_cli(capsys, "quad", *legendre, "--n", "3000", "--degree", "-1")
+    assert err == "opmaj: error: --degree must be nonnegative\n"
+
+
 def test_format_only_where_csv_can_be_written(capsys, tmp_path):
     # quad and verify write JSON only: argparse refuses --format, --out stays
     for argv in (

@@ -475,17 +475,18 @@ def test_verify_solves_each_leading_block_once(monkeypatch):
 
 
 def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
-    # per order n with identity checks, n + 1 checked passes of one recurrence,
-    # each on a slice of the table verify checked: over the spot points the
-    # scheme to degree n + 1 (with derivatives), its first shift to degree n and
-    # shift k to degree n - k, 2 <= k <= n - 1, then p_{n-1} over the zeros for
-    # the column-sum right sides.  No eval_all and no table of their own: the
-    # one coefficients call is the Christoffel formula's, which runs the
-    # recurrence once more, unchecked, so as to raise node by node.  The moments
-    # are one walk on the same table, and no J_K is built for them
+    # per order n with identity checks, n + 1 passes of one recurrence, each
+    # on a slice of the table verify checked: over the spot points the scheme
+    # to degree n + 1 (with derivatives), its first shift to degree n and shift
+    # k to degree n - k, 2 <= k <= n - 1, then one pass to degree n - 1 over the
+    # zeros that gives both the Christoffel numbers and p_{n-1} for the
+    # column-sum right sides.  No eval_all, no Christoffel formula and no table
+    # of their own.  The moments are one walk on the same table, and no J_K is
+    # built for them
     N = 12
     calls, walks, tables, running = [], [], [], []
     identity_body, moments_body = verification._identity_checks, verification._moments
+    christoffel_body = verification._christoffel
 
     def recording(name, body):
         def wrapper(*args, **kwargs):
@@ -496,13 +497,17 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
             return body(*args, **kwargs)
         return wrapper
 
-    def recording_identity_checks(out, scheme, n, *args):
+    def recording_identity_checks(out, n, *args):
         calls.append((n, []))
         running.append(n)
         try:
-            return identity_body(out, scheme, n, *args)
+            return identity_body(out, n, *args)
         finally:
             running.pop()
+
+    def recording_christoffel(table, m, nodes):  # with the last index of its table
+        calls[-1][1].append(("_christoffel", m, table[1].size - 1))
+        return christoffel_body(table, m, nodes)
 
     def recording_moments(table, count):
         walks.append((table[1].size - 1, count))
@@ -513,9 +518,10 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
 
     assert not hasattr(verification, "eval_all") and not hasattr(verification, "shifted")
     assert not hasattr(verification, "jacobi_matrix") and not hasattr(orthopoly, "jacobi_matrix")
-    for module, name in ((orthopoly, "eval_all"), (verification, "_values"),
-                         (verification, "christoffel_numbers_formula")):
+    assert not hasattr(verification, "christoffel_numbers_formula")
+    for module, name in ((orthopoly, "eval_all"), (verification, "_values")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    monkeypatch.setattr(verification, "_christoffel", recording_christoffel)
     monkeypatch.setattr(RecurrenceScheme, "coefficients",
                         recording("coefficients", RecurrenceScheme.coefficients))
     monkeypatch.setattr(verification, "_identity_checks", recording_identity_checks)
@@ -531,18 +537,18 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     assert counts[0] == counts[1]
     assert counts[0][0] == [
         (n, [("_values", n + 1), ("_values", n), *(("_values", n - k) for k in range(2, n)),
-             ("christoffel_numbers_formula", n), ("coefficients", n - 1), ("_values", n - 1)])
+             ("_christoffel", n - 1, N + 1)])
         for n in range(2, N + 1)
     ]
     # one walk, of 2 N - 1 steps, on verify's table to index N + 1
     assert counts[0][1] == [(N + 1, 2 * N)]
-    # at n_max 60: J_2..J_60 of the 59 scheme_spectral misses, the Christoffel
-    # formula's 14 tables to index n - 1, _certificate_table's J_60 and verify's own
+    # at n_max 60: J_2..J_60 of the 59 scheme_spectral misses,
+    # _certificate_table's J_60 and verify's own
     scheme_spectral.cache_clear()
     tables.clear()
     verify_scheme(classical_scheme("legendre", 62), 60)
-    assert len(tables) == 75
-    assert Counter(tables) == Counter([*range(1, 60), *range(1, 15), 59, 61])
+    assert len(tables) == 61
+    assert Counter(tables) == Counter([*range(1, 60), 59, 61])
 
 
 def test_block_slices_are_checked_with_J_n_before_any_block_solve(monkeypatch):
@@ -610,8 +616,8 @@ def test_certificate_checks_rows():
 def test_verify_builds_each_certificate_once(monkeypatch):
     # A and B are C(n) and C(1): each order builds C(1..n) as one stack and
     # nothing more, measured by one majorization pass and one convex pass per f;
-    # its rows come from the stack, with at most the C(1) and C(n) results
-    # built, and only at orders that run the identity checks
+    # its rows come from the stack, with no result object built, also at the
+    # orders that run the identity checks
     built, majorized, convex, results = [], [], [], []
     matrix_C_body, result_init = majorization._matrix_C, StochasticMatrixResult.__init__
 
@@ -619,9 +625,9 @@ def test_verify_builds_each_certificate_once(monkeypatch):
         result_init(self, *args, **kwargs)
         results.append((self.n, self.k))
 
-    def counting_matrix_C(scheme, n, ks, leads, table):
-        built.append((n, list(ks)))
-        return matrix_C_body(scheme, n, ks, leads, table)
+    def counting_matrix_C(table, sd_n, ks, leads):
+        built.append((sd_n.eigenvalues.size, list(ks)))
+        return matrix_C_body(table, sd_n, ks, leads)
 
     def counting_majorization(xs, y, tol):
         majorized.append(xs.shape)
@@ -646,8 +652,7 @@ def test_verify_builds_each_certificate_once(monkeypatch):
     # orders 16 and 17 lie above the identity checks' cap, 17 past the depth too
     N = verification.IDENTITY_N_CAP + 2
     verify_scheme(classical_scheme("legendre", N), N)
-    assert all(k in (1, n) and n <= verification.IDENTITY_N_CAP for n, k in results), results
-    assert max(Counter(n for n, _ in results).values(), default=0) <= 2
+    assert results == []
     matrix_C(classical_scheme("legendre", 8), 7, 3)  # the count sees every construction
     assert results[-1] == (7, 3)
 

@@ -22,7 +22,7 @@ from opmaj import (
     verify_scheme,
 )
 
-from opmaj.orthopoly import _moments, _values
+from opmaj.orthopoly import _christoffel, _moments, _values
 from opmaj.verification import IDENTITY_N_CAP
 
 from oracles import closed_form_moment, dense, golden_coeff_schemes
@@ -280,6 +280,20 @@ def test_one_walk_equals_the_walk_of_each_degree_random_schemes(data):
     s = from_sequences(a, [v * sign for v, sign in b])
     expected = _hex(jacobi_power_moment(s, m) for m in range(60))
     assert _hex(_moments(s.coefficients(61), 60)) == expected
+
+
+def test_christoffel_pass_on_a_deep_table_equals_the_formula_and_the_values():
+    # verify's column-sum rows run this pass on its own table, to index
+    # n_max + 1: the recurrence to degree n - 1 reads nothing past a_{n-1} and
+    # b_{n-2}, so the deeper table keeps the formula's bits and _values'
+    for family, params in golden_coeff_schemes():
+        s = classical_scheme(family, 61, **params)
+        table = s.coefficients(61)
+        for n in range(1, IDENTITY_N_CAP + 1):
+            zeros = scheme_spectral(s, n).eigenvalues
+            lam, values = _christoffel(table, n - 1, zeros)
+            assert lam.tobytes() == christoffel_numbers_formula(s, n).tobytes(), (family, n)
+            assert values.tobytes() == _values(table, n - 1, zeros)[0].tobytes(), (family, n)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
