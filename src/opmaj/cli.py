@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import groupby
@@ -72,6 +71,8 @@ def _build_scheme(args: argparse.Namespace, depth: int) -> tuple[RecurrenceSchem
     ``depth`` is the depth a classical scheme is built to; a custom scheme
     has the depth of its file, and the library refuses orders beyond it.
     """
+    if (args.family is None) == (args.custom is None):
+        raise UsageError("exactly one of --family or --custom is required")
     if args.custom is not None:
         return load_custom_scheme(args.custom), "custom", {"source_file": args.custom}
     scheme = classical_scheme(args.family, max(depth, 1), alpha=args.alpha, beta=args.beta)
@@ -293,6 +294,13 @@ def _cmd_weights(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_quad(args: argparse.Namespace) -> tuple:
+    if args.coeffs is not None:
+        try:
+            coeffs = np.array([float(c) for c in args.coeffs.split(",")])
+        except ValueError as exc:
+            raise UsageError(f"--coeffs must be comma-separated numbers: {exc}") from exc
+        if not np.isfinite(coeffs).all():
+            raise UsageError(f"--coeffs must be finite numbers, got {coeffs.tolist()}")
     if (args.degree is None) == (args.coeffs is None):
         raise UsageError("quad needs exactly one of --degree or --coeffs")
     scheme, family, params = _build_scheme(args, args.n)
@@ -303,7 +311,6 @@ def _cmd_quad(args: argparse.Namespace) -> tuple:
         value = gauss_quadrature(rule, lambda x: x**args.degree)
         integrand = {"degree": args.degree}
     else:
-        coeffs = np.asarray(args.coeffs, dtype=float)
         value = gauss_quadrature(
             rule, lambda x: float(np.polynomial.polynomial.polyval(x, coeffs))
         )
@@ -320,8 +327,7 @@ def _cmd_quad(args: argparse.Namespace) -> tuple:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple:
     scheme, family, params = _build_scheme(args, args.n_max + 2)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    results = verify_scheme(scheme, args.n_max, tol=_tolerances(args), seed=seed)
+    results = verify_scheme(scheme, args.n_max, tol=_tolerances(args), seed=args.seed)
     failures = _failures(results)
     payload = {
         "family": family,
@@ -357,7 +363,8 @@ COMMANDS = {
     "verify": ("run the certificate sweep; exit 1 on failure", _cmd_verify, [
         ("--n-max", {"type": int, "required": True}),
         *_TOLS,
-        ("--seed", {"type": int, "help": "spot-check RNG seed (or OPMAJ_SEED)"}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED,
+                    "help": "spot-check RNG seed (default %(default)s)"}),
     ]),
 }
 
@@ -386,28 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_args(args: argparse.Namespace) -> None:
-    """Input checks argparse does not make; parses --coeffs and, for verify, OPMAJ_SEED."""
-    if getattr(args, "coeffs", None) is not None:
-        try:
-            args.coeffs = tuple(map(float, args.coeffs.split(",")))
-        except ValueError as exc:
-            raise UsageError(f"--coeffs must be comma-separated numbers: {exc}") from exc
-        if not all(map(math.isfinite, args.coeffs)):
-            raise UsageError(f"--coeffs must be finite numbers, got {list(args.coeffs)}")
-    if args.command == "verify" and args.seed is None and os.environ.get("OPMAJ_SEED"):
-        try:
-            args.seed = int(os.environ["OPMAJ_SEED"])
-        except ValueError as exc:
-            raise UsageError(f"OPMAJ_SEED must be an integer: {exc}") from exc
-    if (args.family is None) == (args.custom is None):
-        raise UsageError("exactly one of --family or --custom is required")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_args(args)
         payload, rows, notes, code = args.handler(args)
         # CSV rows end in CRLF; JSON text gets the newline it lacks
         _emit([*_json_pieces(payload), "\n"] if rows is None else _csv_pieces(rows), args.out)

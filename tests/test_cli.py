@@ -22,6 +22,7 @@ from opmaj import (
     check_majorization, classical_scheme, cli, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
 )
 from opmaj.cli import _json, main
+from opmaj.orthopoly import DEFAULT_SEED
 from opmaj.recurrence import RecurrenceScheme
 from opmaj.verification import CheckResult, verify_scheme
 
@@ -379,6 +380,29 @@ def test_quad_command(capsys):
         assert err.startswith("opmaj: error: --coeffs must be finite numbers, got ["), coeffs
 
 
+def test_a_handler_flag_check_precedes_the_measure_check(capsys):
+    # each command checks its own flags before _build_scheme asks for
+    # exactly one of --family or --custom; with the flags fixed, that is next
+    for argv, message in (
+        (["quad", "--n", "2"], "quad needs exactly one of --degree or --coeffs"),
+        (["matrix", "--n", "5", "--theorem", "C"], "--k is required for theorem C"),
+        (["quad", "--n", "2", "--degree", "1"], "exactly one of --family or --custom is required"),
+        (["matrix", "--n", "5", "--theorem", "C", "--k", "2"],
+         "exactly one of --family or --custom is required"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"opmaj: error: {message}\n"), argv
+
+
+def test_a_negative_value_passes_in_the_flag_equals_value_form(capsys):
+    # argparse takes "-1e-3" or "-1,2" after a space for an option, not a
+    # value; "--flag=value" passes any value
+    zeros = ["zeros", "--family", "laguerre", "--n", "3"]
+    assert run_cli(capsys, *zeros, "--alpha=-1e-3") == run_cli(capsys, *zeros, "--alpha", "-0.001")
+    code, out, err = run_cli(capsys, "quad", "--family", "legendre", "--n", "3", "--coeffs=-1,2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coeffs"] == [-1.0, 2.0]
+
+
 def test_quad_refuses_an_empty_coeffs(capsys):
     # '' is refused as '1,,2' is, alone and beside --degree, never ignored
     base = ["quad", "--family", "legendre", "--n", "2"]
@@ -475,21 +499,47 @@ def test_verify_refuses_a_quadrature_sum_that_overflows(capsys, tmp_path):
     )
 
 
-def test_verify_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("OPMAJ_SEED", "777")
-    code, out, _ = run_cli(capsys, "verify", "--family", "chebyshev-u", "--n-max", "5")
-    assert code == 0
-    monkeypatch.setenv("OPMAJ_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "verify", "--family", "chebyshev-u", "--n-max", "5")
-    assert code == 2
-    monkeypatch.setenv("OPMAJ_SEED", "-5")
-    code, out, err = run_cli(capsys, "verify", "--family", "chebyshev-u", "--n-max", "5")
-    assert (code, out, err) == (2, "", "opmaj: error: seed must be nonnegative, got -5\n")
-    # only verify takes a seed: other commands ignore the variable
-    code, out, _ = run_cli(capsys, "zeros", "--family", "legendre", "--n", "2")
-    assert code == 0
-    monkeypatch.delenv("OPMAJ_SEED")
-    assert run_cli(capsys, "zeros", "--family", "legendre", "--n", "2") == (0, out, "")
+def test_verify_reads_its_seed_from_argv_alone(capsys, monkeypatch):
+    # an OPMAJ_SEED in the environment moves neither the output nor the seed
+    # verify runs with, even where an integer would; --seed alone moves it
+    seeds = []
+
+    def recording_verify_scheme(*args, seed, **kwargs):
+        seeds.append(seed)
+        return verify_scheme(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_scheme", recording_verify_scheme)
+    argv = ("verify", "--family", "chebyshev-u", "--n-max", "5")
+    monkeypatch.delenv("OPMAJ_SEED", raising=False)
+    unset = run_cli(capsys, *argv)
+    assert unset[0] == 0
+    for value in ("not-a-number", "777"):
+        monkeypatch.setenv("OPMAJ_SEED", value)
+        assert run_cli(capsys, *argv) == unset, value
+    assert seeds == [DEFAULT_SEED] * 3
+    assert run_cli(capsys, *argv, "--seed", "777")[0] == 0
+    assert seeds[-1] == 777
+    assert run_cli(capsys, *argv, "--seed", "-5") == (
+        2, "", "opmaj: error: seed must be nonnegative, got -5\n"
+    )
+
+
+def test_no_library_module_reads_the_environment():
+    # opmaj's inputs are its arguments: an opt-in feature takes a flag, not
+    # a variable.  Any read of os.environ, os.environb or os.getenv counts,
+    # by attribute or by import from os
+    names = {"environ", "environb", "getenv"}
+    root = Path(__file__).resolve().parents[1] / "src/opmaj"
+    paths = sorted(root.glob("*.py"))
+    assert len(paths) >= 8
+    reads = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [(path.name, node.lineno, a.name) for a in node.names if a.name in names]
+    assert reads == []
 
 
 def test_out_file(capsys, tmp_path):
