@@ -112,31 +112,113 @@ def test_chunks_split_rows_anywhere(monkeypatch):
         assert join_rows(block, ", ", " | ") == reference(block, ", ", " | ")
 
 
-def floor_log2(x: Fraction) -> int:
-    n = x.numerator.bit_length() - x.denominator.bit_length()
-    return n if Fraction(2) ** n <= x else n - 1
+def floor_log(base: int, x: Fraction) -> int:
+    """floor(log_base x), exactly."""
+    bits = x.numerator.bit_length() - x.denominator.bit_length()
+    m = math.floor(bits * math.log(2) / math.log(base))  # within one or two of it
+    while Fraction(base) ** m > x:
+        m -= 1
+    while Fraction(base) ** (m + 1) <= x:
+        m += 1
+    return m
 
 
-def test_g_table_brackets_each_power_of_ten():
-    # (g - 1) 2**r <= 10**-k < g 2**r with 2**125 <= g < 2**126 for every k
-    # of the table, where r + 125 is the kernel's integer floor(log2 10**-k)
-    for i, k in enumerate(range(_floatrepr._K_MIN, _floatrepr._K_MAX + 1)):
-        g = (int(_floatrepr._G1[i]) << 63) | int(_floatrepr._G0[i])
-        assert 2**125 <= g < 2**126
-        r = floor_log2(Fraction(10) ** -k) - 125
-        assert g - 1 <= Fraction(10) ** -k / Fraction(2) ** r < g
-        assert (-k * 913124641741) >> 38 == r + 125
+def cache_entry(k: int) -> int:
+    i = k - _floatrepr._K_MIN
+    return (int(_floatrepr._HI[i]) << 64) | int(_floatrepr._LO[i])
 
 
-def test_decimal_exponents_are_exact():
-    # k = floor(log10 2**q), or floor(log10(3/4 2**q)) below a binade edge,
-    # from the kernel's integer products, for every binary exponent q; then
-    # the shift h = q + floor(log2 10**-k) + 2 stays in 2..5, so that the
-    # shifted significands (below 2**55) stay below 2**60
-    for q in range(-1074, 972):
-        for irregular in (0, 1) if q > -1074 else (0,):
-            k = (q * 661971961083 - irregular * 274743187321) >> 41
-            v = Fraction(2) ** q * (Fraction(3, 4) if irregular else 1)
-            assert Fraction(10) ** k <= v < Fraction(10) ** (k + 1), (q, irregular)
-            assert 2 <= q + ((-k * 913124641741) >> 38) + 2 <= 5
+def test_cache_entries_are_powers_of_ten_rounded_up():
+    # each 128-bit entry is ceil(10**k 2**(127 - floor(k log2 10))), so that it
+    # lies in [2**127, 2**128): Dragonbox's tables, which its proofs assume
+    for k in range(_floatrepr._K_MIN, _floatrepr._K_MAX + 1):
+        scaled = Fraction(10) ** k * Fraction(2) ** (127 - floor_log(2, Fraction(10) ** k))
+        c = cache_entry(k)
+        assert c - 1 < scaled <= c, k
+        assert 2**127 <= c < 2**128, k
 
+
+def test_integer_logs_are_exact_and_beta_fits_the_limb_products():
+    # e runs over every binary exponent of a double (value fc * 2**e); k over
+    # every cache index; each integer estimate is the exact floor
+    for e in range(-1074, 972):
+        two_e = Fraction(2) ** e
+        assert _floatrepr._floor_log10_pow2(e) == floor_log(10, two_e), e
+        shorter = _floatrepr._floor_log10_pow2_minus_log10_4_over_3(e)
+        assert shorter == floor_log(10, two_e * Fraction(3, 4)), e
+    for k in range(_floatrepr._K_MIN, _floatrepr._K_MAX + 1):
+        assert _floatrepr._floor_log2_pow10(k) == floor_log(2, Fraction(10) ** k), k
+    # beta in 1..9 keeps (2 fc + 1) << beta below 2**63, as _product needs, and
+    # the parity shifts 64 - beta inside a word; delta stays in 100..999; the
+    # shorter interval shifts right by 10 - beta and 11 - beta
+    for e in range(-1074, 972):
+        minus_k = _floatrepr._floor_log10_pow2(e) - 2
+        assert _floatrepr._K_MIN <= -minus_k <= _floatrepr._K_MAX
+        beta = e + _floatrepr._floor_log2_pow10(-minus_k)
+        assert 6 <= beta <= 9, e
+        assert (2 * (2**53 - 1) + 1) << beta < 2**63
+        assert 100 <= cache_entry(-minus_k) >> (127 - beta) < 1000, e
+    for e in range(-1073, 972):
+        minus_k = _floatrepr._floor_log10_pow2_minus_log10_4_over_3(e)
+        assert _floatrepr._K_MIN <= -minus_k <= _floatrepr._K_MAX
+        assert 0 <= e + _floatrepr._floor_log2_pow10(-minus_k) <= 10, e
+
+
+def digit_path(v: float) -> str:
+    """The branch of the digit step that the double v > 0 takes, from exact integers:
+    'shorter', 'excluded' (the right end of an odd significand), 'big' (the larger
+    divisor), 'tie' (r = delta), 'divisible' (the remainder divisible by 100), 'small'."""
+    bits = int(np.float64(v).view(np.uint64))
+    t, bq = bits & (2**52 - 1), bits >> 52
+    if t == 0 and bq > 1:
+        return "shorter"
+    fc, e = (t | 2**52, bq - 1075) if bq else (t, -1074)
+    minus_k = _floatrepr._floor_log10_pow2(e) - 2
+    beta = e + _floatrepr._floor_log2_pow10(-minus_k)
+    c = cache_entry(-minus_k)
+    product = ((2 * fc + 1) << beta) * c
+    r, delta = (product >> 128) % 1000, c >> (127 - beta)
+    if r == 0 and (product >> 64) % 2**64 == 0 and fc % 2:
+        return "excluded"
+    if r != delta:
+        return "big" if r < delta else "divisible" if (r - delta // 2 + 50) % 100 == 0 else "small"
+    return "tie"
+
+
+NAMED_PATHS = {
+    "tie": [float.fromhex("0x1.a57d9c4c8cc18p-9"), float.fromhex("0x1.3ce55937f2ce1p+55"),
+            float.fromhex("0x1.dac2dfc537100p-663"), float.fromhex("0x1.f8e65ed35d1fap+54"),
+            float.fromhex("0x1.2a67d986f888bp-31"), float.fromhex("0x1.771e89d373159p+716")],
+    "divisible": [1974014629615873.8, 1.2626677441508306e-246,
+                  float.fromhex("0x1.8f46928cc8ae8p+46"), float.fromhex("0x1.f15701cc92bb2p-834")],
+    # odd significands whose right end 10 * m is excluded: 2**54 + 4 is not 1.801439850948199e16
+    "excluded": [4.0 * (2**52 + 1 + 10 * j) for j in range(3)] + [4611686018427839488.0],
+    # 2**-25 is halfway between its two shortest decimals; 2**54 and 2**55
+    # have integer left ends, which the kernel excludes and repr includes:
+    # 2**54 has no shorter decimal in its interval and 2**55 one above its left end
+    "shorter": [2.0**-25, 2.0**54, 2.0**55, 2.0**-77, 2.0**56],
+}
+
+
+@pytest.mark.parametrize("path", sorted(NAMED_PATHS))
+def test_named_paths_of_the_digit_step(path):
+    values = NAMED_PATHS[path]
+    assert [digit_path(v) for v in values] == [path] * len(values)
+    assert_matches(values + [-v for v in values])
+
+
+@pytest.mark.parametrize("k", [1, 100])
+@pytest.mark.parametrize(
+    "family, params",
+    [("legendre", {}), ("laguerre", {}), ("hermite", {}), ("chebyshev-t", {}),
+     ("jacobi", {"alpha": 2, "beta": 0.5})],
+)
+def test_certificate_blocks(family, params, k):
+    # real certificates mix positional rows (entries >= 1e-4) into chunks
+    # that are mostly exponent form, with cli's JSON separators
+    from opmaj import classical_scheme, matrix_C
+
+    entries = matrix_C(classical_scheme(family, 202, **params), 200, k).entries
+    assert 0 < np.count_nonzero(entries >= 1e-4) < entries.size / 2
+    seps = ",\n        ", "\n      ],\n      [\n        "
+    assert join_rows(entries, *seps) == reference(entries, *seps)

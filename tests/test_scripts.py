@@ -1,6 +1,7 @@
 """Smoke tests of ``scripts/`` and of the benchmark's worker: each runs as
 documented, in a subprocess with ``PYTHONPATH=src``, so that a library
 rename cannot break one unseen."""
+import importlib.util
 import json
 import os
 import platform
@@ -54,6 +55,36 @@ def test_entry_accuracy_runs_one_case():
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [row[:3] for row in rows[:2]] == [["legendre", "6", "1"], ["legendre", "6", "3"]]
     assert rows[2][0] == "all" and all(float(v) < 1e-12 for v in rows[2][1:])
+
+
+def test_floatrepr_sweep_runs_each_stream():
+    proc = run_script("floatrepr_sweep.py", "--count", "20000", "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    counts = [line.split(" floats match repr")[0] for line in proc.stdout.splitlines()]
+    assert counts[0] == "random: 20000" and counts[2] == "subnormals: 2000000"
+    assert counts[1].startswith("edges: ")
+
+
+def test_floatrepr_sweep_names_the_first_mismatch(monkeypatch, capsys):
+    # in process, so that the kernel can be swapped for one that misprints 1.0
+    spec = importlib.util.spec_from_file_location("sweep", ROOT / "scripts" / "floatrepr_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    kernel = sweep.chunks
+
+    def misprint(block, sep, row_break):
+        text = "".join(kernel(block, sep, row_break))
+        yield "\n".join("1.00" if line == "1.0" else line for line in text.split("\n"))
+
+    monkeypatch.setattr(sweep, "chunks", misprint)
+    monkeypatch.setattr(sys, "argv", ["floatrepr_sweep.py", "--count", "0"])
+    with pytest.raises(SystemExit) as exit_:
+        sweep.main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "edges: mismatch at bits 0x3ff0000000000000 (0x1.0000000000000p+0): "
+        "kernel '1.00', repr '1.0'"
+    )
 
 
 def build_fingerprint():
