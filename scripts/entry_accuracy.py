@@ -19,19 +19,20 @@ import argparse
 import mpmath as mp
 import numpy as np
 
-from opmaj import classical_scheme, jacobi_matrix, matrix_C, shifted
+from opmaj import classical_scheme, jacobi_matrix, matrix_C
 
 DIGITS = 60
 SAMPLE = (("legendre", 48), ("laguerre", 40), ("hermite", 40))
 
 
-def mp_eigenvectors(J):
-    """Unit eigenvectors of a JacobiMatrix in mpmath, columns by ascending eigenvalue."""
-    m = J.order
+def mp_eigenvectors(diag, offdiag):
+    """Unit eigenvectors of the Jacobi matrix (diag, offdiag) in mpmath, columns by
+    ascending eigenvalue."""
+    m = diag.size
     A = mp.zeros(m, m)
-    for i, d in enumerate(J.diag.tolist()):
+    for i, d in enumerate(diag.tolist()):
         A[i, i] = mp.mpf(d)
-    for i, e in enumerate(J.offdiag.tolist()):
+    for i, e in enumerate(offdiag.tolist()):
         A[i, i + 1] = A[i + 1, i] = mp.mpf(e)
     eigenvalues, vectors = mp.eigsy(A)
     order = sorted(range(m), key=lambda j: eigenvalues[j])
@@ -40,11 +41,12 @@ def mp_eigenvectors(J):
 
 def reference_entries(scheme, n, k, full):
     """The order-n certificate entries of deleting row k, as float64 of mpmath values."""
+    offdiag, diag = scheme.coefficients(n - 1)  # J_n's table: both blocks are slices of it
     blocks = []
     if k >= 2:
-        blocks.append((mp_eigenvectors(jacobi_matrix(scheme, k - 1)), 0))
+        blocks.append((mp_eigenvectors(diag[: k - 1], offdiag[: k - 2]), 0))
     if k <= n - 1:
-        blocks.append((mp_eigenvectors(jacobi_matrix(shifted(scheme, k), n - k)), k))
+        blocks.append((mp_eigenvectors(diag[k:], offdiag[k:]), k))
     rows = []
     for vecs, offset in blocks:
         m = len(vecs)
@@ -74,7 +76,8 @@ def main():
     worst_abs = worst_rel = 0.0
     for family, n, ks in cases:
         scheme = classical_scheme(family, n + 1)
-        full = mp_eigenvectors(jacobi_matrix(scheme, n))
+        J = jacobi_matrix(scheme, n)
+        full = mp_eigenvectors(J.diag, J.offdiag)
         for k in ks:
             ref = reference_entries(scheme, n, k, full)
             got = matrix_C(scheme, n, k).entries

@@ -19,11 +19,11 @@ Prints five sha256 digests:
   rather than printed, so their source line numbers never enter a digest;
 * ``coeffs``: what the recurrence coefficients build, over the six families
   plus jacobi (0.5, -0.5) and (-0.5, -0.5) x shift k in {0, 1, 5} x order
-  n in {1, 2, 7, 30, 300}: the bytes of ``jacobi_matrix(shifted(s, k), n)``,
-  of ``eval_all(..., n, x, derivatives=True)`` at three interior points,
-  and of the leading coefficient gamma_n = 1 / (a_1 ... a_n), divided out
-  in order from ``coefficients(n)``, with an exception recorded by type and
-  message;
+  n in {1, 2, 7, 30, 300}: from the tail from index k of the table to index
+  k + n (the order-k associated polynomials), the bytes of its order-n
+  Jacobi matrix, of its values and derivatives p_0..p_n at three interior
+  points, and of the leading coefficient gamma_n = 1 / (a_1 ... a_n), divided
+  out in order, with an exception recorded by type and message;
 * ``verify60``: the rows of ``verify_scheme`` at n_max = 60 for the same
   three families, as ``verify`` records them: the benchmark's verify
   workload.
@@ -61,8 +61,9 @@ from collections import Counter
 
 import numpy as np
 
-from opmaj import classical_scheme, eval_all, jacobi_matrix, shifted, verify_scheme
+from opmaj import classical_scheme, verify_scheme
 from opmaj.cli import main as cli_main
+from opmaj.orthopoly import _values
 
 FAMILIES = [
     ["--family", "chebyshev-u"],
@@ -200,19 +201,22 @@ def coeff_records():
     for family, params in COEFF_SCHEMES:
         for k in COEFF_SHIFTS:
             for n in COEFF_ORDERS:
-                s = shifted(classical_scheme(family, k + n, **params), k)
+                base = classical_scheme(family, k + n, **params)
+
+                def tail():  # the order-k associated table: the tail from index k
+                    offdiag, diag = base.coefficients(k + n)
+                    return offdiag[k:], diag[k:]
 
                 def matrix():
-                    J = jacobi_matrix(s, n)
-                    return J.diag, J.offdiag
+                    offdiag, diag = tail()
+                    return diag[:n], offdiag[: n - 1]
 
                 def values(x):
-                    v = eval_all(s, n, x, derivatives=True)
-                    return v.values, v.derivative_values
+                    return [v[0] for v in _values(tail(), n, np.array([x]), derivatives=True)]
 
                 def leading_coefficient():
                     gamma = 1.0
-                    for a_i in s.coefficients(n)[0].tolist():
+                    for a_i in tail()[0].tolist():
                         gamma /= a_i
                     return [gamma]
 

@@ -46,8 +46,8 @@ from .recurrence import RecurrenceScheme
 from .spectra import _block_decompose, frozen, refuse_beyond_memory, scheme_spectral
 
 __all__ = [
-    "StochasticMatrixResult", "MajorizationCertificate", "ConvexReport", "CONVEX_FUNCTIONS",
-    "matrix_A", "matrix_B", "matrix_C", "check_majorization", "convex_report",
+    "StochasticMatrixResult", "ConvexReport", "CONVEX_FUNCTIONS",
+    "matrix_A", "matrix_B", "matrix_C", "convex_report",
 ]
 
 CONVEX_FUNCTIONS = {
@@ -81,15 +81,6 @@ class StochasticMatrixResult:
     def underflowed(self) -> np.ndarray:
         """(row, column) pairs of the entries below the smallest normal double."""
         return np.argwhere(self.entries < np.finfo(float).tiny)
-
-
-@dataclass(frozen=True, eq=False)
-class MajorizationCertificate:
-    """Partial-sum evidence that x is majorized by y (descending sorts)."""
-
-    partial_margins: np.ndarray
-    total_residual: float
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -220,24 +211,10 @@ def _matrix_C(table, sd_n, ks, leads: dict):
     return frozen(entries), frozen(target), source, errs
 
 
-def check_majorization(x, y, tol: float = 1e-10) -> MajorizationCertificate:
-    """Certificate that x is majorized by y.
-
-    Holds iff every descending partial sum of y dominates that of x within
-    tol and the totals agree within tol.  x and y must be 1-D, of one length.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"x and y must be 1-D, got shapes {x.shape} and {y.shape}")
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    margins, residual, holds = _majorization(x[None], y, tol)
-    return MajorizationCertificate(frozen(margins[0]), float(residual[0]), bool(holds[0]))
-
-
 def _majorization(xs, y, tol: float):
-    """``check_majorization`` of each row of the stack ``xs`` against one y:
-    the partial-sum margins (rows, n - 1), total residuals and verdicts."""
+    """Whether each row of the stack ``xs`` is majorized by y: every descending partial
+    sum of y dominates the row's within tol, and the totals agree within tol.
+    Returns the partial-sum margins (rows, n - 1), total residuals and verdicts."""
     xs = np.sort(xs, axis=1)[:, ::-1]
     y = np.sort(y)[::-1]
     margins = np.cumsum(y)[:-1] - np.cumsum(xs, axis=1)[:, :-1]

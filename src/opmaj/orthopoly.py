@@ -14,12 +14,11 @@ from typing import Callable
 import numpy as np
 
 from .recurrence import RecurrenceScheme
-from .spectra import frozen, scheme_spectral
+from .spectra import scheme_spectral
 
 __all__ = [
-    "PolynomialValueSet", "QuadratureRule", "PolynomialOverflowError", "eval_all",
-    "christoffel_numbers_formula", "gauss_rule", "gauss_quadrature", "jacobi_power_moment",
-    "spectral_spot_points", "DEFAULT_SEED",
+    "QuadratureRule", "PolynomialOverflowError", "christoffel_numbers_formula",
+    "gauss_rule", "gauss_quadrature", "spectral_spot_points", "DEFAULT_SEED",
 ]
 
 DEFAULT_SEED = 12345
@@ -27,14 +26,6 @@ DEFAULT_SEED = 12345
 
 class PolynomialOverflowError(ArithmeticError):
     """Forward recurrence left the representable range; use the spectral data."""
-
-
-@dataclass(frozen=True, eq=False)
-class PolynomialValueSet:
-    """Values p_0(x)..p_n(x), optionally with derivatives p_0'(x)..p_n'(x)."""
-
-    values: np.ndarray
-    derivative_values: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,30 +41,9 @@ class QuadratureRule:
         return np.flatnonzero(self.weights < np.finfo(float).tiny)
 
 
-def eval_all(
-    scheme: RecurrenceScheme, n: int, x, derivatives: bool = False
-) -> PolynomialValueSet:
-    """Evaluate p_0..p_n at x by the forward recurrence (needs depth >= n).
-
-    Derivatives come from the differentiated recurrence
-    p_{m+1}' = ((x - b_m) p_m' + p_m - a_m p_{m-1}') / a_{m+1}, which is
-    exact and costs the same as the value pass.  An array of P points gives
-    (P, n + 1) arrays, point-major, row i bit-equal to the call at point i.
-    The first point that is not finite raises ValueError before the recurrence
-    runs; an overflow raises PolynomialOverflowError, with no numpy warning, at
-    the first point that overflows, naming its first non-finite degree.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    points = np.asarray(x, dtype=float)
-    if not np.isfinite(points).all():
-        raise ValueError(f"x must be finite, got {points[~np.isfinite(points)][0]}")
-    arrays = _values(scheme.coefficients(n), n, points.ravel(), derivatives)
-    return PolynomialValueSet(*(frozen(v[0] if points.ndim == 0 else v) for v in arrays))
-
-
 def _values(table, n: int, points: np.ndarray, derivatives: bool = False) -> list:
-    """``_forward``'s arrays, or ``eval_all``'s overflow error at the first point that overflows."""
+    """``_forward``'s arrays, checked: the first point that overflows raises
+    PolynomialOverflowError, with no numpy warning, naming its first non-finite degree."""
     arrays = _forward(table, n, points, derivatives)
     bad = ~np.isfinite(arrays).all(axis=0)
     if bad.any():
@@ -84,9 +54,12 @@ def _values(table, n: int, points: np.ndarray, derivatives: bool = False) -> lis
 
 
 def _forward(table, n: int, points: np.ndarray, derivatives: bool) -> list:
-    """Point-major values p_0..p_n (and derivatives) at the finite 1-D ``points``,
+    """Point-major (P, n + 1) values p_0..p_n (and derivatives) at the P finite ``points``,
     unchecked, from ``table``, an (offdiag, diag) to a_n and b_{n-1} or further:
-    a slice of it from index k on gives the order-k associated polynomials."""
+    a slice of it from index k on gives the order-k associated polynomials.  The
+    derivatives come from the differentiated recurrence
+    p_{m+1}' = ((x - b_m) p_m' + p_m - a_m p_{m-1}') / a_{m+1}, exact at the cost of
+    the value pass; row i has the bits of the pass at point i alone."""
     offdiag, diag = table
     a = [0.0, *offdiag.tolist()]  # a[m] = a_m, with a_0 = 0
     b = diag.tolist()
@@ -156,19 +129,6 @@ def gauss_quadrature(rule: QuadratureRule, f: Callable[[float], float]) -> float
             f"over nodes up to |x| = {float(np.abs(rule.nodes).max())!r}"
         )
     return value
-
-
-def jacobi_power_moment(scheme: RecurrenceScheme, m: int) -> float:
-    """m-th moment of the measure from the truncated-operator identity.
-
-    m_k equals the top-left entry of J_K^k whenever K > k/2 (a length-k walk
-    from the corner cannot feel the truncation).  This path never touches
-    an eigen-decomposition, so it is independent of the quadrature path.
-    A moment that float64 cannot hold raises ValueError, with no numpy warning.
-    """
-    if m < 0:
-        raise ValueError(f"moment degree must be nonnegative, got {m}")
-    return _moments(scheme.coefficients(m // 2), m + 1)[m]
 
 
 def _moments(table, count: int) -> list[float]:

@@ -14,13 +14,13 @@ normalization only fixes p_0 and the total quadrature mass.
 on demand from one vectorized closed form per family, so a scheme is a cheap
 immutable value object even for large depths: making one builds no table,
 and a table is checked as it is built, the one place it is.  Jacobi
-matrices, polynomial recurrences, the eigensolvers and the shifted
-(associated) schemes all read that one table.
+matrices, polynomial recurrences and the eigensolvers all read that one
+table; the associated polynomials of order k read its tail from index k.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "DepthError",
     "classical_scheme",
     "from_sequences",
-    "shifted",
 ]
 
 
@@ -53,10 +52,8 @@ class DepthError(ValueError):
 class RecurrenceScheme:
     """Supplier of recurrence coefficients (a_n, b_n) up to ``max_index``.
 
-    ``coefficients(m)`` is the table up to index m.  A nonzero ``shift``
-    indexes into the tail of the base coefficient sequences; such schemes
-    generate the associated polynomials of the base measure, and their
-    table is the tail of the base table by construction.
+    ``coefficients(m)`` is the table up to index m.  Its tail from index k
+    on is the table of the order-k associated polynomials.
 
     Instances are immutable and hashable, safe to share across threads and
     to use as cache keys.
@@ -65,40 +62,37 @@ class RecurrenceScheme:
     kind: Family
     max_index: int
     params: tuple[float, ...] = ()
-    shift: int = 0
     a_seq: tuple[float, ...] = ()
     b_seq: tuple[float, ...] = ()
 
     def coefficients(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index:
-        the tail from ``shift`` on of the base table up to index ``shift + m``,
-        which is refused with ValueError, and no numpy warning, if float64
-        cannot hold it or a custom entry is missing, not finite or not positive."""
+        """Table (a_1..a_m, b_0..b_m) as float arrays, for 0 <= m <= max_index,
+        refused with ValueError, and no numpy warning, if float64 cannot hold it
+        or a custom entry is missing, not finite or not positive."""
         if not 0 <= m <= self.max_index:
             raise DepthError(
                 f"coefficients up to index {m} unavailable: scheme depth is {self.max_index}"
             )
-        top = self.shift + m
         if self.kind is not Family.CUSTOM:
-            return self._table(self.shift, top)
-        a = np.array(self.a_seq[:top], dtype=float)
-        b = np.array(self.b_seq[: top + 1], dtype=float)
-        _check_entries(a, b, top)
-        return a[self.shift :], b[self.shift :]
+            return self._table(m)
+        a = np.array(self.a_seq[:m], dtype=float)
+        b = np.array(self.b_seq[: m + 1], dtype=float)
+        _check_entries(a, b, m)
+        return a, b
 
-    def _table(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a_lo+1..a_hi, b_lo..b_hi) of a classical base table, from its closed forms at
-        those indices only, refused by name, with no numpy warning, if float64 cannot hold it."""
-        i = np.arange(lo, hi + 1, dtype=float)  # indices of b; i[1:] for a
-        a1, b0 = self._lead() if lo == 0 else ((), ())
+    def _table(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a_1..a_m, b_0..b_m) of a classical table, from its closed forms, refused
+        by name, with no numpy warning, if float64 cannot hold it."""
+        i = np.arange(m + 1, dtype=float)  # indices of b; i[1:] for a
+        a1, b0 = self._lead()
         with np.errstate(all="ignore"):  # reported below, not warned
-            a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[: hi - lo]
+            a = np.concatenate((a1, self._a_form(i[1 + len(a1) :])))[:m]
             b = np.concatenate((b0, self._b_form(i[len(b0) :])))
         if not (np.all(a > 0.0) and np.isfinite(a).all() and np.isfinite(b).all()):
             named = ", ".join(f"{k}={v!r}" for k, v in zip(("alpha", "beta"), self.params))
             raise ValueError(
                 f"{self.kind.value} with {named}: the recurrence coefficients up to "
-                f"index {self.shift + self.max_index} overflow float64"
+                f"index {self.max_index} overflow float64"
             )
         return a, b
 
@@ -233,18 +227,3 @@ def from_sequences(a, b) -> RecurrenceScheme:
         kind=Family.CUSTOM, max_index=len(b) - 1, a_seq=a, b_seq=b
     )
 
-
-def shifted(scheme: RecurrenceScheme, k: int) -> RecurrenceScheme:
-    """Scheme of the k-fold associated polynomials: a'_n = a_{n+k}, b'_n = b_{n+k}.
-
-    The orthonormal polynomials of the result are the associated polynomials
-    of order k, orthonormal for the k-th associated measure.  Only the depth
-    and the shift change: the result reads the tail of the same table.
-    """
-    if k < 0:
-        raise ValueError(f"shift must be nonnegative, got {k}")
-    if k == 0:
-        return scheme
-    if k > scheme.max_index:
-        raise DepthError(f"shift {k} exceeds scheme depth {scheme.max_index}")
-    return replace(scheme, max_index=scheme.max_index - k, shift=scheme.shift + k)

@@ -26,9 +26,9 @@ import numpy as np
 
 from opmaj import (
     StochasticMatrixResult,
+    from_sequences,
     jacobi_matrix,
     scheme_spectral,
-    shifted,
 )
 from opmaj.spectra import JacobiMatrix, _block_decompose
 
@@ -54,10 +54,17 @@ def christoffel_by_sum(scheme, n, nodes):
     )
 
 
+def associated_scheme(scheme, k, m):
+    """Scheme of the order-k associated polynomials, of depth m: the tail from
+    index k of the scheme's table to index k + m, with the table's bits."""
+    offdiag, diag = scheme.coefficients(k + m)
+    return from_sequences(offdiag[k:], diag[k:])
+
+
 def associated_spectral(scheme, k, m):
-    """Spectral data of the k-shifted scheme's order-m Jacobi matrix (the
+    """Spectral data of the order-k associated scheme's order-m Jacobi matrix (the
     zeros of the associated polynomial), read from the library's cache."""
-    return scheme_spectral(shifted(scheme, k), m)
+    return scheme_spectral(associated_scheme(scheme, k, m - 1), m)
 
 
 def min_target_gap(scheme, n, k) -> float:
@@ -282,7 +289,7 @@ def _deletion_blocks(scheme, n, k):
     if k >= 2:
         blocks.append((block_decompose(jacobi_matrix(scheme, k - 1)), slice(0, k - 1)))
     if k <= n - 1:
-        assoc = block_decompose(jacobi_matrix(shifted(scheme, k), n - k))
+        assoc = block_decompose(jacobi_matrix(associated_scheme(scheme, k, n - k - 1), n - k))
         blocks.append((assoc, slice(k, n)))
     return blocks
 

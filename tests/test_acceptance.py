@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 
 from opmaj import (
-    check_majorization,
     christoffel_numbers_formula,
     classical_scheme,
     convex_report,
-    eval_all,
     gauss_rule,
-    jacobi_power_moment,
     matrix_A,
     matrix_B,
     matrix_C,
     scheme_spectral,
-    shifted,
     spectral_spot_points,
 )
+from opmaj.majorization import _majorization
+from opmaj.orthopoly import _moments, _values
 
 from oracles import (
     associated_spectral,
@@ -134,8 +132,8 @@ def test_criterion_5_majorization_and_convexity(schemes):
     for tag, s in schemes.items():
         for n in range(2, N_MAX + 1):
             for res in _all_matrices(s, n):
-                cert = check_majorization(res.target, res.source, tol=1e-10)
-                if not cert.holds:
+                holds = _majorization(res.target[None], res.source, 1e-10)[2][0]
+                if not holds:
                     failures.append((tag, n, res.theorem, res.k, "majorization"))
         if tag in BOUNDED:
             for n in range(2, 41):
@@ -150,7 +148,7 @@ def test_criterion_6_quadrature_exactness(schemes):
     failures = []
     for tag, s in schemes.items():
         tol = 1e-10 if tag in BOUNDED else 1e-8
-        moments = [jacobi_power_moment(s, m) for m in range(60)]
+        moments = [_moments(s.coefficients(m // 2), m + 1)[m] for m in range(60)]
         for n in range(1, 31):
             rule = gauss_rule(s, n)
             for m in range(1, 2 * n):
@@ -164,13 +162,16 @@ def test_criterion_6_quadrature_exactness(schemes):
 def test_criterion_7_identity_spot_checks(schemes):
     failures = []
     for tag, s in schemes.items():
-        sh1 = shifted(s, 1)
-        a = [0.0, *s.coefficients(16)[0].tolist()]  # a[i] = a_i
+        offdiag, diag = table = s.coefficients(16)
+        a = [0.0, *offdiag.tolist()]  # a[i] = a_i
         for n in range(2, 16):
-            for x in spectral_spot_points(s, n):
-                p = eval_all(s, n + 1, x, derivatives=True)
-                q = eval_all(sh1, n, x).values
-                vals, ders = p.values, p.derivative_values
+            spots = spectral_spot_points(s, n)
+            p_all, dp_all = _values(table, n + 1, spots, derivatives=True)
+            # the order-k associated polynomials read the table's tail from index k
+            q_all = _values((offdiag[1:], diag[1:]), n, spots)[0]
+            r_all = {k: _values((offdiag[k:], diag[k:]), n - k, spots)[0] for k in range(2, n)}
+            for i, x in enumerate(spots):
+                vals, ders, q = p_all[i], dp_all[i], q_all[i]
                 t1 = a[n + 1] * vals[n] * q[n]
                 t2 = a[n + 1] * vals[n + 1] * q[n - 1]
                 if abs(t1 - t2 - a[1]) > 1e-8 * (abs(t1) + abs(t2) + a[1]):
@@ -180,7 +181,7 @@ def test_criterion_7_identity_spot_checks(schemes):
                 if abs(lhs - rhs) > 1e-8 * max(abs(lhs), abs(rhs)):
                     failures.append((tag, n, "christoffel-darboux", x))
                 for k in range(2, n):
-                    r = eval_all(shifted(s, k), n - k, x).values
+                    r = r_all[k][i]
                     lhs = a[1] * r[n - k]
                     u1 = a[k] * vals[k - 1] * q[n - 1]
                     u2 = a[k] * vals[n] * q[k - 2]
@@ -188,7 +189,7 @@ def test_criterion_7_identity_spot_checks(schemes):
                         failures.append((tag, n, k, "assoc-factorization", x))
             lam = christoffel_numbers_formula(s, n)
             xs = scheme_spectral(s, n).eigenvalues
-            p_sq = np.array([eval_all(s, n - 1, xj).values[n - 1] ** 2 for xj in xs])
+            p_sq = np.array([v**2 for v in _values(table, n - 1, xs)[0][:, n - 1]])
             partial_a = matrix_A(s, n).entries[: n - 1].sum(axis=0)
             partial_b = matrix_B(s, n).entries[: n - 1].sum(axis=0)
             for j in range(n):

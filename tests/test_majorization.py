@@ -18,28 +18,29 @@ from opmaj import (
     StochasticMatrixResult,
     Tolerances,
     certificate_checks,
-    check_majorization,
     christoffel_numbers_formula,
     classical_scheme,
     convex_report,
-    eval_all,
     from_sequences,
     gauss_rule,
     jacobi_matrix,
-    jacobi_power_moment,
     majorization,
     matrix_A,
     matrix_B,
     matrix_C,
     orthopoly,
     scheme_spectral,
-    shifted,
     spectra,
     verification,
     verify_scheme,
 )
 
+from opmaj.majorization import _majorization
+from opmaj.orthopoly import _moments, _values
+
 from oracles import (
+    associated_scheme,
+    associated_spectral,
     block_decompose,
     check_doubly_stochastic,
     christoffel_by_sum,
@@ -206,7 +207,7 @@ def test_column_sum_proof_identities():
         for n in range(2, 41):
             lam = christoffel_numbers_formula(s, n)
             x = scheme_spectral(s, n).eigenvalues
-            p_sq = np.array([eval_all(s, n - 1, xj).values[n - 1] ** 2 for xj in x])
+            p_sq = np.array([v**2 for v in _values(s.coefficients(n - 1), n - 1, x)[0][:, n - 1]])
             partial_a = matrix_A(s, n).entries[: n - 1].sum(axis=0)
             partial_b = matrix_B(s, n).entries[: n - 1].sum(axis=0)
             assert partial_a == pytest.approx(1.0 - lam * p_sq, abs=1e-10)
@@ -224,20 +225,21 @@ def test_sum_identities_at_source_zeros():
         for n in range(3, 11):
             xs = scheme_spectral(s, n).eigenvalues
             lam = christoffel_numbers_formula(s, n)
+            vals_all = _values(s.coefficients(n), n, xs)[0]
             diam = xs[-1] - xs[0]
             for k in range(2, n):
                 t = scheme_spectral(s, k - 1).eigenvalues
                 lam_top = christoffel_numbers_formula(s, k - 1)
-                y = scheme_spectral(shifted(s, k), n - k).eigenvalues
-                lam_assoc = christoffel_numbers_formula(shifted(s, k), n - k)
-                pk_t = np.array([eval_all(s, k, ti).values[k] for ti in t])
+                y = associated_spectral(s, k, n - k).eigenvalues
+                lam_assoc = christoffel_numbers_formula(associated_scheme(s, k, n - k - 1), n - k)
+                pk_t = _values(s.coefficients(k), k, t)[0][:, k]
                 for j, xj in enumerate(xs):
                     if (
                         np.abs(t - xj).min() < 1e-6 * diam
                         or np.abs(y - xj).min() < 1e-6 * diam
                     ):
                         continue
-                    vals = eval_all(s, n, xj).values
+                    vals = vals_all[j]
                     if vals[k - 1] ** 2 < 1e-8 * float(np.dot(vals, vals)):
                         continue
                     lhs1 = a[k] ** 2 * float(np.sum(lam_top * pk_t**2 / (t - xj) ** 2))
@@ -261,27 +263,26 @@ def test_check_doubly_stochastic_basics():
         check_doubly_stochastic(np.eye(2), -1.0)
 
 
+def majorized(x, y, tol):
+    """``_majorization``'s verdict on x (one row) against y."""
+    return bool(_majorization(np.asarray(x)[None], y, tol)[2][0])
+
+
 def test_check_majorization_examples():
-    cert = check_majorization([-0.5, 0.5, 0.0], [-SQRT2 / 2, 0.0, SQRT2 / 2], tol=1e-10)
-    assert cert.holds
-    assert cert.partial_margins == pytest.approx([SQRT2 / 2 - 0.5, SQRT2 / 2 - 0.5])
-    assert cert.total_residual <= 1e-15
-    assert cert.partial_margins.min() == pytest.approx(0.20710678118654757)
+    margins, residual, holds = _majorization(
+        np.array([[-0.5, 0.5, 0.0]]), np.array([-SQRT2 / 2, 0.0, SQRT2 / 2]), 1e-10
+    )
+    assert holds[0]
+    assert margins[0] == pytest.approx([SQRT2 / 2 - 0.5, SQRT2 / 2 - 0.5])
+    assert residual[0] <= 1e-15
+    assert margins[0].min() == pytest.approx(0.20710678118654757)
 
-    same = check_majorization([3.0, -1.0], [3.0, -1.0], tol=0.0)
-    assert same.holds and same.partial_margins == pytest.approx([0.0])
+    margins, _, holds = _majorization(np.array([[3.0, -1.0]]), np.array([3.0, -1.0]), 0.0)
+    assert holds[0] and margins[0] == pytest.approx([0.0])
 
-    fails = check_majorization([2.0, 0.0], [1.0, 1.0], tol=1e-12)
-    assert not fails.holds
-    assert fails.partial_margins[0] == pytest.approx(-1.0)
-
-    with pytest.raises(ValueError):
-        check_majorization([1.0], [1.0, 2.0])
-    # not 1-D: refused by shape, not by numpy's broadcast or axis errors
-    square = [[1.0, 2.0], [3.0, 4.0]]
-    for x, y, shapes in ((square, square, "(2, 2) and (2, 2)"), (1.0, 2.0, "() and ()")):
-        with pytest.raises(ValueError, match=re.escape(f"x and y must be 1-D, got shapes {shapes}")):
-            check_majorization(x, y)
+    margins, _, holds = _majorization(np.array([[2.0, 0.0]]), np.array([1.0, 1.0]), 1e-12)
+    assert not holds[0]
+    assert margins[0][0] == pytest.approx(-1.0)
 
 
 def test_convex_report_examples(chebyshev):
@@ -318,7 +319,7 @@ def test_majorization_and_convexity_sweep(family, params):
     for n in range(2, 21):
         b_scale = 1.0 + sum(map(abs, b[:n]))
         for res in (matrix_A(s, n), matrix_B(s, n), matrix_C(s, n, max(n // 2, 1))):
-            assert check_majorization(res.target, res.source, tol=1e-10).holds
+            assert majorized(res.target, res.source, 1e-10)
             assert convex_report(res, "square").margin >= -1e-10
             assert convex_report(res, "abs").margin >= -1e-10 * b_scale
             if bounded or n <= 12:
@@ -389,7 +390,7 @@ def test_deletion_blocks_sliced_from_the_table_of_J_n(family, params):
         for k in range(1, n + 1):
             parts = [block_decompose(jacobi_matrix(s, k - 1)).eigenvalues] if k >= 2 else []
             if k < n:
-                assoc = jacobi_matrix(shifted(s, k), n - k)
+                assoc = jacobi_matrix(associated_scheme(s, k, n - k - 1), n - k)
                 bottom = delete_row_col(J, k)[1]
                 assert bottom.diag.tobytes() == assoc.diag.tobytes(), (n, k)
                 assert bottom.offdiag.tobytes() == assoc.offdiag.tobytes(), (n, k)
@@ -480,7 +481,7 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     # to degree n + 1 (with derivatives), its first shift to degree n and shift
     # k to degree n - k, 2 <= k <= n - 1, then one pass to degree n - 1 over the
     # zeros that gives both the Christoffel numbers and p_{n-1} for the
-    # column-sum right sides.  No eval_all, no Christoffel formula and no table
+    # column-sum right sides.  No Christoffel formula and no table
     # of their own.  The moments are one walk on the same table, and no J_K is
     # built for them
     N = 12
@@ -516,11 +517,9 @@ def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):
     def no_jacobi_matrix(*args):
         raise AssertionError("jacobi_matrix called")
 
-    assert not hasattr(verification, "eval_all") and not hasattr(verification, "shifted")
     assert not hasattr(verification, "jacobi_matrix") and not hasattr(orthopoly, "jacobi_matrix")
     assert not hasattr(verification, "christoffel_numbers_formula")
-    for module, name in ((orthopoly, "eval_all"), (verification, "_values")):
-        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    monkeypatch.setattr(verification, "_values", recording("_values", verification._values))
     monkeypatch.setattr(verification, "_christoffel", recording_christoffel)
     monkeypatch.setattr(RecurrenceScheme, "coefficients",
                         recording("coefficients", RecurrenceScheme.coefficients))
@@ -701,11 +700,11 @@ def test_stacked_rows_equal_the_single_certificate_path(family):
                 assert metric.hex() == (-convex_report(res, f).margin).hex(), (n, key, f)
     # order 1, which verify never builds, leaves no partial sum: the margin row reads 0.0
     res = matrix_C(s, 1, 1)
-    cert = check_majorization(res.target, res.source)
+    margins, _, holds = _majorization(res.target[None], res.source, 1e-10)
     margin = certificate_checks(res)[4]
-    assert cert.partial_margins.size == 0 and cert.holds
+    assert margins[0].size == 0 and holds[0]
     assert margin.case == "n=1 C k=1 majorization-margin" and margin.passed
-    assert -margin.metric == cert.partial_margins.min(initial=0.0) == 0.0
+    assert -margin.metric == margins[0].min(initial=0.0) == 0.0
 
 
 @pytest.mark.parametrize("family", ["laguerre", "hermite"])
@@ -742,7 +741,7 @@ def test_verify_quadrature_rows_match_a_per_degree_reference(family, params):
     # degree in the last bits of the relative errors, never in a verdict
     s = classical_scheme(family, 32, **params)
     rows = {r.case: r for r in verify_scheme(s, 30)}
-    moments = [jacobi_power_moment(s, m) for m in range(60)]
+    moments = [_moments(s.coefficients(m // 2), m + 1)[m] for m in range(60)]
     for n in range(2, 31):
         rule = gauss_rule(s, n)
         nodes, weights = rule.nodes, rule.weights
@@ -860,7 +859,7 @@ def test_random_scheme_certificates(a, b, k_pick):
     for res in (matrix_A(s, n), matrix_B(s, n), matrix_C(s, n, k)):
         assert check_doubly_stochastic(res, 1e-10).ok
         assert res.relation_err <= 1e-9 * diam
-        assert check_majorization(res.target, res.source, tol=1e-9).holds
+        assert majorized(res.target, res.source, 1e-9)
 
 
 @pytest.mark.xfail(
@@ -893,7 +892,7 @@ def test_wide_random_scheme_certificates_every_k(coefficients):
         res = matrix_C(s, n, k)
         assert check_doubly_stochastic(res, 1e-10).ok, k
         assert res.relation_err <= 1e-9 * diam, k
-        assert check_majorization(res.target, res.source, tol=1e-10).holds, k
+        assert majorized(res.target, res.source, 1e-10), k
 
 
 def test_oversized_certificate_refused_before_solving(monkeypatch):
@@ -931,4 +930,4 @@ def test_majorization_from_permutation_mixtures(y, raw_w, rng):
     w /= w.sum()
     A = sum(wi * np.eye(n)[p] for wi, p in zip(w, perms))
     x = A @ y
-    assert check_majorization(x, y, tol=1e-9).holds
+    assert majorized(x, y, 1e-9)

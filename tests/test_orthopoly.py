@@ -10,14 +10,11 @@ from opmaj import (
     PolynomialOverflowError,
     christoffel_numbers_formula,
     classical_scheme,
-    eval_all,
     from_sequences,
     gauss_quadrature,
     gauss_rule,
     jacobi_matrix,
-    jacobi_power_moment,
     scheme_spectral,
-    shifted,
     spectral_spot_points,
     verify_scheme,
 )
@@ -25,7 +22,13 @@ from opmaj import (
 from opmaj.orthopoly import _christoffel, _moments, _values
 from opmaj.verification import IDENTITY_N_CAP
 
-from oracles import closed_form_moment, dense, golden_coeff_schemes
+from oracles import (
+    associated_scheme,
+    associated_spectral,
+    closed_form_moment,
+    dense,
+    golden_coeff_schemes,
+)
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -38,42 +41,44 @@ FAMILIES = [
 BOUNDED = ("chebyshev-u", "chebyshev-t", "legendre", "jacobi")
 
 
+def associated_values(scheme, k, m, points, derivatives=False):
+    """``_values`` of the order-k associated polynomials to degree m, on their own
+    table of depth m."""
+    return _values(associated_scheme(scheme, k, m).coefficients(m), m, points, derivatives)
+
+
+def moment(scheme, m):
+    """The moment of degree m from its own walk, on the table to index m // 2."""
+    return _moments(scheme.coefficients(m // 2), m + 1)[m]
+
+
 def test_eval_chebyshev_closed_form():
     # orthonormal p_n for the semicircle weight are the U_n themselves
     s = classical_scheme("chebyshev-u", 5)
-    vs = eval_all(s, 3, 0.5)
-    assert vs.values[3] == pytest.approx(-1.0, abs=1e-15)  # 8x^3 - 4x at 1/2
-    assert vs.values[0] == 1.0
-    ds = eval_all(s, 3, 0.0, derivatives=True)
-    assert ds.derivative_values[3] == pytest.approx(-4.0, abs=1e-15)  # 24x^2 - 4 at 0
-    assert ds.derivative_values[0] == 0.0
-    assert ds.derivative_values[1] == pytest.approx(1.0 / s.coefficients(1)[0][0])
+    (values,) = _values(s.coefficients(3), 3, np.array([0.5]))
+    assert values[0, 3] == pytest.approx(-1.0, abs=1e-15)  # 8x^3 - 4x at 1/2
+    assert values[0, 0] == 1.0
+    _, ders = _values(s.coefficients(3), 3, np.array([0.0]), derivatives=True)
+    assert ders[0, 3] == pytest.approx(-4.0, abs=1e-15)  # 24x^2 - 4 at 0
+    assert ders[0, 0] == 0.0
+    assert ders[0, 1] == pytest.approx(1.0 / s.coefficients(1)[0][0])
 
 
 def test_eval_normalization_any_scheme():
     s = from_sequences((2.0, 0.3), (1.0, -1.0, 4.0))
-    assert eval_all(s, 0, 123.4).values[0] == 1.0
+    assert _values(s.coefficients(0), 0, np.array([123.4]))[0][0, 0] == 1.0
 
 
 def test_eval_depth_error():
     with pytest.raises(DepthError):
-        eval_all(classical_scheme("legendre", 4), 5, 0.0)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_eval_all_refuses_a_non_finite_point_by_name(bad):
-    # bad input, not an overflow: refused before the recurrence runs
-    s = classical_scheme("legendre", 5)
-    for x in (bad, [0.5, bad, 0.25, bad], [[0.0], [bad]]):
-        with pytest.raises(ValueError, match=f"^x must be finite, got {bad}$"):
-            eval_all(s, 3, x)
+        _values(classical_scheme("legendre", 4).coefficients(5), 5, np.array([0.0]))
 
 
 def test_eval_overflow_reported():
     # tiny off-diagonals amplify each recurrence step by 1e4
     s = from_sequences((1e-4,) * 100, (0.0,) * 101)
     with pytest.raises(PolynomialOverflowError):
-        eval_all(s, 100, 1.0)
+        _values(s.coefficients(100), 100, np.array([1.0]))
 
 
 def _pointwise(scheme, n, x):
@@ -102,22 +107,24 @@ BIT_PIN_SCHEMES = [
 @pytest.mark.parametrize("scheme", BIT_PIN_SCHEMES, ids=lambda s: s.kind.value)
 @pytest.mark.parametrize("shift", [0, 1, 5])
 def test_eval_all_over_an_array_is_bit_equal_to_pointwise_calls(scheme, shift):
-    s = shifted(scheme, shift)
+    # the order-``shift`` associated polynomials: row i of a pass over many
+    # points has the bits of the pass at point i alone
+    s = associated_scheme(scheme, shift, scheme.max_index - shift)
     for n in (1, 12, 30):
+        table = s.coefficients(n)
         zeros = scheme_spectral(s, n).eigenvalues
         for points in (spectral_spot_points(s, n), zeros):
-            many = eval_all(s, n, points, derivatives=True)
-            assert many.values.shape == many.derivative_values.shape == (points.size, n + 1)
-            assert many.values.flags.c_contiguous and not many.values.flags.writeable
+            values, ders = _values(table, n, points, derivatives=True)
+            assert values.shape == ders.shape == (points.size, n + 1)
+            assert values.flags.c_contiguous and ders.flags.c_contiguous
             for i, x in enumerate(points):
-                one = eval_all(s, n, x, derivatives=True)
-                assert one.values.shape == one.derivative_values.shape == (n + 1,)
-                vals, ders = _pointwise(s, n, float(x))
-                for got in (many.values[i], one.values):
+                one_values, one_ders = _values(table, n, np.array([x]), derivatives=True)
+                vals, ders_x = _pointwise(s, n, float(x))
+                for got in (values[i], one_values[0]):
                     assert got.tobytes() == vals.tobytes()
-                for got in (many.derivative_values[i], one.derivative_values):
-                    assert got.tobytes() == ders.tobytes()
-            assert eval_all(s, n, points).derivative_values is None
+                for got in (ders[i], one_ders[0]):
+                    assert got.tobytes() == ders_x.tobytes()
+            assert len(_values(table, n, points)) == 1
 
 
 def tops(table, n, points):
@@ -130,17 +137,17 @@ def tops(table, n, points):
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_associated_tops_are_bit_equal_to_each_shifts_eval_all(family, params):
     # the identity checks evaluate shift k on the slice of one table from index
-    # k on: every degree of every shift is eval_all's for its own scheme
+    # k on: every degree of every shift is that of the pass on its own table
     s = classical_scheme(family, IDENTITY_N_CAP + 1, **params)
     offdiag, diag = table = s.coefficients(IDENTITY_N_CAP + 1)
     for n in range(2, IDENTITY_N_CAP + 1):
         points = spectral_spot_points(s, n)
         for k in range(n):
-            values = eval_all(shifted(s, k), n - k, points).values
+            values = associated_values(s, k, n - k, points)[0]
             tail = _values((offdiag[k:], diag[k:]), n - k, points)
             assert len(tail) == 1 and tail[0].tobytes() == values.tobytes(), (n, k)
         assert [top.tobytes() for top in tops(table, n, points)] == [
-            eval_all(shifted(s, k), n - k, points).values[:, n - k].tobytes()
+            associated_values(s, k, n - k, points)[0][:, n - k].tobytes()
             for k in range(2, n)
         ]
 
@@ -148,7 +155,7 @@ def test_associated_tops_are_bit_equal_to_each_shifts_eval_all(family, params):
 def test_associated_tops_raise_the_first_shifts_overflow():
     # growth about 1e4 per step at x = 1 and 2, slower for later shifts, none
     # at x = 0: at order 99 shifts 2..13 overflow, not all at the same degree;
-    # each tail pass raises what eval_all raises for its shift, so the shifts
+    # each tail pass raises what the pass on the shift's own table raises, so the shifts
     # in turn raise shift 2's, with no numpy warning
     s = from_sequences([1e-4 * 1.03**i for i in range(100)], (0.0,) * 101)
     n, points = 99, np.array([0.0, 1.0, 2.0])
@@ -158,7 +165,7 @@ def test_associated_tops_raise_the_first_shifts_overflow():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                expected = eval_all(shifted(s, k), n - k, points).values
+                expected = associated_values(s, k, n - k, points)[0]
             except PolynomialOverflowError as exc:
                 overflows.append((k, str(exc)))
                 with pytest.raises(PolynomialOverflowError) as err:
@@ -178,18 +185,19 @@ def test_associated_tops_raise_the_first_shifts_overflow():
 def test_eval_all_over_an_array_raises_the_first_pointwise_overflow():
     # growth 1e4 per step at x = 1 and faster at x = 2; x = 0 stays bounded
     s = from_sequences((1e-4,) * 100, (0.0,) * 101)
-    eval_all(s, 100, 0.0, derivatives=True)
+    table = s.coefficients(100)
+    _values(table, 100, np.array([0.0]), derivatives=True)
     for derivatives in (False, True):
         messages = []
         for x in (1.0, 2.0):
             with pytest.raises(PolynomialOverflowError) as pointwise:
-                eval_all(s, 100, x, derivatives=derivatives)
+                _values(table, 100, np.array([x]), derivatives)
             messages.append(str(pointwise.value))
         assert messages[0] != messages[1]  # x = 2 overflows at a lower degree
         assert messages[0].endswith(" (x = 1.0)")
         with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
             warnings.simplefilter("error")
-            eval_all(s, 100, np.array([0.0, 1.0, 2.0]), derivatives=derivatives)
+            _values(table, 100, np.array([0.0, 1.0, 2.0]), derivatives)
         assert str(err.value) == messages[0]
 
 
@@ -202,7 +210,7 @@ def test_christoffel_formula_raises_the_first_nodewise_error(n):
     expected = None
     for x in scheme_spectral(s, n).eigenvalues:
         try:
-            vals = eval_all(s, n - 1, x).values
+            vals = _values(s.coefficients(n - 1), n - 1, np.array([x]))[0][0]
         except PolynomialOverflowError as exc:
             expected = exc
             break
@@ -220,11 +228,11 @@ def test_christoffel_formula_raises_the_first_nodewise_error(n):
 def test_christoffel_formula_raises_a_values_overflow_by_degree():
     # a_2 = 1e-320 sends p_2 past float64 at the middle zero 0 and nowhere
     # else: there the values overflow, not only their sum, and the error
-    # names the degree, as eval_all's at that zero does
+    # names the degree, as the pass at that zero alone does
     s = from_sequences([1.0, 1e-320], [0.0, 0.0, 0.0])
     assert scheme_spectral(s, 3).eigenvalues.tolist() == [-1.0, 0.0, 1.0]
     with pytest.raises(PolynomialOverflowError) as pointwise:
-        eval_all(s, 2, 0.0)
+        _values(s.coefficients(2), 2, np.array([0.0]))
     with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
         warnings.simplefilter("error")
         christoffel_numbers_formula(s, 3)
@@ -234,10 +242,10 @@ def test_christoffel_formula_raises_a_values_overflow_by_degree():
 def test_moment_overflow_refused_by_name():
     # J_2^2 e_0 = (1e400, 0): the walk leaves float64 at its second step
     s = from_sequences((1e200, 1.0), (0.0, 0.0, 0.0))
-    assert jacobi_power_moment(s, 1) == 0.0
+    assert moment(s, 1) == 0.0
     with warnings.catch_warnings(), pytest.raises(ValueError, match="^the moment of degree 2 is"):
         warnings.simplefilter("error")
-        jacobi_power_moment(s, 2)
+        moment(s, 2)
 
 
 def test_moment_overflow_refused_at_the_first_degree_that_overflows():
@@ -247,9 +255,9 @@ def test_moment_overflow_refused_at_the_first_degree_that_overflows():
     message = "^the moment of degree 4 is not finite in float64: J_3\\^4 overflows$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert [jacobi_power_moment(s, m) for m in range(4)] == [1.0, 0.0, 1.0, 0.0]
+        assert [moment(s, m) for m in range(4)] == [1.0, 0.0, 1.0, 0.0]
         with pytest.raises(ValueError, match=message):
-            jacobi_power_moment(s, 4)
+            moment(s, 4)
         with pytest.raises(ValueError, match=message):
             verify_scheme(s, 3)
 
@@ -263,7 +271,7 @@ def test_one_walk_equals_the_walk_of_each_degree():
     # way back, so the depth of the table cannot move the bits of a moment
     for family, params in golden_coeff_schemes():
         s = classical_scheme(family, 61, **params)
-        expected = _hex(jacobi_power_moment(s, m) for m in range(60))
+        expected = _hex(moment(s, m) for m in range(60))
         assert _hex(_moments(s.coefficients(61), 60)) == expected, (family, params)
 
 
@@ -278,7 +286,7 @@ def test_one_walk_equals_the_walk_of_each_degree_random_schemes(data):
     b = data.draw(st.lists(st.tuples(magnitudes, st.sampled_from((-1.0, 1.0))),
                            min_size=depth + 1, max_size=depth + 1))
     s = from_sequences(a, [v * sign for v, sign in b])
-    expected = _hex(jacobi_power_moment(s, m) for m in range(60))
+    expected = _hex(moment(s, m) for m in range(60))
     assert _hex(_moments(s.coefficients(61), 60)) == expected
 
 
@@ -305,7 +313,7 @@ def test_moments_agree_with_a_dense_walk(family, params):
         v = np.eye(J.shape[0])[0]
         for _ in range(m):
             v = J @ v
-        assert jacobi_power_moment(s, m) == pytest.approx(v[0], rel=1e-12), m
+        assert moment(s, m) == pytest.approx(v[0], rel=1e-12), m
 
 
 def test_christoffel_formula_overflow_reported():
@@ -351,9 +359,9 @@ def test_christoffel_derivative_product(family, params):
     for n in range(1, 21):
         nodes = scheme_spectral(s, n).eigenvalues
         lam = christoffel_numbers_formula(s, n)
-        for j, x in enumerate(nodes):
-            vs = eval_all(s, n, x, derivatives=True)
-            prod = lam[j] * a[n] * vs.derivative_values[n] * vs.values[n - 1]
+        values, ders = _values(s.coefficients(n), n, nodes, derivatives=True)
+        for j in range(n):
+            prod = lam[j] * a[n] * ders[j, n] * values[j, n - 1]
             assert prod == pytest.approx(1.0, rel=1e-8)
 
 
@@ -407,7 +415,7 @@ def test_moment_oracle_against_closed_forms():
         s = classical_scheme(family, 32, **params)
         for m in range(0, 25):
             exact = closed_form_moment(family, m)
-            got = jacobi_power_moment(s, m)
+            got = moment(s, m)
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
@@ -415,7 +423,7 @@ def test_moment_oracle_against_closed_forms():
 def test_quadrature_exactness_against_moment_oracle(family, params):
     tol = 1e-10 if family in BOUNDED else 1e-8
     s = classical_scheme(family, 32, **params)
-    moments = [jacobi_power_moment(s, m) for m in range(60)]
+    moments = [moment(s, m) for m in range(60)]
     for n in range(1, 31):
         rule = gauss_rule(s, n)
         for m in range(1, 2 * n):
@@ -429,9 +437,8 @@ def test_christoffel_darboux_confluent(family, params):
     s = classical_scheme(family, 20, **params)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
-        for x in spectral_spot_points(s, max(n, 2)):
-            vs = eval_all(s, n + 1, x, derivatives=True)
-            p, dp = vs.values, vs.derivative_values
+        spots = spectral_spot_points(s, max(n, 2))
+        for p, dp in zip(*_values(s.coefficients(n + 1), n + 1, spots, derivatives=True)):
             lhs = float(np.dot(p[: n + 1], p[: n + 1]))
             rhs = a[n + 1] * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
             assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -439,15 +446,14 @@ def test_christoffel_darboux_confluent(family, params):
 
 @pytest.mark.parametrize("family,params", FAMILIES)
 def test_wronskian_of_neighbor_and_associated(family, params):
-    """a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1 with q the once-shifted
+    """a_{n+1} (p_n q_n - p_{n+1} q_{n-1}) = a_1 with q the order-1 associated
     polynomials, checked against the scale of the two products."""
     s = classical_scheme(family, 20, **params)
-    sh = shifted(s, 1)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
-        for x in spectral_spot_points(s, max(n, 2)):
-            p = eval_all(s, n + 1, x).values
-            q = eval_all(sh, n, x).values
+        spots = spectral_spot_points(s, max(n, 2))
+        p_all = _values(s.coefficients(n + 1), n + 1, spots)[0]
+        for p, q in zip(p_all, associated_values(s, 1, n, spots)[0]):
             t1 = a[n + 1] * p[n] * q[n]
             t2 = a[n + 1] * p[n + 1] * q[n - 1]
             scale = abs(t1) + abs(t2) + a[1]
@@ -459,14 +465,15 @@ def test_associated_factorization(family, params):
     """a_1 p^(k)_{n-k} = a_k (p_{k-1} q_{n-1} - p_n q_{k-2}) for
     2 <= k <= n-1, checked against the scale of the products."""
     s = classical_scheme(family, 20, **params)
-    sh = shifted(s, 1)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(3, 16):
-        for x in spectral_spot_points(s, n):
-            p = eval_all(s, n, x).values
-            q = eval_all(sh, n - 1, x).values
+        spots = spectral_spot_points(s, n)
+        p_all = _values(s.coefficients(n), n, spots)[0]
+        q_all = associated_values(s, 1, n - 1, spots)[0]
+        r_all = {k: associated_values(s, k, n - k, spots)[0] for k in range(2, n)}
+        for i, (p, q) in enumerate(zip(p_all, q_all)):
             for k in range(2, n):
-                r = eval_all(shifted(s, k), n - k, x).values
+                r = r_all[k][i]
                 lhs = a[1] * r[n - k]
                 u1 = a[k] * p[k - 1] * q[n - 1]
                 u2 = a[k] * p[n] * q[k - 2]
@@ -475,18 +482,18 @@ def test_associated_factorization(family, params):
 
 def test_associated_spectral_examples():
     s = classical_scheme("chebyshev-u", 5)
-    sd = scheme_spectral(shifted(s, 1), 2)
+    sd = associated_spectral(s, 1, 2)
     assert sd.eigenvalues == pytest.approx([-0.5, 0.5], abs=1e-15)
     assert sd.christoffel == pytest.approx([0.5, 0.5], abs=1e-15)
     lg = classical_scheme("laguerre", 3, alpha=0.0)
-    assert scheme_spectral(shifted(lg, 1), 1).eigenvalues == pytest.approx([3.0])
+    assert associated_spectral(lg, 1, 1).eigenvalues == pytest.approx([3.0])
 
 
 def test_associated_spectral_depth():
     s = classical_scheme("legendre", 5)
-    scheme_spectral(shifted(s, 2), 4)
+    associated_spectral(s, 2, 4)
     with pytest.raises(DepthError):
-        scheme_spectral(shifted(s, 2), 5)
+        associated_spectral(s, 2, 5)
 
 
 def test_spot_points_deterministic_and_inside():

@@ -1,19 +1,16 @@
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opmaj import (
-    DepthError, Family, RecurrenceScheme, christoffel_numbers_formula, classical_scheme, eval_all,
-    from_sequences, jacobi_matrix, matrix_C, scheme_spectral, shifted, verify_scheme,
+    DepthError, Family, RecurrenceScheme, christoffel_numbers_formula, classical_scheme,
+    from_sequences, jacobi_matrix, matrix_C, scheme_spectral, verify_scheme,
 )
 
-from oracles import golden_coeff_schemes, mp_coefficient_integrals
+from oracles import associated_scheme, mp_coefficient_integrals
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -91,18 +88,18 @@ def test_parameter_validation():
     ],
 )
 def test_single_coefficients_bit_equal_to_table(family, params):
-    # one coefficient read alone, as the shortest table of a shifted scheme,
-    # has the bits of the table's entry
+    # the newest coefficients of a table of each depth, down to a_1 and b_0
+    # alone, have the bits of the longest table's entries: every slice that
+    # verify and matrix_C take of a deeper table reads them
     base = classical_scheme(family, 305, **params)
-    for k in (0, 1, 5):
-        s = shifted(base, k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            a, b = s.coefficients(300)
-            single_a = [shifted(s, i - 1).coefficients(1)[0][0] for i in range(1, 301)]
-            single_b = [shifted(s, i).coefficients(0)[1][0] for i in range(301)]
-        assert np.array(single_a).tobytes() == a.tobytes(), k
-        assert np.array(single_b).tobytes() == b.tobytes(), k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = base.coefficients(300)
+        tables = [base.coefficients(m) for m in range(301)]
+    single_a = [offdiag[-1] for offdiag, _ in tables[1:]]
+    single_b = [diag[-1] for _, diag in tables]
+    assert np.array(single_a).tobytes() == a.tobytes()
+    assert np.array(single_b).tobytes() == b.tobytes()
 
 
 def test_overflow_refused_by_the_table_that_reaches_it():
@@ -124,8 +121,6 @@ def test_depth_errors():
         s.coefficients(4)
     with pytest.raises(DepthError):
         s.coefficients(-1)
-    with pytest.raises(DepthError):
-        shifted(s, 1).coefficients(3)
     assert s.coefficients(0)[1].tolist() == [0.0]
 
 
@@ -175,7 +170,6 @@ def test_a_directly_built_custom_table_is_refused_where_it_is_built(a_seq, b_seq
     s = RecurrenceScheme(kind=Family.CUSTOM, max_index=4, a_seq=a_seq, b_seq=b_seq)
     paths = {
         "coefficients": lambda: s.coefficients(4),
-        "eval_all": lambda: eval_all(s, 4, 0.3),
         "scheme_spectral": lambda: scheme_spectral(s, 4),
         "matrix_C": lambda: matrix_C(s, 4, 2),
         "verify_scheme": lambda: verify_scheme(s, 4),
@@ -195,50 +189,17 @@ def test_from_sequences_trace():
 
 
 def test_shifted_constant_sequences_invariant():
-    s = classical_scheme("chebyshev-u", 10)
-    t = shifted(s, 1)
+    # the order-1 associated polynomials of chebyshev-u are its own polynomials
+    t = associated_scheme(classical_scheme("chebyshev-u", 10), 1, 9)
     assert t.max_index == 9
     a, b = t.coefficients(9)
     assert a.tolist() == [0.5] * 9 and b.tolist() == [0.0] * 10
 
 
-def test_shifted_zero_is_identity():
-    s = classical_scheme("legendre", 5)
-    assert shifted(s, 0) is s
-
-
 def test_shifted_laguerre():
-    a, b = shifted(classical_scheme("laguerre", 5, alpha=0.0), 1).coefficients(1)
+    a, b = associated_scheme(classical_scheme("laguerre", 5, alpha=0.0), 1, 1).coefficients(1)
     assert b[0] == 3.0
     assert a[0] == pytest.approx(2.0)
-
-
-def test_shifted_beyond_depth():
-    s = classical_scheme("legendre", 3)
-    with pytest.raises(DepthError):
-        shifted(s, 4)
-
-
-coeff_lists = st.lists(
-    st.floats(min_value=0.05, max_value=10.0, allow_nan=False), min_size=3, max_size=9
-)
-
-
-@given(coeff_lists, st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
-@settings(max_examples=50, deadline=None)
-def test_shifted_composes(a, j, k):
-    b = [0.0] * (len(a) + 1)
-    s = from_sequences(a, b)
-    if j + k > s.max_index:
-        return
-    lhs = shifted(shifted(s, j), k)
-    rhs = shifted(s, j + k)
-    assert lhs.max_index == rhs.max_index
-    table_a, table_b = lhs.coefficients(lhs.max_index)
-    other_a, other_b = rhs.coefficients(rhs.max_index)
-    assert table_a.tobytes() == other_a.tobytes() and table_b.tobytes() == other_b.tobytes()
-    assert table_a.tolist() == a[j + k :]
-    assert table_b.tolist() == b[j + k :]
 
 
 @pytest.mark.parametrize(
@@ -247,48 +208,22 @@ def test_shifted_composes(a, j, k):
 )
 def test_coefficients_table_shifts_and_depth(family, params):
     # alpha + beta = 0 or -1 makes the general Jacobi form 0/0 at b_0 or a_1.
-    # The table of shifted(s, k) is the slice [k:] of any longer table of s,
+    # The tail from index k of a table is the slice [k:] of any longer table,
     # bit for bit: matrix_C slices the associated block out of J_n's table.
-    s = classical_scheme(family, 305, **params)
+    s = classical_scheme(family, 1100, **params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         longest_a, longest_b = s.coefficients(s.max_index)
-        for k in (0, 1, 5):
-            t = shifted(s, k)
-            for m in (0, 1, 7, 30, 300, t.max_index):
-                a, b = t.coefficients(m)
-                assert a.shape == (m,) and b.shape == (m + 1,)
-                full_a, full_b = s.coefficients(k + m)
-                assert a.tobytes() == full_a[k:].tobytes(), (k, m)
-                assert b.tobytes() == full_b[k:].tobytes(), (k, m)
-                assert a.tobytes() == longest_a[k : k + m].tobytes(), (k, m)
-                assert b.tobytes() == longest_b[k : k + m + 1].tobytes(), (k, m)
-            with pytest.raises(DepthError):
-                t.coefficients(t.max_index + 1)
-
-
-def test_shifted_table_evaluates_its_own_indices_only():
-    # a classical table is evaluated at indices shift..shift + m alone, so that
-    # its cost does not grow with the shift (the base table up to index
-    # 10^6 + 3 would take 16 MB), and it is the tail of the base table, bit for bit
-    s = shifted(classical_scheme("legendre", 10**6 + 10), 10**6)
-    s.coefficients(3)  # one-time costs out of the count
-    tracemalloc.start()
-    try:
-        a, b = s.coefficients(3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (a.size, b.size) == (3, 4) and peak < 64 * 1024, peak
-    for family, params in golden_coeff_schemes():
-        base = classical_scheme(family, 1100, **params)
-        full_a, full_b = base.coefficients(1100)
-        for k in (1, 5, 1000):
-            t = shifted(base, k)
-            for m in (0, 1, 7, t.max_index):
-                a, b = t.coefficients(m)
-                assert a.tobytes() == full_a[k : k + m].tobytes(), (family, params, k, m)
-                assert b.tobytes() == full_b[k : k + m + 1].tobytes(), (family, params, k, m)
+        for k in (0, 1, 5, 1000):
+            for m in (0, 1, 7, 30, 300, s.max_index - k):
+                if k + m > s.max_index:
+                    continue
+                a, b = s.coefficients(k + m)
+                assert a.shape == (k + m,) and b.shape == (k + m + 1,)
+                assert a[k:].tobytes() == longest_a[k : k + m].tobytes(), (k, m)
+                assert b[k:].tobytes() == longest_b[k : k + m + 1].tobytes(), (k, m)
+        with pytest.raises(DepthError):
+            s.coefficients(s.max_index + 1)
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)

@@ -11,19 +11,20 @@ from opmaj import (
     DepthError,
     RecurrenceScheme,
     classical_scheme,
-    eval_all,
     from_sequences,
     gauss_rule,
     jacobi_matrix,
     matrix_C,
     scheme_spectral,
-    shifted,
     spectra,
     verify_scheme,
 )
 
+from opmaj.orthopoly import _values
+
 from oracles import (
-    block_decompose, chebyshev_u_weights, chebyshev_u_zeros, comp_sq, delete_row_col, dense
+    associated_spectral, block_decompose, chebyshev_u_weights, chebyshev_u_zeros, comp_sq,
+    delete_row_col, dense,
 )
 
 
@@ -141,7 +142,7 @@ def test_delete_row_col_spectrum_matches_dense_deletion(family, params, k):
 
 
 def test_delete_row_col_blocks_match_scheme_views():
-    # the trailing block is the Jacobi matrix of the k-shifted scheme
+    # the trailing block is the Jacobi matrix of the order-k associated scheme
     s = classical_scheme("jacobi", 9, alpha=2.0, beta=0.5)
     J = jacobi_matrix(s, 8)
     for k in (2, 3, 7):
@@ -150,7 +151,7 @@ def test_delete_row_col_blocks_match_scheme_views():
             scheme_spectral(s, k - 1).eigenvalues, abs=1e-13
         )
         assert stev(bottom).eigenvalues == pytest.approx(
-            scheme_spectral(shifted(s, k), 8 - k).eigenvalues, abs=1e-13
+            associated_spectral(s, k, 8 - k).eigenvalues, abs=1e-13
         )
 
 
@@ -219,8 +220,7 @@ def test_comp_sq_equals_weight_times_squared_polynomials(family, params):
     s = classical_scheme(family, 15, **params)
     for n in (2, 6, 12):
         sd = scheme_spectral(s, n)
-        for j, x in enumerate(sd.eigenvalues):
-            vals = eval_all(s, n - 1, x).values
+        for j, vals in enumerate(_values(s.coefficients(n - 1), n - 1, sd.eigenvalues)[0]):
             lam = 1.0 / float(np.dot(vals, vals))
             assert comp_sq(sd)[:, j] == pytest.approx(lam * vals**2, rel=1e-8, abs=1e-13)
             assert sd.christoffel[j] == pytest.approx(lam, rel=1e-8)
@@ -375,8 +375,9 @@ def test_eigenpair_residual_via_polynomial_vector(family, params):
         sd = scheme_spectral(s, n)
         diameter = sd.eigenvalues[-1] - sd.eigenvalues[0]
         matrix = dense(J)
+        values = _values(s.coefficients(n - 1), n - 1, sd.eigenvalues)[0]
         for j, x in enumerate(sd.eigenvalues):
-            signs = np.sign(eval_all(s, n - 1, x).values)
+            signs = np.sign(values[j])
             v = np.sqrt(comp_sq(sd)[:, j]) * signs
             res = np.max(np.abs(matrix @ v - x * v))
             assert res <= 1e-12 * diameter
