@@ -146,7 +146,9 @@ def _product(u, hi, lo):
 
 def _parity(two_f, hi, lo, beta):
     """(parity, integer): of y = two_f * c / 2**(128 - beta), the lowest bit of its
-    integer part and whether it is an integer (Dragonbox's compute_mul_parity)."""
+    integer part, and whether the top 64 bits of its fraction (bits 64 - beta ..
+    127 - beta of the product, which ``two_f * lo`` reaches) are zero, the window
+    Dragonbox's compute_mul_parity reads as "y is an integer"."""
     _, w = _product(two_f, hi, lo)
     low = two_f * lo
     parity = (w >> (_U(64) - beta)) & _U(1) == 1

@@ -27,20 +27,15 @@ from itertools import groupby
 
 import numpy as np
 
-from .majorization import CONVEX_FUNCTIONS, convex_report, matrix_A, matrix_B, matrix_C
-from .orthopoly import DEFAULT_SEED, PolynomialOverflowError, gauss_quadrature, gauss_rule
+from .majorization import CONVEX_FUNCTIONS, _convex_sums, matrix_A, matrix_B, matrix_C
+from .orthopoly import PolynomialOverflowError, gauss_quadrature, gauss_rule
 from .recurrence import Family, RecurrenceScheme, classical_scheme, from_sequences
 from .spectra import ConvergenceError, scheme_spectral
-from .verification import CheckResult, Tolerances, certificate_checks, verify_scheme
+from .verification import DEFAULT_SEED, CheckResult, Tolerances, certificate_checks, verify_scheme
 
-__all__ = ["UsageError", "load_custom_scheme", "main"]
+__all__ = ["load_custom_scheme", "main"]
 
 FAMILY_CHOICES = [f.value for f in Family if f is not Family.CUSTOM]
-
-
-class UsageError(ValueError):
-    """Invalid flags, an unreadable or malformed input file, or an output that
-    cannot be written (exit code 2)."""
 
 
 def load_custom_scheme(path: str) -> RecurrenceScheme:
@@ -49,20 +44,20 @@ def load_custom_scheme(path: str) -> RecurrenceScheme:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad syntax or bytes, huge int, deep nesting
-        raise UsageError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict) or "a" not in data or "b" not in data:
-        raise UsageError(f'{path}: expected a JSON object with keys "a" and "b"')
+        raise ValueError(f'{path}: expected a JSON object with keys "a" and "b"')
     a, b = data["a"], data["b"]
     if not isinstance(a, list) or not isinstance(b, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in a + b
     ):
-        raise UsageError(f'{path}: "a" and "b" must be arrays of numbers')
+        raise ValueError(f'{path}: "a" and "b" must be arrays of numbers')
     try:
         return from_sequences(a, b)
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _build_scheme(args: argparse.Namespace, depth: int) -> tuple[RecurrenceScheme, str, dict]:
@@ -72,8 +67,10 @@ def _build_scheme(args: argparse.Namespace, depth: int) -> tuple[RecurrenceSchem
     has the depth of its file, and the library refuses orders beyond it.
     """
     if (args.family is None) == (args.custom is None):
-        raise UsageError("exactly one of --family or --custom is required")
+        raise ValueError("exactly one of --family or --custom is required")
     if args.custom is not None:
+        if args.alpha is not None or args.beta is not None:
+            raise ValueError("custom takes no shape parameters")
         return load_custom_scheme(args.custom), "custom", {"source_file": args.custom}
     scheme = classical_scheme(args.family, max(depth, 1), alpha=args.alpha, beta=args.beta)
     return scheme, args.family, dict(zip(("alpha", "beta"), scheme.params))
@@ -115,13 +112,13 @@ def _emit(pieces: list, out: str | None) -> None:
             raise
         except OSError as exc:  # stdout refused the bytes, as /dev/full does
             _detach_stdout()
-            raise UsageError(f"cannot write stdout: {exc}") from exc
+            raise ValueError(f"cannot write stdout: {exc}") from exc
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(_chunks(pieces))
         except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _chunks(pieces: list):
@@ -226,9 +223,9 @@ def _underflow_notes(underflowed: list) -> list[str]:
 
 def _cmd_matrix(args: argparse.Namespace) -> tuple:
     if args.theorem == "C" and args.k is None:
-        raise UsageError("--k is required for theorem C")
+        raise ValueError("--k is required for theorem C")
     if args.theorem != "C" and args.k is not None:
-        raise UsageError("--k is only valid with --theorem C")
+        raise ValueError("--k is only valid with --theorem C")
     tol = _tolerances(args)  # before anything is solved
     scheme, family, params = _build_scheme(args, args.n)
     if args.theorem == "A":
@@ -247,6 +244,7 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple:
         return None, result.entries, notes, 1 if failures else 0
     check = {r.case.rpartition(" ")[2]: r for r in checks}
     margin, total = check["majorization-margin"], check["majorization-total"]
+    sums = {f: _convex_sums(result.target[None], result.source, f) for f in CONVEX_FUNCTIONS}
     payload = {
         "theorem": result.theorem,
         "family": family,
@@ -260,9 +258,7 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple:
         "col_sum_max_err": result.col_sum_err,
         "relation_max_err": result.relation_err,
         "majorization": {"holds": margin.passed and total.passed, "min_margin": -margin.metric},
-        "convex": [
-            {"f": f, "margin": convex_report(result, f).margin} for f in CONVEX_FUNCTIONS
-        ],
+        "convex": [{"f": f, "margin": float(rhs - lhs[0])} for f, (lhs, rhs) in sums.items()],
     }
     return payload, None, notes, 1 if failures else 0
 
@@ -298,14 +294,14 @@ def _cmd_quad(args: argparse.Namespace) -> tuple:
         try:
             coeffs = np.array([float(c) for c in args.coeffs.split(",")])
         except ValueError as exc:
-            raise UsageError(f"--coeffs must be comma-separated numbers: {exc}") from exc
+            raise ValueError(f"--coeffs must be comma-separated numbers: {exc}") from exc
         if not np.isfinite(coeffs).all():
-            raise UsageError(f"--coeffs must be finite numbers, got {coeffs.tolist()}")
+            raise ValueError(f"--coeffs must be finite numbers, got {coeffs.tolist()}")
     if (args.degree is None) == (args.coeffs is None):
-        raise UsageError("quad needs exactly one of --degree or --coeffs")
+        raise ValueError("quad needs exactly one of --degree or --coeffs")
     scheme, family, params = _build_scheme(args, args.n)
     if args.degree is not None and args.degree < 0:  # before the rule is solved
-        raise UsageError("--degree must be nonnegative")
+        raise ValueError("--degree must be nonnegative")
     rule = gauss_rule(scheme, args.n)
     if args.degree is not None:
         value = gauss_quadrature(rule, lambda x: x**args.degree)

@@ -45,10 +45,7 @@ import numpy as np
 from .recurrence import RecurrenceScheme
 from .spectra import _block_decompose, frozen, refuse_beyond_memory, scheme_spectral
 
-__all__ = [
-    "StochasticMatrixResult", "ConvexReport", "CONVEX_FUNCTIONS",
-    "matrix_A", "matrix_B", "matrix_C", "convex_report",
-]
+__all__ = ["StochasticMatrixResult", "CONVEX_FUNCTIONS", "matrix_A", "matrix_B", "matrix_C"]
 
 CONVEX_FUNCTIONS = {
     "square": np.square,
@@ -81,18 +78,6 @@ class StochasticMatrixResult:
     def underflowed(self) -> np.ndarray:
         """(row, column) pairs of the entries below the smallest normal double."""
         return np.argwhere(self.entries < np.finfo(float).tiny)
-
-
-@dataclass(frozen=True)
-class ConvexReport:
-    """Sums of a convex function over target (lhs) and source (rhs)."""
-
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
 
 
 def matrix_A(scheme: RecurrenceScheme, n: int) -> StochasticMatrixResult:
@@ -223,22 +208,15 @@ def _majorization(xs, y, tol: float):
     return margins, residual, holds
 
 
-def convex_report(result: StochasticMatrixResult, f: str = "square") -> ConvexReport:
-    """Compare sums of a convex function over target and source zeros.
+def _convex_sums(targets, source, f: str):
+    """Sums of the convex function ``CONVEX_FUNCTIONS[f]`` over each row of the stack
+    ``targets`` (lhs) and over ``source`` (rhs).
 
     The stochastic relation makes each target point a convex combination of
-    the source zeros, so the margin rhs - lhs is nonnegative up to rounding
-    for any convex f.  A sum that float64 cannot hold (exp past zeros of
-    about 709.78) raises ValueError instead of making the margin NaN.
+    the source zeros, so each margin rhs - lhs is nonnegative up to rounding.
+    A sum that float64 cannot hold (exp past zeros of about 709.78) raises
+    ValueError instead of making the margin NaN.
     """
-    lhs, rhs = _convex_sums(result.target[None], result.source, f)
-    return ConvexReport(float(lhs[0]), float(rhs))
-
-
-def _convex_sums(targets, source, f: str):
-    """``convex_report``'s sums for each row of the stack ``targets``, and its refusals."""
-    if f not in CONVEX_FUNCTIONS:
-        raise ValueError(f"f must be one of {tuple(CONVEX_FUNCTIONS)}, got {f!r}")
     with np.errstate(over="ignore"):  # reported below, not warned
         lhs = CONVEX_FUNCTIONS[f](targets).sum(axis=1)
         rhs = CONVEX_FUNCTIONS[f](source).sum()

@@ -18,10 +18,8 @@ from .spectra import scheme_spectral
 
 __all__ = [
     "QuadratureRule", "PolynomialOverflowError", "christoffel_numbers_formula",
-    "gauss_rule", "gauss_quadrature", "spectral_spot_points", "DEFAULT_SEED",
+    "gauss_rule", "gauss_quadrature",
 ]
-
-DEFAULT_SEED = 12345
 
 
 class PolynomialOverflowError(ArithmeticError):
@@ -148,11 +146,3 @@ def _moments(table, count: int) -> list[float]:
                                  f"J_{m // 2 + 1}^{m} overflows")
             out.append(float(v[0]))
     return out
-
-
-def spectral_spot_points(scheme: RecurrenceScheme, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Deterministic sample of 20 points inside the spectral interval of J_n."""
-    sd = scheme_spectral(scheme, n)
-    rng = np.random.default_rng(seed)
-    lo, hi = sd.eigenvalues[0], sd.eigenvalues[-1]
-    return lo + (hi - lo) * rng.random(20)

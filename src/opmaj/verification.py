@@ -17,13 +17,13 @@ import numpy as np
 from .majorization import (
     CONVEX_FUNCTIONS, _certificate_table, _convex_sums, _majorization, _matrix_C
 )
-from .orthopoly import (
-    DEFAULT_SEED, PolynomialOverflowError, _christoffel, _moments, _values, spectral_spot_points,
-)
+from .orthopoly import PolynomialOverflowError, _christoffel, _moments, _values
 from .recurrence import RecurrenceScheme
 from .spectra import refuse_beyond_memory, scheme_spectral
 
-__all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme"]
+__all__ = ["Tolerances", "CheckResult", "certificate_checks", "verify_scheme", "DEFAULT_SEED"]
+
+DEFAULT_SEED = 12345  # of the identity checks' spot points
 
 # highest orders that get the polynomial-identity and quadrature checks
 IDENTITY_N_CAP = 15
@@ -200,7 +200,8 @@ def _order_checks(out: list, scheme, n: int, table, leads: dict, tol, trace_limi
     for name, metrics in (("A", [trace[-1]] * n), ("B", [trace[0]] * n), ("C", trace)):
         out += _rows([f"n={n} k={k} trace-{name}" for k in range(1, n + 1)], metrics, trace_limit)
     if n <= IDENTITY_N_CAP and n + 1 <= scheme.max_index:
-        points = spectral_spot_points(scheme, n, seed=seed)
+        # 20 seeded points inside the spectral interval of J_n
+        points = source[0] + (source[-1] - source[0]) * np.random.default_rng(seed).random(20)
         _identity_checks(out, n, table, points, source, entries[n - 1], entries[0])
     if 2 * n <= len(moments):  # B's last row is the Gauss rule's weights
         _quadrature_checks(out, n, source, entries[0, n - 1], moments)
@@ -236,7 +237,7 @@ def verify_scheme(
     stack and leading blocks (about 32 n_max^3 / 3 bytes) exceed physical memory,
     one whose table overflows float64, or a negative seed, raises ValueError
     before any eigensolve, and a convex margin or quadrature power sum that
-    float64 cannot hold raises it as ``convex_report`` does, as does a moment;
+    float64 cannot hold raises it, as does a moment;
     recurrence and identity overflows raise PolynomialOverflowError, with no numpy warning.
     """
     if n_max < 2:

@@ -5,7 +5,8 @@ construction code paths: polynomial values come from a local recurrence
 loop, Christoffel numbers from local reciprocal sums, stochastic-matrix
 entries from row-normalized quotients, measure moments from closed forms or
 high-precision quadrature of the classical weight functions.  The
-schemes of the ``coeffs`` golden digest are read from its script.  The
+schemes of the ``coeffs`` golden digest are read from its script, and
+verify's seeded spot points are drawn again by its rule.  The
 reference helpers at the end (row/column deletion of a Jacobi matrix, its
 dense copy, the squared eigenvector components, a recomputing doubly-stochastic check, the
 library's deletion-block solve applied to a whole Jacobi matrix, and the
@@ -25,6 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from opmaj import (
+    DEFAULT_SEED,
     StochasticMatrixResult,
     from_sequences,
     jacobi_matrix,
@@ -65,6 +67,13 @@ def associated_spectral(scheme, k, m):
     """Spectral data of the order-k associated scheme's order-m Jacobi matrix (the
     zeros of the associated polynomial), read from the library's cache."""
     return scheme_spectral(associated_scheme(scheme, k, m - 1), m)
+
+
+def spot_points(scheme, n, seed=DEFAULT_SEED):
+    """The 20 points verify's identity checks draw with ``seed`` inside the spectral
+    interval [x_1, x_n] of p_n's zeros, by the same rule."""
+    x = scheme_spectral(scheme, n).eigenvalues
+    return x[0] + (x[-1] - x[0]) * np.random.default_rng(seed).random(20)
 
 
 def min_target_gap(scheme, n, k) -> float:

@@ -21,9 +21,8 @@ from hypothesis.extra import numpy as hnp
 from opmaj import classical_scheme, cli, gauss_rule, matrix_A, matrix_B, matrix_C, spectra
 from opmaj.cli import _json, main
 from opmaj.majorization import _majorization
-from opmaj.orthopoly import DEFAULT_SEED
 from opmaj.recurrence import RecurrenceScheme
-from opmaj.verification import CheckResult, verify_scheme
+from opmaj.verification import DEFAULT_SEED, CheckResult, verify_scheme
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +127,22 @@ def test_family_custom_exclusive(capsys, tmp_path):
         capsys, "zeros", "--n", "2", "--family", "legendre", "--custom", str(path)
     )
     assert code == 2
+
+
+def test_custom_scheme_refuses_shape_flags_before_reading_its_file(capsys, tmp_path):
+    # a classical family without shape parameters refuses them, and so does
+    # --custom, before its file is read: a missing file gets the same refusal
+    path = tmp_path / "c.json"
+    path.write_text('{"a": [1.0], "b": [0.0, 0.0]}')
+    refusal = (2, "", "opmaj: error: custom takes no shape parameters\n")
+    for file in (path, tmp_path / "missing.json"):
+        for flags in (["--alpha", "1"], ["--beta", "1"], ["--alpha=-0.5", "--beta", "2"]):
+            argv = ("matrix", "--custom", str(file), "--n", "2", "--theorem", "A", *flags)
+            assert run_cli(capsys, *argv) == refusal, argv
+    assert run_cli(capsys, "matrix", "--custom", str(path), "--n", "2", "--theorem", "A")[0] == 0
+    assert run_cli(capsys, "zeros", "--family", "legendre", "--n", "2", "--alpha", "1") == (
+        2, "", "opmaj: error: legendre takes no shape parameters\n"
+    )
 
 
 def test_custom_scheme_zeros(capsys, tmp_path):
@@ -288,8 +303,9 @@ def test_every_public_name_is_read_by_a_path_of_the_project():
     # __all__ strings and its own def are not reads.  Scripts and tests do not
     # count: a name only they read belongs with them.  The one exception is
     # christoffel_numbers_formula, the paper's explicit formula for the
-    # Christoffel numbers, kept to be compared with the eigenvector route
-    import opmaj
+    # Christoffel numbers, kept to be compared with the eigenvector route.
+    # The CLI's own public names are held to the same rule
+    import opmaj.cli
 
     root = Path(__file__).resolve().parents[1]
     files = [p for p in sorted((root / "src/opmaj").glob("*.py")) if p.name != "__init__.py"]
@@ -304,7 +320,8 @@ def test_every_public_name_is_read_by_a_path_of_the_project():
                 read.add(node.attr)
             elif outside and isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    assert [name for name in opmaj.__all__ if name not in read] == []
+    public = [*opmaj.__all__, *opmaj.cli.__all__]
+    assert [name for name in public if name not in read] == []
 
 
 def test_every_opmaj_name_the_benchmark_and_the_scripts_read_resolves():

@@ -164,6 +164,46 @@ def test_integer_logs_are_exact_and_beta_fits_the_limb_products():
         assert 0 <= e + _floatrepr._floor_log2_pow10(-minus_k) <= 10, e
 
 
+def parity_reference(two_f: int, c: int, beta: int) -> tuple[bool, bool]:
+    """Dragonbox's compute_mul_parity on Python ints: of the 192-bit product
+    two_f * c, bit 128 - beta (the parity of y = two_f * c / 2**(128 - beta)) and
+    whether its 64 bits 64 - beta .. 127 - beta, the top of y's fraction, are zero."""
+    product = two_f * c
+    return bool(product >> (128 - beta) & 1), (product >> (64 - beta)) % 2**64 == 0
+
+
+def test_parity_reads_the_fraction_window_of_both_limb_products():
+    # seeded random inputs, then crafted ones (odd two_f, c solved modulo
+    # 2**(128 - beta)) whose window is zero in bits 64..127 - beta and set,
+    # or not, only in bits 64 - beta..63, which the low product two_f * lo holds
+    rng = np.random.default_rng(20261021)
+    cases = []
+    for _ in range(2000):
+        two_f = int(rng.integers(0, 2**63, dtype=np.uint64))
+        c = int(rng.integers(0, 2**64, dtype=np.uint64)) << 64
+        cases.append((two_f, c | int(rng.integers(0, 2**64, dtype=np.uint64)),
+                      int(rng.integers(1, 10))))
+    for _ in range(2000):
+        two_f = int(rng.integers(0, 2**62, dtype=np.uint64)) * 2 + 1
+        beta = int(rng.integers(1, 10))
+        low = int(rng.integers(0, 2**(64 - beta), dtype=np.uint64))
+        window = int(rng.integers(0, 2**beta)) << (64 - beta)  # 0 in one case of 2**beta
+        top = int(rng.integers(0, 2**beta)) << (128 - beta)
+        c = (window | low) * pow(two_f, -1, 2 ** (128 - beta)) % 2 ** (128 - beta) | top
+        assert (two_f * c) % 2 ** (128 - beta) == window | low
+        cases.append((two_f, c, beta))
+    two_f, c, beta = zip(*cases)
+    parity, integer = _floatrepr._parity(
+        np.array(two_f, dtype=np.uint64), np.array([v >> 64 for v in c], dtype=np.uint64),
+        np.array([v % 2**64 for v in c], dtype=np.uint64), np.array(beta, dtype=np.uint64),
+    )
+    expected = [parity_reference(*case) for case in cases]
+    assert list(zip(parity.tolist(), integer.tolist())) == expected
+    # both verdicts of each kind occur, and the low product decides some
+    assert set(expected) == {(p, i) for p in (False, True) for i in (False, True)}
+    assert sum(i for _, i in expected[2000:]) > 100
+
+
 def digit_path(v: float) -> str:
     """The branch of the digit step that the double v > 0 takes, from exact integers:
     'shorter', 'excluded' (the right end of an odd significand), 'big' (the larger

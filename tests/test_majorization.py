@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import re
 import tracemalloc
@@ -20,7 +21,6 @@ from opmaj import (
     certificate_checks,
     christoffel_numbers_formula,
     classical_scheme,
-    convex_report,
     from_sequences,
     gauss_rule,
     jacobi_matrix,
@@ -35,7 +35,8 @@ from opmaj import (
     verify_scheme,
 )
 
-from opmaj.majorization import _majorization
+from opmaj.cli import main
+from opmaj.majorization import _convex_sums, _majorization
 from opmaj.orthopoly import _moments, _values
 
 from oracles import (
@@ -285,25 +286,34 @@ def test_check_majorization_examples():
     assert margins[0][0] == pytest.approx(-1.0)
 
 
-def test_convex_report_examples(chebyshev):
-    rep = convex_report(matrix_A(chebyshev, 3), "square")
-    assert rep.lhs == pytest.approx(0.5, abs=1e-12)
-    assert rep.rhs == pytest.approx(1.0, abs=1e-12)
-    assert rep.margin == pytest.approx(0.5, abs=1e-12)
-    exp_rep = convex_report(matrix_C(classical_scheme("legendre", 6), 5, 3), "exp")
-    assert exp_rep.margin >= 0.0
-    with pytest.raises(ValueError):
-        convex_report(matrix_A(chebyshev, 3), "cube")
+def convex_margin(res, f):
+    """rhs - lhs of the convex sums of f over one certificate's source and target."""
+    lhs, rhs = _convex_sums(res.target[None], res.source, f)
+    return float(rhs - lhs[0])
+
+
+def test_convex_margin_examples(chebyshev):
+    res = matrix_A(chebyshev, 3)
+    lhs, rhs = _convex_sums(res.target[None], res.source, "square")
+    assert lhs[0] == pytest.approx(0.5, abs=1e-12)
+    assert rhs == pytest.approx(1.0, abs=1e-12)
+    assert convex_margin(res, "square") == pytest.approx(0.5, abs=1e-12)
+    assert convex_margin(matrix_C(classical_scheme("legendre", 6), 5, 3), "exp") >= 0.0
 
 
 @pytest.mark.filterwarnings("error")
-def test_convex_exp_overflow_refused_without_warning():
+def test_convex_exp_overflow_refused_without_warning(capsys):
     # the largest zero of laguerre p_200 is 767.8, past exp's float64 range:
-    # the margin is refused by name instead of coming out NaN with a warning
-    res = matrix_A(classical_scheme("laguerre", 200), 200)
-    with pytest.raises(ValueError, match=r"convex-exp margin .* \|x\| = 767\.81469"):
-        convex_report(res, "exp")
-    assert np.isfinite(convex_report(res, "square").margin)
+    # the matrix payload's margin is refused by name instead of coming out NaN
+    # with a warning, while the square sums of the same certificate are finite
+    assert main(["matrix", "--family", "laguerre", "--n", "200", "--theorem", "A"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "opmaj: error: the convex-exp margin is not finite in float64: "
+        "exp overflows over zeros up to |x| = 767.8146922967127\n"
+    )
+    assert np.isfinite(convex_margin(matrix_A(classical_scheme("laguerre", 200), 200), "square"))
 
 
 @pytest.mark.parametrize("family,params", FAMILIES)
@@ -320,10 +330,10 @@ def test_majorization_and_convexity_sweep(family, params):
         b_scale = 1.0 + sum(map(abs, b[:n]))
         for res in (matrix_A(s, n), matrix_B(s, n), matrix_C(s, n, max(n // 2, 1))):
             assert majorized(res.target, res.source, 1e-10)
-            assert convex_report(res, "square").margin >= -1e-10
-            assert convex_report(res, "abs").margin >= -1e-10 * b_scale
+            assert convex_margin(res, "square") >= -1e-10
+            assert convex_margin(res, "abs") >= -1e-10 * b_scale
             if bounded or n <= 12:
-                assert convex_report(res, "exp").margin >= -1e-10
+                assert convex_margin(res, "exp") >= -1e-10
 
 
 def trace_errs(s, n):
@@ -679,10 +689,11 @@ def test_check_result_contract():
 
 
 @pytest.mark.parametrize("family", ["legendre", "laguerre", "hermite"])
-def test_stacked_rows_equal_the_single_certificate_path(family):
+def test_stacked_rows_equal_the_single_certificate_path(family, capsys):
     # verify measures each order as one stack; every row it writes for C(k),
-    # A and B is bit-equal to certificate_checks and convex_report on the one
-    # certificate matrix_C builds, on both sides of dstevd's switch at order 26
+    # A and B is bit-equal to certificate_checks on the one certificate
+    # matrix_C builds, and each convex row is the negated margin of the matrix
+    # JSON payload, on both sides of dstevd's switch at order 26
     s = classical_scheme(family, 33)
     cases = {r.case: r for r in verify_scheme(s, 31)}
 
@@ -690,14 +701,17 @@ def test_stacked_rows_equal_the_single_certificate_path(family):
         return row.case, row.metric.hex(), row.limit.hex(), row.passed
 
     for n in (2, 25, 26, 31):
-        for key, res in [(f"C k={k}", matrix_C(s, n, k)) for k in range(1, n + 1)] + [
-            ("A", matrix_A(s, n)), ("B", matrix_B(s, n))
-        ]:
+        for key, res, flags in [
+            (f"C k={k}", matrix_C(s, n, k), ["C", "--k", str(k)]) for k in range(1, n + 1)
+        ] + [("A", matrix_A(s, n), ["A"]), ("B", matrix_B(s, n), ["B"])]:
             for row in certificate_checks(res):
                 assert bits(cases[row.case]) == bits(row), row.case
-            for f in CONVEX_FUNCTIONS:
-                metric = cases[f"n={n} {key} convex-{f}"].metric
-                assert metric.hex() == (-convex_report(res, f).margin).hex(), (n, key, f)
+            main(["matrix", "--family", family, "--n", str(n), "--theorem", *flags])
+            convex = json.loads(capsys.readouterr().out)["convex"]
+            assert [c["f"] for c in convex] == list(CONVEX_FUNCTIONS)
+            for c in convex:
+                metric = cases[f"n={n} {key} convex-{c['f']}"].metric
+                assert metric.hex() == (-c["margin"]).hex(), (n, key, c["f"])
     # order 1, which verify never builds, leaves no partial sum: the margin row reads 0.0
     res = matrix_C(s, 1, 1)
     margins, _, holds = _majorization(res.target[None], res.source, 1e-10)

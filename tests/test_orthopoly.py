@@ -15,7 +15,6 @@ from opmaj import (
     gauss_rule,
     jacobi_matrix,
     scheme_spectral,
-    spectral_spot_points,
     verify_scheme,
 )
 
@@ -28,6 +27,7 @@ from oracles import (
     closed_form_moment,
     dense,
     golden_coeff_schemes,
+    spot_points,
 )
 
 FAMILIES = [
@@ -113,7 +113,7 @@ def test_eval_all_over_an_array_is_bit_equal_to_pointwise_calls(scheme, shift):
     for n in (1, 12, 30):
         table = s.coefficients(n)
         zeros = scheme_spectral(s, n).eigenvalues
-        for points in (spectral_spot_points(s, n), zeros):
+        for points in (spot_points(s, n), zeros):
             values, ders = _values(table, n, points, derivatives=True)
             assert values.shape == ders.shape == (points.size, n + 1)
             assert values.flags.c_contiguous and ders.flags.c_contiguous
@@ -141,7 +141,7 @@ def test_associated_tops_are_bit_equal_to_each_shifts_eval_all(family, params):
     s = classical_scheme(family, IDENTITY_N_CAP + 1, **params)
     offdiag, diag = table = s.coefficients(IDENTITY_N_CAP + 1)
     for n in range(2, IDENTITY_N_CAP + 1):
-        points = spectral_spot_points(s, n)
+        points = spot_points(s, n)
         for k in range(n):
             values = associated_values(s, k, n - k, points)[0]
             tail = _values((offdiag[k:], diag[k:]), n - k, points)
@@ -437,7 +437,7 @@ def test_christoffel_darboux_confluent(family, params):
     s = classical_scheme(family, 20, **params)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
-        spots = spectral_spot_points(s, max(n, 2))
+        spots = spot_points(s, max(n, 2))
         for p, dp in zip(*_values(s.coefficients(n + 1), n + 1, spots, derivatives=True)):
             lhs = float(np.dot(p[: n + 1], p[: n + 1]))
             rhs = a[n + 1] * (dp[n + 1] * p[n] - p[n + 1] * dp[n])
@@ -451,7 +451,7 @@ def test_wronskian_of_neighbor_and_associated(family, params):
     s = classical_scheme(family, 20, **params)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(1, 16):
-        spots = spectral_spot_points(s, max(n, 2))
+        spots = spot_points(s, max(n, 2))
         p_all = _values(s.coefficients(n + 1), n + 1, spots)[0]
         for p, q in zip(p_all, associated_values(s, 1, n, spots)[0]):
             t1 = a[n + 1] * p[n] * q[n]
@@ -467,7 +467,7 @@ def test_associated_factorization(family, params):
     s = classical_scheme(family, 20, **params)
     a = [0.0, *s.coefficients(20)[0].tolist()]  # a[i] = a_i
     for n in range(3, 16):
-        spots = spectral_spot_points(s, n)
+        spots = spot_points(s, n)
         p_all = _values(s.coefficients(n), n, spots)[0]
         q_all = associated_values(s, 1, n - 1, spots)[0]
         r_all = {k: associated_values(s, k, n - k, spots)[0] for k in range(2, n)}
@@ -498,9 +498,9 @@ def test_associated_spectral_depth():
 
 def test_spot_points_deterministic_and_inside():
     s = classical_scheme("legendre", 10)
-    pts = spectral_spot_points(s, 8, seed=7)
-    again = spectral_spot_points(s, 8, seed=7)
+    pts = spot_points(s, 8, seed=7)
+    again = spot_points(s, 8, seed=7)
     assert np.array_equal(pts, again)
     x = scheme_spectral(s, 8).eigenvalues
     assert np.all(pts >= x[0]) and np.all(pts <= x[-1])
-    assert not np.array_equal(pts, spectral_spot_points(s, 8, seed=8))
+    assert not np.array_equal(pts, spot_points(s, 8, seed=8))
