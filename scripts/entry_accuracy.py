@@ -10,16 +10,32 @@ float64 entries and their largest relative error over the nonzero
 reference entries.  The default sample is legendre n=48, laguerre n=40
 and hermite n=40, each at k in {1, n//2, n}; it takes about a minute.
 
+``--rows FAMILY N`` instead (or, with ``--case``, as well) compares the
+squared components of J_N's eigenvectors on rows 0, N//3 and N-1, the
+numbers a certificate's last row and the Christoffel numbers read one at a
+time, with ``tests/oracles.py::mp_component_squares`` (50 digits, O(N^2)):
+for each row it prints the largest relative error over every zero whose
+reference square is a normal double, of ``scheme_spectral``'s components
+and of LAPACK ``dstev``'s and ``dstevd``'s on the same matrix.  Order 400
+takes about a minute.
+
 Example:
     PYTHONPATH=src python scripts/entry_accuracy.py
     PYTHONPATH=src python scripts/entry_accuracy.py --case laguerre 20 1,10,20
+    PYTHONPATH=src python scripts/entry_accuracy.py --rows laguerre 200 --rows hermite 400
 """
 import argparse
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg.lapack import dstev, dstevd
 
-from opmaj import classical_scheme, jacobi_matrix, matrix_C
+from opmaj import classical_scheme, jacobi_matrix, matrix_C, scheme_spectral
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import mp_component_squares  # noqa: E402
 
 DIGITS = 60
 SAMPLE = (("legendre", 48), ("laguerre", 40), ("hermite", 40))
@@ -58,6 +74,29 @@ def reference_entries(scheme, n, k, full):
     return np.array([[float(v) for v in row] for row in rows])
 
 
+def row_errors(family, n):
+    """Per row 0, n//3, n-1 of J_n: (row, largest relative error of the squared
+    components of scheme_spectral, of dstev and of dstevd) over the zeros."""
+    scheme = classical_scheme(family, n)
+    offdiag, diag = scheme.coefficients(n - 1)
+    sd = scheme_spectral(scheme, n)
+    solved = [sd.components, dstev(diag, offdiag)[1], dstevd(diag, offdiag)[1]]
+    rows = [0, n // 3, n - 1]
+    ref = mp_component_squares(scheme, n, sd.eigenvalues, rows)
+    tiny = mp.mpf(float(np.finfo(float).tiny))
+    out = []
+    with mp.workdps(50):
+        for i, r in enumerate(rows):
+            errs = [0.0] * len(solved)
+            for j, squares in enumerate(ref):
+                if squares[i] >= tiny:
+                    for s, vecs in enumerate(solved):
+                        err = float(abs(mp.mpf(float(vecs[r, j])) ** 2 / squares[i] - 1))
+                        errs[s] = max(errs[s], err)
+            out.append((r, *errs))
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -65,7 +104,19 @@ def main():
         help="a family without shape parameters, an order, and comma-separated k "
         "(repeatable; replaces the default sample)",
     )
+    parser.add_argument(
+        "--rows", nargs=2, action="append", metavar=("FAMILY", "N"),
+        help="compare the squared J_N components of rows 0, N//3 and N-1 (repeatable; "
+        "without --case the entry sample is skipped)",
+    )
     args = parser.parse_args()
+    if args.rows:
+        print(f"{'family':<10} {'n':>4} {'row':>4} {'opmaj':>9} {'dstev':>9} {'dstevd':>9}")
+        for family, n in args.rows:
+            for r, *errs in row_errors(family, int(n)):
+                print(f"{family:<10} {int(n):>4} {r:>4} " + " ".join(f"{e:9.2e}" for e in errs))
+        if not args.case:
+            return
     if args.case:
         cases = [(f, int(n), [int(k) for k in ks.split(",")]) for f, n, ks in args.case]
     else:

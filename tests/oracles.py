@@ -215,6 +215,42 @@ def mp_coefficient_integrals(scheme, family: str, params, n: int):
     return float(a_int), float(b_int), float(norm)
 
 
+def mp_component_squares(scheme, n, zeros, rows, dps=50) -> list:
+    """lambda_j p_r(x_j)^2, the squared row-r components of J_n's unit eigenvectors,
+    for r in ``rows``, at the zero x_j of p_n nearest each float of ``zeros``: one list
+    of mpf values per zero, in O(n) per zero.  Each zero is refined by Newton's method
+    in ``dps``-digit mpmath on J_n's stored table (a_n p_n needs no a_n), and the
+    products come from the mpmath recurrence, lambda_j = 1 / sum_{i<n} p_i(x_j)^2."""
+    offdiag, diag = scheme.coefficients(n - 1)
+    a = [mp.mpf(0)] + [mp.mpf(v) for v in offdiag.tolist()]  # a[m] = a_m, a_0 = 0
+    b = [mp.mpf(v) for v in diag.tolist()]
+    out = []
+    with mp.workdps(dps):
+        for x0 in zeros:
+            x = mp.mpf(float(x0))
+            for _ in range(100):
+                # a_n p_n and its derivative at x, by the recurrence and its derivative
+                p_prev, p_cur, d_prev, d_cur = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
+                for m in range(n):
+                    top = (x - b[m]) * p_cur - a[m] * p_prev
+                    d_top = (x - b[m]) * d_cur + p_cur - a[m] * d_prev
+                    if m < n - 1:
+                        p_prev, p_cur = p_cur, top / a[m + 1]
+                        d_prev, d_cur = d_cur, d_top / a[m + 1]
+                step = top / d_top
+                x -= step
+                if abs(step) <= abs(x) * mp.mpf(10) ** (5 - dps):
+                    break
+            values = [mp.mpf(1)]
+            p_prev, p_cur = mp.mpf(0), mp.mpf(1)
+            for m in range(n - 1):
+                p_prev, p_cur = p_cur, ((x - b[m]) * p_cur - a[m] * p_prev) / a[m + 1]
+                values.append(p_cur)
+            weight = 1 / mp.fsum(v * v for v in values)
+            out.append([weight * values[r] ** 2 for r in rows])
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def golden_coeff_schemes() -> list:
     """(family, params) of every scheme the ``coeffs`` golden digest pins, read from

@@ -703,8 +703,9 @@ def test_order_below_one_refused_before_it_is_sized(capsys, n):
 
 def test_oversized_order_refused_before_its_table_is_built():
     # classical_scheme builds no table and scheme_spectral refuses the 8 n^2
-    # bytes of eigenvectors before J_n's table is built, so n = 2e7, whose
-    # table alone is 160 MB an array, peaks near the import
+    # bytes of eigenvectors (and as many of working arrays) before J_n's table
+    # is built, so n = 2e7, whose table alone is 160 MB an array, peaks near
+    # the import
     script = (
         "import json, resource\n"
         "from opmaj.cli import main\n"
@@ -733,12 +734,13 @@ def test_full_stdout_exits_2_by_name():
     assert proc.stderr == b"opmaj: error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
-@pytest.mark.skipif(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") < 4e9,
-                    reason="needs 4 GB of physical memory, so that order 20000 is not refused by size")
+@pytest.mark.skipif(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") < 6.4e9,
+                    reason="needs 6.4 GB of physical memory, so that order 20000 is not refused by size")
 def test_allocation_failure_exits_2_by_name():
-    # the 3.2 GB of order 20000's eigenvectors fit in physical memory, so the
-    # order is not refused by size, but not in a 2 GB address space: the
-    # allocation fails with MemoryError, which exits 2 with one error line
+    # the 3.2 GB of order 20000's eigenvectors, and the 3.2 GB of working arrays
+    # beside them, fit in physical memory, so the order is not refused by size,
+    # but not in a 2 GB address space: the allocation fails with MemoryError,
+    # which exits 2 with one error line
     script = (
         "import resource, sys\n"
         "from opmaj.cli import main\n"

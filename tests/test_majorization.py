@@ -311,7 +311,7 @@ def test_convex_exp_overflow_refused_without_warning(capsys):
     assert captured.out == ""
     assert captured.err == (
         "opmaj: error: the convex-exp margin is not finite in float64: "
-        "exp overflows over zeros up to |x| = 767.8146922967127\n"
+        "exp overflows over zeros up to |x| = 767.8146922967122\n"
     )
     assert np.isfinite(convex_margin(matrix_A(classical_scheme("laguerre", 200), 200), "square"))
 
@@ -483,6 +483,14 @@ def test_verify_solves_each_leading_block_once(monkeypatch):
     # the certificates' target zeros and solve nothing of their own
     assert len(read) == N - 1 == 11
     assert Counter(read) == {m: 1 for m in range(2, N + 1)}
+    # J_n's own route: one dstev solve just below _DSTEVD_FROM; from it on, no
+    # dstev solve and one more dstevd call, whose eigenvectors _refine mends
+    for m, by_dstev in ((spectra._DSTEVD_FROM - 1, True), (spectra._DSTEVD_FROM, False)):
+        read.clear()
+        solves.clear()
+        spectra.scheme_spectral.cache_clear()
+        spectra.scheme_spectral(classical_scheme("legendre", m), m)
+        assert (read, solves) == (([m], []) if by_dstev else ([], [m])), m
 
 
 def test_verify_evaluates_each_scheme_once_per_order(monkeypatch):

@@ -57,6 +57,15 @@ def test_entry_accuracy_runs_one_case():
     assert rows[2][0] == "all" and all(float(v) < 1e-12 for v in rows[2][1:])
 
 
+def test_entry_accuracy_compares_the_rows_of_one_order():
+    proc = run_script("entry_accuracy.py", "--rows", "hermite", "20")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = (line.split() for line in proc.stdout.splitlines())
+    assert header == ["family", "n", "row", "opmaj", "dstev", "dstevd"]
+    assert [row[:3] for row in rows] == [["hermite", "20", r] for r in ("0", "6", "19")]
+    assert all(float(v) < 1e-10 for row in rows for v in row[3:5])
+
+
 def test_floatrepr_sweep_runs_each_stream():
     proc = run_script("floatrepr_sweep.py", "--count", "20000", "--seed", "5")
     assert proc.returncode == 0, proc.stderr

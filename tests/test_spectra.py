@@ -1,15 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from opmaj import (
     ConvergenceError,
     DepthError,
     RecurrenceScheme,
+    certificate_checks,
     classical_scheme,
     from_sequences,
     gauss_rule,
@@ -24,7 +26,7 @@ from opmaj.orthopoly import _values
 
 from oracles import (
     associated_spectral, block_decompose, chebyshev_u_weights, chebyshev_u_zeros, comp_sq,
-    delete_row_col, dense,
+    delete_row_col, dense, mp_component_squares,
 )
 
 
@@ -269,6 +271,60 @@ def test_oversized_order_refused_before_solving(monkeypatch):
     for build in (lambda: matrix_C(s, 2, 1), lambda: verify_scheme(s, 2)):
         with pytest.raises(ValueError, match="the order 2 certificate needs"):
             build()
+    # from _DSTEVD_FROM on, dstevd's workspace and then _refine's n x n array sit
+    # beside the eigenvectors: 16 m^2 bytes, so against 12 m^2 bytes such an
+    # order is refused although its 8 m^2 bytes of eigenvectors would fit
+    m = spectra._DSTEVD_FROM
+    memory["SC_PHYS_PAGES"] = 12 * m * m // 8
+    big = classical_scheme("legendre", m)
+    with pytest.raises(ValueError, match=f"^order {m} needs {16 * m * m / 1e9:.1f} GB for its "
+                       "eigenvectors and dstevd's workspace, more than"):
+        _fresh_spectral(big, m)
+    # while dstev, which holds no n x n array beside its eigenvectors, solves the
+    # order just below it
+    monkeypatch.setattr(spectra, "dstev", lapack.dstev)
+    assert _fresh_spectral(big, m - 1).order == m - 1
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre", "legendre"])
+def test_refined_components_as_accurate_as_dstev(family):
+    # from _DSTEVD_FROM on, J_n comes from dstevd, whose exponentially small
+    # components have no relative accuracy, and _refine restores them: against a
+    # 50-digit reference, over the extreme zeros (where the tiny components are)
+    # and three interior ones, the worst relative error of the squared
+    # components on rows 0, n // 3 and n - 1 is no larger than dstev's there
+    n = spectra._DSTEVD_FROM
+    s = classical_scheme(family, n)
+    offdiag, diag = s.coefficients(n - 1)
+    sd = _fresh_spectral(s, n)
+    stev = spectra.dstev(diag, offdiag)[1]
+    rows = [0, n // 3, n - 1]
+    cols = [0, 1, 2, 3, n // 4, n // 2, 3 * n // 4, n - 4, n - 3, n - 2, n - 1]
+    ref = mp_component_squares(s, n, sd.eigenvalues[cols], rows)
+    with mp.workdps(50):
+        for i, r in enumerate(rows):
+            worst = [
+                max(float(abs(mp.mpf(float(v[r, j])) ** 2 / ref[t][i] - 1)) for t, j in enumerate(cols))
+                for v in (sd.components, stev)
+            ]
+            assert worst[0] <= worst[1], (r, worst)
+
+
+def test_refined_eigenvectors_of_custom_schemes_stay_orthonormal():
+    # random custom schemes above _DSTEVD_FROM, whose eigenvectors may sit in
+    # several humps where the recurrence is not stable from either end: the
+    # refinement moves no component by more than 4 eps, so the components stay
+    # orthonormal and the certificates pass at the default tolerances
+    n = 150
+    assert n >= spectra._DSTEVD_FROM
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        s = from_sequences(rng.uniform(0.1, 10.0, n - 1), rng.uniform(-10.0, 10.0, n))
+        C = scheme_spectral(s, n).components
+        assert np.abs(C.T @ C - np.eye(n)).max() <= 1e-13, seed
+        for k in (1, math.ceil(n / 2), n):
+            failed = [row for row in certificate_checks(matrix_C(s, n, k)) if not row.passed]
+            assert not failed, (seed, k, failed)
 
 
 def _fresh_spectral(s, m):
