@@ -15,9 +15,10 @@ squared components of J_N's eigenvectors on rows 0, N//3 and N-1, the
 numbers a certificate's last row and the Christoffel numbers read one at a
 time, with ``tests/oracles.py::mp_component_squares`` (50 digits, O(N^2)):
 for each row it prints the largest relative error over every zero whose
-reference square is a normal double, of ``scheme_spectral``'s components
-and of LAPACK ``dstev``'s and ``dstevd``'s on the same matrix.  Order 400
-takes about a minute.
+reference square is a normal double, of ``scheme_spectral``'s components,
+of LAPACK ``dstev``'s and ``dstevd``'s on the same matrix and, on row 0
+(``formula``, "-" on the other rows), of ``christoffel_numbers_formula``.
+Order 400 takes about a minute.
 
 Example:
     PYTHONPATH=src python scripts/entry_accuracy.py
@@ -32,7 +33,9 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg.lapack import dstev, dstevd
 
-from opmaj import classical_scheme, jacobi_matrix, matrix_C, scheme_spectral
+from opmaj import (
+    christoffel_numbers_formula, classical_scheme, jacobi_matrix, matrix_C, scheme_spectral
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import mp_component_squares  # noqa: E402
@@ -76,24 +79,28 @@ def reference_entries(scheme, n, k, full):
 
 def row_errors(family, n):
     """Per row 0, n//3, n-1 of J_n: (row, largest relative error of the squared
-    components of scheme_spectral, of dstev and of dstevd) over the zeros."""
+    components of scheme_spectral, of dstev and of dstevd, and on row 0 of
+    christoffel_numbers_formula, else None) over the zeros."""
     scheme = classical_scheme(family, n)
     offdiag, diag = scheme.coefficients(n - 1)
     sd = scheme_spectral(scheme, n)
     solved = [sd.components, dstev(diag, offdiag)[1], dstevd(diag, offdiag)[1]]
+    formula = christoffel_numbers_formula(scheme, n)
     rows = [0, n // 3, n - 1]
     ref = mp_component_squares(scheme, n, sd.eigenvalues, rows)
     tiny = mp.mpf(float(np.finfo(float).tiny))
     out = []
     with mp.workdps(50):
         for i, r in enumerate(rows):
-            errs = [0.0] * len(solved)
+            # the squares, exact in mpmath, and on row 0 the formula's weights
+            got = [[mp.mpf(float(v)) ** 2 for v in vecs[r]] for vecs in solved]
+            got += [[mp.mpf(float(w)) for w in formula]] * (r == 0)
+            errs = [0.0] * len(got)
             for j, squares in enumerate(ref):
                 if squares[i] >= tiny:
-                    for s, vecs in enumerate(solved):
-                        err = float(abs(mp.mpf(float(vecs[r, j])) ** 2 / squares[i] - 1))
-                        errs[s] = max(errs[s], err)
-            out.append((r, *errs))
+                    for s, values in enumerate(got):
+                        errs[s] = max(errs[s], float(abs(values[j] / squares[i] - 1)))
+            out.append((r, *errs, *[None] * (r != 0)))
     return out
 
 
@@ -111,10 +118,12 @@ def main():
     )
     args = parser.parse_args()
     if args.rows:
-        print(f"{'family':<10} {'n':>4} {'row':>4} {'opmaj':>9} {'dstev':>9} {'dstevd':>9}")
+        print(f"{'family':<10} {'n':>4} {'row':>4} {'opmaj':>9} {'dstev':>9} {'dstevd':>9}"
+              f" {'formula':>9}")
         for family, n in args.rows:
             for r, *errs in row_errors(family, int(n)):
-                print(f"{family:<10} {int(n):>4} {r:>4} " + " ".join(f"{e:9.2e}" for e in errs))
+                print(f"{family:<10} {int(n):>4} {r:>4} "
+                      + " ".join(f"{'-':>9}" if e is None else f"{e:9.2e}" for e in errs))
         if not args.case:
             return
     if args.case:

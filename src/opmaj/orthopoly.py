@@ -1,10 +1,9 @@
 """Orthonormal polynomial evaluation, Christoffel numbers, Gaussian quadrature.
 
-Polynomial values use the plain forward recurrence with no rescaling.
-Inside the spectral interval the values needed here (at or near zeros) stay
-bounded, but far outside it or at large degree the recurrence can overflow;
-that is detected and reported so callers switch to the eigenvectors,
-which encode the same products lambda * p^2 without evaluating polynomials.
+The Christoffel numbers come from the recurrence that ``spectra._refine`` runs,
+scaled by exact powers of two.  The checked, unscaled values with derivatives
+(``_values``) serve verify's identity rows, to degree 16; where they overflow,
+which extreme custom tables make them do, the first point is reported.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .recurrence import RecurrenceScheme
-from .spectra import scheme_spectral
+from .spectra import _recurrence_rows, scheme_spectral
 
 __all__ = [
     "QuadratureRule", "PolynomialOverflowError", "christoffel_numbers_formula",
@@ -23,7 +22,7 @@ __all__ = [
 
 
 class PolynomialOverflowError(ArithmeticError):
-    """Forward recurrence left the representable range; use the spectral data."""
+    """A recurrence pass left float64: an unscaled one, or a scaled one in a single step."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +39,26 @@ class QuadratureRule:
 
 
 def _values(table, n: int, points: np.ndarray, derivatives: bool = False) -> list:
-    """``_forward``'s arrays, checked: the first point that overflows raises
-    PolynomialOverflowError, with no numpy warning, naming its first non-finite degree."""
-    arrays = _forward(table, n, points, derivatives)
+    """Point-major (P, n + 1) values p_0..p_n (and derivatives) at the P finite ``points``,
+    unscaled, from ``table``, an (offdiag, diag) to a_n and b_{n-1} or further: a slice of
+    it from index k on gives the order-k associated polynomials.  The derivatives come
+    from the differentiated recurrence p_{m+1}' = ((x - b_m) p_m' + p_m - a_m p_{m-1}') /
+    a_{m+1}; row i has the bits of the pass at point i alone.  The first point that
+    overflows raises PolynomialOverflowError, unwarned, naming its first non-finite degree."""
+    offdiag, diag = table
+    a = [0.0, *offdiag.tolist()]  # a[m] = a_m, with a_0 = 0
+    b = diag.tolist()
+    # degree-major while the recurrence runs, from p_{-1} = 0 and p_0 = 1
+    p = np.zeros((n + 2, points.size))
+    p[1] = 1.0
+    d = np.zeros_like(p) if derivatives else None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        for m in range(n):
+            x_b = points - b[m]
+            p[m + 2] = (x_b * p[m + 1] - a[m] * p[m]) / a[m + 1]
+            if d is not None:
+                d[m + 2] = (x_b * d[m + 1] + p[m + 1] - a[m] * d[m]) / a[m + 1]
+    arrays = [np.ascontiguousarray(v[1:].T) for v in (p, d) if v is not None]
     bad = ~np.isfinite(arrays).all(axis=0)
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
@@ -51,38 +67,13 @@ def _values(table, n: int, points: np.ndarray, derivatives: bool = False) -> lis
     return arrays
 
 
-def _forward(table, n: int, points: np.ndarray, derivatives: bool) -> list:
-    """Point-major (P, n + 1) values p_0..p_n (and derivatives) at the P finite ``points``,
-    unchecked, from ``table``, an (offdiag, diag) to a_n and b_{n-1} or further:
-    a slice of it from index k on gives the order-k associated polynomials.  The
-    derivatives come from the differentiated recurrence
-    p_{m+1}' = ((x - b_m) p_m' + p_m - a_m p_{m-1}') / a_{m+1}, exact at the cost of
-    the value pass; row i has the bits of the pass at point i alone."""
-    offdiag, diag = table
-    a = [0.0, *offdiag.tolist()]  # a[m] = a_m, with a_0 = 0
-    b = diag.tolist()
-    # degree-major while the recurrence runs, from p_{-1} = 0 and p_0 = 1
-    p = np.zeros((n + 2, points.size))
-    p[1] = 1.0
-    d = np.zeros_like(p) if derivatives else None
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked by the callers
-        for m in range(n):
-            x_b = points - b[m]
-            p[m + 2] = (x_b * p[m + 1] - a[m] * p[m]) / a[m + 1]
-            if d is not None:
-                d[m + 2] = (x_b * d[m + 1] + p[m + 1] - a[m] * d[m]) / a[m + 1]
-    return [np.ascontiguousarray(v[1:].T) for v in (p, d) if v is not None]
-
-
 def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
     """Christoffel numbers at the zeros of p_n by the reciprocal-sum formula.
 
-    lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2, one recurrence pass over all zeros
-    (``_christoffel``, shared with verify's column-sum rows).  Agrees with the squared
-    first eigenvector components of J_n; an overflow of the recurrence raises
-    PolynomialOverflowError, as does an overflow of the sum of squares of finite values,
-    in which case the spectral data (``scheme_spectral(scheme, n).christoffel``) is the
-    supported path.  The error is the first one met zero by zero, ascending.
+    lambda_{k,n} = 1 / sum_{j<n} p_j(x_{k,n})^2, one scaled recurrence pass over all zeros
+    (``_christoffel``), at every order ``scheme_spectral`` serves; a weight below the
+    double range comes back as 0.0 or a subnormal.  A pass that breaks down to NaN raises
+    PolynomialOverflowError for its first zero.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -91,16 +82,24 @@ def christoffel_numbers_formula(scheme: RecurrenceScheme, n: int) -> np.ndarray:
 
 
 def _christoffel(table, m: int, nodes: np.ndarray) -> tuple:
-    """1 / sum_{j<=m} p_j^2 at the ascending ``nodes`` and the point-major p_0..p_m: one pass
-    over ``table`` (to a_m, b_{m-1} or further), all finite; the first node to overflow raises."""
-    values = _forward(table, m, nodes, False)[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+    """(lambda, p, inv) at the ascending ``nodes``: lambda = 1 / sum_{j<=m} p_j^2, and p_0..p_m
+    (point-major) and inv = 1 / sum p_j^2 at the scale 2**(-512 s) of one ``_recurrence_rows``
+    pass over ``table`` (to a_m, b_{m-1} or further) after s rescales of a node, one more
+    where its sum leaves float64: lambda = inv * 2**(-1024 s), exactly."""
+    values, ends = np.zeros((nodes.size, m + 1)), np.full(nodes.size, m)
+    with np.errstate(all="ignore"):  # a pass that breaks down is reported below, not warned
+        _, shifts = _recurrence_rows(table[1][: m + 1], table[0][:m], nodes, ends, values.T)
         norm_sq = np.array([np.dot(row, row) for row in values])
-    for x, norm in zip(nodes, norm_sq):
-        if not np.isfinite(norm):
-            _values(table, m, np.array([x]))  # raises if the values themselves overflowed
-            raise PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
-    return 1.0 / norm_sq, values
+        over = np.flatnonzero(norm_sq == np.inf)
+        values[over] *= 2.0**-512
+        shifts[over] += 1
+        norm_sq[over] = [np.dot(row, row) for row in values[over]]
+    for x, norm, row in zip(nodes.tolist(), norm_sq, values):
+        if np.isnan(norm):  # named as _values names it
+            raise PolynomialOverflowError(
+                f"recurrence overflowed at degree {int(np.argmin(np.isfinite(row)))} (x = {x})")
+    inv = 1.0 / norm_sq
+    return np.ldexp(inv, -1024 * shifts), values, inv
 
 
 def gauss_rule(scheme: RecurrenceScheme, n: int) -> QuadratureRule:

@@ -209,8 +209,8 @@ def _refine(diag, offdiag, eigvals, vecs) -> None:
     rows = np.zeros((n, n))
     # a column that breaks down is left to the agreement test, not warned
     with np.errstate(all="ignore"):
-        top = _recurrence_rows(diag, offdiag, eigvals, anchor, rows)
-        bottom = _recurrence_rows(diag[::-1], offdiag[::-1], eigvals, n - 1 - anchor, rows[::-1])
+        top = _recurrence_rows(diag, offdiag, eigvals, anchor, rows)[0]
+        bottom = _recurrence_rows(diag[::-1], offdiag[::-1], eigvals, n - 1 - anchor, rows[::-1])[0]
         rows[anchor, cols] = top  # the backward pass added its own anchor value
         fwd_scale, bwd_scale = lead / top, lead / bottom
         for r in range(0, n, 64):
@@ -219,24 +219,23 @@ def _refine(diag, offdiag, eigvals, vecs) -> None:
             np.copyto(old, new, where=np.abs(new - old) <= 4.0 * np.finfo(float).eps)
 
 
-def _recurrence_rows(diag, offdiag, x, ends, out) -> np.ndarray:
-    """Add p_0..p_{n-1} of the Jacobi matrix (diag, offdiag) at the points x to the
-    rows of the n x n ``out``, column j up to row ends[j] and nothing past it, and
-    return the values at row ends[j].
+def _recurrence_rows(diag, offdiag, x, ends, out) -> tuple:
+    """Add p_0..p_{n-1} of the Jacobi matrix (diag, offdiag), n = diag.size, at the points
+    x to the rows of the n x x.size ``out``, column j up to row ends[j] and nothing past
+    it; return the values at row ends[j] and each column's count of rescales.
 
-    A column that passes 2**512 is multiplied by 2**-512, its stored rows with
-    it, so no value overflows up to its end: each column is one scale, and the
-    ratios of its entries are kept (exactly, unless they drop below the normal
-    range, where the refined component is subnormal anyway).  The columns are
-    measured only once a scalar bound on them, carried row by row, passes 2**512.
-    """
-    n = x.size
+    A column that passes 2**512 is multiplied by 2**-512, its stored rows with it, so
+    only a single step past float64 overflows: each column is one scale, its ratios kept
+    (exactly, unless below the normal range), and one never rescaled has the bits of the
+    plain recurrence.  Columns are measured only once a bound carried row by row passes
+    2**512."""
+    n, size = diag.size, x.size
     a, b = [0.0, *offdiag.tolist()], diag.tolist()  # a[r] = a_r, with a_0 = 0
     lo, hi = float(x.min()), float(x.max())
     by_end = np.argsort(ends, kind="stable")
     starts = np.searchsorted(ends[by_end], np.arange(n + 1)).tolist()
-    at_end, tmp = np.empty(n), np.empty(n)
-    prev, cur, nxt = np.zeros(n), np.ones(n), np.empty(n)
+    at_end, tmp, shifts = np.empty(size), np.empty(size), np.zeros(size, dtype=int)
+    prev, cur, nxt = np.zeros(size), np.ones(size), np.empty(size)
     bound, bound_prev = 1.0, 0.0  # of max |cur| and max |prev|
     for r in range(n):
         if r:
@@ -253,6 +252,7 @@ def _recurrence_rows(diag, offdiag, x, ends, out) -> np.ndarray:
                     nxt[big] *= _SHRINK
                     cur[big] *= _SHRINK
                     out[:r, big] *= _SHRINK
+                    shifts[big] += 1
                     bound = float(np.abs(nxt).max())
                 bound_prev = float(np.abs(cur).max())
             prev, cur, nxt = cur, nxt, prev
@@ -261,7 +261,7 @@ def _recurrence_rows(diag, offdiag, x, ends, out) -> np.ndarray:
         if done.size:  # these columns end here: zeros carry them on
             at_end[done] = cur[done]
             cur[done] = prev[done] = 0.0
-    return at_end
+    return at_end, shifts
 
 
 def _block_decompose(diag, offdiag) -> SpectralData:

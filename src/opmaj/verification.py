@@ -126,8 +126,8 @@ def _identity_checks(out: list, n: int, table, points, source, entries_cn, entri
     p, dp = _values(table, n + 1, points, derivatives=True)
     q = _values((offdiag[1:], diag[1:]), n, points)[0]
     tops = [_values((offdiag[k:], diag[k:]), n - k, points)[0][:, n - k] for k in range(2, n)]
-    # column sums of the deleted-row bands against independently evaluated right sides
-    lam, values = _christoffel(table, n - 1, source)
+    # column sums of the deleted-row bands; inv * p^2 is lambda p_{n-1}^2 at the pass's scale
+    lam, values, inv = _christoffel(table, n - 1, source)
     # squared one numpy scalar at a time, by libm's pow, whose bits x * x does not always match
     p_nm1_sq = np.array([v ** 2 for v in values[:, n - 1]])
     try:
@@ -147,7 +147,7 @@ def _identity_checks(out: list, n: int, table, points, source, entries_cn, entri
                 u2 = a[k] * p[:, n] * q[:, k - 2]
                 metric = abs(u1 - u2 - lhs) / (abs(u1) + abs(u2) + abs(lhs))
                 spots[f"k={k} assoc-factorization"] = metric
-            err_a = _rel_err(entries_cn[: n - 1].sum(axis=0), 1.0 - lam * p_nm1_sq).max()
+            err_a = _rel_err(entries_cn[: n - 1].sum(axis=0), 1.0 - inv * p_nm1_sq).max()
             err_b = _rel_err(entries_c1[: n - 1].sum(axis=0), 1.0 - lam).max()
     except FloatingPointError:
         raise PolynomialOverflowError(f"the order {n} identity checks overflow float64") from None

@@ -938,11 +938,11 @@ def test_literal_route_overflow_exit_code(capsys, tmp_path):
 
 
 VERIFY_OVERFLOWS = [
-    # the identity checks' products overflow at the spot points, then the
-    # Christoffel sums at the zeros: the sums are refused by name
+    # the Christoffel sums at the zeros pass 2**1024 and the scaled pass holds
+    # them; the identity checks' products at the spot points overflow
     (
         {"a": [2.09e-227, 2.25e58, 2.09], "b": [-5.4e-28, -3.4e-230, 4.7e-20, -8.2e-192]},
-        "sum of squared values overflowed (x = -3.4e-230)",
+        "the order 2 identity checks overflow float64",
     ),
     # the operator-power moment J_2^2 e_0 overflows, before any eigensolve
     (

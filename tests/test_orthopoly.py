@@ -1,11 +1,13 @@
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opmaj import (
+    ConvergenceError,
     DepthError,
     PolynomialOverflowError,
     christoffel_numbers_formula,
@@ -27,8 +29,10 @@ from oracles import (
     closed_form_moment,
     dense,
     golden_coeff_schemes,
+    mp_component_squares,
     spot_points,
 )
+from test_cli import MIXED
 
 FAMILIES = [
     ("chebyshev-u", {}),
@@ -201,42 +205,71 @@ def test_eval_all_over_an_array_raises_the_first_pointwise_overflow():
         assert str(err.value) == messages[0]
 
 
-@pytest.mark.parametrize("n", [190, 400])
-def test_christoffel_formula_raises_the_first_nodewise_error(n):
-    # laguerre p_399 overflows by recurrence at its 7 largest zeros, and the
-    # sum of squares overflows first, at smaller zeros: node-by-node
-    # evaluation in ascending order meets the sum's error first
-    s = classical_scheme("laguerre", n, alpha=0.0)
-    expected = None
-    for x in scheme_spectral(s, n).eigenvalues:
-        try:
-            vals = _values(s.coefficients(n - 1), n - 1, np.array([x]))[0][0]
-        except PolynomialOverflowError as exc:
-            expected = exc
-            break
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.dot(vals, vals)):
-                expected = PolynomialOverflowError(f"sum of squared values overflowed (x = {x})")
-                break
-    assert expected is not None
-    with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
-        warnings.simplefilter("error")
-        christoffel_numbers_formula(s, n)
-    assert str(err.value) == str(expected)
+@pytest.mark.parametrize("family,n", [("hermite", 400), ("laguerre", 200)])
+def test_christoffel_formula_accurate_where_the_recurrence_leaves_the_double_range(family, n):
+    # p_j passes 2**512 at the extreme zeros of these orders, and the pass folds
+    # its rescales back into lambda: against the 50-digit reference, lambda is
+    # within 1e-11 relative where the reference is a normal double, and within
+    # 2**-1022 of J_n's where it is not.  lambda p_{n-1}^2, read as inv times the
+    # scaled p_{n-1}^2 at the pass's one scale, is J_n's last row (within 1e-8:
+    # the slope of p_{n-1} at a zero carries the zero's own error into it)
+    s = classical_scheme(family, n)
+    sd = scheme_spectral(s, n)
+    lam = christoffel_numbers_formula(s, n)
+    _, values, inv = _christoffel(s.coefficients(n - 1), n - 1, sd.eigenvalues)
+    cols = [0, 1, 2, 3, n // 4, n // 2, 3 * n // 4, n - 4, n - 3, n - 2, n - 1]
+    ref = mp_component_squares(s, n, sd.eigenvalues[cols], [0, n - 1])
+    tiny = mp.mpf(float(np.finfo(float).tiny))
+    with mp.workdps(50):
+        for j, (first, last) in zip(cols, ref):
+            if first >= tiny:
+                assert abs(mp.mpf(float(lam[j])) / first - 1) <= 1e-11, j
+            else:
+                assert abs(lam[j] - sd.christoffel[j]) <= 2.0**-1022, j
+            if last >= tiny:
+                assert abs(mp.mpf(float(inv[j] * values[j, n - 1] ** 2)) / last - 1) <= 1e-8, j
 
 
-def test_christoffel_formula_raises_a_values_overflow_by_degree():
-    # a_2 = 1e-320 sends p_2 past float64 at the middle zero 0 and nowhere
-    # else: there the values overflow, not only their sum, and the error
-    # names the degree, as the pass at that zero alone does
+def test_christoffel_formula_takes_a_weight_below_the_double_range_to_zero():
+    # a_2 = 1e-320 sends p_2 past float64 at the middle zero 0 in one step, the
+    # last one: the sum there is infinite and its weight, about 1e-640, is 0.0
     s = from_sequences([1.0, 1e-320], [0.0, 0.0, 0.0])
     assert scheme_spectral(s, 3).eigenvalues.tolist() == [-1.0, 0.0, 1.0]
-    with pytest.raises(PolynomialOverflowError) as pointwise:
-        _values(s.coefficients(2), 2, np.array([0.0]))
-    with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError) as err:
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        christoffel_numbers_formula(s, 3)
-    assert str(err.value) == str(pointwise.value) == "recurrence overflowed at degree 2 (x = 0.0)"
+        assert christoffel_numbers_formula(s, 3).tolist() == [0.5, 0.0, 0.5]
+
+
+def test_column_sum_identity_reads_a_sum_past_the_double_range_at_one_scale():
+    # at the zeros +-1 of p_3, p_1 and p_2 are 1e154 each: every value is finite
+    # and below 2**512, but their squares sum past float64, so the pass takes
+    # those zeros one rescale further; lambda is then about 5e-309, and verify's
+    # column-sum rows read lambda p_2^2 = 1/2 from the one rescaled pass
+    s = from_sequences([1e-154, 1.0, 1.0, 1.0], [0.0] * 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = christoffel_numbers_formula(s, 3)
+        rows = [r for r in verify_scheme(s, 3) if "column-sum-identity" in r.case]
+    assert lam[0] == lam[2] == pytest.approx(5e-309, rel=1e-12)
+    assert len(rows) == 4 and all(r.passed for r in rows), rows
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_christoffel_formula_weights_of_any_custom_scheme(data):
+    # a_i and |b_i| drawn as the CLI's contract test draws them: every weight is
+    # finite and in [0, 1], or the call raises a named error, unwarned
+    depth = data.draw(st.integers(0, 12))
+    a = data.draw(st.lists(MIXED.filter(lambda v: v > 0.0), min_size=depth, max_size=depth))
+    b = [data.draw(st.sampled_from([1.0, -1.0])) * data.draw(MIXED) for _ in range(depth + 1)]
+    n = data.draw(st.integers(1, depth + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            lam = christoffel_numbers_formula(from_sequences(a, b), n)
+        except (PolynomialOverflowError, ConvergenceError):
+            return
+    assert np.isfinite(lam).all() and (lam >= 0.0).all() and (lam <= 1.0).all(), lam
 
 
 def test_moment_overflow_refused_by_name():
@@ -293,14 +326,16 @@ def test_one_walk_equals_the_walk_of_each_degree_random_schemes(data):
 def test_christoffel_pass_on_a_deep_table_equals_the_formula_and_the_values():
     # verify's column-sum rows run this pass on its own table, to index
     # n_max + 1: the recurrence to degree n - 1 reads nothing past a_{n-1} and
-    # b_{n-2}, so the deeper table keeps the formula's bits and _values'
+    # b_{n-2}, so the deeper table keeps the formula's bits; to order 60 no
+    # column is rescaled, so the scaled pass has the bits of the unscaled _values
     for family, params in golden_coeff_schemes():
         s = classical_scheme(family, 61, **params)
         table = s.coefficients(61)
-        for n in range(1, IDENTITY_N_CAP + 1):
+        for n in range(1, 61):
             zeros = scheme_spectral(s, n).eigenvalues
-            lam, values = _christoffel(table, n - 1, zeros)
+            lam, values, inv = _christoffel(table, n - 1, zeros)
             assert lam.tobytes() == christoffel_numbers_formula(s, n).tobytes(), (family, n)
+            assert inv.tobytes() == lam.tobytes(), (family, n)
             assert values.tobytes() == _values(table, n - 1, zeros)[0].tobytes(), (family, n)
 
 
@@ -314,24 +349,6 @@ def test_moments_agree_with_a_dense_walk(family, params):
         for _ in range(m):
             v = J @ v
         assert moment(s, m) == pytest.approx(v[0], rel=1e-12), m
-
-
-def test_christoffel_formula_overflow_reported():
-    # at this order the reciprocal of the smallest weight exceeds the double
-    # range, so the squared-value sums cannot be formed on the formula route
-    s = classical_scheme("laguerre", 400, alpha=0.0)
-    with pytest.raises(PolynomialOverflowError):
-        christoffel_numbers_formula(s, 400)
-
-
-def test_christoffel_formula_sum_overflow_reported():
-    # every value p_j(x) is finite at this order, but the sum of their
-    # squares at the largest node is not: no zero weight may come back
-    # and no RuntimeWarning may precede the error
-    s = classical_scheme("laguerre", 190, alpha=0.0)
-    with warnings.catch_warnings(), pytest.raises(PolynomialOverflowError):
-        warnings.simplefilter("error")
-        christoffel_numbers_formula(s, 190)
 
 
 def test_christoffel_formula_examples():

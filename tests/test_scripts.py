@@ -61,9 +61,11 @@ def test_entry_accuracy_compares_the_rows_of_one_order():
     proc = run_script("entry_accuracy.py", "--rows", "hermite", "20")
     assert proc.returncode == 0, proc.stderr
     header, *rows = (line.split() for line in proc.stdout.splitlines())
-    assert header == ["family", "n", "row", "opmaj", "dstev", "dstevd"]
+    assert header == ["family", "n", "row", "opmaj", "dstev", "dstevd", "formula"]
     assert [row[:3] for row in rows] == [["hermite", "20", r] for r in ("0", "6", "19")]
     assert all(float(v) < 1e-10 for row in rows for v in row[3:5])
+    # the formula's weights on row 0 only
+    assert float(rows[0][6]) < 1e-10 and [row[6] for row in rows[1:]] == ["-", "-"]
 
 
 def test_floatrepr_sweep_runs_each_stream():
